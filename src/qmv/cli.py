@@ -22,7 +22,7 @@ from pathlib import Path
 
 import qmv
 from qmv import casestudies, numeric, smc
-from qmv.core import Direction, ModelClass, Property, PropertyKind, target_mask
+from qmv.core import Property, PropertyKind, target_mask
 from qmv.lang import parse_model, parse_properties, parse_property
 from qmv.lang.errors import (
     EvalError,
@@ -77,18 +77,20 @@ def _load_model(args):
     return model, space, stats, dt
 
 
-def _load_properties(args, model_class: ModelClass) -> list[Property]:
+def _load_properties(args, model) -> list[Property]:
     """The positional property argument: inline text, or a file of one
     property per line; ``--prop-index`` selects one (default: all for
-    check, the first otherwise)."""
+    check, the first otherwise).  Label names resolve against the model's
+    labels, bare or quoted."""
     spec = args.props
     path = Path(spec)
+    context = {"model_class": model.model_class, "labels": model.label_map()}
     if path.is_file():
-        props = parse_properties(path.read_text(), model_class=model_class)
+        props = parse_properties(path.read_text(), **context)
         if not props:
             raise ValueError(f"no properties in {path}")
     else:
-        props = [parse_property(spec, model_class=model_class)]
+        props = [parse_property(spec, **context)]
     index = getattr(args, "prop_index", None)
     if index is not None:
         if not 0 <= index < len(props):
@@ -143,14 +145,24 @@ def _model_lines(stats) -> list:
 
 def cmd_check(args) -> int:
     model, space, stats, explore_dt = _load_model(args)
-    props = _load_properties(args, space.model_class)
+    props = _load_properties(args, model)
     cfg = _solver_config(args)
     constants = model.constant_values()
     out, lines, times = [], _model_lines(stats), []
+    failed = False
     for prop in props:
         t0 = time.perf_counter()
-        result = numeric.check_property(space, prop, cfg, constants=constants)
-        times.append(time.perf_counter() - t0)
+        try:
+            result = numeric.check_property(space, prop, cfg,
+                                            constants=constants)
+        except numeric.SolverError as e:
+            print(f"error: {prop.text}: {e}", file=sys.stderr)
+            failed = True
+            out.append({"property": prop.text, "error": str(e)})
+            lines += [("property", prop.text), ("error", str(e))]
+            continue
+        finally:
+            times.append(time.perf_counter() - t0)
         entry = {
             "property": prop.text,
             "value": result.value,
@@ -165,7 +177,7 @@ def cmd_check(args) -> int:
     report = _report(args, stats, out, timing={
         "explore_seconds": explore_dt, "property_seconds": times})
     _emit(args, report, lines)
-    return 0
+    return 3 if failed else 0
 
 
 # --------------------------------------------------------------------------
@@ -174,7 +186,7 @@ def cmd_check(args) -> int:
 
 def cmd_cdf(args) -> int:
     model, space, stats, explore_dt = _load_model(args)
-    prop = _load_properties(args, space.model_class)[0]
+    prop = _load_properties(args, model)[0]
     if prop.kind not in (PropertyKind.REACH_PROB,
                          PropertyKind.STEP_BOUNDED_REACH_PROB):
         raise ValueError("cdf needs a reachability property")
@@ -222,7 +234,7 @@ def _smc_config(args) -> smc.SmcConfig:
 
 def cmd_simulate(args) -> int:
     model, space, stats, explore_dt = _load_model(args)
-    prop = _load_properties(args, space.model_class)[0]
+    prop = _load_properties(args, model)[0]
     cfg = _smc_config(args)
     constants = model.constant_values()
     resolver = None
@@ -237,8 +249,7 @@ def cmd_simulate(args) -> int:
         raise ValueError("the model has nondeterministic choices; pass "
                          "--scheduler-id to fix a scheduler")
     t0 = time.perf_counter()
-    est = smc.estimate(space, resolver, prop, cfg, workers=args.workers,
-                       constants=constants)
+    est = smc.estimate(space, resolver, prop, cfg, constants=constants)
     dt = time.perf_counter() - t0
     entry = {
         "property": prop.text,
@@ -267,7 +278,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_lss(args) -> int:
     model, space, stats, explore_dt = _load_model(args)
-    prop = _load_properties(args, space.model_class)[0]
+    prop = _load_properties(args, model)[0]
     cfg = smc.LssConfig(
         m=args.schedulers,
         mode=args.mode,
@@ -276,8 +287,7 @@ def cmd_lss(args) -> int:
         sampler_seed=args.seed,
     )
     t0 = time.perf_counter()
-    result = smc.lss(space, prop, cfg, workers=args.workers,
-                     constants=model.constant_values())
+    result = smc.lss(space, prop, cfg, constants=model.constant_values())
     dt = time.perf_counter() - t0
     entry = {
         "property": prop.text,
@@ -373,8 +383,6 @@ def _add_smc(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--max-steps", type=int, default=100_000,
                    help="per-run step cap")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker threads (result is worker-independent)")
 
 
 def build_parser() -> argparse.ArgumentParser:

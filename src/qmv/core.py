@@ -11,7 +11,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -44,14 +44,6 @@ KIND_COMPATIBILITY: dict[PropertyKind, tuple[ModelClass, ...]] = {
     PropertyKind.TIME_BOUNDED_REACH_PROB: (ModelClass.MA,),
     PropertyKind.EXPECTED_TIME: (ModelClass.MA,),
 }
-
-
-def _as_float(x) -> float:
-    # Fractions convert with correct rounding; everything else must already
-    # be real-valued.
-    if isinstance(x, Fraction):
-        return float(x)
-    return float(x)
 
 
 @dataclass(frozen=True)
@@ -105,13 +97,13 @@ class Distribution:
         if exact:
             total = sum(merged.values())
             branches = tuple(
-                (_as_float(Fraction(w) / total), t)
+                (float(Fraction(w) / total), t)
                 for t, w in sorted(merged.items())
             )
         else:
-            total = math.fsum(_as_float(w) for w in merged.values())
+            total = math.fsum(float(w) for w in merged.values())
             branches = tuple(
-                (_as_float(w) / total, t) for t, w in sorted(merged.items())
+                (float(w) / total, t) for t, w in sorted(merged.items())
             )
         return cls(branches)
 
@@ -176,7 +168,7 @@ class MarkovianTransitions:
         merged: dict[int, object] = {}
         for r, t in entries:
             merged[t] = merged.get(t, 0) + r
-        pairs = tuple((_as_float(r), t) for t, r in sorted(merged.items()))
+        pairs = tuple((float(r), t) for t, r in sorted(merged.items()))
         exit_rate = math.fsum(r for r, _ in pairs)
         return cls(pairs, exit_rate, masked)
 
@@ -259,21 +251,15 @@ class ExplicitStateSpace:
         n += sum(len(m.entries) for m in self.markovian if m is not None)
         return n
 
-    def states_where(self, pred: Callable[[Mapping[str, int | bool]], bool]) -> np.ndarray:
-        mask = np.zeros(self.n_states, dtype=bool)
-        for s in range(self.n_states):
-            mask[s] = bool(pred(self.state_values(s)))
-        return mask
-
 
 @dataclass(frozen=True)
 class Property:
     """A single query: optimise reachability/time towards ``target``.
 
-    ``target`` may be a label name (str), a boolean numpy mask, a predicate
-    callable over a state-values mapping, or an expression object from the
-    language front end.  ``bound`` is a step count (int) for step-bounded
-    queries and a time in minutes (float) for time-bounded ones.
+    ``target`` is anything :func:`target_mask` resolves: a label name
+    (str), a boolean numpy mask, or an expression from the language front
+    end.  ``bound`` is a step count (int) for step-bounded queries and a
+    time in minutes (float) for time-bounded ones.
     """
 
     kind: PropertyKind
@@ -327,8 +313,12 @@ def target_mask(space: ExplicitStateSpace, target: object,
                 constants: Mapping | None = None) -> np.ndarray:
     """Resolve a property target into a boolean state mask.
 
-    ``constants`` extends the evaluation environment of expression targets
-    (model constants are not part of the state).
+    ``target`` is a mask over states, a label name, or an expression from
+    the language front end (:class:`qmv.lang.ast.Expr`).  An expression is
+    type-checked against the layout's variables and ``constants`` (model
+    constants are not part of the state): it must be boolean, and
+    undeclared names are rejected.  It is then compiled once and evaluated
+    on every valuation row.
     """
     if isinstance(target, np.ndarray):
         mask = np.asarray(target, dtype=bool)
@@ -340,17 +330,24 @@ def target_mask(space: ExplicitStateSpace, target: object,
             return np.asarray(space.labels[target], dtype=bool)
         except KeyError:
             raise KeyError(f"unknown label {target!r}") from None
-    evaluate = getattr(target, "evaluate", None)
-    if evaluate is not None:
-        # Expression object from the language front end.
-        base = dict(constants) if constants else {}
-        out = np.zeros(space.n_states, dtype=bool)
-        for s in range(space.n_states):
-            out[s] = bool(evaluate(base | space.state_values(s)))
-        return out
-    if callable(target):
-        return space.states_where(target)
-    raise TypeError(f"cannot interpret target {target!r}")
+    if not hasattr(target, "compile"):
+        raise TypeError(f"cannot interpret target {target!r}")
+    consts = dict(constants or {})
+    types = {
+        name: "bool" if isinstance(v, bool)
+        else "int" if isinstance(v, int) else "real"
+        for name, v in consts.items()
+    }
+    types.update(
+        (v.name, "bool" if v.is_bool else "int") for v in space.layout)
+    kind = target.type(types)
+    if kind != "bool":
+        raise ValueError(
+            f"target {target.pretty()} has type {kind}; it must be boolean")
+    cols = {v.name: i for i, v in enumerate(space.layout)}
+    fn = target.compile(cols, consts)
+    return np.fromiter(map(fn, space.valuations.tolist()), dtype=bool,
+                       count=space.n_states)
 
 
 def validate(space: ExplicitStateSpace) -> list[Violation]:

@@ -4,15 +4,20 @@ Expression values are int, bool or Fraction (reals are exact rationals; they
 become floats only where probabilities and rates are stored).  Source
 positions are carried for error messages but excluded from equality so that
 parse(pretty(parse(text))) is structurally equal to parse(text).
+
+Expression semantics live here and nowhere else: :meth:`Expr.type` holds the
+static typing rules, :meth:`Expr.compile` turns an expression into a Python
+function of a valuation row (constants inlined) and :meth:`Expr.constant`
+evaluates constant expressions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from qmv.core import ModelClass
-from qmv.lang.errors import EvalError
+from qmv.lang.errors import EvalError, ExprTypeError
 
 Value = Union[int, bool, Fraction]
 Pos = tuple[int, int]
@@ -20,15 +25,33 @@ Pos = tuple[int, int]
 _NOPOS: Pos = (0, 0)
 
 
-def _pos_field() -> Pos:
-    return _NOPOS
-
-
 @dataclass(frozen=True)
 class Expr:
     pos: Pos = field(default=_NOPOS, compare=False, repr=False, kw_only=True)
 
-    def evaluate(self, env: Mapping[str, Value]) -> Value:
+    def type(self, types: Mapping[str, str]) -> str:
+        """Static type ("int", "real" or "bool") given the types of names.
+
+        Raises :class:`ExprTypeError` carrying the first ill-typed node.
+        """
+        raise NotImplementedError
+
+    def compile(self, cols: Mapping[str, int], consts: Mapping[str, Value]):
+        """Python function of a valuation sequence ``v``.
+
+        Names in ``cols`` read ``v[cols[name]]``; every other name is
+        inlined from ``consts``.  The expression must type-check.
+        """
+        source = "lambda v: " + self._py(cols, consts)
+        return eval(source, dict(_EVAL_GLOBALS))
+
+    def constant(self, consts: Mapping[str, Value]) -> Value:
+        """Value of an expression that reads constants only."""
+        return eval(self._py({}, consts), dict(_EVAL_GLOBALS))
+
+    def _py(self, cols: Mapping[str, int],
+            consts: Mapping[str, Value]) -> str:
+        """Python source of the expression, for :meth:`compile`."""
         raise NotImplementedError
 
     def names(self) -> Iterator[str]:
@@ -42,8 +65,11 @@ class Expr:
 class IntLit(Expr):
     value: int
 
-    def evaluate(self, env):
-        return self.value
+    def type(self, types):
+        return "int"
+
+    def _py(self, cols, consts):
+        return repr(self.value)
 
 
 @dataclass(frozen=True)
@@ -56,25 +82,39 @@ class RealLit(Expr):
         if self.value.denominator == 1:
             raise ValueError("integral RealLit; use IntLit")
 
-    def evaluate(self, env):
-        return self.value
+    def type(self, types):
+        return "real"
+
+    def _py(self, cols, consts):
+        return _value_py(self.value)
 
 
 @dataclass(frozen=True)
 class BoolLit(Expr):
     value: bool
 
-    def evaluate(self, env):
-        return self.value
+    def type(self, types):
+        return "bool"
+
+    def _py(self, cols, consts):
+        return repr(self.value)
 
 
 @dataclass(frozen=True)
 class Name(Expr):
     name: str
 
-    def evaluate(self, env):
+    def type(self, types):
+        t = types.get(self.name)
+        if t is None:
+            raise ExprTypeError(f"undeclared name {self.name!r}", self)
+        return t
+
+    def _py(self, cols, consts):
+        if self.name in cols:
+            return f"v[{cols[self.name]}]"
         try:
-            return env[self.name]
+            return _value_py(consts[self.name])
         except KeyError:
             raise EvalError(f"undefined name {self.name!r}") from None
 
@@ -87,13 +127,19 @@ class Unary(Expr):
     op: str  # "-" or "!"
     operand: Expr
 
-    def evaluate(self, env):
-        v = self.operand.evaluate(env)
+    def type(self, types):
+        t = self.operand.type(types)
         if self.op == "-":
-            _need_number(v, self)
-            return -v
-        _need_bool(v, self)
-        return not v
+            if t == "bool":
+                raise ExprTypeError("'-' needs a number", self)
+            return t
+        if t != "bool":
+            raise ExprTypeError("'!' needs a boolean", self)
+        return "bool"
+
+    def _py(self, cols, consts):
+        inner = self.operand._py(cols, consts)
+        return f"(not {inner})" if self.op == "!" else f"(-{inner})"
 
     def names(self):
         yield from self.operand.names()
@@ -105,43 +151,33 @@ class Binary(Expr):
     left: Expr
     right: Expr
 
-    def evaluate(self, env):
+    def type(self, types):
+        lt = self.left.type(types)
+        rt = self.right.type(types)
         op = self.op
-        if op == "&":
-            l = self.left.evaluate(env)
-            _need_bool(l, self)
-            return l and _checked_bool(self.right.evaluate(env), self)
-        if op == "|":
-            l = self.left.evaluate(env)
-            _need_bool(l, self)
-            return l or _checked_bool(self.right.evaluate(env), self)
-        l = self.left.evaluate(env)
-        r = self.right.evaluate(env)
+        if op in ("&", "|"):
+            if lt != "bool" or rt != "bool":
+                raise ExprTypeError(f"{op!r} needs boolean operands", self)
+            return "bool"
         if op in ("=", "!="):
-            if isinstance(l, bool) != isinstance(r, bool):
-                raise EvalError("comparing boolean with number")
-            return (l == r) if op == "=" else (l != r)
-        _need_number(l, self)
-        _need_number(r, self)
-        if op == "+":
-            return l + r
-        if op == "-":
-            return l - r
-        if op == "*":
-            return l * r
+            if (lt == "bool") != (rt == "bool"):
+                raise ExprTypeError(
+                    "cannot compare a boolean with a number", self)
+            return "bool"
+        if lt == "bool" or rt == "bool":
+            raise ExprTypeError(f"{op!r} needs numeric operands", self)
         if op == "/":
-            if r == 0:
-                raise EvalError("division by zero")
-            return Fraction(l) / Fraction(r)
-        if op == "<":
-            return l < r
-        if op == "<=":
-            return l <= r
-        if op == ">":
-            return l > r
-        if op == ">=":
-            return l >= r
-        raise EvalError(f"unknown operator {op!r}")
+            return "real"
+        if op in ("+", "-", "*"):
+            return _numeric((lt, rt))
+        return "bool"  # comparisons
+
+    def _py(self, cols, consts):
+        left = self.left._py(cols, consts)
+        right = self.right._py(cols, consts)
+        if self.op == "/":
+            return f"_div({left}, {right})"
+        return f"({left} {_PY_OPS.get(self.op, self.op)} {right})"
 
     def names(self):
         yield from self.left.names()
@@ -156,10 +192,20 @@ class Cond(Expr):
     then: Expr
     other: Expr
 
-    def evaluate(self, env):
-        c = self.cond.evaluate(env)
-        _need_bool(c, self)
-        return self.then.evaluate(env) if c else self.other.evaluate(env)
+    def type(self, types):
+        if self.cond.type(types) != "bool":
+            raise ExprTypeError("condition of '?:' must be boolean", self)
+        lt = self.then.type(types)
+        rt = self.other.type(types)
+        if (lt == "bool") != (rt == "bool"):
+            raise ExprTypeError(
+                "branches of '?:' mix boolean and number", self)
+        return "bool" if lt == "bool" else _numeric((lt, rt))
+
+    def _py(self, cols, consts):
+        return (f"({self.then._py(cols, consts)} if "
+                f"{self.cond._py(cols, consts)} else "
+                f"{self.other._py(cols, consts)})")
 
     def names(self):
         yield from self.cond.names()
@@ -174,30 +220,46 @@ class Call(Expr):
     fn: str
     args: tuple[Expr, ...]
 
-    def evaluate(self, env):
-        vals = [a.evaluate(env) for a in self.args]
-        for v in vals:
-            _need_number(v, self)
-        return min(vals) if self.fn == "min" else max(vals)
+    def type(self, types):
+        arg_types = [a.type(types) for a in self.args]
+        if "bool" in arg_types:
+            raise ExprTypeError(f"{self.fn} needs numeric arguments", self)
+        return _numeric(arg_types)
+
+    def _py(self, cols, consts):
+        args = ", ".join(a._py(cols, consts) for a in self.args)
+        return f"{self.fn}({args})"
 
     def names(self):
         for a in self.args:
             yield from a.names()
 
 
-def _need_number(v, node) -> None:
-    if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-        raise EvalError(f"expected a number, got {v!r}")
+def _numeric(types: Iterable[str]) -> str:
+    return "int" if all(t == "int" for t in types) else "real"
 
 
-def _need_bool(v, node) -> None:
-    if not isinstance(v, bool):
-        raise EvalError(f"expected a boolean, got {v!r}")
+def _value_py(value: Value) -> str:
+    if isinstance(value, Fraction):
+        return f"Fraction({value.numerator}, {value.denominator})"
+    return repr(value)
 
 
-def _checked_bool(v, node) -> bool:
-    _need_bool(v, node)
-    return v
+def _div(a, b):
+    if b == 0:
+        raise EvalError("division by zero")
+    return Fraction(a) / Fraction(b)
+
+
+_PY_OPS = {"&": "and", "|": "or", "=": "=="}
+
+_EVAL_GLOBALS = {
+    "__builtins__": {},
+    "Fraction": Fraction,
+    "_div": _div,
+    "min": min,
+    "max": max,
+}
 
 
 # precedence levels, tighter binds higher
@@ -321,39 +383,15 @@ class SymbolicModel:
     labels: tuple[LabelDecl, ...]
 
     def constant_values(self) -> dict[str, Value]:
-        """Evaluate constants in declaration order."""
+        """Evaluate constants in declaration order; reals become Fractions."""
         env: dict[str, Value] = {}
         for c in self.constants:
-            v = c.expr.evaluate(env)
-            if c.type == "int":
-                if isinstance(v, Fraction):
-                    if v.denominator != 1:
-                        raise EvalError(
-                            f"constant {c.name} declared int but equals {v}")
-                    v = int(v)
-                if isinstance(v, bool) or not isinstance(v, int):
-                    raise EvalError(f"constant {c.name} is not an integer")
-            elif c.type == "real":
-                if isinstance(v, bool):
-                    raise EvalError(f"constant {c.name} is not a number")
-                if isinstance(v, int):
-                    v = Fraction(v)
-            else:
-                if not isinstance(v, bool):
-                    raise EvalError(f"constant {c.name} is not a boolean")
-            env[c.name] = v
+            value = c.expr.constant(env)
+            env[c.name] = Fraction(value) if c.type == "real" else value
         return env
 
     def label_map(self) -> dict[str, Expr]:
         return {l.name: l.expr for l in self.labels}
-
-    def used_actions(self) -> list[str]:
-        seen: list[str] = []
-        for p in self.processes:
-            for cmd in p.commands:
-                if cmd.action is not None and cmd.action not in seen:
-                    seen.append(cmd.action)
-        return seen
 
     def pretty(self) -> str:
         """Canonical source text; reparsing yields an equal model."""

@@ -21,6 +21,14 @@ class EvalError(ModelError):
     """Expression evaluation failed (type error, division by zero)."""
 
 
+class ExprTypeError(EvalError):
+    """An expression is ill-typed; ``node`` is the offending subexpression."""
+
+    def __init__(self, message: str, node):
+        self.node = node
+        super().__init__(message)
+
+
 class ExplorationError(ModelError):
     """State-space construction failed (bounds, weights, write conflicts)."""
 

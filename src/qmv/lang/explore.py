@@ -1,13 +1,16 @@
 """Explicit-state exploration of symbolic models.
 
-Expressions are compiled to Python lambdas over the valuation tuple (with
-constants inlined), then the reachable state space is built breadth-first
-from the initial valuation.  Immediate commands become Choices; commands
-sharing an action label across several processes synchronize CSP-style
-(all participants move together, branch probabilities multiply, assignments
-merge).  Markovian commands pool into a single exponential race per state
-and are dropped entirely in states that also have immediate choices
-(maximal progress).
+Guards, weights, rates and assignments are compiled once with
+:meth:`qmv.lang.ast.Expr.compile` into Python functions of the valuation
+tuple (constants inlined), then the reachable state space is built
+breadth-first from the initial valuation.  Immediate commands become
+Choices; commands sharing an action label across several processes
+synchronize CSP-style (all participants move together, branch
+probabilities multiply, assignments merge).  Markovian commands pool into
+a single exponential race per state and are dropped entirely in states
+that also have immediate choices (maximal progress).  Labels are resolved
+on the finished space by :func:`qmv.core.target_mask`, like every other
+property target.
 
 Everything is deterministic: states are indexed in BFS discovery order and
 choices are sorted by (component index, command index, partner indices), so
@@ -17,13 +20,11 @@ depends on this.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from qmv import core
 from qmv.core import (
     Choice,
     Distribution,
@@ -31,74 +32,12 @@ from qmv.core import (
     MarkovianTransitions,
     ModelClass,
     VariableInfo,
+    target_mask,
 )
 from qmv.lang import ast
 from qmv.lang.errors import EvalError, ExplorationError, ExplorationLimit
 
 DEFAULT_STATE_CAP = 10_000_000
-
-
-# --------------------------------------------------------------------------
-# expression compilation
-
-
-def _div(a, b):
-    if b == 0:
-        raise EvalError("division by zero")
-    return Fraction(a) / Fraction(b)
-
-
-_EVAL_GLOBALS = {
-    "__builtins__": {},
-    "Fraction": Fraction,
-    "_div": _div,
-    "min": min,
-    "max": max,
-}
-
-
-def _py(e: ast.Expr, cols: dict[str, int], consts: dict) -> str:
-    """Translate a statically checked expression to Python source."""
-    if isinstance(e, ast.IntLit):
-        return repr(e.value)
-    if isinstance(e, ast.RealLit):
-        return f"Fraction({e.value.numerator}, {e.value.denominator})"
-    if isinstance(e, ast.BoolLit):
-        return repr(e.value)
-    if isinstance(e, ast.Name):
-        if e.name in cols:
-            return f"v[{cols[e.name]}]"
-        val = consts[e.name]
-        if isinstance(val, Fraction):
-            return f"Fraction({val.numerator}, {val.denominator})"
-        return repr(val)
-    if isinstance(e, ast.Unary):
-        inner = _py(e.operand, cols, consts)
-        return f"(not {inner})" if e.op == "!" else f"(-{inner})"
-    if isinstance(e, ast.Binary):
-        left = _py(e.left, cols, consts)
-        right = _py(e.right, cols, consts)
-        op = e.op
-        if op == "&":
-            return f"({left} and {right})"
-        if op == "|":
-            return f"({left} or {right})"
-        if op == "=":
-            return f"({left} == {right})"
-        if op == "/":
-            return f"_div({left}, {right})"
-        return f"({left} {op} {right})"
-    if isinstance(e, ast.Cond):
-        return (f"({_py(e.then, cols, consts)} if {_py(e.cond, cols, consts)}"
-                f" else {_py(e.other, cols, consts)})")
-    if isinstance(e, ast.Call):
-        args = ", ".join(_py(a, cols, consts) for a in e.args)
-        return f"{e.fn}({args})"
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def _compile(e: ast.Expr, cols: dict[str, int], consts: dict):
-    return eval("lambda v: " + _py(e, cols, consts), dict(_EVAL_GLOBALS))
 
 
 @dataclass
@@ -139,11 +78,10 @@ class _Explorer:
         for v, owner in decls:
             if v.is_bool:
                 lo, hi = 0, 1
-                init = int(bool(v.init.evaluate(self.consts)))
             else:
-                lo = int(v.lo.evaluate(self.consts))
-                hi = int(v.hi.evaluate(self.consts))
-                init = int(v.init.evaluate(self.consts))
+                lo = int(v.lo.constant(self.consts))
+                hi = int(v.hi.constant(self.consts))
+            init = int(v.init.constant(self.consts))
             self.cols[v.name] = len(self.names)
             self.names.append(v.name)
             self.los.append(lo)
@@ -180,7 +118,7 @@ class _Explorer:
         self.order: list[tuple] = []
 
     def _c(self, e: ast.Expr):
-        return _compile(e, self.cols, self.consts)
+        return e.compile(self.cols, self.consts)
 
     def _state_dict(self, vals: tuple) -> dict:
         return {
@@ -337,14 +275,10 @@ class _Explorer:
         n = len(self.order)
         valuations = np.array(self.order, dtype=np.int64).reshape(
             n, len(self.names))
-
-        label_masks: dict[str, np.ndarray] = {}
-        for decl in model.labels:
-            fn = self._c(decl.expr)
-            mask = np.zeros(n, dtype=bool)
-            for s, vals in enumerate(self.order):
-                mask[s] = bool(fn(vals))
-            label_masks[decl.name] = mask
+        # label resolution copies the valuations into Python rows; drop the
+        # BFS bookkeeping first so the copy does not raise peak memory
+        self.index.clear()
+        self.order.clear()
 
         layout = tuple(
             VariableInfo(self.names[i], self.los[i], self.his[i],
@@ -352,7 +286,7 @@ class _Explorer:
                          self._observers(i))
             for i in range(len(self.names))
         )
-        return ExplicitStateSpace(
+        space = ExplicitStateSpace(
             model_class=model.model_class,
             layout=layout,
             valuations=valuations,
@@ -360,9 +294,12 @@ class _Explorer:
             markovian=tuple(markovian),
             initial=0,
             components=tuple(p.name for p in model.processes),
-            labels=label_masks,
             name=self.name,
         )
+        space.labels.update(
+            (decl.name, target_mask(space, decl.expr, self.consts))
+            for decl in model.labels)
+        return space
 
     def _observers(self, col: int) -> frozenset[int]:
         name = self.names[col]
@@ -414,26 +351,6 @@ def explore(
     if not model.processes:
         raise ExplorationError("model has no modules")
     return _Explorer(model, state_cap, name).run()
-
-
-def state_mask(space: ExplicitStateSpace, target, constants: dict | None = None) -> np.ndarray:
-    """Resolve a property target to a boolean mask over states.
-
-    Accepts everything :func:`qmv.core.target_mask` does; expression targets
-    are evaluated with ``constants`` in scope in addition to the state
-    variables.
-    """
-    if isinstance(target, ast.Expr):
-        base = dict(constants or {})
-        out = np.zeros(space.n_states, dtype=bool)
-        for s in range(space.n_states):
-            env = base | space.state_values(s)
-            value = target.evaluate(env)
-            if not isinstance(value, bool):
-                raise EvalError("target expression must be boolean")
-            out[s] = value
-        return out
-    return core.target_mask(space, target)
 
 
 def check_good_for_distribution(space: ExplicitStateSpace) -> list[int]:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from qmv.core import Direction, ModelClass, Property, PropertyKind
 from qmv.lang import ast
-from qmv.lang.errors import EvalError, ModelSyntaxError
+from qmv.lang.errors import EvalError, ExprTypeError, ModelSyntaxError
 from qmv.lang.lexer import KEYWORDS, Token, tokenize
 
 _LABEL_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -117,8 +117,9 @@ def _children(e: ast.Expr) -> tuple[ast.Expr, ...]:
 def _fold(node: ast.Expr, ts: _Tokens) -> ast.Expr:
     kids = _children(node)
     if kids and all(_is_literal(k) for k in kids):
+        _type_of(ts, node, {})
         try:
-            return _literal(node.evaluate({}), node.pos)
+            return _literal(node.constant({}), node.pos)
         except EvalError as exc:
             raise ts.error_at(str(exc), node) from None
     return node
@@ -386,64 +387,12 @@ def _parse_label(ts: _Tokens) -> ast.LabelDecl:
 # static analysis
 
 
-def _infer(e: ast.Expr, types: dict[str, str], ts: _Tokens) -> str:
-    """Infer int/real/bool, rejecting ill-typed expressions."""
-    if isinstance(e, ast.IntLit):
-        return "int"
-    if isinstance(e, ast.RealLit):
-        return "real"
-    if isinstance(e, ast.BoolLit):
-        return "bool"
-    if isinstance(e, ast.Name):
-        t = types.get(e.name)
-        if t is None:
-            raise ts.error_at(f"undeclared name {e.name!r}", e)
-        return t
-    if isinstance(e, ast.Unary):
-        t = _infer(e.operand, types, ts)
-        if e.op == "-":
-            if t == "bool":
-                raise ts.error_at("'-' needs a number", e)
-            return t
-        if t != "bool":
-            raise ts.error_at("'!' needs a boolean", e)
-        return "bool"
-    if isinstance(e, ast.Binary):
-        lt = _infer(e.left, types, ts)
-        rt = _infer(e.right, types, ts)
-        op = e.op
-        if op in ("&", "|"):
-            if lt != "bool" or rt != "bool":
-                raise ts.error_at(f"{op!r} needs boolean operands", e)
-            return "bool"
-        if op in ("=", "!="):
-            if (lt == "bool") != (rt == "bool"):
-                raise ts.error_at("cannot compare a boolean with a number", e)
-            return "bool"
-        if lt == "bool" or rt == "bool":
-            raise ts.error_at(f"{op!r} needs numeric operands", e)
-        if op == "/":
-            return "real"
-        if op in ("+", "-", "*"):
-            return "int" if lt == rt == "int" else "real"
-        return "bool"  # comparisons
-    if isinstance(e, ast.Cond):
-        if _infer(e.cond, types, ts) != "bool":
-            raise ts.error_at("condition of '?:' must be boolean", e)
-        lt = _infer(e.then, types, ts)
-        rt = _infer(e.other, types, ts)
-        if (lt == "bool") != (rt == "bool"):
-            raise ts.error_at("branches of '?:' mix boolean and number", e)
-        if lt == "bool":
-            return "bool"
-        return "int" if lt == rt == "int" else "real"
-    if isinstance(e, ast.Call):
-        for a in e.args:
-            if _infer(a, types, ts) == "bool":
-                raise ts.error_at(f"{e.fn} needs numeric arguments", e)
-        return "int" if all(
-            _infer(a, types, ts) == "int" for a in e.args) else "real"
-    raise TypeError(f"not an expression: {e!r}")
+def _type_of(ts: _Tokens, e: ast.Expr, types: dict[str, str]) -> str:
+    """``e.type(types)``, with type errors positioned in the source."""
+    try:
+        return e.type(types)
+    except ExprTypeError as exc:
+        raise ts.error_at(str(exc), exc.node) from None
 
 
 def _check_const_names(ts: _Tokens, expr: ast.Expr, const_types: dict,
@@ -470,7 +419,7 @@ def _analyze(ts: _Tokens, model: ast.SymbolicModel) -> None:
                 raise ts.error_at(
                     f"constant {c.name} references {n!r}, which is not a "
                     "previously declared constant", c)
-        t = _infer(c.expr, const_types, ts)
+        t = _type_of(ts, c.expr, const_types)
         if c.type == "int" and t != "int":
             raise ts.error_at(
                 f"constant {c.name} is declared int but has type {t}", c)
@@ -481,12 +430,10 @@ def _analyze(ts: _Tokens, model: ast.SymbolicModel) -> None:
             raise ts.error_at(
                 f"constant {c.name} is declared bool but has type {t}", c)
         try:
-            v = c.expr.evaluate(cenv)
+            v = c.expr.constant(cenv)
         except EvalError as exc:
             raise ts.error_at(str(exc), c) from None
-        if c.type == "real" and isinstance(v, int) and not isinstance(v, bool):
-            v = Fraction(v)
-        cenv[c.name] = v
+        cenv[c.name] = Fraction(v) if c.type == "real" else v
         const_types[c.name] = c.type
 
     seen = set(const_types)
@@ -518,14 +465,14 @@ def _analyze(ts: _Tokens, model: ast.SymbolicModel) -> None:
         for expr, what in parts:
             _check_const_names(ts, expr, const_types, var_types, what)
         if v.is_bool:
-            if _infer(v.init, const_types, ts) != "bool":
+            if _type_of(ts, v.init, const_types) != "bool":
                 raise ts.error_at(
                     f"initial value of boolean {v.name} must be boolean", v)
             continue
         for expr, what in parts:
-            if _infer(expr, const_types, ts) != "int":
+            if _type_of(ts, expr, const_types) != "int":
                 raise ts.error_at(f"{what} must be an integer", expr)
-        lo, hi, init = (e.evaluate(cenv) for e in (v.lo, v.hi, v.init))
+        lo, hi, init = (e.constant(cenv) for e in (v.lo, v.hi, v.init))
         if lo > hi:
             raise ts.error_at(f"empty range [{lo}..{hi}] for {v.name}", v)
         if not lo <= init <= hi:
@@ -549,15 +496,16 @@ def _analyze(ts: _Tokens, model: ast.SymbolicModel) -> None:
                 raise ts.error_at(
                     f"rate command in a {model.model_class.value} model "
                     "(exponential rates need an ma model)", cmd)
-            if cmd.rate is not None and _infer(cmd.rate, types, ts) == "bool":
+            if (cmd.rate is not None
+                    and _type_of(ts, cmd.rate, types) == "bool"):
                 raise ts.error_at("rate must be a number", cmd.rate)
-            if _infer(cmd.guard, types, ts) != "bool":
+            if _type_of(ts, cmd.guard, types) != "bool":
                 raise ts.error_at("guard must be boolean", cmd.guard)
             for br in cmd.branches:
-                if _infer(br.weight, types, ts) == "bool":
+                if _type_of(ts, br.weight, types) == "bool":
                     raise ts.error_at("branch weight must be a number",
                                       br.weight)
-                if _is_literal(br.weight) and br.weight.evaluate({}) <= 0:
+                if _is_literal(br.weight) and br.weight.value <= 0:
                     raise ts.error_at("branch weight must be positive",
                                       br.weight)
                 assigned: set[str] = set()
@@ -575,7 +523,7 @@ def _analyze(ts: _Tokens, model: ast.SymbolicModel) -> None:
                         raise ts.error_at(
                             f"{a.var!r} assigned twice in one branch", a)
                     assigned.add(a.var)
-                    rt = _infer(a.expr, types, ts)
+                    rt = _type_of(ts, a.expr, types)
                     vt = var_types[a.var]
                     if vt == "bool" and rt != "bool":
                         raise ts.error_at(
@@ -590,7 +538,7 @@ def _analyze(ts: _Tokens, model: ast.SymbolicModel) -> None:
         if l.name in label_names:
             raise ts.error_at(f'duplicate label "{l.name}"', l)
         label_names.add(l.name)
-        if _infer(l.expr, types, ts) != "bool":
+        if _type_of(ts, l.expr, types) != "bool":
             raise ts.error_at(f'label "{l.name}" must be boolean', l)
 
 

@@ -10,13 +10,12 @@ observed by the component that owns the decision, which restricts sampling
 to schedulers implementable with local information.
 
 Everything is reproducible: per-run seeds are derived by hashing
-``(master_seed, run_index)``, so results do not depend on worker count or
-execution order.
+``(master_seed, run_index)``, so each run's outcome depends only on its
+index.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Iterable, Sequence
@@ -291,38 +290,24 @@ def estimate(
     prop: Property,
     cfg: SmcConfig,
     *,
-    workers: int = 1,
     constants: dict | None = None,
 ) -> SmcEstimate:
     """Monte Carlo estimate of a reachability property.
 
-    Per-run seeds depend only on (master_seed, run index), and aggregation
-    is a commutative sum, so the result is identical for any ``workers``.
+    Run ``r`` is seeded with ``run_seed(master_seed, r)``, so the result
+    depends only on ``cfg``.
     """
     n = cfg.n_runs()
     mask = target_mask(space, prop.target, constants)
     resolved = Property(prop.kind, prop.direction, mask, prop.bound,
                         prop.text)
-
-    def run_block(lo: int, hi: int) -> tuple[int, int]:
-        hits = truncated = 0
-        for r in range(lo, hi):
-            out = simulate_run(space, resolver, resolved,
-                               run_seed(cfg.master_seed, r),
-                               max_steps=cfg.max_steps)
-            hits += out.hit
-            truncated += out.truncated
-        return hits, truncated
-
-    if workers <= 1:
-        blocks = [run_block(0, n)]
-    else:
-        bounds = [(i * n // workers, (i + 1) * n // workers)
-                  for i in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(lambda b: run_block(*b), bounds))
-    hits = sum(b[0] for b in blocks)
-    truncated = sum(b[1] for b in blocks)
+    hits = truncated = 0
+    for r in range(n):
+        out = simulate_run(space, resolver, resolved,
+                           run_seed(cfg.master_seed, r),
+                           max_steps=cfg.max_steps)
+        hits += out.hit
+        truncated += out.truncated
 
     mean = hits / n
     if cfg.runs is None:
@@ -399,7 +384,6 @@ def lss(
     prop: Property,
     cfg: LssConfig,
     *,
-    workers: int = 1,
     constants: dict | None = None,
 ) -> LssResult:
     """Sample m scheduler ids and keep the best estimate.
@@ -428,7 +412,7 @@ def lss(
         est = cache.get(sig)
         if est is None:
             est = estimate(space, decisions.__getitem__, prop, cfg.inner,
-                           workers=workers, constants=constants)
+                           constants=constants)
             cache[sig] = est
         table.append((sid, est))
 

@@ -449,20 +449,16 @@ def test_okamoto_run_count_and_replay_determinism(coin_dtmc):
     assert cfg.n_runs() == 18_445
     first = estimate(coin_dtmc, None, prop, cfg)
     again = estimate(coin_dtmc, None, prop, cfg)
-    spread = estimate(coin_dtmc, None, prop, cfg, workers=4)
     triple = (first.mean, first.ci_low, first.ci_high)
     ok = (first.runs == 18_445 and abs(first.mean - 0.5) <= 0.01
-          and triple == (again.mean, again.ci_low, again.ci_high)
-          and triple == (spread.mean, spread.ci_low, spread.ci_high))
+          and triple == (again.mean, again.ci_low, again.ci_high))
     _verdict("SMC calibration", ok,
              f"(0.01, 0.05) sizes to {first.runs} runs, mean "
-             f"{first.mean:.4f}, bit-identical replays at 1 and 4 workers")
+             f"{first.mean:.4f}, bit-identical replay")
     assert first.runs == 18_445
     assert abs(first.mean - 0.5) <= 0.01, f"mean {first.mean} vs fair coin"
     assert triple == (again.mean, again.ci_low, again.ci_high), \
         "re-running with the same master seed changed the estimate"
-    assert triple == (spread.mean, spread.ci_low, spread.ci_high), \
-        "worker count changed the estimate"
 
 
 # --------------------------------------------------------------------------

@@ -135,6 +135,55 @@ class TestCheck:
         assert code == 0
         assert rep["properties"][0]["value"] == pytest.approx(0.25, abs=1e-9)
 
+    def test_bare_and_quoted_label_names(self, capsys, model_file):
+        path = model_file(COIN)
+        for target in ("heads", '"heads"'):
+            code, rep, err = run_json(capsys, [
+                "check", path, f"Pmax=? [ F {target} ]", "--json"])
+            assert code == 0, err
+            assert rep["properties"][0]["value"] == pytest.approx(0.5)
+
+    def test_unknown_quoted_label_is_a_positioned_error(self, capsys,
+                                                        model_file):
+        code, _, err = run(capsys, [
+            "check", model_file(COIN), 'Pmax=? [ F "tails" ]'])
+        assert code == 1
+        assert 'unknown label "tails"' in err and "column 12" in err
+
+    @pytest.mark.parametrize("target, problem", [
+        ("x + 1", "must be boolean"),
+        ("!x", "'!' needs a boolean"),
+        ("y = 1", "undeclared name 'y'"),
+    ])
+    def test_ill_typed_target_is_rejected(self, capsys, model_file, target,
+                                          problem):
+        code, out, err = run(capsys, [
+            "check", model_file(COIN), f"Pmax=? [ F {target} ]"])
+        assert code == 1 and out == ""
+        assert problem in err
+
+    def test_expression_target_reads_model_constants(self, capsys,
+                                                     model_file):
+        src = "dtmc\nconst int K = 1;\n" + COIN.split("dtmc", 1)[1]
+        code, rep, err = run_json(capsys, [
+            "check", model_file(src), "Pmax=? [ F x >= K + 1 ]", "--json"])
+        assert code == 0, err
+        assert rep["properties"][0]["value"] == pytest.approx(0.5)
+
+    def test_failed_property_keeps_the_others(self, capsys, model_file,
+                                              tmp_path):
+        props = tmp_path / "trap.props"
+        props.write_text('Pmax=? [ F "goal" ]\nTmin=? [ F "goal" ]\n')
+        code, rep, err = run_json(capsys, [
+            "check", model_file(TRAP_MA), str(props), "--json"])
+        assert code == 3
+        solved, failed = rep["properties"]
+        assert solved["value"] == pytest.approx(1.0)
+        assert failed["property"] == 'Tmin=? [ F "goal" ]'
+        assert "zero-time" in failed["error"]
+        assert "zero-time" in err
+        assert len(rep["timing"]["property_seconds"]) == 2
+
 
 class TestCdf:
     def test_csv_rows(self, capsys, model_file, tmp_path):
@@ -167,15 +216,6 @@ class TestSimulate:
         res = rep["properties"][0]
         assert res["runs"] == 400
         assert res["ci_low"] <= 0.5 <= res["ci_high"]
-
-    def test_worker_count_invisible_in_report(self, capsys, model_file):
-        base = ["simulate", model_file(COIN), 'Pmax=? [ F "heads" ]',
-                "--runs", "301", "--seed", "5", "--json"]
-        _, one, _ = run_json(capsys, base + ["--workers", "1"])
-        _, four, _ = run_json(capsys, base + ["--workers", "4"])
-        one.pop("timing"), four.pop("timing")
-        one.pop("command"), four.pop("command")
-        assert one == four
 
     def test_nondeterminism_requires_scheduler_id(self, capsys, model_file):
         path = model_file(TWO_CHOICE)

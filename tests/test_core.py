@@ -19,6 +19,7 @@ from qmv.core import (
     target_mask,
     validate,
 )
+from qmv.lang import Binary, Name
 
 from conftest import direct_space
 
@@ -116,10 +117,6 @@ class TestExplicitStateSpace:
             coin_dtmc.variable_index("nope")
         assert coin_dtmc.state_values(coin_dtmc.initial) == {"x": 0}
 
-    def test_states_where(self, coin_dtmc):
-        mask = coin_dtmc.states_where(lambda v: v["x"] == 1)
-        assert mask.sum() == 1
-
     def test_transition_count(self, coin_dtmc):
         # one split plus two padded self-loops
         assert coin_dtmc.transition_count() == 4
@@ -139,16 +136,9 @@ class TestTargetMask:
         with pytest.raises(KeyError):
             target_mask(coin_dtmc, "tails")
 
-    def test_callable_predicate(self, coin_dtmc):
-        out = target_mask(coin_dtmc, lambda v: v["x"] >= 1)
-        assert out.sum() == 2
-
     def test_expression_object_with_constants(self, coin_dtmc):
-        class Expr:
-            def evaluate(self, env):
-                return env["x"] == env["WANT"]
-
-        out = target_mask(coin_dtmc, Expr(), constants={"WANT": 2})
+        expr = Binary("=", Name("x"), Name("WANT"))
+        out = target_mask(coin_dtmc, expr, constants={"WANT": 2})
         assert list(np.flatnonzero(out)) == [
             int(np.flatnonzero(coin_dtmc.valuations[:, 0] == 2)[0])
         ]
@@ -156,6 +146,8 @@ class TestTargetMask:
     def test_unknown_target_type(self, coin_dtmc):
         with pytest.raises(TypeError):
             target_mask(coin_dtmc, 42)
+        with pytest.raises(TypeError):
+            target_mask(coin_dtmc, lambda v: v["x"] >= 1)
 
 
 class TestValidate:

@@ -1,10 +1,12 @@
 """Language front end: lexing, parsing, semantic checks, exploration."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmv.core import Direction, ModelClass, PropertyKind
+from qmv.core import Direction, ModelClass, PropertyKind, target_mask
 from qmv.lang import (
     ExplorationError,
     ExplorationLimit,
@@ -13,7 +15,7 @@ from qmv.lang import (
     parse_properties,
     parse_property,
 )
-from qmv.lang.explore import check_good_for_distribution, explore, state_mask
+from qmv.lang.explore import check_good_for_distribution, explore
 from qmv.lang.lexer import KEYWORDS, tokenize
 
 from conftest import INTERLEAVED_MDP, space_of
@@ -221,6 +223,14 @@ class TestExpressionEvaluation:
             "dtmc\nmodule m\n x : [-1000000..1000000] "
             f"init {text};\nendmodule")
         assert sp.state_values(0)["x"] == value
+        # the same expression with every literal read through a variable
+        # is compiled rather than folded by the parser
+        over_z = re.sub(r"\((-?\d+)\)", r"(z + \1)", text)
+        sp = space_of(
+            "dtmc\nmodule m\n z : [0..1] init 0;\n"
+            " x : [-1000000..1000000] init 0;\n"
+            f" [] z=0 -> (z'=1, x'={over_z});\nendmodule")
+        assert sp.state_values(1) == {"z": 1, "x": value}
 
 
 class TestExplore:
@@ -464,7 +474,7 @@ class TestProperties:
             endmodule
         """)
         p = parse_property('Pmax=? [ F x >= K + 1 ]')
-        mask = state_mask(sp, p.target, {"K": 1})
+        mask = target_mask(sp, p.target, {"K": 1})
         assert list(mask) == [False, False, True]
 
     def test_kind_model_compatibility_enforced(self):

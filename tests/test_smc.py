@@ -1,6 +1,7 @@
 """Statistical model checking and lightweight scheduler sampling."""
 import math
 
+import numpy as np
 import pytest
 
 from qmv.core import Direction, ModelClass, Property, PropertyKind
@@ -118,7 +119,7 @@ def _unbounded(target, direction=Direction.MAX):
 
 class TestSimulateRun:
     def test_target_at_initial_state_hits_in_zero_steps(self, coin_dtmc):
-        everything = lambda v: True  # noqa: E731
+        everything = np.ones(coin_dtmc.n_states, dtype=bool)
         out = simulate_run(coin_dtmc, None, _unbounded(everything), seed=1)
         assert out.hit and out.steps == 0
 
@@ -188,12 +189,6 @@ class TestEstimate:
         b = estimate(coin_dtmc, None, _unbounded("heads"), cfg)
         assert a == b
 
-    def test_worker_count_does_not_change_the_result(self, coin_dtmc):
-        cfg = SmcConfig(runs=1001, master_seed=3)
-        one = estimate(coin_dtmc, None, _unbounded("heads"), cfg, workers=1)
-        four = estimate(coin_dtmc, None, _unbounded("heads"), cfg, workers=4)
-        assert one == four
-
     def test_okamoto_interval_has_requested_width(self, coin_dtmc):
         cfg = SmcConfig(epsilon=0.05, delta=0.1, master_seed=2)
         est = estimate(coin_dtmc, None, _unbounded("heads"), cfg)
@@ -259,13 +254,6 @@ class TestLss:
         means = [est.mean for _, est in res.table]
         assert res.best.mean == max(means)
         assert dict(res.table)[res.best_id] == res.best
-
-    def test_workers_do_not_change_lss(self):
-        sp = space_of(self.MDP)
-        cfg = self._cfg(Direction.MAX, m=6)
-        a = lss(sp, _unbounded("goal"), cfg, workers=1)
-        b = lss(sp, _unbounded("goal"), cfg, workers=3)
-        assert a == b
 
     def test_distributed_mode_rejects_shared_decisions(self):
         sp = space_of(INTERLEAVED_MDP)
