@@ -17,6 +17,7 @@ from qmv.core import (
     Property,
     PropertyKind,
     Direction,
+    SpaceBuilder,
     ValueResult,
     VariableInfo,
     validate,
@@ -32,6 +33,7 @@ __all__ = [
     "Property",
     "PropertyKind",
     "Direction",
+    "SpaceBuilder",
     "ValueResult",
     "VariableInfo",
     "validate",

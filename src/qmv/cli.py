@@ -22,7 +22,7 @@ from pathlib import Path
 
 import qmv
 from qmv import casestudies, numeric, smc
-from qmv.core import Property, PropertyKind, target_mask
+from qmv.core import Property, PropertyKind, decision_states, target_mask
 from qmv.lang import parse_model, parse_properties, parse_property
 from qmv.lang.errors import (
     EvalError,
@@ -239,13 +239,13 @@ def cmd_simulate(args) -> int:
     constants = model.constant_values()
     resolver = None
     if args.scheduler_id is not None:
-        projections = {
-            s: smc.encode_state(space, s)
-            for s in range(space.n_states) if len(space.choices[s]) >= 2
-        }
-        resolver = lambda s: smc.lss_decide(  # noqa: E731
-            args.scheduler_id, projections[s], len(space.choices[s]))
-    elif any(len(cs) >= 2 for cs in space.choices):
+        ptr = space.choice_ptr.tolist()
+        resolver = {
+            s: smc.lss_decide(args.scheduler_id, smc.encode_state(space, s),
+                              ptr[s + 1] - ptr[s])
+            for s in decision_states(space)
+        }.__getitem__
+    elif decision_states(space):
         raise ValueError("the model has nondeterministic choices; pass "
                          "--scheduler-id to fix a scheduler")
     t0 = time.perf_counter()

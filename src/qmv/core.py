@@ -1,16 +1,21 @@
 """Shared model types: explicit state spaces, properties, results.
 
-All analysis modules operate on :class:`ExplicitStateSpace`, which is produced
-by the language front end (``qmv.lang``) or constructed directly in tests.
-Probabilities and rates are stored as 64-bit floats; exactness where it
-matters (weight normalisation) is handled by the producer.
+All analysis modules operate on :class:`ExplicitStateSpace`, which is
+produced by the language front end (``qmv.lang``) or built directly in
+tests, in both cases through :class:`SpaceBuilder`.  A space is a set of
+row-grouped sparse arrays (each state a group of choice rows, each choice
+a row of branches, plus a rate list per state); analyses read the arrays.
+Probabilities and rates are 64-bit floats; the builder normalises exact
+weights exactly.  :func:`validate` is the one structural checker.
 """
 from __future__ import annotations
 
 import enum
 import math
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -48,133 +53,36 @@ KIND_COMPATIBILITY: dict[PropertyKind, tuple[ModelClass, ...]] = {
 
 @dataclass(frozen=True)
 class Distribution:
-    """Probability distribution over successor state indices.
-
-    Branches are (probability, target) pairs, sorted by target, duplicates
-    merged at construction.  Probabilities lie in (0, 1] and sum to one
-    within ``SUM_TOLERANCE``.
-    """
+    """View of one choice's branches: (probability, target) pairs sorted by
+    target."""
 
     branches: tuple[tuple[float, int], ...]
-
-    def __post_init__(self):
-        if not self.branches:
-            raise ValueError("empty distribution")
-        total = 0.0
-        seen: set[int] = set()
-        for p, t in self.branches:
-            if not (0.0 < p <= 1.0):
-                raise ValueError(f"branch probability {p} outside (0, 1]")
-            if not isinstance(t, int) or t < 0:
-                raise ValueError(f"bad branch target {t!r}")
-            if t in seen:
-                raise ValueError(f"duplicate branch target {t}")
-            seen.add(t)
-            total += p
-        if abs(total - 1.0) > SUM_TOLERANCE:
-            raise ValueError(f"branch probabilities sum to {total!r}, not 1")
-
-    @classmethod
-    def build(cls, weighted: Iterable[tuple[object, int]]) -> "Distribution":
-        """Normalise positive weights into a distribution.
-
-        Weights may be ints, Fractions or floats; exact arithmetic is used
-        when every weight is exact so that e.g. 0.1 + 0.9 normalises to
-        exactly representable probabilities.  Duplicate targets are merged.
-        """
-        merged: dict[int, object] = {}
-        exact = True
-        for w, t in weighted:
-            if isinstance(w, float):
-                exact = False
-            elif not isinstance(w, (int, Fraction)) or isinstance(w, bool):
-                raise TypeError(f"weight {w!r} is not a number")
-            if w <= 0:
-                raise ValueError(f"non-positive weight {w}")
-            merged[t] = merged.get(t, 0) + w
-        if not merged:
-            raise ValueError("no branches")
-        if exact:
-            total = sum(merged.values())
-            branches = tuple(
-                (float(Fraction(w) / total), t)
-                for t, w in sorted(merged.items())
-            )
-        else:
-            total = math.fsum(float(w) for w in merged.values())
-            branches = tuple(
-                (float(w) / total, t) for t, w in sorted(merged.items())
-            )
-        return cls(branches)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(t for _, t in self.branches)
-
-    def __len__(self) -> int:
-        return len(self.branches)
 
 
 @dataclass(frozen=True)
 class Choice:
-    """One immediate (probabilistic) alternative of a state.
+    """View of one immediate alternative of a state.
 
     ``owner`` is the index of the component (process) the decision belongs
     to; for synchronised choices it is the participant that actually had
     more than one enabled command, falling back to the lowest participant.
-    ``origin`` records (component, command index, partner (component,
-    command) pairs) and fixes the deterministic enumeration order.
     """
 
     action: str | None
     owner: int
     distribution: Distribution
-    origin: tuple = ()
 
 
 @dataclass(frozen=True)
 class MarkovianTransitions:
-    """Pooled exponential-rate transitions of a state (race semantics).
-
-    ``masked`` is set when the state also has immediate choices; maximal
-    progress then makes the Markovian transitions unreachable and every
-    analysis ignores them.
-    """
+    """View of a state's exponential race: (rate, target) pairs sorted by
+    target, and their sum."""
 
     entries: tuple[tuple[float, int], ...]
     exit_rate: float
-    masked: bool = False
-
-    def __post_init__(self):
-        if not self.entries:
-            raise ValueError("empty markovian transition set")
-        total = 0.0
-        seen: set[int] = set()
-        for r, t in self.entries:
-            if not (r > 0.0) or not math.isfinite(r):
-                raise ValueError(f"non-positive rate {r}")
-            if t in seen:
-                raise ValueError(f"duplicate markovian target {t}")
-            seen.add(t)
-            total += r
-        if abs(total - self.exit_rate) > SUM_TOLERANCE * max(1.0, abs(total)):
-            raise ValueError(
-                f"exit rate {self.exit_rate} does not match entry sum {total}"
-            )
-
-    @classmethod
-    def build(
-        cls, entries: Iterable[tuple[object, int]], masked: bool = False
-    ) -> "MarkovianTransitions":
-        merged: dict[int, object] = {}
-        for r, t in entries:
-            merged[t] = merged.get(t, 0) + r
-        pairs = tuple((float(r), t) for t, r in sorted(merged.items()))
-        exit_rate = math.fsum(r for r, _ in pairs)
-        return cls(pairs, exit_rate, masked)
-
-    def jump_distribution(self) -> Distribution:
-        """Embedded successor distribution (rates normalised)."""
-        return Distribution.build([(r, t) for r, t in self.entries])
+    #: Always False: maximal progress drops the race of a state with
+    #: immediate choices when the space is built.
+    masked = False
 
 
 @dataclass(frozen=True)
@@ -194,30 +102,62 @@ class VariableInfo:
     observers: frozenset[int] = frozenset()
 
 
-@dataclass(eq=False)
+_INT_ARRAYS = ("choice_ptr", "choice_owner", "choice_action", "branch_ptr",
+               "branch_target", "rate_ptr", "rate_target")
+_FLOAT_ARRAYS = ("branch_prob", "rate", "exit_rate")
+
+
+@dataclass(frozen=True, eq=False)
 class ExplicitStateSpace:
-    """Explored model: states, immediate choices, Markovian transitions.
+    """Explored model: states, immediate choices and Markovian races, stored
+    as row-grouped sparse arrays.
 
     States are indexed 0..n-1 in exploration (BFS) order; ``valuations`` has
     one row per state in layout order, with booleans stored as 0/1.
     ``labels`` maps label names to boolean membership masks.
+
+    State ``s`` is a group of choice rows ``choice_ptr[s]:choice_ptr[s+1]``.
+    Choice ``c`` belongs to component ``choice_owner[c]``, carries the
+    action ``actions[choice_action[c]]`` and has the branches
+    ``branch_ptr[c]:branch_ptr[c+1]`` of ``branch_prob``/``branch_target``,
+    sorted by target.  The Markovian race of state ``s`` is
+    ``rate_ptr[s]:rate_ptr[s+1]`` of ``rate``/``rate_target``, sorted by
+    target, and ``exit_rate[s]`` is its sum (0 without rates).  A state with
+    choices has no rates (maximal progress).
+
+    Build spaces with :class:`SpaceBuilder`; :func:`validate` checks the
+    structural rules.  The space is frozen and its arrays are read-only;
+    :attr:`choices` and :attr:`markovian` are lazy object views of the same
+    data.
     """
 
     model_class: ModelClass
     layout: tuple[VariableInfo, ...]
     valuations: np.ndarray
-    choices: tuple[tuple[Choice, ...], ...]
-    markovian: tuple[MarkovianTransitions | None, ...]
-    initial: int
     components: tuple[str, ...]
+    actions: tuple[str | None, ...]
+    choice_ptr: np.ndarray
+    choice_owner: np.ndarray
+    choice_action: np.ndarray
+    branch_ptr: np.ndarray
+    branch_prob: np.ndarray
+    branch_target: np.ndarray
+    rate_ptr: np.ndarray
+    rate: np.ndarray
+    rate_target: np.ndarray
+    exit_rate: np.ndarray
+    initial: int = 0
     labels: dict[str, np.ndarray] = field(default_factory=dict)
     name: str = ""
 
     def __post_init__(self):
-        self.valuations = np.asarray(self.valuations, dtype=np.int64)
+        for name in ("valuations",) + _INT_ARRAYS + _FLOAT_ARRAYS:
+            arr = np.asarray(getattr(self, name), dtype=np.float64
+                             if name in _FLOAT_ARRAYS else np.int64)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         if self.valuations.ndim != 2 or self.valuations.shape[1] != len(self.layout):
             raise ValueError("valuation matrix does not match layout")
-        self.valuations.setflags(write=False)
 
     @property
     def n_states(self) -> int:
@@ -226,6 +166,76 @@ class ExplicitStateSpace:
     @property
     def n_variables(self) -> int:
         return len(self.layout)
+
+    @cached_property
+    def choice_state(self) -> np.ndarray:
+        """Per choice: the state it belongs to."""
+        return np.repeat(np.arange(self.n_states), np.diff(self.choice_ptr))
+
+    @cached_property
+    def branch_choice(self) -> np.ndarray:
+        """Per branch: the choice it belongs to."""
+        return np.repeat(np.arange(len(self.choice_owner)),
+                         np.diff(self.branch_ptr))
+
+    @cached_property
+    def branch_source(self) -> np.ndarray:
+        """Per branch: the state it leaves."""
+        return self.choice_state[self.branch_choice]
+
+    @cached_property
+    def rate_state(self) -> np.ndarray:
+        """Per rate: the state it leaves."""
+        return np.repeat(np.arange(self.n_states), np.diff(self.rate_ptr))
+
+    @cached_property
+    def choices(self) -> tuple[tuple[Choice, ...], ...]:
+        """Per state: its choices as objects (a view)."""
+        prob = self.branch_prob.tolist()
+        target = self.branch_target.tolist()
+        bp = self.branch_ptr.tolist()
+        made = [
+            Choice(self.actions[a], o, Distribution(tuple(
+                zip(prob[bp[c]:bp[c + 1]], target[bp[c]:bp[c + 1]]))))
+            for c, (a, o) in enumerate(zip(self.choice_action.tolist(),
+                                           self.choice_owner.tolist()))]
+        cp = self.choice_ptr.tolist()
+        return tuple(tuple(made[cp[s]:cp[s + 1]])
+                     for s in range(self.n_states))
+
+    @cached_property
+    def markovian(self) -> tuple[MarkovianTransitions | None, ...]:
+        """Per state: its race as an object, or None (a view)."""
+        rate = self.rate.tolist()
+        target = self.rate_target.tolist()
+        exit_rate = self.exit_rate.tolist()
+        rp = self.rate_ptr.tolist()
+        return tuple(
+            MarkovianTransitions(tuple(zip(rate[rp[s]:rp[s + 1]],
+                                           target[rp[s]:rp[s + 1]])),
+                                 exit_rate[s])
+            if rp[s + 1] > rp[s] else None
+            for s in range(self.n_states))
+
+    @cached_property
+    def walk(self) -> tuple[list, ...]:
+        """Python lists for walks that read one entry at a time (list
+        indexing beats array indexing): ``choice_ptr``, ``branch_ptr``,
+        ``branch_prob``, ``branch_target``, per choice whether every branch
+        returns to its state, ``rate_ptr``, ``rate``, ``rate_target``,
+        ``exit_rate``, and per state whether no rate leaves it."""
+        leaving = self.branch_target != self.branch_source
+        self_loop = np.bincount(self.branch_choice[leaving],
+                                minlength=len(self.choice_owner)) == 0
+        moving = self.rate_target != self.rate_state
+        stuck = np.bincount(self.rate_state[moving],
+                            minlength=self.n_states) == 0
+        return (
+            self.choice_ptr.tolist(), self.branch_ptr.tolist(),
+            self.branch_prob.tolist(), self.branch_target.tolist(),
+            self_loop.tolist(), self.rate_ptr.tolist(), self.rate.tolist(),
+            self.rate_target.tolist(), self.exit_rate.tolist(),
+            stuck.tolist())
 
     def variable_index(self, name: str) -> int:
         for i, v in enumerate(self.layout):
@@ -247,9 +257,89 @@ class ExplicitStateSpace:
         )
 
     def transition_count(self) -> int:
-        n = sum(len(c.distribution) for cs in self.choices for c in cs)
-        n += sum(len(m.entries) for m in self.markovian if m is not None)
-        return n
+        return len(self.branch_prob) + len(self.rate)
+
+
+class SpaceBuilder:
+    """Writes the arrays of an :class:`ExplicitStateSpace`, state by state.
+
+    Choice weights are normalised, exactly when all are ints or Fractions
+    (weights 1 and 9 give exactly 0.1 and 0.9).  Duplicate targets of a
+    choice or race are merged and entries sorted by target; the exit rate
+    is the exactly rounded rate sum.  Maximal progress is applied here: a
+    state with choices keeps no rates.  :func:`validate` checks the rates.
+    """
+
+    def __init__(self):
+        self._arrays = {name: array("d" if name in _FLOAT_ARRAYS else "q")
+                        for name in _INT_ARRAYS + _FLOAT_ARRAYS}
+        for name in ("choice_ptr", "branch_ptr", "rate_ptr"):
+            self._arrays[name].append(0)
+        self._actions: dict[str | None, int] = {}
+
+    def add_state(
+        self,
+        choices: Iterable[tuple[str | None, int, Iterable[tuple[object, int]]]] = (),
+        rates: Iterable[tuple[object, int]] = (),
+    ) -> None:
+        """Append the next state.
+
+        ``choices`` holds (action, owner, [(weight, target), ...]) per
+        choice; weights are ints, Fractions or floats.  ``rates`` holds
+        (rate, target) pairs.  Raises TypeError for a weight that is not a
+        number and ValueError for a non-positive weight or a choice
+        without branches.
+        """
+        a = self._arrays
+        for action, owner, weighted in choices:
+            targets, probs = _normalise(weighted)
+            a["branch_prob"].extend(probs)
+            a["branch_target"].extend(targets)
+            a["branch_ptr"].append(len(a["branch_prob"]))
+            a["choice_owner"].append(owner)
+            a["choice_action"].append(
+                self._actions.setdefault(action, len(self._actions)))
+        a["choice_ptr"].append(len(a["choice_owner"]))
+        merged: dict[int, object] = {}
+        if a["choice_ptr"][-1] == a["choice_ptr"][-2]:
+            for r, t in rates:
+                merged[t] = merged.get(t, 0) + r
+        targets = sorted(merged)
+        a["rate"].extend(float(merged[t]) for t in targets)
+        a["rate_target"].extend(targets)
+        a["rate_ptr"].append(len(a["rate"]))
+        a["exit_rate"].append(math.fsum(a["rate"][a["rate_ptr"][-2]:]))
+
+    def build(self, model_class: ModelClass, layout: tuple[VariableInfo, ...],
+              valuations: np.ndarray, components: tuple[str, ...],
+              **fields) -> ExplicitStateSpace:
+        """The finished space; ``fields`` are its ``initial``, ``labels``
+        and ``name``.  The builder takes no further states."""
+        return ExplicitStateSpace(model_class, tuple(layout), valuations,
+                                  tuple(components), tuple(self._actions),
+                                  **self._arrays, **fields)
+
+
+def _normalise(weighted: Iterable[tuple[object, int]]):
+    """(sorted targets, probabilities) of positive per-target weights."""
+    merged: dict[int, object] = {}
+    exact = True
+    for w, t in weighted:
+        if isinstance(w, float):
+            exact = False
+        elif not isinstance(w, (int, Fraction)) or isinstance(w, bool):
+            raise TypeError(f"weight {w!r} is not a number")
+        if w <= 0:
+            raise ValueError(f"non-positive weight {w}")
+        merged[t] = merged.get(t, 0) + w
+    if not merged:
+        raise ValueError("choice without branches")
+    targets = sorted(merged)
+    if exact:
+        total = sum(merged.values())
+        return targets, [float(Fraction(merged[t]) / total) for t in targets]
+    total = math.fsum(float(w) for w in merged.values())
+    return targets, [float(merged[t]) / total for t in targets]
 
 
 @dataclass(frozen=True)
@@ -358,11 +448,18 @@ def validate(space: ExplicitStateSpace) -> list[Violation]:
     """
     out: list[Violation] = []
     n = space.n_states
+    n_choices = len(space.choice_owner)
 
     if not (0 <= space.initial < n):
         out.append(Violation(None, "initial", f"initial state {space.initial} out of range"))
-    if len(space.choices) != n or len(space.markovian) != n:
-        out.append(Violation(None, "shape", "choices/markovian length differs from state count"))
+    if not (_is_ptr(space.choice_ptr, n, n_choices)
+            and len(space.choice_action) == n_choices
+            and _is_ptr(space.branch_ptr, n_choices, len(space.branch_prob))
+            and len(space.branch_target) == len(space.branch_prob)
+            and _is_ptr(space.rate_ptr, n, len(space.rate))
+            and len(space.rate_target) == len(space.rate)
+            and len(space.exit_rate) == n):
+        out.append(Violation(None, "shape", "array lengths or pointers do not fit together"))
         return out
 
     for i, v in enumerate(space.layout):
@@ -380,59 +477,87 @@ def validate(space: ExplicitStateSpace) -> list[Violation]:
         if np.asarray(mask).shape != (n,):
             out.append(Violation(None, "label", f"label {name!r} mask has wrong shape"))
 
-    mc = space.model_class
-    for s in range(n):
-        cs = space.choices[s]
-        mk = space.markovian[s]
-        for c in cs:
-            if not (0 <= c.owner < len(space.components)):
-                out.append(Violation(s, "owner", f"choice owner {c.owner} out of range"))
-            for p, t in c.distribution.branches:
-                if not (0 <= t < n):
-                    out.append(Violation(s, "target", f"branch target {t} out of range"))
-            total = math.fsum(p for p, _ in c.distribution.branches)
-            if abs(total - 1.0) > SUM_TOLERANCE:
-                out.append(Violation(s, "distribution_sum", f"probabilities sum to {total!r}"))
-        if mk is not None:
-            for r, t in mk.entries:
-                if not (0 <= t < n):
-                    out.append(Violation(s, "markov_target", f"rate target {t} out of range"))
-            total = math.fsum(r for r, _ in mk.entries)
-            if abs(total - mk.exit_rate) > SUM_TOLERANCE * max(1.0, total):
-                out.append(Violation(s, "exit_rate", "exit rate differs from entry sum"))
+    def flag(bad: np.ndarray, states: np.ndarray, rule: str, message: str):
+        out.extend(Violation(s, rule, message)
+                   for s in np.unique(states[bad]).tolist())
 
-        if mc is ModelClass.DTMC:
-            if len(cs) != 1:
-                out.append(Violation(s, "dtmc_choice", f"state has {len(cs)} choices, needs exactly 1"))
-            if mk is not None:
-                out.append(Violation(s, "dtmc_markov", "DTMC state has markovian transitions"))
-        elif mc is ModelClass.MDP:
-            if len(cs) < 1:
-                out.append(Violation(s, "mdp_choice", "state has no choices"))
-            if mk is not None:
-                out.append(Violation(s, "mdp_markov", "MDP state has markovian transitions"))
-        else:
-            if mk is not None and mk.masked != bool(cs):
-                out.append(
-                    Violation(s, "masking",
-                              "markovian masked flag inconsistent with immediate choices")
-                )
-            if mk is None and not cs:
-                # absorbing MA state: fine
-                pass
+    owner, action = space.choice_owner, space.choice_action
+    at = space.choice_state
+    flag((owner < 0) | (owner >= len(space.components)), at, "owner",
+         "choice owner out of range")
+    flag((action < 0) | (action >= len(space.actions)), at, "action",
+         "choice action out of range")
+    flag(np.diff(space.branch_ptr) == 0, at, "empty_choice",
+         "choice without branches")
+    total = np.bincount(space.branch_choice, weights=space.branch_prob,
+                        minlength=n_choices)
+    flag(np.abs(total - 1.0) > SUM_TOLERANCE, at, "distribution_sum",
+         "branch probabilities do not sum to 1")
+
+    prob, target = space.branch_prob, space.branch_target
+    at = space.branch_source
+    flag((target < 0) | (target >= n), at, "target", "branch target out of range")
+    flag(~((prob > 0.0) & (prob <= 1.0)), at, "probability",
+         "branch probability outside (0, 1]")
+    flag(_repeats(space.branch_choice, target), at, "duplicate_target",
+         "two branches of a choice share a target")
+
+    rate, target = space.rate, space.rate_target
+    at = space.rate_state
+    flag((target < 0) | (target >= n), at, "markov_target", "rate target out of range")
+    flag(~((rate > 0.0) & np.isfinite(rate)), at, "rate",
+         "rate not positive and finite")
+    flag(_repeats(at, target), at, "duplicate_rate_target",
+         "two rates of a state share a target")
+    total = np.bincount(at, weights=rate, minlength=n)
+    with np.errstate(invalid="ignore"):  # infinite rates are flagged above
+        off = np.abs(total - space.exit_rate) \
+            > SUM_TOLERANCE * np.maximum(1.0, total)
+    flag(off, np.arange(n), "exit_rate", "exit rate differs from the rate sum")
+
+    counts = np.diff(space.choice_ptr)
+    racing = np.diff(space.rate_ptr) > 0
+    states = np.arange(n)
+    mc = space.model_class
+    if mc is ModelClass.DTMC:
+        flag(counts != 1, states, "dtmc_choice", "state needs exactly 1 choice")
+        flag(racing, states, "dtmc_markov", "DTMC state has markovian transitions")
+    elif mc is ModelClass.MDP:
+        flag(counts < 1, states, "mdp_choice", "state has no choices")
+        flag(racing, states, "mdp_markov", "MDP state has markovian transitions")
+    else:
+        flag(racing & (counts > 0), states, "maximal_progress",
+             "state with immediate choices also has rates")
+    return out
+
+
+def _is_ptr(ptr: np.ndarray, groups: int, items: int) -> bool:
+    """``ptr`` splits ``items`` entries into ``groups`` consecutive groups."""
+    return (len(ptr) == groups + 1 and ptr[0] == 0 and ptr[-1] == items
+            and bool(np.all(np.diff(ptr) >= 0)))
+
+
+def _repeats(group: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Mask of entries whose key already occurs earlier in their group."""
+    order = np.lexsort((key, group))
+    same = (group[order][1:] == group[order][:-1]) \
+        & (key[order][1:] == key[order][:-1])
+    out = np.zeros(len(key), dtype=bool)
+    out[order[1:]] = same
     return out
 
 
 def decision_states(space: ExplicitStateSpace) -> list[int]:
     """States with two or more immediate choices (real decisions)."""
-    return [s for s in range(space.n_states) if len(space.choices[s]) >= 2]
+    return np.flatnonzero(np.diff(space.choice_ptr) >= 2).tolist()
 
 
 def scheduler_owner(space: ExplicitStateSpace, state: int) -> int:
     """Owner of the decision in ``state`` (unique if good-for-distribution)."""
-    owners = {c.owner for c in space.choices[state]}
+    lo, hi = space.choice_ptr[state], space.choice_ptr[state + 1]
+    owners = sorted(set(space.choice_owner[lo:hi].tolist()))
     if len(owners) != 1:
         raise ValueError(
-            f"state {state} has choices owned by several components: {sorted(owners)}"
+            f"state {state} has choices owned by several components: {owners}"
         )
-    return owners.pop()
+    return owners[0]

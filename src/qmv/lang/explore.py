@@ -3,8 +3,9 @@
 Guards, weights, rates and assignments are compiled once with
 :meth:`qmv.lang.ast.Expr.compile` into Python functions of the valuation
 tuple (constants inlined), then the reachable state space is built
-breadth-first from the initial valuation.  Immediate commands become
-Choices; commands sharing an action label across several processes
+breadth-first from the initial valuation and written state by state into
+the arrays of a :class:`qmv.core.SpaceBuilder`.  Immediate commands become
+choice rows; commands sharing an action label across several processes
 synchronize CSP-style (all participants move together, branch
 probabilities multiply, assignments merge).  Markovian commands pool into
 a single exponential race per state and are dropped entirely in states
@@ -26,11 +27,9 @@ from fractions import Fraction
 import numpy as np
 
 from qmv.core import (
-    Choice,
-    Distribution,
     ExplicitStateSpace,
-    MarkovianTransitions,
     ModelClass,
+    SpaceBuilder,
     VariableInfo,
     target_mask,
 )
@@ -237,8 +236,7 @@ class _Explorer:
     def run(self) -> ExplicitStateSpace:
         model = self.model
         self._intern(self.initial_vals)
-        choices: list[tuple[Choice, ...]] = []
-        markovian: list[MarkovianTransitions | None] = []
+        builder = SpaceBuilder()
         frontier = 0
         while frontier < len(self.order):
             state = frontier
@@ -249,28 +247,20 @@ class _Explorer:
             except EvalError as exc:
                 raise ExplorationError(
                     f"{exc} in state {self._state_dict(vals)}") from None
-            state_choices = tuple(
-                Choice(action, owner,
-                       Distribution.build(
-                           [(p, self._intern(sv)) for p, sv in branches]),
-                       origin)
-                for origin, action, owner, branches in cands
-            )
-            if model.model_class is ModelClass.DTMC and len(state_choices) > 1:
+            choices = [
+                (action, owner, [(p, self._intern(sv)) for p, sv in branches])
+                for _, action, owner, branches in cands]
+            if model.model_class is ModelClass.DTMC and len(choices) > 1:
                 raise ExplorationError(
                     f"dtmc state {self._state_dict(vals)} enables "
-                    f"{len(state_choices)} choices; a dtmc must be "
+                    f"{len(choices)} choices; a dtmc must be "
                     "deterministic")
-            if not state_choices and not markov:
-                if model.model_class is not ModelClass.MA:
-                    # deadlock: stay put forever
-                    state_choices = (Choice(
-                        None, 0, Distribution(((1.0, state),)), ()),)
-            choices.append(state_choices)
-            markovian.append(
-                MarkovianTransitions.build(
-                    [(r, self._intern(sv)) for r, sv in markov])
-                if markov else None)
+            if not choices and not markov \
+                    and model.model_class is not ModelClass.MA:
+                # deadlock: stay put forever
+                choices = [(None, 0, [(1, state)])]
+            builder.add_state(
+                choices, [(r, self._intern(sv)) for r, sv in markov])
 
         n = len(self.order)
         valuations = np.array(self.order, dtype=np.int64).reshape(
@@ -286,16 +276,10 @@ class _Explorer:
                          self._observers(i))
             for i in range(len(self.names))
         )
-        space = ExplicitStateSpace(
-            model_class=model.model_class,
-            layout=layout,
-            valuations=valuations,
-            choices=tuple(choices),
-            markovian=tuple(markovian),
-            initial=0,
+        space = builder.build(
+            model.model_class, layout, valuations,
             components=tuple(p.name for p in model.processes),
-            name=self.name,
-        )
+            name=self.name)
         space.labels.update(
             (decl.name, target_mask(space, decl.expr, self.consts))
             for decl in model.labels)
@@ -361,9 +345,8 @@ def check_good_for_distribution(space: ExplicitStateSpace) -> list[int]:
     exactly one component, so schedulers can be sampled per component from
     locally observable information.
     """
-    bad = []
-    for s in range(space.n_states):
-        cs = space.choices[s]
-        if len(cs) >= 2 and len({c.owner for c in cs}) > 1:
-            bad.append(s)
-    return bad
+    busy = np.diff(space.choice_ptr) > 0
+    starts, owner = space.choice_ptr[:-1][busy], space.choice_owner
+    shared = (np.minimum.reduceat(owner, starts)
+              != np.maximum.reduceat(owner, starts))
+    return np.flatnonzero(busy)[shared].tolist()

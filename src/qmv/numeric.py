@@ -9,13 +9,17 @@ criterion.  That criterion is not sound in general (it can stop early on
 slowly mixing models); the intended scale is desk-size case studies whose
 results are cross-checked against closed forms and brute-force oracles.
 
-States are processed in index-ascending order with sparse flattened
-transition arrays, so every analysis is deterministic.
+Every analysis reads the row-grouped arrays of the state space directly:
+per-row values are one ``reduceat`` over the branches, per-state optima one
+over the rows.  Analyses that need a row in every state (Markov automata,
+absorbing states) add the missing embedded-jump and self-loop rows with
+:func:`_closed`.  States are processed in index-ascending order, so every
+analysis is deterministic.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -95,170 +99,137 @@ class DecisionRow:
 
 
 # --------------------------------------------------------------------------
-# sparse flattened transition structure
+# row groups
+
+#: Distance of a state that breadth-first search did not reach; also the
+#: "no row" key of :func:`_first_row`.
+_FAR = np.iinfo(np.int64).max
 
 
-@dataclass
-class _Mat:
-    """Per-state alternatives flattened into branch arrays.
+def _closed(space: ExplicitStateSpace) -> ExplicitStateSpace:
+    """``space`` with one choice row added to every state that has none.
 
-    Every state has at least one alternative.  An alternative is an
-    immediate Choice, the embedded jump distribution of a Markovian state,
-    or an artificial self-loop for absorbing states.  ``alt_choice`` holds
-    the choice index within the state's choice tuple, or -1 for embedded
-    jumps and self-loops.  ``alt_cost`` is the expected residence time of
-    the alternative (0 for immediate ones).
+    The added row is the embedded jump distribution (each rate over the
+    exit rate) of a Markovian state, and a self-loop of an absorbing state,
+    so every state has a row and per-state reductions stay total.  States
+    that have choices keep their rows, so a row's offset within its state
+    is still the choice index there.  The rates stay in place, unread.
     """
-
-    alt_ptr: np.ndarray    # n_states+1
-    alt_state: np.ndarray  # per alternative: owning state
-    alt_choice: np.ndarray
-    alt_cost: np.ndarray
-    br_ptr: np.ndarray     # n_alts+1
-    br_prob: np.ndarray
-    br_tgt: np.ndarray
-
-    @property
-    def n_states(self) -> int:
-        return len(self.alt_ptr) - 1
-
-    @property
-    def alt_starts(self) -> np.ndarray:
-        return self.alt_ptr[:-1]
-
-    @property
-    def br_starts(self) -> np.ndarray:
-        return self.br_ptr[:-1]
-
-
-def _flatten(space: ExplicitStateSpace, *, time_costs: bool) -> _Mat:
-    alt_ptr = [0]
-    alt_state: list[int] = []
-    alt_choice: list[int] = []
-    alt_cost: list[float] = []
-    br_ptr = [0]
-    br_prob: list[float] = []
-    br_tgt: list[int] = []
-    for s in range(space.n_states):
-        added = 0
-        for ci, choice in enumerate(space.choices[s]):
-            for p, t in choice.distribution.branches:
-                br_prob.append(p)
-                br_tgt.append(t)
-            br_ptr.append(len(br_prob))
-            alt_state.append(s)
-            alt_choice.append(ci)
-            alt_cost.append(0.0)
-            added += 1
-        mk = space.markovian[s]
-        if added == 0 and mk is not None and not mk.masked:
-            for r, t in mk.entries:
-                br_prob.append(r / mk.exit_rate)
-                br_tgt.append(t)
-            br_ptr.append(len(br_prob))
-            alt_state.append(s)
-            alt_choice.append(-1)
-            alt_cost.append(1.0 / mk.exit_rate if time_costs else 0.0)
-            added += 1
-        if added == 0:
-            # absorbing: artificial zero-cost self-loop keeps arrays total
-            br_prob.append(1.0)
-            br_tgt.append(s)
-            br_ptr.append(len(br_prob))
-            alt_state.append(s)
-            alt_choice.append(-1)
-            alt_cost.append(0.0)
-            added = 1
-        alt_ptr.append(alt_ptr[-1] + added)
-    return _Mat(
-        np.asarray(alt_ptr, dtype=np.int64),
-        np.asarray(alt_state, dtype=np.int64),
-        np.asarray(alt_choice, dtype=np.int64),
-        np.asarray(alt_cost, dtype=np.float64),
-        np.asarray(br_ptr, dtype=np.int64),
-        np.asarray(br_prob, dtype=np.float64),
-        np.asarray(br_tgt, dtype=np.int64),
-    )
+    counts = np.diff(space.choice_ptr)
+    idle = counts == 0
+    if not idle.any():
+        return space
+    absorbing = np.flatnonzero(idle & (np.diff(space.rate_ptr) == 0))
+    # merge old and new rows by state, stably; no state has both
+    rows = np.argsort(np.concatenate(
+        [space.choice_state, np.flatnonzero(idle)]), kind="stable")
+    branches = np.argsort(np.concatenate(
+        [space.branch_source, space.rate_state, absorbing]), kind="stable")
+    row_len = np.concatenate([np.diff(space.branch_ptr),
+                              np.maximum(np.diff(space.rate_ptr)[idle], 1)])
+    added = np.zeros(idle.sum(), dtype=np.int64)
+    return replace(
+        space,
+        actions=space.actions + (None,),
+        choice_ptr=np.concatenate([[0], np.cumsum(np.maximum(counts, 1))]),
+        choice_owner=np.concatenate([space.choice_owner, added])[rows],
+        choice_action=np.concatenate(
+            [space.choice_action, added + len(space.actions)])[rows],
+        branch_ptr=np.concatenate([[0], np.cumsum(row_len[rows])]),
+        branch_prob=np.concatenate(
+            [space.branch_prob, space.rate / space.exit_rate[space.rate_state],
+             np.ones(len(absorbing))])[branches],
+        branch_target=np.concatenate(
+            [space.branch_target, space.rate_target, absorbing])[branches])
 
 
-def _alt_values(mat: _Mat, V: np.ndarray) -> np.ndarray:
-    contrib = mat.br_prob * V[mat.br_tgt]
-    return np.add.reduceat(contrib, mat.br_starts) + mat.alt_cost
+def _row_values(sp: ExplicitStateSpace, V: np.ndarray,
+                cost: np.ndarray | float = 0.0) -> np.ndarray:
+    contrib = sp.branch_prob * V[sp.branch_target]
+    return np.add.reduceat(contrib, sp.branch_ptr[:-1]) + cost
 
 
-def _opt_per_state(mat: _Mat, alt_vals: np.ndarray, maximize: bool) -> np.ndarray:
-    if maximize:
-        return np.maximum.reduceat(alt_vals, mat.alt_starts)
-    return np.minimum.reduceat(alt_vals, mat.alt_starts)
+def _optimum(values: np.ndarray, starts: np.ndarray,
+             maximize: bool) -> np.ndarray:
+    """Per group starting at ``starts``: the largest or smallest value."""
+    return (np.maximum if maximize else np.minimum).reduceat(values, starts)
+
+
+def _first_row(sp: ExplicitStateSpace, flags: np.ndarray) -> np.ndarray:
+    """Per state: the offset of its first flagged row, or -1."""
+    offset = np.arange(len(flags)) - sp.choice_ptr[sp.choice_state]
+    first = np.minimum.reduceat(np.where(flags, offset, _FAR),
+                                sp.choice_ptr[:-1])
+    return np.where(first == _FAR, -1, first)
+
+
+def _rows_of(sp: ExplicitStateSpace, states: np.ndarray):
+    """The rows of the ``states`` mask, packed: branch probabilities,
+    targets, and the start of each row and of each state's row group."""
+    rows = states[sp.choice_state]
+    row_len = np.diff(sp.branch_ptr)[rows]
+    group_len = np.diff(sp.choice_ptr)[states]
+    branches = rows[sp.branch_choice]
+    return (sp.branch_prob[branches], sp.branch_target[branches],
+            np.cumsum(row_len) - row_len, np.cumsum(group_len) - group_len)
 
 
 # --------------------------------------------------------------------------
 # graph precomputations
 
 
-def _predecessors(mat: _Mat) -> tuple[np.ndarray, np.ndarray]:
-    """CSR-style predecessor lists: (ptr over states, predecessor array)."""
-    src = mat.alt_state[np.searchsorted(
-        mat.br_ptr, np.arange(len(mat.br_prob)), side="right") - 1]
-    order = np.argsort(mat.br_tgt, kind="stable")
-    tgt_sorted = mat.br_tgt[order]
-    src_sorted = src[order]
-    ptr = np.searchsorted(tgt_sorted, np.arange(mat.n_states + 1))
-    return ptr, src_sorted
+def _backward_bfs(sp: ExplicitStateSpace, edges: np.ndarray,
+                  seeds: np.ndarray,
+                  allowed: np.ndarray | None = None) -> np.ndarray:
+    """Breadth-first distances from ``seeds``, backwards along the branches
+    ``edges`` (given in order of target), entering only ``allowed`` states;
+    ``_FAR`` where unreached.  Level by level, so the distances do not
+    depend on the edge order."""
+    ptr = np.searchsorted(sp.branch_target[edges], np.arange(sp.n_states + 1))
+    preds = sp.branch_source[edges]
+    dist = np.full(sp.n_states, _FAR, dtype=np.int64)
+    frontier = np.flatnonzero(seeds)
+    dist[frontier] = 0
+    level = 0
+    while frontier.size:
+        level += 1
+        lo = ptr[frontier]
+        lens = ptr[frontier + 1] - lo
+        ends = np.cumsum(lens)
+        nxt = preds[np.repeat(lo - ends + lens, lens) + np.arange(ends[-1])]
+        fresh = dist[nxt] == _FAR
+        if allowed is not None:
+            fresh &= allowed[nxt]
+        frontier = np.unique(nxt[fresh])
+        dist[frontier] = level
+    return dist
 
 
-def _backward_reachable(mat: _Mat, seeds: np.ndarray) -> np.ndarray:
-    """States with a path (any alternative) into ``seeds``."""
-    ptr, preds = _predecessors(mat)
-    reached = seeds.copy()
-    stack = list(np.flatnonzero(seeds))
-    while stack:
-        t = stack.pop()
-        for p in preds[ptr[t]:ptr[t + 1]]:
-            if not reached[p]:
-                reached[p] = True
-                stack.append(p)
-    return reached
-
-
-def _backward_reachable_avoiding(mat: _Mat, seeds: np.ndarray,
-                                 blocked: np.ndarray) -> np.ndarray:
-    """States reaching ``seeds`` along paths whose interior avoids ``blocked``."""
-    ptr, preds = _predecessors(mat)
-    reached = seeds.copy()
-    stack = list(np.flatnonzero(seeds))
-    while stack:
-        t = stack.pop()
-        for p in preds[ptr[t]:ptr[t + 1]]:
-            if not reached[p] and not blocked[p]:
-                reached[p] = True
-                stack.append(p)
-    return reached
-
-
-def _exists_avoiding(mat: _Mat, target: np.ndarray) -> np.ndarray:
-    """States where some scheduler avoids ``target`` forever (min prob 0)."""
-    keep = ~target
+def _can_stay(sp: ExplicitStateSpace, keep: np.ndarray,
+              rows: np.ndarray | bool = True) -> np.ndarray:
+    """The largest subset of ``keep`` in which every state has a row, among
+    ``rows``, whose branches all stay in the subset."""
     while True:
-        br_in = keep[mat.br_tgt]
-        alt_all = np.logical_and.reduceat(br_in, mat.br_starts)
-        new = np.logical_or.reduceat(alt_all, mat.alt_starts) & keep
+        row_in = np.logical_and.reduceat(keep[sp.branch_target],
+                                         sp.branch_ptr[:-1]) & rows
+        new = np.logical_or.reduceat(row_in, sp.choice_ptr[:-1]) & keep
         if np.array_equal(new, keep):
             return keep
         keep = new
 
 
-def _exists_almost_sure(mat: _Mat, target: np.ndarray) -> np.ndarray:
+def _exists_almost_sure(sp: ExplicitStateSpace,
+                        target: np.ndarray) -> np.ndarray:
     """States where some scheduler reaches ``target`` with probability 1."""
-    u = np.ones(mat.n_states, dtype=bool)
+    u = np.ones(sp.n_states, dtype=bool)
     while True:
         v = target.copy()
         while True:
-            br_ok = u[mat.br_tgt]
-            br_hit = v[mat.br_tgt]
-            alt_ok = (np.logical_and.reduceat(br_ok, mat.br_starts)
-                      & np.logical_or.reduceat(br_hit, mat.br_starts))
-            new = v | np.logical_or.reduceat(alt_ok, mat.alt_starts)
+            br_ok = u[sp.branch_target]
+            br_hit = v[sp.branch_target]
+            row_ok = (np.logical_and.reduceat(br_ok, sp.branch_ptr[:-1])
+                      & np.logical_or.reduceat(br_hit, sp.branch_ptr[:-1]))
+            new = v | np.logical_or.reduceat(row_ok, sp.choice_ptr[:-1])
             if np.array_equal(new, v):
                 break
             v = new
@@ -267,41 +238,19 @@ def _exists_almost_sure(mat: _Mat, target: np.ndarray) -> np.ndarray:
         u = v
 
 
-def _all_almost_sure(mat: _Mat, target: np.ndarray) -> np.ndarray:
-    """States where every scheduler reaches ``target`` with probability 1."""
-    escape = _exists_avoiding(mat, target)
-    can_escape = _backward_reachable_avoiding(mat, escape, target)
-    return ~can_escape
-
-
-def _zero_time_trap(space: ExplicitStateSpace, mat: _Mat,
-                    target: np.ndarray) -> np.ndarray:
-    """Non-target states that can cycle forever through immediate choices."""
-    has_choice = np.array(
-        [len(cs) > 0 for cs in space.choices], dtype=bool)
-    keep = has_choice & ~target
-    immediate_alt = mat.alt_choice >= 0
-    while True:
-        br_in = keep[mat.br_tgt]
-        alt_all = np.logical_and.reduceat(br_in, mat.br_starts) & immediate_alt
-        new = np.logical_or.reduceat(alt_all, mat.alt_starts) & keep
-        if np.array_equal(new, keep):
-            return keep
-        keep = new
-
-
 # --------------------------------------------------------------------------
 # value iteration and scheduler extraction
 
 
-def _iterate(mat: _Mat, V: np.ndarray, free: np.ndarray, maximize: bool,
-             cfg: SolverConfig, *, probabilities: bool,
-             initial: int, info: dict) -> tuple[np.ndarray, int, float]:
+def _iterate(sp: ExplicitStateSpace, V: np.ndarray, free: np.ndarray,
+             maximize: bool, cfg: SolverConfig, *, cost=0.0,
+             probabilities: bool, initial: int,
+             info: dict) -> tuple[np.ndarray, int, float]:
     if not free.any():
         return V, 0, 0.0
     residual = math.inf
     for iteration in range(1, cfg.max_iterations + 1):
-        opt = _opt_per_state(mat, _alt_values(mat, V), maximize)
+        opt = _optimum(_row_values(sp, V, cost), sp.choice_ptr[:-1], maximize)
         new = np.where(free, opt, V)
         # pinned +inf entries produce inf-inf=NaN, but `where=free`
         # excludes them from the residual
@@ -323,91 +272,54 @@ def _iterate(mat: _Mat, V: np.ndarray, free: np.ndarray, maximize: bool,
 
 def _extract_scheduler(
     space: ExplicitStateSpace,
-    mat: _Mat,
+    sp: ExplicitStateSpace,
+    by_target: np.ndarray,
     V: np.ndarray,
     free: np.ndarray,
     maximize: bool,
     target: np.ndarray,
     cfg: SolverConfig,
     *,
+    cost=0.0,
     progress: bool,
     stay_zero: np.ndarray | None = None,
 ) -> dict[int, int]:
     """Deterministic memoryless scheduler attaining ``V``.
 
-    Ties break to the lowest choice index; where ``progress`` is set
-    (maximizing reachability, minimizing time), the choice must also make
-    progress toward the target through value-optimal alternatives, which
-    keeps the induced chain from idling in value-preserving cycles.
-    ``stay_zero`` marks states whose scheduler must remain inside that set
-    (minimal-probability extraction).
+    ``sp`` is ``_closed(space)`` and ``by_target`` orders its branches by
+    target.  Ties break to the lowest choice index;
+    where ``progress`` is set (maximizing reachability, minimizing time),
+    the choice must also make progress toward the target through
+    value-optimal rows, which keeps the induced chain from idling in
+    value-preserving cycles.  ``stay_zero`` marks states whose scheduler
+    must remain inside that set (minimal-probability extraction).
     """
-    alt_vals = _alt_values(mat, V)
-    tol = 10 * cfg.epsilon
-    n = mat.n_states
-    opt = _opt_per_state(mat, alt_vals, maximize)
+    row_vals = _row_values(sp, V, cost)
+    opt = _optimum(row_vals, sp.choice_ptr[:-1], maximize)
     with np.errstate(invalid="ignore"):
-        # inf-valued alternatives of inf-valued states give NaN gaps, which
-        # compare False and are correctly excluded
-        candidate = np.abs(alt_vals - opt[mat.alt_state]) <= tol
+        # inf-valued rows of inf-valued states give NaN gaps, which compare
+        # False and are correctly excluded
+        candidate = np.abs(row_vals - opt[sp.choice_state]) <= 10 * cfg.epsilon
 
-    dist = None
+    first = _first_row(sp, candidate)
+    choice = np.where(free & (first >= 0), first, 0)
     if progress:
-        dist = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-        dist[target] = 0
-        # BFS from the target, backwards over candidate alternatives only
-        frontier = list(np.flatnonzero(target))
-        ptr, preds_all = _predecessors(mat)
-        # membership test per edge: recompute candidate sources per branch
-        br_alt = np.searchsorted(mat.br_ptr,
-                                 np.arange(len(mat.br_prob)), side="right") - 1
-        cand_edge_src: dict[int, list[int]] = {}
-        for b in range(len(mat.br_prob)):
-            if candidate[br_alt[b]]:
-                cand_edge_src.setdefault(
-                    int(mat.br_tgt[b]), []).append(int(mat.alt_state[br_alt[b]]))
-        seen = target.copy()
-        while frontier:
-            nxt = []
-            for t in frontier:
-                for p in cand_edge_src.get(t, ()):
-                    if not seen[p]:
-                        seen[p] = True
-                        dist[p] = dist[t] + 1
-                        nxt.append(p)
-            frontier = nxt
-
-    scheduler: dict[int, int] = {}
-    for s in range(n):
-        n_choices = len(space.choices[s])
-        if n_choices == 0:
-            continue
-        a0, a1 = mat.alt_ptr[s], mat.alt_ptr[s + 1]
-        if stay_zero is not None and stay_zero[s]:
-            # pick a choice that keeps the avoidance certificate
-            chosen = 0
-            for a in range(a0, a1):
-                tgts = mat.br_tgt[mat.br_ptr[a]:mat.br_ptr[a + 1]]
-                if stay_zero[tgts].all():
-                    chosen = int(mat.alt_choice[a])
-                    break
-            scheduler[s] = chosen
-            continue
-        if not free[s]:
-            scheduler[s] = 0
-            continue
-        cands = [a for a in range(a0, a1) if candidate[a]]
-        if not cands:
-            cands = [a0]
-        chosen = cands[0]
-        if progress and dist is not None and dist[s] < np.iinfo(np.int64).max:
-            for a in cands:
-                tgts = mat.br_tgt[mat.br_ptr[a]:mat.br_ptr[a + 1]]
-                if (dist[tgts] < dist[s]).any():
-                    chosen = a
-                    break
-        scheduler[s] = int(mat.alt_choice[chosen])
-    return scheduler
+        # BFS from the target, backwards over candidate rows only
+        dist = _backward_bfs(
+            sp, by_target[candidate[sp.branch_choice[by_target]]], target)
+        closer = dist[sp.branch_target] < dist[sp.branch_source]
+        moves = (np.logical_or.reduceat(closer, sp.branch_ptr[:-1])
+                 & candidate & (dist[sp.choice_state] < _FAR))
+        first = _first_row(sp, moves)
+        choice = np.where(free & (first >= 0), first, choice)
+    if stay_zero is not None:
+        # pick a choice that keeps the avoidance certificate
+        safe = np.logical_and.reduceat(stay_zero[sp.branch_target],
+                                       sp.branch_ptr[:-1])
+        choice = np.where(stay_zero, np.maximum(_first_row(sp, safe), 0),
+                          choice)
+    states = np.flatnonzero(np.diff(space.choice_ptr) > 0)
+    return dict(zip(states.tolist(), choice[states].tolist()))
 
 
 # --------------------------------------------------------------------------
@@ -428,14 +340,17 @@ def reach_prob(
     over all states with at least one choice.
     """
     mask = target_mask(space, target)
-    mat = _flatten(space, time_costs=False)
+    sp = _closed(space)
+    by_target = np.argsort(sp.branch_target, kind="stable")
     maximize = direction is Direction.MAX
     if maximize:
-        zero = ~_backward_reachable(mat, mask)
-        one = _exists_almost_sure(mat, mask)
+        zero = _backward_bfs(sp, by_target, mask) == _FAR
+        one = _exists_almost_sure(sp, mask)
     else:
-        zero = _exists_avoiding(mat, mask)
-        one = _all_almost_sure(mat, mask)
+        # some scheduler avoids the target forever; every scheduler reaches
+        # it almost surely from where that set is unreachable
+        zero = _can_stay(sp, ~mask)
+        one = _backward_bfs(sp, by_target, zero, ~mask) == _FAR
     zero &= ~mask
     one |= mask
 
@@ -444,10 +359,10 @@ def reach_prob(
     free = ~(one | zero)
     info = {"pinned_zero": float(zero.sum()), "pinned_one": float(one.sum())}
     V, iterations, residual = _iterate(
-        mat, V, free, maximize, cfg, probabilities=True,
+        sp, V, free, maximize, cfg, probabilities=True,
         initial=space.initial, info=info)
     scheduler = _extract_scheduler(
-        space, mat, V, free, maximize, mask, cfg,
+        space, sp, by_target, V, free, maximize, mask, cfg,
         progress=maximize, stay_zero=zero if not maximize else None)
     return ValueResult(float(V[space.initial]), iterations, residual,
                        scheduler, info)
@@ -476,11 +391,9 @@ def step_bounded_cdf(
         raise SolverError(
             f"horizon {t_max} exceeds the configured cap {cfg.max_horizon}")
     mask = target_mask(space, target)
-    mat = _flatten(space, time_costs=False)
+    sp = _closed(space)
 
     if space.model_class is ModelClass.DTMC:
-        br_src = mat.alt_state[np.searchsorted(
-            mat.br_ptr, np.arange(len(mat.br_prob)), side="right") - 1]
         pi = np.zeros(space.n_states, dtype=np.float64)
         pi[space.initial] = 1.0
         acc = float(pi[mask].sum())
@@ -488,7 +401,8 @@ def step_bounded_cdf(
         values = [acc]
         for _ in range(t_max):
             nxt = np.zeros_like(pi)
-            np.add.at(nxt, mat.br_tgt, pi[br_src] * mat.br_prob)
+            np.add.at(nxt, sp.branch_target,
+                      pi[sp.branch_source] * sp.branch_prob)
             pi = nxt
             acc += float(pi[mask].sum())
             pi[mask] = 0.0
@@ -498,7 +412,8 @@ def step_bounded_cdf(
         V = mask.astype(np.float64)
         values = [float(V[space.initial])]
         for _ in range(t_max):
-            opt = _opt_per_state(mat, _alt_values(mat, V), maximize)
+            opt = _optimum(_row_values(sp, V), sp.choice_ptr[:-1],
+                           maximize)
             V = np.where(mask, 1.0, opt)
             values.append(float(V[space.initial]))
 
@@ -522,13 +437,22 @@ def ma_expected_time(
     if space.model_class is not ModelClass.MA:
         raise SolverError("expected time is defined for MA models only")
     mask = target_mask(space, target)
-    mat = _flatten(space, time_costs=True)
+    sp = _closed(space)
+    by_target = np.argsort(sp.branch_target, kind="stable")
+    has_choice = np.diff(space.choice_ptr) > 0
+    # an embedded jump row costs the mean sojourn 1/E of its state
+    rate = space.exit_rate[sp.choice_state]
+    cost = np.divide(1.0, rate, out=np.zeros_like(rate), where=rate > 0)
     maximize = direction is Direction.MAX
     if maximize:
-        finite = _all_almost_sure(mat, mask)
+        # every scheduler reaches the target almost surely
+        finite = _backward_bfs(sp, by_target, _can_stay(sp, ~mask),
+                               ~mask) == _FAR
     else:
-        finite = _exists_almost_sure(mat, mask)
-        trap = _zero_time_trap(space, mat, mask) & finite
+        finite = _exists_almost_sure(sp, mask)
+        # non-target states that can cycle forever through immediate choices
+        trap = _can_stay(sp, has_choice & ~mask,
+                         has_choice[sp.choice_state]) & finite
         if trap.any():
             raise SolverError(
                 "minimum expected time is ill-defined: zero-time cycle "
@@ -541,10 +465,11 @@ def ma_expected_time(
     info = {"pinned_inf": float((~finite).sum()),
             "target_states": float(mask.sum())}
     V, iterations, residual = _iterate(
-        mat, V, free, maximize, cfg, probabilities=False,
+        sp, V, free, maximize, cfg, cost=cost, probabilities=False,
         initial=space.initial, info=info)
     scheduler = _extract_scheduler(
-        space, mat, V, free, maximize, mask, cfg, progress=not maximize)
+        space, sp, by_target, V, free, maximize, mask, cfg, cost=cost,
+        progress=not maximize)
     return ValueResult(float(V[space.initial]), iterations, residual,
                        scheduler, info)
 
@@ -572,9 +497,7 @@ def ma_time_bounded(
     maximize = direction is Direction.MAX
     n = space.n_states
 
-    exit_rates = np.array(
-        [mk.exit_rate if (mk is not None and not mk.masked and not cs) else 0.0
-         for mk, cs in zip(space.markovian, space.choices)])
+    exit_rates = space.exit_rate  # 0 in states with choices
     lam_max = float(exit_rates.max()) if n else 0.0
     if lam_max > 0 and time_bound > 0:
         k = max(1, math.ceil((lam_max * time_bound) ** 2
@@ -589,54 +512,24 @@ def ma_time_bounded(
     delta = time_bound / k if k else 0.0
     err_bound = ((lam_max * time_bound) ** 2 / (2 * k)) if k else 0.0
 
-    # markovian rows (non-target states only; targets are absorbing)
-    m_states = [s for s in range(n)
-                if exit_rates[s] > 0 and not mask[s]]
-    m_idx = np.asarray(m_states, dtype=np.int64)
-    m_ptr = [0]
-    m_prob: list[float] = []
-    m_tgt: list[int] = []
-    for s in m_states:
-        mk = space.markovian[s]
-        for r, t in mk.entries:
-            m_prob.append(r / mk.exit_rate)
-            m_tgt.append(t)
-        m_ptr.append(len(m_prob))
-    m_prob_a = np.asarray(m_prob)
-    m_tgt_a = np.asarray(m_tgt, dtype=np.int64)
-    m_starts = np.asarray(m_ptr[:-1], dtype=np.int64)
-    jump = -np.expm1(-exit_rates[m_idx] * delta) if len(m_idx) else np.empty(0)
-    stay = np.exp(-exit_rates[m_idx] * delta) if len(m_idx) else np.empty(0)
-
-    # immediate rows (non-target states with choices)
-    i_states = [s for s in range(n) if space.choices[s] and not mask[s]]
-    i_idx = np.asarray(i_states, dtype=np.int64)
-    i_alt_ptr = [0]
-    i_br_ptr = [0]
-    i_prob: list[float] = []
-    i_tgt: list[int] = []
-    for s in i_states:
-        for choice in space.choices[s]:
-            for p, t in choice.distribution.branches:
-                i_prob.append(p)
-                i_tgt.append(t)
-            i_br_ptr.append(len(i_prob))
-        i_alt_ptr.append(i_alt_ptr[-1] + len(space.choices[s]))
-    i_prob_a = np.asarray(i_prob)
-    i_tgt_a = np.asarray(i_tgt, dtype=np.int64)
-    i_br_starts = np.asarray(i_br_ptr[:-1], dtype=np.int64)
-    i_alt_starts = np.asarray(i_alt_ptr[:-1], dtype=np.int64)
+    # targets are absorbing: only non-target states get rows
+    sp = _closed(space)
+    racing = (exit_rates > 0) & ~mask
+    m_idx = np.flatnonzero(racing)
+    m_prob, m_tgt, m_starts, _ = _rows_of(sp, racing)
+    jump = -np.expm1(-exit_rates[m_idx] * delta)
+    stay = np.exp(-exit_rates[m_idx] * delta)
+    immediate = (np.diff(space.choice_ptr) > 0) & ~mask
+    i_idx = np.flatnonzero(immediate)
+    i_prob, i_tgt, i_br_starts, i_row_starts = _rows_of(sp, immediate)
 
     def settle(V: np.ndarray) -> np.ndarray:
         """Inner fixpoint: resolve immediate states at one time level."""
         if not len(i_idx):
             return V
         for _ in range(cfg.max_iterations):
-            alt_vals = np.add.reduceat(i_prob_a * V[i_tgt_a], i_br_starts)
-            if maximize:
-                opt = np.maximum.reduceat(alt_vals, i_alt_starts)
-            else:
-                opt = np.minimum.reduceat(alt_vals, i_alt_starts)
+            row_vals = np.add.reduceat(i_prob * V[i_tgt], i_br_starts)
+            opt = _optimum(row_vals, i_row_starts, maximize)
             resid = float(np.max(np.abs(opt - V[i_idx]), initial=0.0))
             V[i_idx] = opt
             if resid <= cfg.epsilon:
@@ -650,7 +543,7 @@ def ma_time_bounded(
     V = settle(V)
     for _ in range(k):
         if len(m_idx):
-            emb = np.add.reduceat(m_prob_a * V[m_tgt_a], m_starts)
+            emb = np.add.reduceat(m_prob * V[m_tgt], m_starts)
             V = V.copy()
             V[m_idx] = jump * emb + stay * V[m_idx]
         V = settle(V)
@@ -668,17 +561,18 @@ def describe_scheduler(
     space: ExplicitStateSpace, scheduler: dict[int, int]
 ) -> list[DecisionRow]:
     """Tabulate the scheduler's decisions at genuine decision states."""
+    counts = np.diff(space.choice_ptr)
     rows = []
     for s in sorted(scheduler):
-        if len(space.choices[s]) < 2:
+        if counts[s] < 2:
             continue
-        choice = space.choices[s][scheduler[s]]
+        c = int(space.choice_ptr[s]) + scheduler[s]
         rows.append(DecisionRow(
             state=s,
             values=space.state_values(s),
             choice=scheduler[s],
-            action=choice.action,
-            owner=choice.owner,
+            action=space.actions[space.choice_action[c]],
+            owner=int(space.choice_owner[c]),
         ))
     return rows
 
@@ -687,47 +581,47 @@ def induced_chain(
     space: ExplicitStateSpace, scheduler: dict[int, int]
 ) -> ExplicitStateSpace:
     """Freeze a scheduler: keep only the chosen choice in every state."""
-    new_choices = []
-    for s, cs in enumerate(space.choices):
-        if not cs:
-            new_choices.append(())
-        else:
-            new_choices.append((cs[scheduler[s]],))
-    return ExplicitStateSpace(
-        model_class=space.model_class,
-        layout=space.layout,
-        valuations=space.valuations,
-        choices=tuple(new_choices),
-        markovian=space.markovian,
-        initial=space.initial,
-        components=space.components,
-        labels=space.labels,
-        name=space.name,
+    has_choice = np.diff(space.choice_ptr) > 0
+    states = np.flatnonzero(has_choice)
+    keep = np.zeros(len(space.choice_owner), dtype=bool)
+    picks = np.array([scheduler[s] for s in states.tolist()], dtype=np.int64)
+    keep[space.choice_ptr[states] + picks] = True
+    branches = keep[space.branch_choice]
+    return replace(
+        space,
+        choice_ptr=np.concatenate([[0], np.cumsum(has_choice)]),
+        choice_owner=space.choice_owner[keep],
+        choice_action=space.choice_action[keep],
+        branch_ptr=np.concatenate(
+            [[0], np.cumsum(np.diff(space.branch_ptr)[keep])]),
+        branch_prob=space.branch_prob[branches],
+        branch_target=space.branch_target[branches],
     )
 
 
 def reachable_under(
     space: ExplicitStateSpace, scheduler: dict[int, int]
 ) -> np.ndarray:
-    """States reachable from the initial state when following ``scheduler``."""
-    seen = np.zeros(space.n_states, dtype=bool)
+    """States reachable from the initial state when following ``scheduler``;
+    a depth-first walk that visits only those states."""
+    (choice_ptr, branch_ptr, _, branch_target, _,
+     rate_ptr, _, rate_target, _, _) = space.walk
+    seen = [False] * space.n_states
     seen[space.initial] = True
     stack = [space.initial]
     while stack:
         s = stack.pop()
-        succs: list[int] = []
-        cs = space.choices[s]
-        if cs:
-            succs.extend(t for _, t in cs[scheduler[s]].distribution.branches)
+        c = choice_ptr[s]
+        if choice_ptr[s + 1] > c:
+            c += scheduler[s]
+            succs = branch_target[branch_ptr[c]:branch_ptr[c + 1]]
         else:
-            mk = space.markovian[s]
-            if mk is not None and not mk.masked:
-                succs.extend(t for _, t in mk.entries)
+            succs = rate_target[rate_ptr[s]:rate_ptr[s + 1]]
         for t in succs:
             if not seen[t]:
                 seen[t] = True
                 stack.append(t)
-    return seen
+    return np.array(seen, dtype=bool)
 
 
 def check_property(

@@ -1,13 +1,15 @@
 """Statistical model checking and lightweight scheduler sampling.
 
 Simulation resolves nondeterminism through a *resolver* (state index →
-choice index).  Lightweight scheduler sampling (LSS) represents a scheduler
-as a 32-bit integer id: at a decision state the choice is
-``FNV-1a-64(id ++ encoded state) mod k``, so a single integer determines a
-complete deterministic memoryless scheduler.  In *global* mode the encoded
-state covers every variable; in *distributed* mode only the variables
-observed by the component that owns the decision, which restricts sampling
-to schedulers implementable with local information.
+choice index) and walks the Python-list form of the state space's arrays
+(:attr:`qmv.core.ExplicitStateSpace.walk`).  Lightweight scheduler
+sampling (LSS) represents a scheduler as a 32-bit integer id: at a decision
+state the choice is ``fmix64(FNV-1a-64(id ++ encoded state)) mod k``, so a
+single integer determines a complete deterministic memoryless scheduler.
+In *global* mode the encoded state covers every variable; in *distributed*
+mode only the variables observed by the component that owns the decision,
+which restricts sampling to schedulers implementable with local
+information.
 
 Everything is reproducible: per-run seeds are derived by hashing
 ``(master_seed, run_index)``, so each run's outcome depends only on its
@@ -28,10 +30,12 @@ from qmv.core import (
     ModelClass,
     Property,
     PropertyKind,
+    decision_states,
     scheduler_owner,
     target_mask,
 )
 from qmv.lang.explore import check_good_for_distribution
+from qmv.numeric import reachable_under
 
 FNV_OFFSET = 14695981039346656037
 FNV_PRIME = 1099511628211
@@ -67,16 +71,29 @@ def encode_state(
         int(row[i]).to_bytes(8, "little", signed=True) for i in indices)
 
 
+def fmix64(h: int) -> int:
+    """The 64-bit finalizer of MurmurHash3: every input bit affects every
+    output bit."""
+    h ^= h >> 33
+    h = (h * 0xFF51AFD7ED558CCD) & _MASK64
+    h ^= h >> 33
+    h = (h * 0xC4CEB9FE1A85EC53) & _MASK64
+    return h ^ (h >> 33)
+
+
 def lss_decide(scheduler_id: int, state_bytes: bytes, k: int) -> int:
     """Deterministic choice of one of ``k`` alternatives.
 
     Hashes the 4-byte little-endian scheduler id followed by the encoded
-    state and reduces modulo ``k``.
+    state with FNV-1a-64, mixes the hash with :func:`fmix64` and reduces
+    modulo ``k``.  Without the mixing step, ``FNV mod 2`` is the parity of
+    the low bits of every hashed byte, so two-way decisions of different
+    ids would barely differ.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     j = fnv1a64(scheduler_id.to_bytes(4, "little") + state_bytes)
-    return j % k
+    return fmix64(j) % k
 
 
 def run_seed(master_seed: int, run_index: int) -> int:
@@ -200,15 +217,16 @@ class NotGoodForDistribution(ValueError):
 Resolver = Callable[[int], int]
 
 
-def _sample_index(rng: Random, pairs, total: float) -> int:
-    """Sample a (weight, target) list proportionally to weight."""
-    u = rng.random() * total
+def _pick(u: float, weights: list[float], targets: list[int],
+          lo: int, hi: int) -> int:
+    """The target of the first entry in ``lo:hi`` whose running weight
+    sum exceeds ``u``."""
     acc = 0.0
-    for w, t in pairs:
-        acc += w
+    for b in range(lo, hi):
+        acc += weights[b]
         if u < acc:
-            return t
-    return pairs[-1][1]
+            return targets[b]
+    return targets[hi - 1]
 
 
 def simulate_run(
@@ -239,7 +257,9 @@ def simulate_run(
         raise ValueError("step bounds need a DTMC or MDP model")
     mask = prop.target if isinstance(prop.target, np.ndarray) \
         else target_mask(space, prop.target)
-    rng = Random(seed)
+    (choice_ptr, branch_ptr, branch_prob, branch_target, self_loop,
+     rate_ptr, rate, rate_target, exit_rate, stuck) = space.walk
+    random = Random(seed).random
     state = space.initial
     steps = 0
     elapsed = 0.0
@@ -253,34 +273,31 @@ def simulate_run(
             return RunOutcome(False, steps, elapsed)
         if steps >= max_steps:
             return RunOutcome(False, steps, elapsed, truncated=True)
-        choices = space.choices[state]
-        if choices:
-            k = len(choices)
-            if k == 1:
-                idx = 0
-            else:
+        c = choice_ptr[state]
+        k = choice_ptr[state + 1] - c
+        if k:
+            if k > 1:
                 if resolver is None:
                     raise ValueError(
                         f"state {state} has {k} choices but no resolver "
                         "was supplied")
-                idx = resolver(state)
-            dist = choices[idx].distribution
-            if all(t == state for _, t in dist.branches):
+                c += resolver(state)
+            if self_loop[c]:
                 # pure self-loop under a memoryless resolver: the state can
                 # never change again, so this is a definitive miss
                 return RunOutcome(False, steps, elapsed)
-            state = _sample_index(rng, dist.branches, 1.0)
+            state = _pick(random(), branch_prob, branch_target,
+                          branch_ptr[c], branch_ptr[c + 1])
         else:
-            mk = space.markovian[state]
-            if mk is None or mk.masked \
-                    or all(t == state for _, t in mk.entries):
+            if stuck[state]:
                 # absorbing non-target state: the run can never succeed
                 return RunOutcome(False, steps, elapsed)
-            sojourn = -math.log(1.0 - rng.random()) / mk.exit_rate
-            elapsed += sojourn
+            total = exit_rate[state]
+            elapsed += -math.log(1.0 - random()) / total
             if time_bound is not None and elapsed > time_bound:
                 return RunOutcome(False, steps, elapsed)
-            state = _sample_index(rng, mk.entries, mk.exit_rate)
+            state = _pick(random() * total, rate, rate_target,
+                          rate_ptr[state], rate_ptr[state + 1])
         steps += 1
 
 
@@ -335,16 +352,9 @@ def sample_scheduler_ids(sampler_seed: int, m: int) -> list[int]:
 
 def _projections(space: ExplicitStateSpace, mode: str) -> dict[int, bytes]:
     """Per decision state: the encoded observation the scheduler hashes."""
-    out: dict[int, bytes] = {}
-    for s in range(space.n_states):
-        if len(space.choices[s]) < 2:
-            continue
-        if mode == "global":
-            out[s] = encode_state(space, s, "all")
-        else:
-            owner = scheduler_owner(space, s)
-            out[s] = encode_state(space, s, space.observed_indices(owner))
-    return out
+    return {s: encode_state(space, s, "all" if mode == "global" else
+                            space.observed_indices(scheduler_owner(space, s)))
+            for s in decision_states(space)}
 
 
 def _behavior_signature(
@@ -356,27 +366,11 @@ def _behavior_signature(
     path that can occur, so (under common run seeds) their estimates are
     bit-identical and can be shared.
     """
-    seen = {space.initial}
-    stack = [space.initial]
-    sig = []
-    while stack:
-        s = stack.pop()
-        cs = space.choices[s]
-        succs: Iterable[int]
-        if cs:
-            idx = decisions.get(s, 0)
-            if len(cs) >= 2:
-                sig.append((s, idx))
-            succs = (t for _, t in cs[idx].distribution.branches)
-        else:
-            mk = space.markovian[s]
-            succs = (t for _, t in mk.entries) if mk is not None \
-                and not mk.masked else ()
-        for t in succs:
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return tuple(sorted(sig))
+    choice_states = np.flatnonzero(np.diff(space.choice_ptr) > 0).tolist()
+    scheduler = dict.fromkeys(choice_states, 0)
+    scheduler.update(decisions)
+    reached = reachable_under(space, scheduler)
+    return tuple((s, d) for s, d in sorted(decisions.items()) if reached[s])
 
 
 def lss(
@@ -401,11 +395,12 @@ def lss(
     projections = _projections(space, cfg.mode)
     ids = sample_scheduler_ids(cfg.sampler_seed, cfg.m)
 
+    counts = np.diff(space.choice_ptr).tolist()
     cache: dict[tuple, SmcEstimate] = {}
     table: list[tuple[int, SmcEstimate]] = []
     for sid in ids:
         decisions = {
-            s: lss_decide(sid, obs, len(space.choices[s]))
+            s: lss_decide(sid, obs, counts[s])
             for s, obs in projections.items()
         }
         sig = _behavior_signature(space, decisions)

@@ -8,11 +8,9 @@ import numpy as np
 import pytest
 
 from qmv.core import (
-    Choice,
-    Distribution,
     ExplicitStateSpace,
-    MarkovianTransitions,
     ModelClass,
+    SpaceBuilder,
     VariableInfo,
 )
 from qmv.lang import parse_model
@@ -46,18 +44,11 @@ def direct_space(
     """
     n = len(choices)
     markovian = markovian or {}
-    built_choices = tuple(
-        tuple(
-            Choice(None, (owners or {}).get(s, 0), Distribution.build(alt))
-            for alt in alts
-        )
-        for s, alts in enumerate(choices)
-    )
-    built_markovian = tuple(
-        MarkovianTransitions.build(markovian[s], masked=bool(choices[s]))
-        if s in markovian else None
-        for s in range(n)
-    )
+    builder = SpaceBuilder()
+    for s, alts in enumerate(choices):
+        owner = (owners or {}).get(s, 0)
+        builder.add_state([(None, owner, alt) for alt in alts],
+                          markovian.get(s, ()))
     label_masks = {}
     for name, members in (labels or {}).items():
         mask = np.zeros(n, dtype=bool)
@@ -65,15 +56,13 @@ def direct_space(
         label_masks[name] = mask
     n_components = max(
         [v + 1 for v in (owners or {}).values()] or [1])
-    return ExplicitStateSpace(
-        model_class=model_class,
-        layout=(VariableInfo("s", 0, max(n - 1, 1), observers=frozenset(
+    return builder.build(
+        model_class,
+        (VariableInfo("s", 0, max(n - 1, 1), observers=frozenset(
             range(n_components))),),
-        valuations=np.arange(n, dtype=np.int64).reshape(n, 1),
-        choices=built_choices,
-        markovian=built_markovian,
-        initial=initial,
+        np.arange(n, dtype=np.int64).reshape(n, 1),
         components=tuple(f"m{i}" for i in range(n_components)),
+        initial=initial,
         labels=label_masks,
     )
 
@@ -93,17 +82,16 @@ def unfold_with_counter(space: ExplicitStateSpace, t_max: int):
     def at(s: int, k: int) -> int:
         return s * width + k
 
-    choices = []
-    for s in range(n):
+    builder = SpaceBuilder()
+    for s, cs in enumerate(space.choices):
         for k in range(width):
-            if k == t_max or not space.choices[s]:
-                choices.append(
-                    (Choice(None, 0, Distribution(((1.0, at(s, k)),))),))
+            if k == t_max or not cs:
+                builder.add_state([(None, 0, [(1, at(s, k))])])
                 continue
-            choices.append(tuple(
-                Choice(c.action, c.owner, Distribution(tuple(
-                    (p, at(t, k + 1)) for p, t in c.distribution.branches)))
-                for c in space.choices[s]))
+            builder.add_state(
+                (c.action, c.owner,
+                 [(p, at(t, k + 1)) for p, t in c.distribution.branches])
+                for c in cs)
     vals = np.empty((n * width, space.n_variables + 1), dtype=np.int64)
     for s in range(n):
         for k in range(width):
@@ -112,14 +100,12 @@ def unfold_with_counter(space: ExplicitStateSpace, t_max: int):
     labels = {
         name: np.repeat(mask, width) for name, mask in space.labels.items()
     }
-    unfolded = ExplicitStateSpace(
-        model_class=space.model_class,
-        layout=space.layout + (VariableInfo("unfold_step", 0, t_max),),
-        valuations=vals,
-        choices=tuple(choices),
-        markovian=(None,) * (n * width),
-        initial=at(space.initial, 0),
+    unfolded = builder.build(
+        space.model_class,
+        space.layout + (VariableInfo("unfold_step", 0, t_max),),
+        vals,
         components=space.components,
+        initial=at(space.initial, 0),
         labels=labels,
     )
     return unfolded, at

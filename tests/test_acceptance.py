@@ -37,6 +37,7 @@ from qmv.core import (
     ExplicitStateSpace,
     Property,
     PropertyKind,
+    decision_states,
     target_mask,
 )
 from qmv.lang.explore import check_good_for_distribution
@@ -48,7 +49,15 @@ from qmv.numeric import (
     reachable_under,
     step_bounded_cdf,
 )
-from qmv.smc import LssConfig, SmcConfig, estimate, lss
+from qmv.smc import (
+    LssConfig,
+    SmcConfig,
+    encode_state,
+    estimate,
+    lss,
+    lss_decide,
+    sample_scheduler_ids,
+)
 
 
 def _verdict(label: str, ok: bool, detail: str) -> None:
@@ -354,6 +363,23 @@ def test_scheduler_sampling_underapproximates_and_finds_optimum():
     assert close >= 16, (
         f"1000 sampled schedulers reached within 0.02 of the optimum on "
         f"only {close}/20 models")
+
+
+def test_scheduler_sampling_diversifies_binary_decisions():
+    # every decision of the trust-attack MA is a two-way restart/continue
+    # choice; sampled ids must give (almost) pairwise different schedulers
+    space = space_of(gen_bitcoin(BitcoinParams(CD=6)).model)
+    states = decision_states(space)
+    assert len(states) == 57
+    assert set(np.diff(space.choice_ptr)[states].tolist()) == {2}
+    observations = [encode_state(space, s) for s in states]
+    vectors = {tuple(lss_decide(sid, obs, 2) for obs in observations)
+               for sid in sample_scheduler_ids(0, 1000)}
+    ok = len(vectors) >= 990
+    _verdict("scheduler diversity", ok,
+             f"{len(vectors)} distinct decision vectors from 1000 ids over "
+             f"57 binary decisions (need 990)")
+    assert ok, f"only {len(vectors)} distinct schedulers from 1000 ids"
 
 
 def _random_plan(seed: int) -> ContactPlan:

@@ -168,7 +168,7 @@ class TestContactPlan:
         plan = ContactPlan(**{**self.BASE,
                               "contacts": (Contact("A", "B", 1, 1.0),)})
         sp = explored(gen_contact_mdp(plan))
-        assert max(len(c.distribution) for cs in sp.choices for c in cs) == 1
+        assert np.diff(sp.branch_ptr).max() == 1
         res = reach_prob(sp, sp.labels["delivered"], Direction.MAX, CFG)
         assert res.value == 1.0
 

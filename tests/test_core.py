@@ -1,18 +1,28 @@
-"""Shared model types: distributions, state spaces, properties, validation."""
+"""Shared model types: the state-space builder and its arrays, properties,
+target masks, validation."""
+import hashlib
+import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from qmv.casestudies import (
+    BitcoinParams,
+    NocParams,
+    gen_bitcoin,
+    gen_contact_mdp,
+    gen_noc,
+    parse_contact_plan,
+    sample_contact_plan,
+)
 from qmv.core import (
-    Choice,
     Direction,
-    Distribution,
-    ExplicitStateSpace,
-    MarkovianTransitions,
     ModelClass,
     Property,
     PropertyKind,
+    SpaceBuilder,
     VariableInfo,
     decision_states,
     scheduler_owner,
@@ -20,96 +30,145 @@ from qmv.core import (
     validate,
 )
 from qmv.lang import Binary, Name
+from qmv.lang.explore import check_good_for_distribution
+from qmv.numeric import _closed
 
-from conftest import direct_space
+from conftest import direct_space, space_of
+
+
+def _branches(weighted):
+    """The branches the builder writes for a single choice."""
+    builder = SpaceBuilder()
+    builder.add_state([(None, 0, weighted)])
+    sp = builder.build(ModelClass.MDP, (), np.zeros((1, 0)), components=("m",))
+    (choice,) = sp.choices[0]
+    return choice.distribution
+
+
+def _rules(sp):
+    return {v.rule for v in validate(sp)}
 
 
 class TestDistribution:
     def test_build_normalises_exactly_for_exact_weights(self):
-        d = Distribution.build([(1, 0), (9, 1)])
+        d = _branches([(1, 0), (9, 1)])
         assert d.branches == ((0.1, 0), (0.9, 1))
 
     def test_build_fraction_weights(self):
-        d = Distribution.build([(Fraction(1, 3), 0), (Fraction(2, 3), 1)])
+        d = _branches([(Fraction(1, 3), 0), (Fraction(2, 3), 1)])
         assert d.branches == ((float(Fraction(1, 3)), 0),
                               (float(Fraction(2, 3)), 1))
 
     def test_build_merges_duplicate_targets(self):
-        d = Distribution.build([(1, 2), (1, 0), (2, 2)])
+        d = _branches([(1, 2), (1, 0), (2, 2)])
         assert d.branches == ((0.25, 0), (0.75, 2))
 
     def test_build_sorts_by_target(self):
-        d = Distribution.build([(1, 5), (1, 1), (2, 3)])
-        assert d.support() == (1, 3, 5)
+        d = _branches([(1, 5), (1, 1), (2, 3)])
+        assert [t for _, t in d.branches] == [1, 3, 5]
 
     def test_build_rejects_nonpositive_weight(self):
         with pytest.raises(ValueError):
-            Distribution.build([(0, 0), (1, 1)])
+            _branches([(0, 0), (1, 1)])
         with pytest.raises(ValueError):
-            Distribution.build([(-1, 0), (2, 1)])
+            _branches([(-1, 0), (2, 1)])
 
     def test_build_rejects_empty(self):
         with pytest.raises(ValueError):
-            Distribution.build([])
+            _branches([])
 
     def test_build_rejects_bool_weight(self):
         with pytest.raises(TypeError):
-            Distribution.build([(True, 0)])
+            _branches([(True, 0)])
 
     def test_direct_constructor_validates(self):
-        with pytest.raises(ValueError):
-            Distribution(())
-        with pytest.raises(ValueError):
-            Distribution(((0.5, 0), (0.5, 0)))  # duplicate target
-        with pytest.raises(ValueError):
-            Distribution(((0.5, 0), (0.4, 1)))  # sums to 0.9
-        with pytest.raises(ValueError):
-            Distribution(((1.5, 0),))  # outside (0, 1]
+        # arrays given directly are not checked on construction, but by
+        # validate(): one malformed choice of state 0 per case
+        sp = direct_space(ModelClass.MDP, [[[(1, 0), (1, 1)]], [[(1, 1)]]])
+        assert validate(sp) == []
+        cases = {
+            "empty_choice": dict(branch_ptr=[0, 0, 1], branch_prob=[1.0],
+                                 branch_target=[1]),
+            "duplicate_target": dict(branch_target=[0, 0, 1]),
+            "distribution_sum": dict(branch_prob=[0.5, 0.4, 1.0]),
+            "probability": dict(branch_prob=[1.5, -0.5, 1.0]),
+        }
+        for rule, arrays in cases.items():
+            bad = validate(replace(sp, **arrays))
+            assert rule in {v.rule for v in bad}, rule
+            assert {v.state for v in bad if v.rule == rule} == {0}, rule
+        nan = replace(sp, branch_prob=[math.nan, 1.0, 1.0])
+        assert "probability" in _rules(nan)
 
     def test_len_and_support(self):
-        d = Distribution.build([(1, 0), (1, 1)])
-        assert len(d) == 2
-        assert d.support() == (0, 1)
+        d = _branches([(1, 0), (1, 1)])
+        assert len(d.branches) == 2
+        assert [t for _, t in d.branches] == [0, 1]
 
 
 class TestMarkovianTransitions:
     def test_build_sums_exit_rate_and_merges(self):
-        mk = MarkovianTransitions.build([(2.0, 1), (0.5, 0), (1.0, 1)])
+        sp = direct_space(ModelClass.MA, [[], [], []],
+                          markovian={2: [(2.0, 1), (0.5, 0), (1.0, 1)]})
+        mk = sp.markovian[2]
         assert mk.entries == ((0.5, 0), (3.0, 1))
         assert mk.exit_rate == 3.5
         assert not mk.masked
+        assert sp.rate_ptr.tolist() == [0, 0, 0, 2]
+        assert sp.exit_rate.tolist() == [0.0, 0.0, 3.5]
+        assert sp.markovian[0] is None
 
     def test_jump_distribution_normalises_rates(self):
-        mk = MarkovianTransitions.build([(1, 0), (3, 1)])
-        assert mk.jump_distribution().branches == ((0.25, 0), (0.75, 1))
+        sp = direct_space(ModelClass.MA, [[], []],
+                          markovian={0: [(1, 0), (3, 1)]})
+        closed = _closed(sp)
+        assert closed.choices[0][0].distribution.branches == (
+            (0.25, 0), (0.75, 1))
+        # the absorbing state gets a self-loop
+        assert closed.choices[1][0].distribution.branches == ((1.0, 1),)
 
     def test_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError):
-            MarkovianTransitions.build([(0.0, 0)])
-        with pytest.raises(ValueError):
-            MarkovianTransitions.build([(-2.0, 0)])
+        for rate in (0.0, -2.0, math.inf, math.nan):
+            sp = direct_space(ModelClass.MA, [[], []],
+                              markovian={0: [(1.0, 1), (rate, 0)]})
+            assert [(v.state, v.rule) for v in validate(sp)
+                    if v.rule == "rate"] == [(0, "rate")], rate
 
     def test_rejects_inconsistent_exit_rate(self):
-        with pytest.raises(ValueError):
-            MarkovianTransitions(((1.0, 0),), exit_rate=2.0)
+        sp = direct_space(ModelClass.MA, [[], []], markovian={0: [(1.0, 1)]})
+        assert validate(sp) == []
+        assert "exit_rate" in _rules(replace(sp, exit_rate=[2.0, 0.0]))
+        assert "exit_rate" in _rules(replace(sp, exit_rate=[1.0, 1.0]))
+
+    def test_rejects_duplicate_rate_target(self):
+        sp = direct_space(ModelClass.MA, [[], []],
+                          markovian={0: [(1.0, 0), (2.0, 1)]})
+        bad = replace(sp, rate_target=[1, 1])
+        assert [(v.state, v.rule) for v in validate(bad)] == [
+            (0, "duplicate_rate_target")]
 
 
 class TestExplicitStateSpace:
     def test_valuations_are_frozen(self, coin_dtmc):
         with pytest.raises(ValueError):
             coin_dtmc.valuations[0, 0] = 7
+        with pytest.raises(ValueError):
+            coin_dtmc.branch_prob[0] = 1.0
+
+    def test_views_are_read_only(self, coin_dtmc):
+        with pytest.raises(AttributeError):
+            coin_dtmc.choices = ()
+        with pytest.raises(AttributeError):
+            coin_dtmc.markovian = ()
 
     def test_shape_must_match_layout(self):
+        builder = SpaceBuilder()
+        builder.add_state()
+        builder.add_state()
         with pytest.raises(ValueError):
-            ExplicitStateSpace(
-                model_class=ModelClass.DTMC,
-                layout=(VariableInfo("x", 0, 1),),
-                valuations=np.zeros((2, 2), dtype=np.int64),
-                choices=((), ()),
-                markovian=(None, None),
-                initial=0,
-                components=("m",),
-            )
+            builder.build(ModelClass.DTMC, (VariableInfo("x", 0, 1),),
+                          np.zeros((2, 2), dtype=np.int64),
+                          components=("m",))
 
     def test_variable_index_and_state_values(self, coin_dtmc):
         assert coin_dtmc.variable_index("x") == 0
@@ -161,31 +220,38 @@ class TestValidate:
 
     def test_branch_target_out_of_range(self):
         sp = direct_space(ModelClass.MDP, [[[(1, 1)]], [[(1, 1)]]])
-        # rebuild one choice with a dangling target
-        bad = list(sp.choices)
-        bad[0] = (Choice(None, 0, Distribution(((1.0, 99),))),)
-        sp.choices = tuple(bad)
-        rules = {v.rule for v in validate(sp)}
-        assert "target" in rules
+        bad = replace(sp, branch_target=[99, 1])
+        assert [(v.state, v.rule) for v in validate(bad)] == [(0, "target")]
+        bad = replace(sp, rate_ptr=[0, 1, 1], rate=[1.0], rate_target=[-1],
+                      exit_rate=[1.0, 0.0])
+        assert {"markov_target", "mdp_markov"} <= _rules(bad)
 
     def test_initial_out_of_range(self):
         sp = direct_space(ModelClass.MDP, [[[(1, 0)]]], initial=5)
         rules = {v.rule for v in validate(sp)}
         assert "initial" in rules
 
+    def test_inconsistent_arrays_are_a_shape_violation(self):
+        sp = direct_space(ModelClass.MDP, [[[(1, 1)]], [[(1, 1)]]])
+        assert _rules(replace(sp, choice_ptr=[0, 1])) == {"shape"}
+        assert _rules(replace(sp, branch_prob=[1.0])) == {"shape"}
+
     def test_ma_masking_consistency(self):
+        # maximal progress is applied by the builder: state 0 keeps its
+        # immediate choice and drops its rates
         sp = direct_space(
             ModelClass.MA,
             [[[(1, 1)]], []],
             markovian={0: [(1.0, 1)], 1: [(2.0, 0)]},
         )
         assert validate(sp) == []
-        # un-mask state 0 although it has an immediate choice
-        mks = list(sp.markovian)
-        mks[0] = MarkovianTransitions(((1.0, 1),), 1.0, masked=False)
-        sp.markovian = tuple(mks)
-        rules = {v.rule for v in validate(sp)}
-        assert "masking" in rules
+        assert sp.markovian[0] is None and sp.exit_rate[0] == 0.0
+        assert sp.markovian[1].entries == ((2.0, 0),)
+        # arrays that give state 0 both are reported
+        both = replace(sp, rate_ptr=[0, 1, 2], rate=[1.0, 2.0],
+                       rate_target=[1, 0], exit_rate=[1.0, 2.0])
+        assert [(v.state, v.rule) for v in validate(both)] == [
+            (0, "maximal_progress")]
 
 
 class TestSchedulerOwner:
@@ -199,15 +265,76 @@ class TestSchedulerOwner:
         assert decision_states(sp) == [0]
 
     def test_mixed_owners_rejected(self):
-        sp = direct_space(ModelClass.MDP, [[[(1, 1)], [(1, 0)]], [[(1, 1)]]])
-        mixed = (
-            Choice(None, 0, Distribution(((1.0, 1),))),
-            Choice(None, 1, Distribution(((1.0, 0),))),
-        )
-        sp.choices = (mixed,) + sp.choices[1:]
-        sp.components = ("m0", "m1")
+        builder = SpaceBuilder()
+        builder.add_state([(None, 0, [(1, 1)]), (None, 1, [(1, 0)])])
+        builder.add_state([(None, 0, [(1, 1)])])
+        sp = builder.build(ModelClass.MDP, (VariableInfo("s", 0, 1),),
+                           np.arange(2).reshape(2, 1),
+                           components=("m0", "m1"))
+        assert validate(sp) == []
         with pytest.raises(ValueError):
             scheduler_owner(sp, 0)
+        assert check_good_for_distribution(sp) == [0]
+
+
+def _view_digest(space) -> str:
+    """SHA-256 over what the read-only views show of a space: valuations,
+    initial state, per state the choice count and each choice's owner,
+    action, branch probabilities and targets, then its rates and exit
+    rate.  ``repr`` of a float round-trips, so equal digests mean
+    bit-identical probabilities."""
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(space.valuations, dtype="<i8").tobytes())
+    h.update(repr(space.initial).encode())
+    for cs, mk in zip(space.choices, space.markovian):
+        h.update(repr(len(cs)).encode())
+        for c in cs:
+            h.update(repr((c.owner, c.action,
+                           c.distribution.branches)).encode())
+        if mk is not None and not mk.masked:
+            h.update(repr((mk.entries, mk.exit_rate)).encode())
+        else:
+            h.update(b"-")
+    return h.hexdigest()
+
+
+class TestPinnedSpaces:
+    """State order, choice order and every probability of four spaces, as
+    explored before the spaces were stored as arrays.  LSS hashes states
+    by index and valuation, so any change here changes sampled
+    schedulers."""
+
+    def _check(self, space, n_states, digest):
+        assert space.n_states == n_states
+        assert validate(space) == []
+        assert _view_digest(space) == digest
+
+    def test_sample_contact_plan(self):
+        self._check(
+            space_of(gen_contact_mdp(
+                parse_contact_plan(sample_contact_plan())).model), 55,
+            "836f8eb4a7d402216c6b2458da1612f9ecf6c6bb6bb56e667132c56580081ac0")
+
+    def test_default_noc(self):
+        self._check(
+            space_of(gen_noc(NocParams()).model), 352,
+            "fa5e095abdba1a007f5b2fe7bccf73119f34531c58f7442093009e07802f3592")
+
+    def test_bitcoin_cd3(self):
+        self._check(
+            space_of(gen_bitcoin(BitcoinParams(CD=3)).model), 57,
+            "3367bd565e18adda23302afdb2e110532972603a1b15a8f47cfba58361a4313e")
+
+    def test_hand_built_ma_with_choices_and_rates(self):
+        space = direct_space(
+            ModelClass.MA,
+            [[[(1, 1)], [(1, 2), (3, 3)]], [], [[(2, 0), (1, 3)]], []],
+            markovian={0: [(1.0, 3)], 1: [(0.5, 2), (1.5, 0), (1.0, 2)],
+                       2: [(4.0, 1)]},
+            owners={0: 1})
+        self._check(
+            space, 4,
+            "d7d597ff36f509d7a99fa84b5bf33b2a6a1c0a7e2ff124d9d68447a5e5e0d9bf")
 
 
 class TestProperty:

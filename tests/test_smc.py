@@ -12,6 +12,7 @@ from qmv.smc import (
     SmcEstimate,
     encode_state,
     estimate,
+    fmix64,
     fnv1a64,
     lss,
     lss_decide,
@@ -70,9 +71,15 @@ class TestHashing:
             endmodule
         """)
         sb = encode_state(sp, 0)
-        expected = fnv1a64((7).to_bytes(4, "little") + sb) % 3
-        assert lss_decide(7, sb, 3) == expected
+        expected = fmix64(fnv1a64((7).to_bytes(4, "little") + sb)) % 3
+        assert lss_decide(7, sb, 3) == expected == 1
         assert lss_decide(7, sb, 1) == 0
+        # MurmurHash3's 64-bit finalizer
+        assert fmix64(0) == 0
+        assert fmix64(1) == 0xB456BCFC34C2CB2C
+        # two-way decisions of consecutive ids differ, not only in parity
+        assert [lss_decide(i, sb, 2) for i in range(16)] == [
+            0, 0, 0, 1, 0, 1, 1, 0, 1, 1, 0, 0, 1, 1, 1, 1]
         with pytest.raises(ValueError):
             lss_decide(7, sb, 0)
 
