@@ -31,7 +31,7 @@ from qmv.lang.errors import (
     ModelError,
     ModelSyntaxError,
 )
-from qmv.lang.explore import explore
+from qmv.lang.explore import DEFAULT_STATE_CAP, explore
 
 
 @dataclass
@@ -239,12 +239,8 @@ def cmd_simulate(args) -> int:
     constants = model.constant_values()
     resolver = None
     if args.scheduler_id is not None:
-        ptr = space.choice_ptr.tolist()
-        resolver = {
-            s: smc.lss_decide(args.scheduler_id, smc.encode_state(space, s),
-                              ptr[s + 1] - ptr[s])
-            for s in decision_states(space)
-        }.__getitem__
+        (decisions,) = smc.decision_tables(space, [args.scheduler_id])
+        resolver = decisions.__getitem__
     elif decision_states(space):
         raise ValueError("the model has nondeterministic choices; pass "
                          "--scheduler-id to fix a scheduler")
@@ -362,14 +358,16 @@ def _add_common(p: argparse.ArgumentParser, *, props=True) -> None:
                        help="select one property from a .props file")
     p.add_argument("--json", action="store_true",
                    help="machine-readable report on stdout")
-    p.add_argument("--state-cap", type=int, default=10_000_000,
+    p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
                    help="abort exploration beyond this many states")
 
 
 def _add_solver(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epsilon", type=float, default=1e-6,
+    p.add_argument("--epsilon", type=float,
+                   default=numeric.SolverConfig.epsilon,
                    help="value iteration convergence threshold")
-    p.add_argument("--time-bound-error", type=float, default=1e-4,
+    p.add_argument("--time-bound-error", type=float,
+                   default=numeric.SolverConfig.time_bound_error,
                    help="a-priori digitization error for time bounds")
 
 
@@ -381,7 +379,7 @@ def _add_smc(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=float, default=None,
                    help="statistical confidence parameter (with --eps)")
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--max-steps", type=int, default=100_000,
+    p.add_argument("--max-steps", type=int, default=smc.SmcConfig.max_steps,
                    help="per-run step cap")
 
 

@@ -244,11 +244,7 @@ class ExplicitStateSpace:
         raise KeyError(name)
 
     def state_values(self, state: int) -> dict[str, int | bool]:
-        row = self.valuations[state]
-        return {
-            v.name: (bool(row[i]) if v.is_bool else int(row[i]))
-            for i, v in enumerate(self.layout)
-        }
+        return state_dict(self.layout, self.valuations[state])
 
     def observed_indices(self, component: int) -> tuple[int, ...]:
         """Indices (layout order) of the variables a component observes."""
@@ -260,11 +256,19 @@ class ExplicitStateSpace:
         return len(self.branch_prob) + len(self.rate)
 
 
+def state_dict(layout: Iterable[VariableInfo],
+               row: Iterable[int]) -> dict[str, int | bool]:
+    """One valuation (layout order, booleans as 0/1) as {name: value}."""
+    return {v.name: bool(x) if v.is_bool else int(x)
+            for v, x in zip(layout, row)}
+
+
 class SpaceBuilder:
     """Writes the arrays of an :class:`ExplicitStateSpace`, state by state.
 
-    Choice weights are normalised, exactly when all are ints or Fractions
-    (weights 1 and 9 give exactly 0.1 and 0.9).  Duplicate targets of a
+    Choices arrive with raw weights, and this is the one place that divides
+    them by their sum, exactly when all are ints or Fractions (weights 1
+    and 9 give exactly 0.1 and 0.9).  Duplicate targets of a
     choice or race are merged and entries sorted by target; the exit rate
     is the exactly rounded rate sum.  Maximal progress is applied here: a
     state with choices keeps no rates.  :func:`validate` checks the rates.

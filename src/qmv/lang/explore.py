@@ -6,12 +6,15 @@ tuple (constants inlined), then the reachable state space is built
 breadth-first from the initial valuation and written state by state into
 the arrays of a :class:`qmv.core.SpaceBuilder`.  Immediate commands become
 choice rows; commands sharing an action label across several processes
-synchronize CSP-style (all participants move together, branch
-probabilities multiply, assignments merge).  Markovian commands pool into
-a single exponential race per state and are dropped entirely in states
-that also have immediate choices (maximal progress).  Labels are resolved
-on the finished space by :func:`qmv.core.target_mask`, like every other
-property target.
+synchronize CSP-style (all participants move together, assignments merge,
+branch weights multiply).  Choices reach the builder with raw weights, and
+only the builder normalises them: the sum of the products is the product
+of the sums, so each command's branches are still normalised on their own.
+Markovian commands pool into a single exponential race per state (branch
+``i`` of a command with rate ``r`` races at ``r * w_i / sum(w)``) and are
+dropped entirely in states that also have immediate choices (maximal
+progress).  Labels are resolved on the finished space by
+:func:`qmv.core.target_mask`, like every other property target.
 
 Everything is deterministic: states are indexed in BFS discovery order and
 choices are sorted by (component index, command index, partner indices), so
@@ -31,6 +34,7 @@ from qmv.core import (
     ModelClass,
     SpaceBuilder,
     VariableInfo,
+    state_dict,
     target_mask,
 )
 from qmv.lang import ast
@@ -67,63 +71,60 @@ class _Explorer:
             (v, None) for v in model.globals_]
         for pi, p in enumerate(model.processes):
             decls += [(v, pi) for v in p.variables]
-        self.cols: dict[str, int] = {}
-        self.names: list[str] = []
-        self.los: list[int] = []
-        self.his: list[int] = []
-        self.is_bool: list[bool] = []
-        self.owners: list[int | None] = []
-        init_vals: list[int] = []
-        for v, owner in decls:
-            if v.is_bool:
-                lo, hi = 0, 1
-            else:
-                lo = int(v.lo.constant(self.consts))
-                hi = int(v.hi.constant(self.consts))
-            init = int(v.init.constant(self.consts))
-            self.cols[v.name] = len(self.names)
-            self.names.append(v.name)
-            self.los.append(lo)
-            self.his.append(hi)
-            self.is_bool.append(v.is_bool)
-            self.owners.append(owner)
-            init_vals.append(init)
-        self.initial_vals = tuple(init_vals)
+        self.cols = {v.name: i for i, (v, _) in enumerate(decls)}
 
-        # compiled commands and the action synchronization table
+        # compiled commands, the names each process reads and the action
+        # synchronization table
         self.cmds: list[list[_Cmd]] = []
-        participants: dict[str, list[int]] = {}
+        reads: list[set[str]] = []
+        self.participants: dict[str, list[int]] = {}
         for pi, p in enumerate(model.processes):
+            names: set[str] = set()
             lst = []
             for ci, cmd in enumerate(p.commands):
                 branches = [
-                    (self._c(br.weight),
-                     [(self.cols[a.var], self._c(a.expr))
+                    (self._c(br.weight, names),
+                     [(self.cols[a.var], self._c(a.expr, names))
                       for a in br.assignments])
                     for br in cmd.branches
                 ]
                 lst.append(_Cmd(
-                    ci, cmd.action, self._c(cmd.guard),
-                    self._c(cmd.rate) if cmd.rate is not None else None,
+                    ci, cmd.action, self._c(cmd.guard, names),
+                    self._c(cmd.rate, names) if cmd.rate is not None
+                    else None,
                     branches, cmd.pos[0]))
                 if cmd.action is not None:
-                    ps = participants.setdefault(cmd.action, [])
+                    ps = self.participants.setdefault(cmd.action, [])
                     if pi not in ps:
                         ps.append(pi)
             self.cmds.append(lst)
-        self.participants = participants
+            reads.append(names)
+
+        # a variable is observed by the processes that declare it in their
+        # observes list; without one, by its owner and, for a global, by
+        # every process that reads it
+        self.layout = tuple(
+            VariableInfo(
+                v.name,
+                0 if v.is_bool else int(v.lo.constant(self.consts)),
+                1 if v.is_bool else int(v.hi.constant(self.consts)),
+                v.is_bool, owner,
+                frozenset(
+                    pi for pi, p in enumerate(model.processes)
+                    if (v.name in p.observes if p.observes is not None
+                        else owner == pi
+                        or owner is None and v.name in reads[pi])))
+            for v, owner in decls)
+        self.initial_vals = tuple(
+            int(v.init.constant(self.consts)) for v, _ in decls)
 
         self.index: dict[tuple, int] = {}
         self.order: list[tuple] = []
 
-    def _c(self, e: ast.Expr):
+    def _c(self, e: ast.Expr, reads: set[str]):
+        """Compile ``e``, adding the names it reads to ``reads``."""
+        reads.update(e.names())
         return e.compile(self.cols, self.consts)
-
-    def _state_dict(self, vals: tuple) -> dict:
-        return {
-            n: (bool(v) if b else int(v))
-            for n, b, v in zip(self.names, self.is_bool, vals)
-        }
 
     def _intern(self, vals: tuple) -> int:
         idx = self.index.get(vals)
@@ -141,42 +142,42 @@ class _Explorer:
         new = list(vals)
         written: set[int] = set()
         for col, fn in assignments:
+            var = self.layout[col]
             if col in written:
                 raise ExplorationError(
                     f"line {line}: conflicting synchronized writes to "
-                    f"{self.names[col]!r} on action {action!r} in state "
-                    f"{self._state_dict(vals)}")
+                    f"{var.name!r} on action {action!r} in state "
+                    f"{state_dict(self.layout, vals)}")
             written.add(col)
             value = fn(vals)
             if isinstance(value, bool):
                 value = int(value)
-            if not self.los[col] <= value <= self.his[col]:
+            if not var.lo <= value <= var.hi:
                 raise ExplorationError(
-                    f"line {line}: assignment {self.names[col]} := {value} "
-                    f"outside [{self.los[col]}..{self.his[col]}] in state "
-                    f"{self._state_dict(vals)}")
+                    f"line {line}: assignment {var.name} := {value} "
+                    f"outside [{var.lo}..{var.hi}] in state "
+                    f"{state_dict(self.layout, vals)}")
             new[col] = value
         return tuple(new)
 
-    def _cmd_branches(self, cmd: _Cmd, vals: tuple):
-        """Exact per-command branch probabilities: [(Fraction, updates)]."""
+    def _weighted(self, cmd: _Cmd, vals: tuple):
+        """A command's raw branch weights: [(weight, assignments)]."""
         weighted = []
         for weight_fn, assignments in cmd.branches:
             w = weight_fn(vals)
             if w <= 0:
                 raise ExplorationError(
                     f"line {cmd.line}: branch weight {w} is not positive in "
-                    f"state {self._state_dict(vals)}")
-            weighted.append((Fraction(w), assignments))
-        total = sum(w for w, _ in weighted)
-        return [(w / total, assignments) for w, assignments in weighted]
+                    f"state {state_dict(self.layout, vals)}")
+            weighted.append((w, assignments))
+        return weighted
 
     def _expand(self, vals: tuple):
         """Choice candidates (origin-sorted) and markovian entries."""
         enabled: list[list[_Cmd]] = [
             [c for c in lst if c.guard(vals)] for lst in self.cmds]
 
-        cands = []  # (origin, action, owner, [(Fraction prob, succ vals)])
+        cands = []  # (origin, action, owner, [(weight, succ vals)])
         sync_here: set[str] = set()
         for pi, lst in enumerate(enabled):
             for cmd in lst:
@@ -187,8 +188,8 @@ class _Explorer:
                     sync_here.add(cmd.action)
                     continue
                 branches = [
-                    (p, self._apply(vals, a, cmd.line, cmd.action))
-                    for p, a in self._cmd_branches(cmd, vals)]
+                    (w, self._apply(vals, a, cmd.line, cmd.action))
+                    for w, a in self._weighted(cmd, vals)]
                 cands.append(((pi, cmd.index), cmd.action, pi, branches))
 
         for action in sorted(sync_here):
@@ -202,17 +203,17 @@ class _Explorer:
             for combo in itertools.product(*per_proc):
                 origin = tuple(
                     x for pi, c in zip(ps, combo) for x in (pi, c.index))
-                parts = [self._cmd_branches(c, vals) for c in combo]
+                parts = [self._weighted(c, vals) for c in combo]
                 line = combo[0].line
                 branches = []
                 for pick in itertools.product(*parts):
-                    prob = Fraction(1)
+                    weight = 1
                     merged = []
-                    for p, assignments in pick:
-                        prob *= p
+                    for w, assignments in pick:
+                        weight *= w
                         merged += assignments
                     branches.append(
-                        (prob, self._apply(vals, merged, line, action)))
+                        (weight, self._apply(vals, merged, line, action)))
                 cands.append((origin, action, owner, branches))
         cands.sort(key=lambda c: c[0])
 
@@ -226,10 +227,12 @@ class _Explorer:
                     if rate <= 0:
                         raise ExplorationError(
                             f"line {cmd.line}: rate {rate} is not positive "
-                            f"in state {self._state_dict(vals)}")
-                    for p, assignments in self._cmd_branches(cmd, vals):
+                            f"in state {state_dict(self.layout, vals)}")
+                    weighted = self._weighted(cmd, vals)
+                    total = sum(w for w, _ in weighted)
+                    for w, assignments in weighted:
                         markov.append(
-                            (Fraction(rate) * p,
+                            (Fraction(rate) * w / total,
                              self._apply(vals, assignments, cmd.line, None)))
         return cands, markov
 
@@ -237,22 +240,19 @@ class _Explorer:
         model = self.model
         self._intern(self.initial_vals)
         builder = SpaceBuilder()
-        frontier = 0
-        while frontier < len(self.order):
-            state = frontier
-            vals = self.order[state]
-            frontier += 1
+        # the loop also walks the states that _intern appends: a BFS queue
+        for state, vals in enumerate(self.order):
             try:
                 cands, markov = self._expand(vals)
             except EvalError as exc:
-                raise ExplorationError(
-                    f"{exc} in state {self._state_dict(vals)}") from None
+                where = state_dict(self.layout, vals)
+                raise ExplorationError(f"{exc} in state {where}") from None
             choices = [
                 (action, owner, [(p, self._intern(sv)) for p, sv in branches])
                 for _, action, owner, branches in cands]
             if model.model_class is ModelClass.DTMC and len(choices) > 1:
                 raise ExplorationError(
-                    f"dtmc state {self._state_dict(vals)} enables "
+                    f"dtmc state {state_dict(self.layout, vals)} enables "
                     f"{len(choices)} choices; a dtmc must be "
                     "deterministic")
             if not choices and not markov \
@@ -264,59 +264,20 @@ class _Explorer:
 
         n = len(self.order)
         valuations = np.array(self.order, dtype=np.int64).reshape(
-            n, len(self.names))
+            n, len(self.layout))
         # label resolution copies the valuations into Python rows; drop the
         # BFS bookkeeping first so the copy does not raise peak memory
         self.index.clear()
         self.order.clear()
 
-        layout = tuple(
-            VariableInfo(self.names[i], self.los[i], self.his[i],
-                         self.is_bool[i], self.owners[i],
-                         self._observers(i))
-            for i in range(len(self.names))
-        )
         space = builder.build(
-            model.model_class, layout, valuations,
+            model.model_class, self.layout, valuations,
             components=tuple(p.name for p in model.processes),
             name=self.name)
         space.labels.update(
             (decl.name, target_mask(space, decl.expr, self.consts))
             for decl in model.labels)
         return space
-
-    def _observers(self, col: int) -> frozenset[int]:
-        name = self.names[col]
-        out = set()
-        for pi, p in enumerate(self.model.processes):
-            if p.observes is not None:
-                if name in p.observes:
-                    out.add(pi)
-                continue
-            # default: own locals plus globals the process reads
-            if self.owners[col] == pi:
-                out.add(pi)
-            elif self.owners[col] is None and name in self._reads(pi):
-                out.add(pi)
-        return frozenset(out)
-
-    def _reads(self, pi: int) -> set[str]:
-        cached = getattr(self, "_reads_cache", None)
-        if cached is None:
-            cached = {}
-            self._reads_cache = cached
-        if pi not in cached:
-            reads: set[str] = set()
-            for cmd in self.model.processes[pi].commands:
-                reads.update(cmd.guard.names())
-                if cmd.rate is not None:
-                    reads.update(cmd.rate.names())
-                for br in cmd.branches:
-                    reads.update(br.weight.names())
-                    for a in br.assignments:
-                        reads.update(a.expr.names())
-            cached[pi] = reads
-        return cached[pi]
 
 
 def explore(

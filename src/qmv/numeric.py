@@ -49,25 +49,27 @@ class NonConvergence(SolverError):
         self.partial = partial
 
 
+#: Largest step horizon of a step-bounded CDF.
+MAX_HORIZON = 1_000_000
+#: Largest digitization step count of MA time-bounded reachability.
+MAX_DIGITIZATION_STEPS = 10_000_000
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Numerical tuning knobs.
 
     ``epsilon`` is the absolute residual at which value iteration stops;
     ``time_bound_error`` is the a-priori digitization error allowed for MA
-    time-bounded reachability; ``max_horizon`` caps step-bounded CDFs and
-    ``max_digitization_steps`` caps the digitization step count.
+    time-bounded reachability.
     """
 
     epsilon: float = 1e-6
     max_iterations: int = 1_000_000
     time_bound_error: float = 1e-4
-    max_horizon: int = 1_000_000
-    max_digitization_steps: int = 10_000_000
 
     def __post_init__(self):
-        for name in ("epsilon", "max_iterations", "time_bound_error",
-                     "max_horizon", "max_digitization_steps"):
+        for name in ("epsilon", "max_iterations", "time_bound_error"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -380,16 +382,16 @@ def step_bounded_cdf(
     DTMC: forward transient iteration of the state distribution with the
     target made absorbing — one vector per step, no unfolding.  MDP:
     backward step-bounded value iteration, recording the horizon-k value of
-    the initial state for each k.
+    the initial state for each k.  No setting of ``cfg`` applies here.
     """
     if space.model_class is ModelClass.MA:
         raise SolverError("step-bounded analysis needs a DTMC or MDP "
                           "(MA models take time bounds)")
     if t_max < 0:
         raise SolverError("t_max must be nonnegative")
-    if t_max > cfg.max_horizon:
+    if t_max > MAX_HORIZON:
         raise SolverError(
-            f"horizon {t_max} exceeds the configured cap {cfg.max_horizon}")
+            f"horizon {t_max} exceeds the configured cap {MAX_HORIZON}")
     mask = target_mask(space, target)
     sp = _closed(space)
 
@@ -504,10 +506,10 @@ def ma_time_bounded(
                              / (2 * cfg.time_bound_error)))
     else:
         k = 0
-    if k > cfg.max_digitization_steps:
+    if k > MAX_DIGITIZATION_STEPS:
         raise SolverError(
             f"digitization needs {k} steps, above the configured cap "
-            f"{cfg.max_digitization_steps}; increase time_bound_error or "
+            f"{MAX_DIGITIZATION_STEPS}; increase time_bound_error or "
             "reduce the bound")
     delta = time_bound / k if k else 0.0
     err_bound = ((lam_max * time_bound) ** 2 / (2 * k)) if k else 0.0

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from random import Random
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -118,6 +118,9 @@ class SmcConfig:
     max_steps: int = 100_000
 
     def __post_init__(self):
+        if not 0 <= self.master_seed < 2 ** 64:
+            raise ValueError(
+                f"master seed {self.master_seed} outside [0, 2**64)")
         if self.runs is None:
             if self.epsilon is None or self.delta is None:
                 raise ValueError("need runs or an (epsilon, delta) pair")
@@ -235,7 +238,7 @@ def simulate_run(
     prop: Property,
     seed: int,
     *,
-    max_steps: int = 100_000,
+    max_steps: int = SmcConfig.max_steps,
 ) -> RunOutcome:
     """Simulate one path; all randomness comes from ``seed``.
 
@@ -350,11 +353,25 @@ def sample_scheduler_ids(sampler_seed: int, m: int) -> list[int]:
     return [rng.getrandbits(32) for _ in range(m)]
 
 
-def _projections(space: ExplicitStateSpace, mode: str) -> dict[int, bytes]:
-    """Per decision state: the encoded observation the scheduler hashes."""
-    return {s: encode_state(space, s, "all" if mode == "global" else
-                            space.observed_indices(scheduler_owner(space, s)))
-            for s in decision_states(space)}
+def decision_tables(space: ExplicitStateSpace, ids: Iterable[int],
+                    mode: str = "global") -> Iterator[dict[int, int]]:
+    """Per scheduler id: its choice index at every decision state.
+
+    Each decision state is encoded once (the whole state in ``global``
+    mode, the owner's observed variables in ``distributed`` mode) and
+    hashed with every id by :func:`lss_decide`.  Raises ValueError for an
+    id outside [0, 2**32).
+    """
+    observations = {
+        s: encode_state(space, s, "all" if mode == "global" else
+                        space.observed_indices(scheduler_owner(space, s)))
+        for s in decision_states(space)}
+    counts = np.diff(space.choice_ptr).tolist()
+    for sid in ids:
+        if not 0 <= sid < 2 ** 32:
+            raise ValueError(f"scheduler id {sid} outside [0, 2**32)")
+        yield {s: lss_decide(sid, obs, counts[s])
+               for s, obs in observations.items()}
 
 
 def _behavior_signature(
@@ -392,17 +409,10 @@ def lss(
         violations = check_good_for_distribution(space)
         if violations:
             raise NotGoodForDistribution(violations)
-    projections = _projections(space, cfg.mode)
     ids = sample_scheduler_ids(cfg.sampler_seed, cfg.m)
-
-    counts = np.diff(space.choice_ptr).tolist()
     cache: dict[tuple, SmcEstimate] = {}
     table: list[tuple[int, SmcEstimate]] = []
-    for sid in ids:
-        decisions = {
-            s: lss_decide(sid, obs, counts[s])
-            for s, obs in projections.items()
-        }
+    for sid, decisions in zip(ids, decision_tables(space, ids, cfg.mode)):
         sig = _behavior_signature(space, decisions)
         est = cache.get(sig)
         if est is None:

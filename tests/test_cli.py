@@ -271,6 +271,19 @@ class TestLss:
         assert a != c
 
 
+    def test_simulate_replays_every_sampled_scheduler(self, capsys,
+                                                       model_file):
+        path = model_file(TWO_CHOICE)
+        common = ['Pmax=? [ F "goal" ]', "--runs", "100", "--seed", "5",
+                  "--json"]
+        _, rep, _ = run_json(capsys, ["lss", path, *common,
+                                      "--schedulers", "4", "--table"])
+        for row in rep["properties"][0]["table"]:
+            _, sim, _ = run_json(capsys, [
+                "simulate", path, *common, "--scheduler-id", str(row["id"])])
+            assert sim["properties"][0]["mean"] == row["mean"]
+
+
 class TestGen:
     def test_bitcoin_files_check_end_to_end(self, capsys, tmp_path):
         code, _, _ = run(capsys, [
@@ -343,6 +356,25 @@ class TestExitCodes:
             "check", model_file(TRAP_MA), 'Tmin=? [ F "goal" ]'])
         assert code == 3
         assert "zero-time" in err
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("simulate", "--scheduler-id", "-1"),
+        ("simulate", "--scheduler-id", str(2 ** 32)),
+        ("simulate", "--seed", "-1"),
+        ("lss", "--seed", "-1"),
+        ("lss", "--seed", str(2 ** 64)),
+    ])
+    def test_out_of_range_scheduler_id_or_seed(self, capsys, model_file,
+                                               command, flag, value):
+        argv = [command, model_file(TWO_CHOICE), 'Pmax=? [ F "goal" ]',
+                "--runs", "10", flag, value]
+        if command == "lss":
+            argv += ["--schedulers", "2"]
+        elif flag == "--seed":
+            argv += ["--scheduler-id", "0"]
+        code, out, err = run(capsys, argv)
+        assert code == 1 and not out
+        assert err.startswith("error: ") and f"{value} outside" in err
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

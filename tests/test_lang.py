@@ -301,6 +301,29 @@ class TestExplore:
         assert sp.markovian[0].exit_rate == 2.5
         assert sp.markovian[0].entries == ((2.0, 1), (0.5, 2))
 
+    def test_rate_command_branches_split_the_rate_by_weight(self):
+        sp = space_of("""
+            ma
+            module m
+              x : [0..2] init 0;
+              rate(3/2) x=0 -> 1:(x'=1) + 2:(x'=2) + 3:(x'=1);
+            endmodule
+        """)
+        assert sp.markovian[0].entries == ((1.0, 1), (0.5, 2))
+        assert sp.markovian[0].exit_rate == 1.5
+
+    def test_errors_name_the_state(self):
+        with pytest.raises(ExplorationError,
+                           match=r"in state \{'b': True, 'x': 1\}$"):
+            space_of("""
+                dtmc
+                module m
+                  b : bool init true;
+                  x : [0..1] init 1;
+                  [] true -> (x'=x+1);
+                endmodule
+            """)
+
     def test_out_of_bounds_assignment_is_an_error(self):
         with pytest.raises(ExplorationError):
             space_of("""
@@ -367,6 +390,11 @@ class TestSynchronisation:
         probs = dict((t, p) for p, t in choice.distribution.branches)
         assert probs[0] == 1 / 12  # both stay
         assert sum(probs.values()) == pytest.approx(1.0, abs=0)
+
+    def test_synchronised_weights_are_normalised_per_command(self):
+        scaled = self.SYNC.replace("1/3:", "2:").replace("2/3:", "4:") \
+            .replace("1/4:", "5:").replace("3/4:", "15:")
+        assert space_of(scaled).choices == space_of(self.SYNC).choices
 
     def test_sync_blocked_when_one_participant_is_disabled(self):
         sp = space_of("""
