@@ -476,7 +476,7 @@ def main(argv: list[str] | None = None) -> int:
     except smc.NotGoodForDistribution as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
-    except (numeric.NonConvergence, numeric.SolverError) as e:
+    except numeric.SolverError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except (ModelError, ExplorationError, EvalError, ValueError,

@@ -291,8 +291,11 @@ def explore(
     Raises :class:`ExplorationLimit` when more than ``state_cap`` states are
     discovered and :class:`ExplorationError` on dynamic modeling errors
     (out-of-bounds assignments, conflicting synchronized writes,
-    non-positive weights or rates, nondeterministic DTMC states).
+    non-positive weights or rates, nondeterministic DTMC states), and
+    :class:`ValueError` when ``state_cap`` is below 1.
     """
+    if state_cap < 1:
+        raise ValueError(f"state cap must be at least 1, not {state_cap}")
     if not model.processes:
         raise ExplorationError("model has no modules")
     return _Explorer(model, state_cap, name).run()

@@ -1,7 +1,9 @@
 """Shared test helpers: tiny model sources, direct state-space builders,
-a counter-unfolding transform and a random layered-MDP generator."""
+a counter-unfolding transform, scheduler freezing and a random layered-MDP
+generator."""
 from __future__ import annotations
 
+from dataclasses import replace
 from random import Random
 
 import numpy as np
@@ -109,6 +111,27 @@ def unfold_with_counter(space: ExplicitStateSpace, t_max: int):
         labels=labels,
     )
     return unfolded, at
+
+
+def induced_chain(space: ExplicitStateSpace,
+                  scheduler: dict[int, int]) -> ExplicitStateSpace:
+    """Freeze a scheduler: keep only the chosen choice in every state."""
+    has_choice = np.diff(space.choice_ptr) > 0
+    states = np.flatnonzero(has_choice)
+    keep = np.zeros(len(space.choice_owner), dtype=bool)
+    picks = np.array([scheduler[s] for s in states.tolist()], dtype=np.int64)
+    keep[space.choice_ptr[states] + picks] = True
+    branches = keep[space.branch_choice]
+    return replace(
+        space,
+        choice_ptr=np.concatenate([[0], np.cumsum(has_choice)]),
+        choice_owner=space.choice_owner[keep],
+        choice_action=space.choice_action[keep],
+        branch_ptr=np.concatenate(
+            [[0], np.cumsum(np.diff(space.branch_ptr)[keep])]),
+        branch_prob=space.branch_prob[branches],
+        branch_target=space.branch_target[branches],
+    )
 
 
 def random_layered_mdp(seed: int, *, layers: int = 3, width: int = 3,

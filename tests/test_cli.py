@@ -376,6 +376,37 @@ class TestExitCodes:
         assert code == 1 and not out
         assert err.startswith("error: ") and f"{value} outside" in err
 
+    @pytest.mark.parametrize("model,argv,message", [
+        (COIN, ["check", 'Pmax=? [ F "heads" ]', "--epsilon", "nan"],
+         "epsilon must be finite"),
+        (COIN, ["check", 'Pmax=? [ F "heads" ]', "--epsilon", "inf"],
+         "epsilon must be finite"),
+        (TRAP_MA, ["check", 'Pmax=? [ F<=10 "goal" ]',
+                   "--time-bound-error", "inf"],
+         "time_bound_error must be finite"),
+        (TRAP_MA, ["check", 'Pmax=? [ F<=10 "goal" ]',
+                   "--time-bound-error", "nan"],
+         "time_bound_error must be finite"),
+        (COIN, ["cdf", 'Pmax=? [ F "heads" ]', "--horizon", "-1"],
+         "nonnegative"),
+        (COIN, ["check", 'Pmax=? [ F "heads" ]', "--state-cap", "-1"],
+         "state cap must be at least 1"),
+    ])
+    def test_bad_parameter_is_an_error(self, capsys, model_file, model, argv,
+                                       message):
+        code, out, err = run(capsys,
+                             [argv[0], model_file(model)] + argv[1:])
+        assert code == 1 and not out
+        assert err.startswith("error: ") and message in err
+
+    def test_tiny_time_bound_error_exceeds_the_step_cap(self, capsys,
+                                                      model_file):
+        code, _, err = run(capsys, [
+            "check", model_file(TRAP_MA), 'Pmax=? [ F<=10 "goal" ]',
+            "--time-bound-error", "1e-320"])
+        assert code == 3
+        assert "digitization needs inf steps" in err
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

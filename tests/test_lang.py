@@ -255,6 +255,17 @@ class TestExplore:
                 endmodule
             """), state_cap=10)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_state_cap_below_one_is_rejected(self, cap):
+        model = parse_model("""
+            dtmc
+            module m
+              x : [0..1] init 0;
+            endmodule
+        """)
+        with pytest.raises(ValueError, match="at least 1"):
+            explore(model, state_cap=cap)
+
     def test_dtmc_deadlock_padded_with_self_loop(self):
         sp = space_of("""
             dtmc

@@ -1,25 +1,34 @@
 """Numerical analyses: reachability, bounded CDFs, expected/bounded time."""
+import functools
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from qmv.core import Direction, ModelClass
+from qmv import numeric
+from qmv.casestudies import (
+    BitcoinParams,
+    gen_bitcoin,
+    gen_contact_mdp,
+    parse_contact_plan,
+    sample_contact_plan,
+)
+from qmv.core import Direction, ModelClass, target_mask
 from qmv.lang import parse_property
 from qmv.numeric import (
-    NonConvergence,
+    CdfResult,
     SolverConfig,
     SolverError,
     check_property,
     describe_scheduler,
-    induced_chain,
     ma_expected_time,
     ma_time_bounded,
     reach_prob,
     step_bounded_cdf,
 )
 
-from conftest import direct_space, space_of
+from conftest import direct_space, induced_chain, random_layered_mdp, space_of
 
 CFG = SolverConfig()
 
@@ -97,7 +106,7 @@ class TestReachProb:
         assert mn.value == 0.0  # graph analysis, exact
         assert mx.value == 1.0
 
-    def test_nonconvergence_carries_partial_result(self, geometric_half):
+    def test_nonconvergence_is_a_solver_error(self, monkeypatch):
         # disable the certain-reachability pin by adding a tiny escape
         sp = space_of("""
             dtmc
@@ -107,12 +116,9 @@ class TestReachProb:
             endmodule
             label "done" = x=1;
         """)
-        with pytest.raises(NonConvergence) as err:
-            reach_prob(sp, sp.labels["done"], Direction.MAX,
-                       SolverConfig(max_iterations=3))
-        partial = err.value.partial
-        assert 0.0 < partial.value < 0.998
-        assert partial.iterations == 3
+        monkeypatch.setattr(numeric, "MAX_ITERATIONS", 3)
+        with pytest.raises(SolverError, match="no convergence after 3 "):
+            reach_prob(sp, sp.labels["done"], Direction.MAX, CFG)
 
     def test_scheduler_description_and_induced_chain(self):
         sp = space_of(TWO_CHOICE_MDP)
@@ -312,3 +318,229 @@ class TestCheckProperty:
         prop = parse_property('Pmax=? [ F x = K ]')
         res = check_property(sp, prop, CFG, constants={"K": 3})
         assert res.value == 1.0
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("field", ["epsilon", "time_bound_error"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, -math.inf,
+                                       math.nan])
+    def test_rejects_nonpositive_and_nonfinite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: value})
+
+    def test_negative_horizon_is_a_parameter_error(self, coin_dtmc):
+        with pytest.raises(ValueError, match="nonnegative"):
+            step_bounded_cdf(coin_dtmc, coin_dtmc.labels["heads"],
+                             Direction.MAX, -1, CFG)
+
+
+# --------------------------------------------------------------------------
+# almost-sure reachability under some scheduler (Prob1E)
+
+
+def _prob1e_oracle(space, target) -> set[int]:
+    """The textbook nested fixpoint, over the object views: the greatest
+    set U such that from every state of U some choice stays in U and the
+    target is reachable that way.  A Markovian state's only choice is its
+    race; an absorbing state's is a self-loop."""
+    succs = []
+    for s, (cs, mk) in enumerate(zip(space.choices, space.markovian)):
+        if cs:
+            succs.append([{t for _, t in c.distribution.branches}
+                          for c in cs])
+        elif mk is not None:
+            succs.append([{t for _, t in mk.entries}])
+        else:
+            succs.append([{s}])
+    u = set(range(space.n_states))
+    while True:
+        r = set(np.flatnonzero(target).tolist())
+        grown = True
+        while grown:
+            grown = False
+            for s in sorted(u - r):
+                if any(row <= u and row & r for row in succs[s]):
+                    r.add(s)
+                    grown = True
+        if r == u:
+            return u
+        u = r
+
+
+def _prob1e(space, target) -> set[int]:
+    sp = numeric._closed(space)
+    by_target = np.argsort(sp.branch_target, kind="stable")
+    return set(np.flatnonzero(
+        numeric._exists_almost_sure(sp, by_target, target)).tolist())
+
+
+#: An end component {0, 1, 2} that a scheduler can leave only towards the
+#: goal 3, next to states 4 and 5 that may fall into the sink 6.
+END_COMPONENT = [
+    [[(1, 1)], [(1, 3), (1, 6)]],
+    [[(1, 0)], [(1, 0), (1, 2)]],
+    [[(1, 3), (1, 1)], [(1, 2)]],
+    [[(1, 3)]],
+    [[(1, 0), (1, 6)], [(1, 5)]],
+    [[(1, 4)], [(1, 6), (1, 5)]],
+    [[(1, 6)]],
+]
+
+
+class TestExistsAlmostSure:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_layered_mdps(self, seed):
+        space = random_layered_mdp(seed)
+        goal = space.labels["goal"]
+        # only the goal itself reaches the goal surely; a target that also
+        # holds random inner states makes the set larger
+        extra = np.random.default_rng(seed).random(space.n_states) < 0.3
+        for target in (goal, goal | extra):
+            assert _prob1e(space, target) == _prob1e_oracle(space, target)
+
+    def test_end_component(self):
+        space = direct_space(ModelClass.MDP, END_COMPONENT,
+                             labels={"goal": [3]})
+        goal = space.labels["goal"]
+        assert _prob1e(space, goal) == _prob1e_oracle(space, goal) \
+            == {0, 1, 2, 3}
+
+    def test_bitcoin_min_time_finite_set(self):
+        space = space_of(gen_bitcoin(BitcoinParams(CD=3)).model)
+        for target in (space.labels["goal"], target_mask(
+                space, parse_property("Pmin=? [ F m_diff = -2 ]").target)):
+            assert _prob1e(space, target) == _prob1e_oracle(space, target)
+
+
+# --------------------------------------------------------------------------
+# pinned results
+
+
+GAMBLER_20 = """
+    dtmc
+    module gambler
+      x : [0..20] init 10;
+      [] x>0 & x<20 -> 1/2:(x'=x+1) + 1/2:(x'=x-1);
+    endmodule
+    label "goal" = x=20;
+"""
+
+#: Immediate choices between Markovian states, a cycle through both kinds
+#: and a second absorbing state.
+SMALL_MA = """
+    ma
+    module m
+      x : [0..6] init 0;
+      [a] x=0 -> 1/2:(x'=1) + 1/2:(x'=2);
+      [b] x=0 -> (x'=3);
+      rate(2) x=1 -> (x'=4);
+      rate(1) x=1 -> (x'=0);
+      [c] x=2 -> (x'=3);
+      [d] x=2 -> 1/3:(x'=5) + 2/3:(x'=1);
+      rate(3) x=3 -> (x'=5);
+      rate(1/2) x=3 -> (x'=2);
+      rate(1) x=5 -> (x'=6);
+      rate(1) x=5 -> (x'=4);
+    endmodule
+    label "goal" = x=4;
+"""
+
+
+@functools.cache
+def _pinned_space(name):
+    if name == "gambler20":
+        return space_of(GAMBLER_20)
+    if name == "bitcoin3":
+        return space_of(gen_bitcoin(BitcoinParams(CD=3)).model)
+    if name == "contacts":
+        return space_of(gen_contact_mdp(parse_contact_plan(
+            sample_contact_plan())).model)
+    return space_of(SMALL_MA)
+
+
+def _analyse(space, target: str, analysis: str):
+    """``Pmax``/``Pmin``/``Tmax``/``Tmin``: reach probability or expected
+    time; ``Pmax<=b``: time-bounded reachability at a coarse error bound;
+    ``cdfmax<=b``: the step-bounded CDF."""
+    mask = target_mask(space, parse_property(f"Pmax=? [ F {target} ]").target)
+    kind, bound = (analysis.split("<=") + [None])[:2]
+    direction = Direction.MAX if kind.endswith("max") else Direction.MIN
+    kind = kind[:-3]
+    if kind == "P" and bound is None:
+        return reach_prob(space, mask, direction, CFG)
+    if kind == "T":
+        return ma_expected_time(space, mask, direction, CFG)
+    if kind == "P":
+        return ma_time_bounded(space, mask, direction, float(bound),
+                               SolverConfig(time_bound_error=1e-2))
+    return step_bounded_cdf(space, mask, direction, int(bound), CFG)
+
+
+def _result_digest(result) -> str:
+    """SHA-256 over everything a result reports: value, iterations,
+    residual, info and scheduler, or a CDF's values and monotonicity.
+    ``repr`` of a float round-trips, so equal digests mean bit-identical
+    results."""
+    if isinstance(result, CdfResult):
+        fields = (result.values, result.monotone)
+    else:
+        fields = (result.value, result.iterations, result.residual,
+                  sorted(result.info.items()),
+                  sorted((result.scheduler or {}).items()))
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
+PINNED_RESULTS = [
+    ("gambler20", '"goal"', "Pmax",
+     "cae5da5837fcc13eb195915ecc47894cec888b44927c6473ee22d3bfcda994f8"),
+    ("gambler20", '"goal"', "cdfmax<=100",
+     "d282f5dbe08736106f2495cb350f988277decbe77db9b099b5051225c9dab58e"),
+    ("bitcoin3", '"goal"', "Pmax",
+     "88eebf2d72c9acc1f6bbb71ecd90f0c71450735a21620dbd336bb97cc70d4c40"),
+    ("bitcoin3", "m_diff = -2", "Pmin",
+     "6661e94e76b2247fe76d9327598cbaa6e99b75f82e44a5981351f5d3cbaf2cd2"),
+    ("bitcoin3", '"goal"', "Tmin",
+     "5c65e23dd91a1b1d04a5614b6acf48e0546e3e30a9dbedd5f0859e1c79e34464"),
+    ("bitcoin3", '"goal"', "Tmax",
+     "fcf4c8f14b9c39c886ff074de14e4bdd29d549b7fdd01b78bf53a4bee71ad1a6"),
+    ("bitcoin3", '"goal"', "Pmax<=20",
+     "0c6502f6a5336bddbc9a1c06d132a8a0203350cde1ef1dfe1b2c0257feb7f335"),
+    ("bitcoin3", '"goal"', "Pmin<=20",
+     "df9780de638d3eb29d5dbedfa0724ad12e7a5e49d6b4a385e1b12414cceca142"),
+    ("contacts", '"delivered"', "Pmax",
+     "13b5f3fbdc6b588ce4e3c7aa5b83fc7e744a379665f8dcd96f11ac64d2b25869"),
+    ("contacts", '"delivered"', "Pmin",
+     "a05959b8247dcb812b1ae1747af21bb3299d2e349f3e3865479b33c4566ea46e"),
+    ("contacts", '"delivered"', "cdfmax<=12",
+     "a5602993bcbd05afa769e47cf2d21a7b6ff11945bbd5b2c0cdb917870448de98"),
+    ("contacts", '"delivered"', "cdfmin<=12",
+     "24fd534facce71f260b9a989045483e003cb6b6d935b92bc3355ff4aef3ccbfc"),
+    ("small_ma", '"goal"', "Pmax",
+     "c46ff14606998bd5dba5d04e52d7a95006c476c8cc7ddd3c0bf67120ea1671a6"),
+    ("small_ma", '"goal"', "Pmin",
+     "4481b19209da5cf4947e6869177004c4f6ee7efde8ffe33928bde20adc244d34"),
+    ("small_ma", "x = 4 | x = 6", "Tmin",
+     "b0fe6e8d9e0d568552b5effec75724eac13e0f0e43261c8359eda1c1951b006c"),
+    ("small_ma", "x = 4 | x = 6", "Tmax",
+     "171c0a7493c936c66bc05618fdaeff90b9330fcba71993982b32c174c0c1fd34"),
+    ("small_ma", '"goal"', "Tmin",
+     "3d3d50ecd1dd188792c2b14da80426b086d8585ded958878886b70e0812d0bb0"),
+    ("small_ma", '"goal"', "Pmax<=3",
+     "75088b03bd2ed07068b05bd27e862316153a6d4e0ac2d523e29744ed1175cc37"),
+    ("small_ma", '"goal"', "Pmin<=3",
+     "a64a05f0e453b31f4caca497c98af5c85887a4c13a84583fc7a1b6be3f3257af"),
+]
+
+
+class TestPinnedResults:
+    """Every reported field of a result, as computed before value iteration
+    ran over packed rows and almost-sure reachability became a backward
+    search.  A change here changes what ``qmv check`` and ``qmv cdf``
+    print."""
+
+    @pytest.mark.parametrize(
+        "model, target, analysis, digest", PINNED_RESULTS,
+        ids=[f"{m}-{a}-{i}" for i, (m, _, a, _) in enumerate(PINNED_RESULTS)])
+    def test_result(self, model, target, analysis, digest):
+        result = _analyse(_pinned_space(model), target, analysis)
+        assert _result_digest(result) == digest
