@@ -38,8 +38,8 @@ from qmv.lang.explore import DEFAULT_STATE_CAP, explore
 class RunReport:
     """Machine-readable record of one command invocation.
 
-    Round-trips through JSON; ``timing`` holds every nondeterministic
-    field, so reports with equal flags compare equal after dropping it.
+    ``timing`` holds every nondeterministic field, so reports with equal
+    flags compare equal after dropping it.
     """
 
     tool: str
@@ -52,10 +52,6 @@ class RunReport:
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        return cls(**json.loads(text))
 
 
 def _load_model(args):
@@ -239,7 +235,7 @@ def cmd_simulate(args) -> int:
     constants = model.constant_values()
     resolver = None
     if args.scheduler_id is not None:
-        (decisions,) = smc.decision_tables(space, [args.scheduler_id])
+        (decisions,) = smc.reachable_decisions(space, [args.scheduler_id])
         resolver = decisions.__getitem__
     elif decision_states(space):
         raise ValueError("the model has nondeterministic choices; pass "

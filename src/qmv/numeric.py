@@ -548,31 +548,6 @@ def describe_scheduler(
     return rows
 
 
-def reachable_under(
-    space: ExplicitStateSpace, scheduler: dict[int, int]
-) -> np.ndarray:
-    """States reachable from the initial state when following ``scheduler``;
-    a depth-first walk that visits only those states."""
-    (choice_ptr, branch_ptr, _, branch_target, _,
-     rate_ptr, _, rate_target, _, _) = space.walk
-    seen = [False] * space.n_states
-    seen[space.initial] = True
-    stack = [space.initial]
-    while stack:
-        s = stack.pop()
-        c = choice_ptr[s]
-        if choice_ptr[s + 1] > c:
-            c += scheduler[s]
-            succs = branch_target[branch_ptr[c]:branch_ptr[c + 1]]
-        else:
-            succs = rate_target[rate_ptr[s]:rate_ptr[s + 1]]
-        for t in succs:
-            if not seen[t]:
-                seen[t] = True
-                stack.append(t)
-    return np.array(seen, dtype=bool)
-
-
 def check_property(
     space: ExplicitStateSpace,
     prop,

@@ -9,7 +9,11 @@ single integer determines a complete deterministic memoryless scheduler.
 In *global* mode the encoded state covers every variable; in *distributed*
 mode only the variables observed by the component that owns the decision,
 which restricts sampling to schedulers implementable with local
-information.
+information.  :func:`reachable_decisions` resolves an id by one forward
+walk from the initial state, so only the decision states that the id's
+own choices reach are encoded and hashed; ``qmv lss`` and
+``qmv simulate --scheduler-id`` (which replays global-mode ids only) both
+go through it.
 
 Everything is reproducible: per-run seeds are derived by hashing
 ``(master_seed, run_index)``, so each run's outcome depends only on its
@@ -22,20 +26,16 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Iterable, Iterator, Sequence
 
-import numpy as np
-
 from qmv.core import (
     Direction,
     ExplicitStateSpace,
     ModelClass,
     Property,
     PropertyKind,
-    decision_states,
     scheduler_owner,
     target_mask,
 )
 from qmv.lang.explore import check_good_for_distribution
-from qmv.numeric import reachable_under
 
 FNV_OFFSET = 14695981039346656037
 FNV_PRIME = 1099511628211
@@ -258,8 +258,7 @@ def simulate_run(
     if prop.kind is PropertyKind.STEP_BOUNDED_REACH_PROB \
             and space.model_class is ModelClass.MA:
         raise ValueError("step bounds need a DTMC or MDP model")
-    mask = prop.target if isinstance(prop.target, np.ndarray) \
-        else target_mask(space, prop.target)
+    mask = target_mask(space, prop.target)
     (choice_ptr, branch_ptr, branch_prob, branch_target, self_loop,
      rate_ptr, rate, rate_target, exit_rate, stuck) = space.walk
     random = Random(seed).random
@@ -353,41 +352,48 @@ def sample_scheduler_ids(sampler_seed: int, m: int) -> list[int]:
     return [rng.getrandbits(32) for _ in range(m)]
 
 
-def decision_tables(space: ExplicitStateSpace, ids: Iterable[int],
-                    mode: str = "global") -> Iterator[dict[int, int]]:
-    """Per scheduler id: its choice index at every decision state.
+def reachable_decisions(space: ExplicitStateSpace, ids: Iterable[int],
+                        mode: str = "global") -> Iterator[dict[int, int]]:
+    """Per scheduler id: its choice index at each decision state reachable
+    from the initial state under that id's own choices.
 
-    Each decision state is encoded once (the whole state in ``global``
-    mode, the owner's observed variables in ``distributed`` mode) and
-    hashed with every id by :func:`lss_decide`.  Raises ValueError for an
-    id outside [0, 2**32).
+    One forward walk per id; a decision state is encoded (the whole state
+    in ``global`` mode, the owner's observed variables in ``distributed``
+    mode) the first time any walk reaches it and hashed with the id by
+    :func:`lss_decide`.  Two ids with equal tables make identical choices
+    on every path that can occur.  Raises ValueError for an id outside
+    [0, 2**32), whether or not it reaches a decision.
     """
-    observations = {
-        s: encode_state(space, s, "all" if mode == "global" else
-                        space.observed_indices(scheduler_owner(space, s)))
-        for s in decision_states(space)}
-    counts = np.diff(space.choice_ptr).tolist()
+    (choice_ptr, branch_ptr, _, branch_target, _,
+     rate_ptr, _, rate_target, _, _) = space.walk
+    observations: dict[int, bytes] = {}
     for sid in ids:
         if not 0 <= sid < 2 ** 32:
             raise ValueError(f"scheduler id {sid} outside [0, 2**32)")
-        yield {s: lss_decide(sid, obs, counts[s])
-               for s, obs in observations.items()}
-
-
-def _behavior_signature(
-    space: ExplicitStateSpace, decisions: dict[int, int]
-) -> tuple[tuple[int, int], ...]:
-    """Decisions at the decision states reachable under those decisions.
-
-    Two scheduler ids with equal signatures make identical choices on every
-    path that can occur, so (under common run seeds) their estimates are
-    bit-identical and can be shared.
-    """
-    choice_states = np.flatnonzero(np.diff(space.choice_ptr) > 0).tolist()
-    scheduler = dict.fromkeys(choice_states, 0)
-    scheduler.update(decisions)
-    reached = reachable_under(space, scheduler)
-    return tuple((s, d) for s, d in sorted(decisions.items()) if reached[s])
+        decisions: dict[int, int] = {}
+        seen = {space.initial}
+        stack = [space.initial]
+        while stack:
+            s = stack.pop()
+            c = choice_ptr[s]
+            k = choice_ptr[s + 1] - c
+            if k:
+                if k > 1:
+                    obs = observations.get(s)
+                    if obs is None:
+                        obs = observations[s] = encode_state(
+                            space, s, "all" if mode == "global" else
+                            space.observed_indices(scheduler_owner(space, s)))
+                    decisions[s] = lss_decide(sid, obs, k)
+                    c += decisions[s]
+                succs = branch_target[branch_ptr[c]:branch_ptr[c + 1]]
+            else:
+                succs = rate_target[rate_ptr[s]:rate_ptr[s + 1]]
+            for t in succs:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        yield decisions
 
 
 def lss(
@@ -412,25 +418,20 @@ def lss(
     ids = sample_scheduler_ids(cfg.sampler_seed, cfg.m)
     cache: dict[tuple, SmcEstimate] = {}
     table: list[tuple[int, SmcEstimate]] = []
-    for sid, decisions in zip(ids, decision_tables(space, ids, cfg.mode)):
-        sig = _behavior_signature(space, decisions)
-        est = cache.get(sig)
+    for sid, decisions in zip(ids, reachable_decisions(space, ids, cfg.mode)):
+        behavior = tuple(sorted(decisions.items()))
+        est = cache.get(behavior)
         if est is None:
             est = estimate(space, decisions.__getitem__, prop, cfg.inner,
                            constants=constants)
-            cache[sig] = est
+            cache[behavior] = est
         table.append((sid, est))
 
-    best_i = 0
-    for i, (_, est) in enumerate(table):
-        if cfg.direction is Direction.MAX:
-            if est.mean > table[best_i][1].mean:
-                best_i = i
-        elif est.mean < table[best_i][1].mean:
-            best_i = i
+    pick = max if cfg.direction is Direction.MAX else min
+    best_id, best = pick(table, key=lambda row: row[1].mean)
     return LssResult(
-        best_id=table[best_i][0],
-        best=table[best_i][1],
+        best_id=best_id,
+        best=best,
         table=tuple(table),
         mode=cfg.mode,
         distinct_behaviors=len(cache),

@@ -1,6 +1,6 @@
 """Shared test helpers: tiny model sources, direct state-space builders,
-a counter-unfolding transform, scheduler freezing and a random layered-MDP
-generator."""
+a counter-unfolding transform, scheduler freezing, reachability under a
+scheduler and a random layered-MDP generator."""
 from __future__ import annotations
 
 from dataclasses import replace
@@ -132,6 +132,31 @@ def induced_chain(space: ExplicitStateSpace,
         branch_prob=space.branch_prob[branches],
         branch_target=space.branch_target[branches],
     )
+
+
+def reachable_under(
+    space: ExplicitStateSpace, scheduler: dict[int, int]
+) -> np.ndarray:
+    """States reachable from the initial state when following ``scheduler``
+    (a choice index for every state that has choices)."""
+    (choice_ptr, branch_ptr, _, branch_target, _,
+     rate_ptr, _, rate_target, _, _) = space.walk
+    seen = [False] * space.n_states
+    seen[space.initial] = True
+    stack = [space.initial]
+    while stack:
+        s = stack.pop()
+        c = choice_ptr[s]
+        if choice_ptr[s + 1] > c:
+            c += scheduler[s]
+            succs = branch_target[branch_ptr[c]:branch_ptr[c + 1]]
+        else:
+            succs = rate_target[rate_ptr[s]:rate_ptr[s + 1]]
+        for t in succs:
+            if not seen[t]:
+                seen[t] = True
+                stack.append(t)
+    return np.array(seen, dtype=bool)
 
 
 def random_layered_mdp(seed: int, *, layers: int = 3, width: int = 3,

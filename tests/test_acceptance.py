@@ -17,6 +17,7 @@ from conftest import (
     INTERLEAVED_MDP,
     geometric,
     random_layered_mdp,
+    reachable_under,
     space_of,
     unfold_with_counter,
 )
@@ -46,7 +47,6 @@ from qmv.numeric import (
     ma_expected_time,
     ma_time_bounded,
     reach_prob,
-    reachable_under,
     step_bounded_cdf,
 )
 from qmv.smc import (

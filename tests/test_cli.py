@@ -33,6 +33,16 @@ endmodule
 label "goal" = x=2;
 """
 
+#: TWO_CHOICE without the bold choice: a DTMC, so no decision state.
+ONE_CHOICE = """
+dtmc
+module m
+  x : [0..2] init 0;
+  [safe] x=0 -> 1/10:(x'=2) + 9/10:(x'=1);
+endmodule
+label "goal" = x=2;
+"""
+
 INTERLEAVED = """
 mdp
 module left
@@ -229,6 +239,19 @@ class TestSimulate:
         assert code == 0
         assert rep["properties"][0]["scheduler_id"] == 7
 
+    def test_scheduler_id_estimate_is_pinned(self, capsys, tmp_path):
+        run(capsys, ["gen", "bitcoin", "--CD", "3", "--out-dir",
+                     str(tmp_path)])
+        code, rep, _ = run_json(capsys, [
+            "simulate", str(tmp_path / "bitcoin.gcm"),
+            'Pmax=? [ F<=600 "goal" ]', "--runs", "200", "--seed", "7",
+            "--scheduler-id", "12345", "--json"])
+        assert code == 0
+        assert rep["properties"] == [{
+            "property": 'Pmax=? [ F<=600 "goal" ]', "mean": 0.42,
+            "ci_low": 0.3515962808028686, "ci_high": 0.4884037191971314,
+            "runs": 200, "truncated_runs": 0, "scheduler_id": 12345}]
+
     def test_okamoto_sizing_via_eps_delta(self, capsys, model_file):
         code, rep, _ = run_json(capsys, [
             "simulate", model_file(COIN), 'Pmax=? [ F "heads" ]',
@@ -357,16 +380,23 @@ class TestExitCodes:
         assert code == 3
         assert "zero-time" in err
 
-    @pytest.mark.parametrize("command,flag,value", [
-        ("simulate", "--scheduler-id", "-1"),
-        ("simulate", "--scheduler-id", str(2 ** 32)),
-        ("simulate", "--seed", "-1"),
-        ("lss", "--seed", "-1"),
-        ("lss", "--seed", str(2 ** 64)),
+    @pytest.mark.parametrize("model,command,flag,value", [
+        pytest.param(TWO_CHOICE, "simulate", "--scheduler-id", "-1",
+                     id="simulate---scheduler-id--1"),
+        pytest.param(TWO_CHOICE, "simulate", "--scheduler-id", str(2 ** 32),
+                     id="simulate---scheduler-id-4294967296"),
+        pytest.param(TWO_CHOICE, "simulate", "--seed", "-1",
+                     id="simulate---seed--1"),
+        pytest.param(TWO_CHOICE, "lss", "--seed", "-1", id="lss---seed--1"),
+        pytest.param(TWO_CHOICE, "lss", "--seed", str(2 ** 64),
+                     id="lss---seed-18446744073709551616"),
+        # no decision state to hash: the id is checked all the same
+        pytest.param(ONE_CHOICE, "simulate", "--scheduler-id", str(2 ** 32),
+                     id="dtmc-simulate---scheduler-id-4294967296"),
     ])
     def test_out_of_range_scheduler_id_or_seed(self, capsys, model_file,
-                                               command, flag, value):
-        argv = [command, model_file(TWO_CHOICE), 'Pmax=? [ F "goal" ]',
+                                               model, command, flag, value):
+        argv = [command, model_file(model), 'Pmax=? [ F "goal" ]',
                 "--runs", "10", flag, value]
         if command == "lss":
             argv += ["--schedulers", "2"]

@@ -1,10 +1,28 @@
 """Statistical model checking and lightweight scheduler sampling."""
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
-from qmv.core import Direction, ModelClass, Property, PropertyKind
+from qmv import smc
+from qmv.casestudies import (
+    BitcoinParams,
+    gen_bitcoin,
+    gen_contact_mdp,
+    parse_contact_plan,
+    sample_contact_plan,
+)
+from qmv.core import (
+    Direction,
+    ModelClass,
+    Property,
+    PropertyKind,
+    decision_states,
+)
+from qmv.lang import parse_model, parse_property
+from qmv.lang.explore import explore
 from qmv.smc import (
     LssConfig,
     NotGoodForDistribution,
@@ -21,7 +39,12 @@ from qmv.smc import (
     simulate_run,
 )
 
-from conftest import INTERLEAVED_MDP, direct_space, space_of
+from conftest import (
+    INTERLEAVED_MDP,
+    direct_space,
+    reachable_under,
+    space_of,
+)
 
 
 class TestHashing:
@@ -281,3 +304,83 @@ class TestLss:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             LssConfig(m=1, mode="sideways")
+
+
+def _case_study(case, prop_text):
+    """State space, property and constants of a generated case."""
+    model = parse_model(case.model)
+    prop = parse_property(prop_text, model_class=model.model_class,
+                          labels=model.label_map())
+    return explore(model), prop, model.constant_values()
+
+
+CASE_STUDIES = {
+    "contacts": lambda: _case_study(
+        gen_contact_mdp(parse_contact_plan(sample_contact_plan())),
+        'Pmax=? [ F "delivered" ]'),
+    "bitcoin": lambda: _case_study(gen_bitcoin(BitcoinParams(CD=3)),
+                                   'Pmax=? [ F<=600 "goal" ]'),
+}
+
+
+class TestSampledSchedulers:
+    # SHA-256 of the whole lss result (per-id table, best id, distinct
+    # behaviours) for m=20 ids and 100 runs each; any change to hashing,
+    # deduplication or simulation shows here
+    PINNED = {
+        ("contacts", "global"):
+            "14df74da4fd473c84f44861b4dd779d9ed41fb03623f76be8a910aca5803cca0",
+        ("contacts", "distributed"):
+            "3ede8fcf16101565bfcfcab156eeb29ddb58e9b38f24a48c929895011a7c50eb",
+        ("bitcoin", "global"):
+            "d69d2db8bdcb3b803a07102579a3ded230275fbf008e390d3b9da5e715e17262",
+        ("bitcoin", "distributed"):
+            "c203ff3546150075d942e09292e03eac299a477fc0d414ac45c37d455f915019",
+    }
+
+    @pytest.mark.parametrize("case,mode", list(PINNED))
+    def test_lss_result_is_pinned(self, case, mode):
+        space, prop, constants = CASE_STUDIES[case]()
+        cfg = LssConfig(m=20, mode=mode, direction=prop.direction,
+                        inner=SmcConfig(runs=100, master_seed=7),
+                        sampler_seed=7)
+        res = lss(space, prop, cfg, constants=constants)
+        payload = {
+            "table": [[sid, est.mean, est.ci_low, est.ci_high, est.runs,
+                       est.truncated] for sid, est in res.table],
+            "best_id": res.best_id,
+            "distinct_behaviors": res.distinct_behaviors,
+        }
+        digest = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+        assert digest == self.PINNED[case, mode]
+
+    def test_lss_hashes_only_reachable_decision_states(self, monkeypatch):
+        space, prop, constants = CASE_STUDIES["contacts"]()
+        state_of = {encode_state(space, s): s for s in range(space.n_states)}
+        hashed: dict[int, set[int]] = {}
+        encoded: list[int] = []
+
+        def decide(sid, obs, k):
+            hashed.setdefault(sid, set()).add(state_of[obs])
+            return lss_decide(sid, obs, k)
+
+        def encode(space, state, projection="all"):
+            encoded.append(state)
+            return encode_state(space, state, projection)
+
+        monkeypatch.setattr(smc, "lss_decide", decide)
+        monkeypatch.setattr(smc, "encode_state", encode)
+        ids = sample_scheduler_ids(0, 10)
+        lss(space, prop, LssConfig(m=10, inner=SmcConfig(runs=10)),
+            constants=constants)
+
+        assert len(encoded) == len(set(encoded)), "a state encoded twice"
+        counts = np.diff(space.choice_ptr).tolist()
+        for sid in ids:
+            scheduler = {s: 0 for s, k in enumerate(counts) if k}
+            scheduler.update(
+                (s, lss_decide(sid, encode_state(space, s), counts[s]))
+                for s in decision_states(space))
+            reached = reachable_under(space, scheduler)
+            assert hashed[sid] == {
+                s for s in decision_states(space) if reached[s]}
