@@ -18,14 +18,11 @@ file (``.props``) as text:
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from qmv.lang.lexer import KEYWORDS
-
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+from qmv.lang.lexer import IDENTIFIER_RE, KEYWORDS
 
 
 @dataclass(frozen=True)
@@ -174,7 +171,7 @@ class ContactPlan:
         if not self.nodes:
             raise ValueError("a contact plan needs at least one node")
         for name in self.nodes:
-            if not _NAME_RE.match(name) or name in KEYWORDS:
+            if not IDENTIFIER_RE.fullmatch(name) or name in KEYWORDS:
                 raise ValueError(f"node name {name!r} is not a valid "
                                  "identifier")
         if len(set(self.nodes)) != len(self.nodes):

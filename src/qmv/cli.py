@@ -13,11 +13,9 @@ fields live under the top-level ``timing`` key.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import qmv
@@ -32,26 +30,6 @@ from qmv.lang.errors import (
     ModelSyntaxError,
 )
 from qmv.lang.explore import DEFAULT_STATE_CAP, explore
-
-
-@dataclass
-class RunReport:
-    """Machine-readable record of one command invocation.
-
-    ``timing`` holds every nondeterministic field, so reports with equal
-    flags compare equal after dropping it.
-    """
-
-    tool: str
-    version: str
-    command: list[str]
-    model: dict
-    properties: list[dict]
-    seeds: dict = field(default_factory=dict)
-    timing: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2)
 
 
 def _load_model(args):
@@ -103,21 +81,26 @@ def _solver_config(args) -> numeric.SolverConfig:
     )
 
 
-def _report(args, stats, props_out, *, seeds=None, timing=None) -> RunReport:
-    return RunReport(
-        tool="qmv",
-        version=qmv.__version__,
-        command=list(args.echo),
-        model=stats,
-        properties=props_out,
-        seeds=seeds or {},
-        timing=timing or {},
-    )
+def _report(args, stats, props_out, *, seeds=None, timing=None) -> dict:
+    """Machine-readable record of one command invocation.
+
+    ``timing`` holds every nondeterministic field, so reports with equal
+    flags compare equal after dropping it.
+    """
+    return {
+        "tool": "qmv",
+        "version": qmv.__version__,
+        "command": list(args.echo),
+        "model": stats,
+        "properties": props_out,
+        "seeds": seeds or {},
+        "timing": timing or {},
+    }
 
 
-def _emit(args, report: RunReport, lines: list[str]) -> None:
+def _emit(args, report: dict, lines: list[str]) -> None:
     if args.json:
-        print(report.to_json())
+        print(json.dumps(report, indent=2))
     else:
         width = max((len(k) for k, _ in (ln for ln in lines if isinstance(ln, tuple))), default=0)
         for ln in lines:
@@ -204,15 +187,13 @@ def cmd_cdf(args) -> int:
     }
     report = _report(args, stats, [entry], timing={
         "explore_seconds": explore_dt, "property_seconds": [dt]})
-    if args.json:
-        print(report.to_json())
-    elif not args.out:
-        for row in rows:
-            print(row)
-    else:
+    if args.json or args.out:
         _emit(args, report, _model_lines(stats) + [
             ("property", prop.text), ("horizon", args.horizon),
             ("final", repr(result.final)), ("csv", args.out)])
+    else:
+        for row in rows:
+            print(row)
     return 0
 
 
@@ -221,10 +202,10 @@ def cmd_cdf(args) -> int:
 
 
 def _smc_config(args) -> smc.SmcConfig:
-    if args.runs is None and args.eps is None:
-        return smc.SmcConfig(runs=10_000, master_seed=args.seed,
-                             max_steps=args.max_steps)
-    return smc.SmcConfig(runs=args.runs, epsilon=args.eps, delta=args.delta,
+    runs = args.runs
+    if runs is None and args.eps is None and args.delta is None:
+        runs = 10_000
+    return smc.SmcConfig(runs=runs, epsilon=args.eps, delta=args.delta,
                          master_seed=args.seed, max_steps=args.max_steps)
 
 

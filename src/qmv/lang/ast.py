@@ -4,6 +4,8 @@ Expression values are int, bool or Fraction (reals are exact rationals; they
 become floats only where probabilities and rates are stored).  Source
 positions are carried for error messages but excluded from equality so that
 parse(pretty(parse(text))) is structurally equal to parse(text).
+:data:`PRECEDENCE` is the one operator table: the parser and the
+pretty-printer both read it, so the two cannot disagree.
 
 Expression semantics live here and nowhere else: :meth:`Expr.type` holds the
 static typing rules, :meth:`Expr.compile` turns an expression into a Python
@@ -54,8 +56,14 @@ class Expr:
         """Python source of the expression, for :meth:`compile`."""
         raise NotImplementedError
 
+    def children(self) -> tuple[Expr, ...]:
+        """Direct subexpressions, in source order."""
+        return ()
+
     def names(self) -> Iterator[str]:
-        return iter(())
+        """Names read by the expression, in source order."""
+        for child in self.children():
+            yield from child.names()
 
     def pretty(self) -> str:
         return _pp(self, 0)
@@ -141,8 +149,8 @@ class Unary(Expr):
         inner = self.operand._py(cols, consts)
         return f"(not {inner})" if self.op == "!" else f"(-{inner})"
 
-    def names(self):
-        yield from self.operand.names()
+    def children(self):
+        return (self.operand,)
 
 
 @dataclass(frozen=True)
@@ -179,9 +187,8 @@ class Binary(Expr):
             return f"_div({left}, {right})"
         return f"({left} {_PY_OPS.get(self.op, self.op)} {right})"
 
-    def names(self):
-        yield from self.left.names()
-        yield from self.right.names()
+    def children(self):
+        return (self.left, self.right)
 
 
 @dataclass(frozen=True)
@@ -207,10 +214,8 @@ class Cond(Expr):
                 f"{self.cond._py(cols, consts)} else "
                 f"{self.other._py(cols, consts)})")
 
-    def names(self):
-        yield from self.cond.names()
-        yield from self.then.names()
-        yield from self.other.names()
+    def children(self):
+        return (self.cond, self.then, self.other)
 
 
 @dataclass(frozen=True)
@@ -230,9 +235,8 @@ class Call(Expr):
         args = ", ".join(a._py(cols, consts) for a in self.args)
         return f"{self.fn}({args})"
 
-    def names(self):
-        for a in self.args:
-            yield from a.names()
+    def children(self):
+        return self.args
 
 
 def _numeric(types: Iterable[str]) -> str:
@@ -262,8 +266,9 @@ _EVAL_GLOBALS = {
 }
 
 
-# precedence levels, tighter binds higher
-_PREC = {
+#: Operator precedence, tighter binds higher; every binary operator is
+#: left-associative.  The parser and the pretty-printer both read this table.
+PRECEDENCE = {
     "?:": 1,
     "|": 2,
     "&": 3,
@@ -281,7 +286,7 @@ def _pp(e: Expr, parent_prec: int) -> str:
     if isinstance(e, RealLit):
         # prints as a division; the parser folds it back into a literal
         text = f"{e.value.numerator}/{e.value.denominator}"
-        return f"({text})" if parent_prec > _PREC["/"] else text
+        return f"({text})" if parent_prec > PRECEDENCE["/"] else text
     if isinstance(e, BoolLit):
         return "true" if e.value else "false"
     if isinstance(e, Name):
@@ -289,17 +294,17 @@ def _pp(e: Expr, parent_prec: int) -> str:
     if isinstance(e, Call):
         return f"{e.fn}({', '.join(_pp(a, 0) for a in e.args)})"
     if isinstance(e, Unary):
-        p = _PREC["unary"]
+        p = PRECEDENCE["unary"]
         inner = _pp(e.operand, p)
         text = f"{e.op}{inner}"
         return f"({text})" if parent_prec > p else text
     if isinstance(e, Binary):
-        p = _PREC[e.op]
+        p = PRECEDENCE[e.op]
         # left-associative: right child needs strictly higher precedence
         text = f"{_pp(e.left, p)} {e.op} {_pp(e.right, p + 1)}"
         return f"({text})" if parent_prec > p else text
     if isinstance(e, Cond):
-        p = _PREC["?:"]
+        p = PRECEDENCE["?:"]
         text = f"{_pp(e.cond, p + 1)} ? {_pp(e.then, p + 1)} : {_pp(e.other, p)}"
         return f"({text})" if parent_prec > p else text
     raise TypeError(f"not an expression: {e!r}")

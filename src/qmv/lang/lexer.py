@@ -6,13 +6,17 @@ from dataclasses import dataclass
 
 from qmv.lang.errors import ModelSyntaxError
 
+#: The one identifier rule: NAME tokens match it, and so must label names
+#: and contact-plan node names.
+IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
 TOKEN_RE = re.compile(
-    r"""
+    rf"""
       (?P<skip>[ \t\r]+|//[^\n]*)
     | (?P<nl>\n)
     | (?P<decimal>\d+\.\d+)
     | (?P<int>\d+)
-    | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<name>{IDENTIFIER_RE.pattern})
     | (?P<string>"[^"\n]*")
     | (?P<op>->|<=|>=|!=|\.\.|[-+*/()\[\]:;,?'=<>&|!])
     """,

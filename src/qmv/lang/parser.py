@@ -6,21 +6,20 @@ mismatches, out-of-range initial values, writes to foreign locals, rates
 outside MA models.  ``parse_property`` handles the query syntax
 (``Pmax=? [ F pred ]`` and friends).
 
+Binary operators are parsed by one precedence-climbing loop over
+:data:`qmv.lang.ast.PRECEDENCE`, the table the pretty-printer reads too.
 Literal-only subexpressions are folded during parsing, so ``1/12`` becomes a
 single rational literal and pretty-printed models re-parse to structurally
 equal ASTs.
 """
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 from qmv.core import Direction, ModelClass, Property, PropertyKind
 from qmv.lang import ast
 from qmv.lang.errors import EvalError, ExprTypeError, ModelSyntaxError
-from qmv.lang.lexer import KEYWORDS, Token, tokenize
-
-_LABEL_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+from qmv.lang.lexer import IDENTIFIER_RE, KEYWORDS, Token, tokenize
 
 
 class _Tokens:
@@ -102,20 +101,8 @@ def _is_literal(e: ast.Expr) -> bool:
     return isinstance(e, (ast.IntLit, ast.RealLit, ast.BoolLit))
 
 
-def _children(e: ast.Expr) -> tuple[ast.Expr, ...]:
-    if isinstance(e, ast.Unary):
-        return (e.operand,)
-    if isinstance(e, ast.Binary):
-        return (e.left, e.right)
-    if isinstance(e, ast.Cond):
-        return (e.cond, e.then, e.other)
-    if isinstance(e, ast.Call):
-        return e.args
-    return ()
-
-
 def _fold(node: ast.Expr, ts: _Tokens) -> ast.Expr:
-    kids = _children(node)
+    kids = node.children()
     if kids and all(_is_literal(k) for k in kids):
         _type_of(ts, node, {})
         try:
@@ -126,56 +113,28 @@ def _fold(node: ast.Expr, ts: _Tokens) -> ast.Expr:
 
 
 def _parse_expr(ts: _Tokens) -> ast.Expr:
-    return _parse_ternary(ts)
-
-
-def _parse_ternary(ts: _Tokens) -> ast.Expr:
-    cond = _parse_or(ts)
+    cond = _parse_binary(ts, ast.PRECEDENCE["?:"] + 1)
     tok = ts.accept("?")
     if tok is None:
         return cond
-    then = _parse_ternary(ts)
+    then = _parse_expr(ts)
     ts.expect(":")
-    other = _parse_ternary(ts)
+    other = _parse_expr(ts)
     return _fold(ast.Cond(cond, then, other, pos=_tpos(tok)), ts)
 
 
-def _binary_level(ts: _Tokens, ops: tuple[str, ...], below) -> ast.Expr:
-    left = below(ts)
+def _parse_binary(ts: _Tokens, min_prec: int) -> ast.Expr:
+    """Precedence climbing over the binary operators of ``PRECEDENCE``
+    that bind at least as tightly as ``min_prec``; all left-associative."""
+    left = _parse_unary(ts)
     while True:
-        tok = None
-        for op in ops:
-            tok = ts.accept(op)
-            if tok is not None:
-                break
-        if tok is None:
+        tok = ts.peek()
+        prec = ast.PRECEDENCE.get(tok.text) if tok.type == "OP" else None
+        if prec is None or prec < min_prec:
             return left
-        right = below(ts)
+        ts.advance()
+        right = _parse_binary(ts, prec + 1)
         left = _fold(ast.Binary(tok.text, left, right, pos=_tpos(tok)), ts)
-
-
-def _parse_or(ts):
-    return _binary_level(ts, ("|",), _parse_and)
-
-
-def _parse_and(ts):
-    return _binary_level(ts, ("&",), _parse_equality)
-
-
-def _parse_equality(ts):
-    return _binary_level(ts, ("=", "!="), _parse_relational)
-
-
-def _parse_relational(ts):
-    return _binary_level(ts, ("<=", ">=", "<", ">"), _parse_additive)
-
-
-def _parse_additive(ts):
-    return _binary_level(ts, ("+", "-"), _parse_multiplicative)
-
-
-def _parse_multiplicative(ts):
-    return _binary_level(ts, ("*", "/"), _parse_unary)
 
 
 def _parse_unary(ts: _Tokens) -> ast.Expr:
@@ -244,7 +203,11 @@ def parse_model(source: str) -> ast.SymbolicModel:
             constants.append(_parse_const(ts))
         elif ts.accept("action"):
             while True:
-                actions.append(_ident(ts, "an action name").text)
+                atok = _ident(ts, "an action name")
+                if atok.text in actions:
+                    raise ts.error(
+                        f"duplicate action declaration {atok.text!r}", atok)
+                actions.append(atok.text)
                 if not ts.accept(","):
                     break
             ts.expect(";")
@@ -375,7 +338,7 @@ def _parse_branch(ts: _Tokens) -> ast.Branch:
 def _parse_label(ts: _Tokens) -> ast.LabelDecl:
     tok = ts.expect(type_="STRING", what="a quoted label name")
     name = tok.text[1:-1]
-    if not _LABEL_NAME_RE.match(name):
+    if not IDENTIFIER_RE.fullmatch(name):
         raise ts.error(f"label name {name!r} is not an identifier", tok)
     ts.expect("=")
     expr = _parse_expr(ts)
@@ -437,9 +400,6 @@ def _analyze(ts: _Tokens, model: ast.SymbolicModel) -> None:
         const_types[c.name] = c.type
 
     seen = set(const_types)
-    dup = [a for a in model.actions if model.actions.count(a) > 1]
-    if dup:
-        raise ts.error(f"duplicate action declaration {dup[0]!r}", ts.peek())
 
     # variables: unique names, constant integer bounds, init in range
     var_types: dict[str, str] = {}

@@ -126,6 +126,8 @@ class SmcConfig:
                 raise ValueError("need runs or an (epsilon, delta) pair")
             if not (0 < self.epsilon < 1 and 0 < self.delta < 1):
                 raise ValueError("epsilon and delta must lie in (0, 1)")
+        elif self.epsilon is not None or self.delta is not None:
+            raise ValueError("give runs or an (epsilon, delta) pair, not both")
         elif self.runs < 1:
             raise ValueError("runs must be positive")
         if self.max_steps < 1:

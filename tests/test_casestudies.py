@@ -179,6 +179,17 @@ class TestContactPlan:
         assert np.array_equal(sp.labels["delivered"], col >= 1)
 
 
+@pytest.mark.parametrize("case", [
+    gen_bitcoin(BitcoinParams()),
+    gen_noc(NocParams()),
+    gen_noc(NocParams(pattern="bursty", burst_len=2, burst_period=4)),
+    gen_contact_mdp(parse_contact_plan(sample_contact_plan())),
+], ids=lambda case: case.name)
+def test_pretty_printed_model_reparses_to_the_same_model(case):
+    model = parse_model(case.model)
+    assert parse_model(model.pretty()) == model
+
+
 class TestNoc:
     def test_parameter_validation(self):
         for bad in [dict(pattern="nope"), dict(buffer=0), dict(burst_len=3),

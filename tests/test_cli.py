@@ -421,6 +421,14 @@ class TestExitCodes:
          "nonnegative"),
         (COIN, ["check", 'Pmax=? [ F "heads" ]', "--state-cap", "-1"],
          "state cap must be at least 1"),
+        (COIN, ["simulate", 'Pmax=? [ F "heads" ]', "--runs", "100",
+                "--eps", "0.05", "--delta", "0.05"], "not both"),
+        (COIN, ["simulate", 'Pmax=? [ F "heads" ]', "--delta", "0.05"],
+         "(epsilon, delta) pair"),
+        (COIN, ["lss", 'Pmax=? [ F "heads" ]', "--schedulers", "2",
+                "--runs", "100", "--delta", "0.05"], "not both"),
+        (COIN, ["lss", 'Pmax=? [ F "heads" ]', "--schedulers", "2",
+                "--eps", "0.05"], "(epsilon, delta) pair"),
     ])
     def test_bad_parameter_is_an_error(self, capsys, model_file, model, argv,
                                        message):

@@ -1,5 +1,6 @@
 """Language front end: lexing, parsing, semantic checks, exploration."""
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,13 +9,22 @@ from hypothesis import strategies as st
 
 from qmv.core import Direction, ModelClass, PropertyKind, target_mask
 from qmv.lang import (
+    Binary,
+    BoolLit,
+    Call,
+    Cond,
     ExplorationError,
     ExplorationLimit,
+    IntLit,
     ModelSyntaxError,
+    Name,
+    RealLit,
+    Unary,
     parse_model,
     parse_properties,
     parse_property,
 )
+from qmv.lang.ast import PRECEDENCE
 from qmv.lang.explore import check_good_for_distribution, explore
 from qmv.lang.lexer import KEYWORDS, tokenize
 
@@ -137,6 +147,14 @@ class TestParser:
                 endmodule
             """)
 
+    def test_duplicate_action_is_reported_at_the_repeated_name(self):
+        with pytest.raises(ModelSyntaxError,
+                           match="duplicate action declaration 'a'") as err:
+            parse_model("mdp\naction a, b;\naction a;\nmodule m\n"
+                        " x : [0..1] init 0;\n [a] x=0 -> (x'=1);\n"
+                        " [b] x=1 -> (x'=0);\nendmodule\n")
+        assert (err.value.line, err.value.column) == (3, 8)
+
     def test_type_error_int_plus_bool(self):
         with pytest.raises(ModelSyntaxError):
             parse_model("dtmc\nmodule m\n x : [0..1] init 1 + true;\nendmodule")
@@ -212,6 +230,67 @@ _exprs = st.recursive(
     ),
     max_leaves=8,
 ).filter(lambda tv: abs(tv[1]) <= 10 ** 6)
+
+
+_BINARY_OPS = sorted(op for op in PRECEDENCE if op not in ("?:", "unary"))
+
+_literals = st.one_of(
+    st.integers(-9, 9).map(IntLit),
+    st.booleans().map(BoolLit),
+    st.fractions(-3, 3, max_denominator=7)
+    .filter(lambda q: q.denominator != 1).map(RealLit),
+)
+
+
+def _reading_a_name(kids, least, most=None):
+    """Child tuples of ``least`` to ``most`` expressions, one of them (at any
+    position) from ``kids``: the parser folds a node whose children are all
+    literals."""
+    most = most or least
+    return st.builds(
+        lambda kid, rest, i: (*rest[:i], kid, *rest[i:]),
+        kids, st.lists(kids | _literals, min_size=least - 1,
+                       max_size=most - 1),
+        st.integers(0, most - 1))
+
+
+#: Untyped ASTs as the parser builds them: every node reads a name, so none
+#: is folded, and operators nest in every combination of precedence.
+_asts = st.recursive(
+    st.sampled_from("abxyz").map(Name),
+    lambda kids: st.one_of(
+        st.builds(Unary, st.sampled_from("-!"), kids),
+        st.builds(lambda op, args: Binary(op, *args),
+                  st.sampled_from(_BINARY_OPS), _reading_a_name(kids, 2)),
+        _reading_a_name(kids, 3).map(lambda args: Cond(*args)),
+        st.builds(Call, st.sampled_from(["min", "max"]),
+                  _reading_a_name(kids, 2, 3)),
+    ),
+    max_leaves=12,
+)
+
+
+class TestPrettyPrinter:
+    @given(_asts)
+    @settings(max_examples=300, deadline=None)
+    def test_pretty_reparses_to_the_same_ast(self, e):
+        text = e.pretty()
+        assert parse_property(f"Pmax=? [ F {text} ]").target == e, text
+
+    @pytest.mark.parametrize("e,text", [
+        (Binary("-", Name("a"), Binary("-", Name("b"), Name("c"))),
+         "a - (b - c)"),
+        (Binary("-", Binary("-", Name("a"), Name("b")), Name("c")),
+         "a - b - c"),
+        (Binary("*", Name("a"), Binary("+", Name("b"), Name("c"))),
+         "a * (b + c)"),
+        (Unary("-", Binary("*", Name("a"), Name("b"))), "-(a * b)"),
+        (Binary("*", Name("a"), RealLit(Fraction(1, 3))), "a * (1/3)"),
+        (Cond(Cond(Name("a"), Name("b"), Name("c")), Name("x"), Name("y")),
+         "(a ? b : c) ? x : y"),
+    ])
+    def test_only_needed_parentheses_are_printed(self, e, text):
+        assert e.pretty() == text
 
 
 class TestExpressionEvaluation:

@@ -131,6 +131,12 @@ class TestSmcConfig:
             SmcConfig(runs=0)
         with pytest.raises(ValueError):
             SmcConfig(epsilon=0.0, delta=0.5)
+        with pytest.raises(ValueError):
+            SmcConfig(delta=0.05)
+        with pytest.raises(ValueError):
+            SmcConfig(runs=100, epsilon=0.05, delta=0.05)
+        with pytest.raises(ValueError):
+            SmcConfig(runs=100, delta=0.05)
 
 
 class TestSmcEstimate:
