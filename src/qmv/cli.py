@@ -216,7 +216,8 @@ def cmd_simulate(args) -> int:
     constants = model.constant_values()
     resolver = None
     if args.scheduler_id is not None:
-        (decisions,) = smc.reachable_decisions(space, [args.scheduler_id])
+        (decisions,) = smc.reachable_decisions(space, [args.scheduler_id],
+                                               args.mode)
         resolver = decisions.__getitem__
     elif decision_states(space):
         raise ValueError("the model has nondeterministic choices; pass "
@@ -342,7 +343,10 @@ def _add_common(p: argparse.ArgumentParser, *, props=True) -> None:
 def _add_solver(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsilon", type=float,
                    default=numeric.SolverConfig.epsilon,
-                   help="value iteration convergence threshold")
+                   help="value iteration convergence threshold, used only "
+                        "for the immediate states of MA time-bounded "
+                        "digitization and for strongly connected components "
+                        "too large for a dense solve")
     p.add_argument("--time-bound-error", type=float,
                    default=numeric.SolverConfig.time_bound_error,
                    help="a-priori digitization error for time bounds")
@@ -358,6 +362,10 @@ def _add_smc(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--max-steps", type=int, default=smc.SmcConfig.max_steps,
                    help="per-run step cap")
+    p.add_argument("--mode", choices=("global", "distributed"),
+                   default="global",
+                   help="what a scheduler id observes: the whole state, or "
+                        "only the deciding component's variables")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -394,8 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_smc(p)
     p.add_argument("--schedulers", type=int, required=True, metavar="M",
                    help="number of scheduler ids to sample")
-    p.add_argument("--mode", choices=("global", "distributed"),
-                   default="global")
     p.add_argument("--table", action="store_true",
                    help="include the per-scheduler estimate table")
     p.set_defaults(func=cmd_lss)

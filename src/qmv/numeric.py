@@ -1,18 +1,30 @@
 """Numerical analyses on explicit state spaces.
 
-Reachability probabilities (value iteration with graph precomputation),
-whole step-bounded CDFs, MA expected time, MA time-bounded reachability via
-digitization, and deterministic scheduler extraction.
+Reachability probabilities and MA expected time (exact, by graph
+precomputation and policy iteration per strongly connected component),
+whole step-bounded CDFs, MA time-bounded reachability via digitization, and
+deterministic scheduler extraction.
 
-Value iteration is plain Jacobi iteration over the packed rows of the states
-it solves for, one loop (:func:`_iterate`) for every fixpoint.  It stops at
-an absolute residual (``SolverConfig.epsilon``), and :data:`MAX_ITERATIONS`
-sweeps without reaching it are a :class:`SolverError`.  That criterion is
-not sound in general (it can stop early on slowly mixing models); the
-intended scale is desk-size case studies whose results are cross-checked
-against closed forms and brute-force oracles.  Every backward search
-(probability 0 and 1, progress towards the target) runs
-:func:`_backward_bfs`.
+Unbounded reachability and expected time are solved by :func:`_solve`.
+Graph analysis first pins the states whose value is 0, 1 or infinite.  The
+remaining states are split into strongly connected components (iterative
+Tarjan), which are solved in topological order: all single-state
+components of one level by one exact Bellman update, every larger one by
+policy iteration with a dense ``numpy.linalg.solve`` per round.  Only a
+component above :data:`MAX_DENSE_SCC` states falls back to value iteration.
+A result's ``iterations`` counts policy rounds plus any value-iteration
+sweeps, ``residual`` is the largest |Bellman(V) - V| over the solved
+states after the solve, and ``info["exact"]`` is 1.0 when no component
+fell back.
+
+Value iteration is plain Jacobi iteration over the packed rows of the
+states it solves for, one loop (:func:`_iterate`) shared by the oversize
+components and the immediate states of each digitization slice.  It stops
+at an absolute residual (``SolverConfig.epsilon``), which is not sound in
+general (it can stop early on slowly mixing models), and
+:data:`MAX_ITERATIONS` sweeps without reaching it are a
+:class:`SolverError`.  Every backward search (probability 0 and 1,
+progress towards the target) runs :func:`_backward_bfs`.
 
 Every analysis reads the row-grouped arrays of the state space directly:
 per-row values are one ``reduceat`` over the branches, per-state optima one
@@ -42,8 +54,15 @@ class SolverError(Exception):
     """A numerical analysis could not produce a trustworthy result."""
 
 
-#: Largest number of sweeps of one value iteration.
+#: Largest number of sweeps of one value iteration, and of policy rounds
+#: of one strongly connected block.
 MAX_ITERATIONS = 1_000_000
+#: Largest strongly connected block solved by dense policy evaluation (a
+#: 32 MB matrix); value iteration solves larger ones.
+MAX_DENSE_SCC = 2_048
+#: Relative rounding slack: a row is better than another only where its
+#: value is better by more than this fraction of the other's.
+ROUNDING_SLACK = 1e-10
 #: Largest step horizon of a step-bounded CDF.
 MAX_HORIZON = 1_000_000
 #: Largest digitization step count of MA time-bounded reachability.
@@ -54,7 +73,9 @@ MAX_DIGITIZATION_STEPS = 10_000_000
 class SolverConfig:
     """Numerical tuning knobs, each positive and finite.
 
-    ``epsilon`` is the absolute residual at which value iteration stops;
+    ``epsilon`` is the absolute residual at which value iteration stops: in
+    the immediate states of each digitization slice and in strongly
+    connected components above :data:`MAX_DENSE_SCC` states;
     ``time_bound_error`` is the a-priori digitization error allowed for MA
     time-bounded reachability.
     """
@@ -101,7 +122,7 @@ class DecisionRow:
 # row groups
 
 #: Distance of a state that breadth-first search did not reach; also the
-#: "no row" key of :func:`_first_row`.
+#: "no entry" key of :func:`_first`.
 _FAR = np.iinfo(np.int64).max
 
 
@@ -154,12 +175,17 @@ def _optimum(values: np.ndarray, starts: np.ndarray,
     return (np.maximum if maximize else np.minimum).reduceat(values, starts)
 
 
+def _first(flags: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per group starting at ``starts``: the index of its first flagged
+    entry, or ``_FAR``."""
+    return np.minimum.reduceat(np.where(flags, np.arange(len(flags)), _FAR),
+                               starts)
+
+
 def _first_row(sp: ExplicitStateSpace, flags: np.ndarray) -> np.ndarray:
     """Per state: the offset of its first flagged row, or -1."""
-    offset = np.arange(len(flags)) - sp.choice_ptr[sp.choice_state]
-    first = np.minimum.reduceat(np.where(flags, offset, _FAR),
-                                sp.choice_ptr[:-1])
-    return np.where(first == _FAR, -1, first)
+    first = _first(flags, sp.choice_ptr[:-1])
+    return np.where(first == _FAR, -1, first - sp.choice_ptr[:-1])
 
 
 def _rows_of(sp: ExplicitStateSpace, states: np.ndarray,
@@ -174,6 +200,24 @@ def _rows_of(sp: ExplicitStateSpace, states: np.ndarray,
     return (np.flatnonzero(states), sp.branch_prob[branches],
             sp.branch_target[branches], cost[rows] if np.ndim(cost) else cost,
             np.cumsum(row_len) - row_len, np.cumsum(group_len) - group_len)
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct entries of ``a``, sorted: ``np.unique`` without the
+    import of ``numpy.ma`` that its first call makes (1.2 MB of resident
+    memory)."""
+    a = np.sort(a)
+    return a[np.append(True, a[1:] != a[:-1])] if len(a) else a
+
+
+def _ranges(ptr: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """The index ranges ``ptr[i]:ptr[i + 1]`` of the ``items``, concatenated
+    in order."""
+    lo = ptr[items]
+    lens = ptr[items + 1] - lo
+    ends = np.cumsum(lens)
+    return np.repeat(lo - ends + lens, lens) + np.arange(
+        ends[-1] if len(ends) else 0)
 
 
 # --------------------------------------------------------------------------
@@ -195,14 +239,11 @@ def _backward_bfs(sp: ExplicitStateSpace, edges: np.ndarray,
     level = 0
     while frontier.size:
         level += 1
-        lo = ptr[frontier]
-        lens = ptr[frontier + 1] - lo
-        ends = np.cumsum(lens)
-        nxt = preds[np.repeat(lo - ends + lens, lens) + np.arange(ends[-1])]
+        nxt = preds[_ranges(ptr, frontier)]
         fresh = dist[nxt] == _FAR
         if allowed is not None:
             fresh &= allowed[nxt]
-        frontier = np.unique(nxt[fresh])
+        frontier = _distinct(nxt[fresh])
         dist[frontier] = level
     return dist
 
@@ -224,23 +265,45 @@ def _exists_almost_sure(sp: ExplicitStateSpace, by_target: np.ndarray,
                         target: np.ndarray) -> np.ndarray:
     """States where some scheduler reaches ``target`` with probability 1:
     the greatest set from which ``target`` is reachable backwards along
-    rows that stay in the set."""
+    rows that stay in the set.
+
+    Between backward searches, non-target states left without a row that
+    stays in the set are peeled off, driven by the in-branches of the
+    states removed, as :func:`_backward_bfs` drives its frontier.  Every
+    state of the result has such a row, so the peel removes only states
+    that cannot belong; on a chain it removes in one pass what would
+    otherwise take one backward search per state."""
+    ptr = np.searchsorted(sp.branch_target[by_target],
+                          np.arange(sp.n_states + 1))
     row_of = sp.branch_choice[by_target]
     u = np.ones(sp.n_states, dtype=bool)
+    # per row: all its branches stay in u; per state: how many such rows
+    stay = np.ones(len(sp.choice_state), dtype=bool)
+    staying = np.diff(sp.choice_ptr)
+    removed = np.zeros(0, dtype=np.int64)
     while True:
-        stay = np.logical_and.reduceat(u[sp.branch_target], sp.branch_ptr[:-1])
+        while removed.size:
+            u[removed] = False
+            rows = _distinct(row_of[_ranges(ptr, removed)])
+            rows = rows[stay[rows]]
+            stay[rows] = False
+            states, lost = np.unique(sp.choice_state[rows],
+                                     return_counts=True)
+            staying[states] -= lost
+            removed = states[(staying[states] == 0) & u[states]
+                             & ~target[states]]
         v = _backward_bfs(sp, by_target[stay[row_of]], target) < _FAR
-        if np.array_equal(v, u):
+        removed = np.flatnonzero(u & ~v)
+        if not removed.size:
             return u
-        u = v
 
 
 # --------------------------------------------------------------------------
-# value iteration and scheduler extraction
+# exact solver and value iteration
 
 
-def _iterate(V: np.ndarray, rows: tuple, maximize: bool, cfg: SolverConfig,
-             *, probabilities: bool = False) -> tuple[int, float]:
+def _iterate(V: np.ndarray, rows: tuple, maximize: bool,
+             cfg: SolverConfig) -> tuple[int, float]:
     """Jacobi value iteration of the packed ``rows`` (see :func:`_rows_of`)
     until no value changes by more than ``cfg.epsilon``.  Updates ``V`` in
     place; returns the sweeps made and the last residual."""
@@ -252,13 +315,240 @@ def _iterate(V: np.ndarray, rows: tuple, maximize: bool, cfg: SolverConfig,
         opt = _optimum(row_vals, group_starts, maximize)
         residual = float(np.max(np.abs(opt - V[idx])))
         V[idx] = opt
-        if probabilities and (opt.min() < -1e-9 or opt.max() > 1 + 1e-9):
-            raise SolverError(
-                f"iteration left [0,1]: min {opt.min()}, max {opt.max()}")
         if residual <= cfg.epsilon:
             return iteration, residual
     raise SolverError(f"no convergence after {MAX_ITERATIONS} iterations "
                       f"(residual {residual:.3e})")
+
+
+def _sccs(ptr: list[int], succ: list[int]) -> list[int]:
+    """Strongly connected components of the graph whose node ``v`` has the
+    successors ``succ[ptr[v]:ptr[v + 1]]`` (iterative Tarjan).  Components
+    are numbered as they complete, so an edge never leads to a component
+    numbered higher than its own."""
+    n = len(ptr) - 1
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
+    stack: list[int] = []
+    visited = done = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = visited
+        visited += 1
+        stack.append(root)
+        work = [(root, ptr[root])]
+        while work:
+            v, i = work[-1]
+            end = ptr[v + 1]
+            while i < end:
+                w = succ[i]
+                i += 1
+                if index[w] < 0:
+                    work[-1] = (v, i)
+                    index[w] = low[w] = visited
+                    visited += 1
+                    stack.append(w)
+                    work.append((w, ptr[w]))
+                    break
+                if comp[w] < 0 and index[w] < low[v]:  # w is on the stack
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = done
+                        if w == v:
+                            break
+                    done += 1
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+    return comp
+
+
+def _levels(comp: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Per component: the length of its longest path, along the edges
+    ``src -> dst`` between nodes, to a component without successors."""
+    n = int(comp.max()) + 1
+    cs, cd = comp[src], comp[dst]
+    cross = cs != cd
+    cs, cd = cs[cross], cd[cross]
+    succs = np.bincount(cs, minlength=n)
+    order = np.argsort(cd, kind="stable")
+    ptr = np.searchsorted(cd[order], np.arange(n + 1))
+    preds = cs[order]
+    level = np.zeros(n, dtype=np.int64)
+    frontier = np.flatnonzero(succs == 0)
+    depth = 0
+    while frontier.size:
+        level[frontier] = depth
+        depth += 1
+        pred = preds[_ranges(ptr, frontier)]
+        np.subtract.at(succs, pred, 1)
+        frontier = _distinct(pred[succs[pred] == 0])
+    return level
+
+
+def _policy_iteration(const: np.ndarray, prob: np.ndarray,
+                      inside: np.ndarray, row_starts: np.ndarray,
+                      group_starts: np.ndarray,
+                      maximize: bool) -> tuple[np.ndarray, int]:
+    """Solve one strongly connected block of ``n`` states exactly; return
+    its values and the policy rounds made.
+
+    Row ``r`` of the block is worth ``const[r]`` plus its branches
+    ``prob`` into the block (``inside`` is the local target, ``n`` for a
+    branch that leaves the block, whose value ``const`` already holds).
+    The initial policy picks, per state, the first row that moves closer
+    to a row leaving the block, so it leaves the block almost surely (it
+    is proper).  Each round evaluates the policy with one dense solve and
+    switches a state to its best row only where that row beats the chosen
+    one by more than ``ROUNDING_SLACK``; strict improvement keeps the
+    policy proper.
+    """
+    n = len(group_starts)
+    row_state = np.repeat(np.arange(n), np.diff(
+        np.append(group_starts, len(row_starts))))
+    row_ptr = np.append(row_starts, len(prob))
+    inb = inside < n
+    # backward search inside the block from the rows that leave it
+    choice = _first(np.logical_or.reduceat(~inb, row_starts), group_starts)
+    dist = np.append(np.where(choice < _FAR, 0, _FAR), _FAR)
+    level = 0
+    while (choice == _FAR).any():
+        closer = _first(np.logical_or.reduceat(dist[inside] == level,
+                                               row_starts)
+                        & (dist[row_state] == _FAR), group_starts)
+        fresh = closer < _FAR
+        if not fresh.any():
+            raise SolverError("a strongly connected block has no way out")
+        level += 1
+        choice[fresh] = closer[fresh]
+        dist[:n][fresh] = level
+    x = np.zeros(n + 1)  # x[n]: the block's outside, held in const
+    a = np.empty((n, n))
+    for rounds in range(1, MAX_ITERATIONS + 1):
+        branches = _ranges(row_ptr, choice)
+        at = np.repeat(np.arange(n), np.diff(row_ptr)[choice]) * n \
+            + inside[branches]
+        keep = inb[branches]
+        a.fill(0.0)
+        a.flat[::n + 1] = 1.0
+        np.subtract.at(a.reshape(-1), at[keep], prob[branches][keep])
+        try:
+            x[:n] = np.linalg.solve(a, const[choice])
+        except np.linalg.LinAlgError as e:
+            raise SolverError(f"policy evaluation failed: {e}") from None
+        q = np.add.reduceat(prob * x[inside], row_starts) + const
+        best = _optimum(q, group_starts, maximize)
+        now = q[choice]
+        gain = best - now if maximize else now - best
+        better = gain > ROUNDING_SLACK * np.abs(now)
+        if not better.any():
+            return x[:n], rounds
+        choice = np.where(better, _first(q == best[row_state], group_starts),
+                          choice)
+    raise SolverError(f"no convergence after {MAX_ITERATIONS} policy rounds")
+
+
+def _solve(V: np.ndarray, sp: ExplicitStateSpace, free: np.ndarray,
+           maximize: bool, cost: np.ndarray | float,
+           cfg: SolverConfig) -> tuple[int, float, dict[str, float]]:
+    """Optimal values of the ``free`` states, written into ``V``, given the
+    values of all other states; returns the policy rounds plus value
+    iteration sweeps made, the largest Bellman residual over the free
+    states, and block statistics (``exact``, ``sccs``, ``largest_scc``).
+
+    A free state uses only rows that leave it and whose successors all have
+    finite values.  The free states are split into strongly connected
+    components, which are solved by topological level, lowest first: all
+    single-state components of one level by one exact Bellman update (a
+    self-loop of probability q divides by 1-q), every larger component by
+    :func:`_policy_iteration`, or by :func:`_iterate` above
+    ``MAX_DENSE_SCC`` states.
+    """
+    usable = (np.logical_or.reduceat(sp.branch_target != sp.branch_source,
+                                     sp.branch_ptr[:-1])
+              & np.logical_and.reduceat(np.isfinite(V[sp.branch_target]),
+                                        sp.branch_ptr[:-1])
+              & free[sp.choice_state])
+    states = np.flatnonzero(free)
+    if not len(states):
+        return 0, 0.0, {"exact": 1.0, "sccs": 0.0, "largest_scc": 0.0}
+    m = len(states)
+    local = np.full(sp.n_states, m)
+    local[states] = np.arange(m)
+
+    # the graph among free states, self-loops aside
+    edge = (usable[sp.branch_choice] & free[sp.branch_target]
+            & (sp.branch_target != sp.branch_source))
+    src = local[sp.branch_source[edge]]
+    dst = local[sp.branch_target[edge]]
+    comp = np.array(_sccs(np.searchsorted(src, np.arange(m + 1)).tolist(),
+                          dst.tolist()))
+    size = np.bincount(comp)
+    level = _levels(comp, src, dst)[comp]
+    cyclic = size[comp] > 1
+    # by level; in each, the single states first, then one component after
+    # the other
+    order = np.lexsort((comp, cyclic, level))
+    states, level, cyclic, comp = (states[order], level[order],
+                                   cyclic[order], comp[order])
+    local[states] = np.arange(m)
+
+    # the rows of the free states in that order, packed
+    all_rows = _ranges(sp.choice_ptr, states)
+    kept = usable[all_rows]
+    group_ptr = np.append(0, np.cumsum(kept))[
+        np.append(0, np.cumsum(np.diff(sp.choice_ptr)[states]))]
+    rows = all_rows[kept]
+    branches = _ranges(sp.branch_ptr, rows)
+    row_ptr = np.append(0, np.cumsum(np.diff(sp.branch_ptr)[rows]))
+    prob = sp.branch_prob[branches]
+    target = sp.branch_target[branches]
+    row_cost = cost[rows] if np.ndim(cost) else np.full(len(rows), cost)
+    loop = target == sp.branch_source[branches]
+
+    cut = np.flatnonzero((level[1:] != level[:-1])
+                         | (cyclic[1:] != cyclic[:-1])
+                         | (cyclic[1:] & (comp[1:] != comp[:-1]))) + 1
+    iterations, exact = 0, True
+    for a, e in zip(np.append(0, cut).tolist(), np.append(cut, m).tolist()):
+        r0, r1 = group_ptr[a], group_ptr[e]
+        b0, b1 = row_ptr[r0], row_ptr[r1]
+        p, t = prob[b0:b1], target[b0:b1]
+        starts = row_ptr[r0:r1] - b0
+        groups = group_ptr[a:e] - r0
+        if not cyclic[a]:
+            # with a self-loop of probability q: (cost + rest) / (1 - q)
+            val = np.add.reduceat(np.where(loop[b0:b1], 0.0, p * V[t]),
+                                  starts) + row_cost[r0:r1]
+            val /= 1.0 - np.add.reduceat(np.where(loop[b0:b1], p, 0.0),
+                                         starts)
+            V[states[a:e]] = _optimum(val, groups, maximize)
+            continue
+        if e - a > MAX_DENSE_SCC:
+            sweeps, _ = _iterate(V, (states[a:e], p, t, row_cost[r0:r1],
+                                     starts, groups), maximize, cfg)
+            iterations += sweeps
+            exact = False
+            continue
+        inside = local[t] - a
+        outside = (inside < 0) | (inside >= e - a)
+        inside[outside] = e - a
+        const = np.add.reduceat(np.where(outside, p * V[t], 0.0),
+                                starts) + row_cost[r0:r1]
+        V[states[a:e]], rounds = _policy_iteration(const, p, inside, starts,
+                                                   groups, maximize)
+        iterations += rounds
+
+    opt = _optimum(_row_values(sp, V, cost), sp.choice_ptr[:-1], maximize)
+    residual = float(np.max(np.abs(opt[states] - V[states])))
+    return iterations, residual, {"exact": float(exact),
+                                  "sccs": float(len(size)),
+                                  "largest_scc": float(size.max())}
 
 
 def _extract_scheduler(
@@ -266,10 +556,8 @@ def _extract_scheduler(
     sp: ExplicitStateSpace,
     by_target: np.ndarray,
     V: np.ndarray,
-    free: np.ndarray,
     maximize: bool,
     target: np.ndarray,
-    cfg: SolverConfig,
     *,
     cost=0.0,
     progress: bool,
@@ -286,14 +574,14 @@ def _extract_scheduler(
     must remain inside that set (minimal-probability extraction).
     """
     row_vals = _row_values(sp, V, cost)
-    opt = _optimum(row_vals, sp.choice_ptr[:-1], maximize)
+    opt = _optimum(row_vals, sp.choice_ptr[:-1], maximize)[sp.choice_state]
     with np.errstate(invalid="ignore"):
         # inf-valued rows of inf-valued states give NaN gaps, which compare
         # False and are correctly excluded
-        candidate = np.abs(row_vals - opt[sp.choice_state]) <= 10 * cfg.epsilon
+        candidate = np.abs(row_vals - opt) <= ROUNDING_SLACK * np.abs(opt)
 
     first = _first_row(sp, candidate)
-    choice = np.where(free & (first >= 0), first, 0)
+    choice = np.where(~target & (first >= 0), first, 0)
     if progress:
         # BFS from the target, backwards over candidate rows only
         dist = _backward_bfs(
@@ -302,7 +590,7 @@ def _extract_scheduler(
         moves = (np.logical_or.reduceat(closer, sp.branch_ptr[:-1])
                  & candidate & (dist[sp.choice_state] < _FAR))
         first = _first_row(sp, moves)
-        choice = np.where(free & (first >= 0), first, choice)
+        choice = np.where(~target & (first >= 0), first, choice)
     if stay_zero is not None:
         # pick a choice that keeps the avoidance certificate
         safe = np.logical_and.reduceat(stay_zero[sp.branch_target],
@@ -348,14 +636,16 @@ def reach_prob(
     V = np.zeros(space.n_states, dtype=np.float64)
     V[one] = 1.0
     free = ~(one | zero)
-    iterations, residual = _iterate(V, _rows_of(sp, free), maximize, cfg,
-                                    probabilities=True)
+    iterations, residual, info = _solve(V, sp, free, maximize, 0.0, cfg)
+    if V.min() < -1e-9 or V.max() > 1 + 1e-9:
+        raise SolverError(f"probabilities left [0,1]: min {V.min()}, "
+                          f"max {V.max()}")
     scheduler = _extract_scheduler(
-        space, sp, by_target, V, free, maximize, mask, cfg,
+        space, sp, by_target, V, maximize, mask,
         progress=maximize, stay_zero=zero if not maximize else None)
     return ValueResult(float(V[space.initial]), iterations, residual,
                        scheduler, {"pinned_zero": float(zero.sum()),
-                                   "pinned_one": float(one.sum())})
+                                   "pinned_one": float(one.sum()), **info})
 
 
 def step_bounded_cdf(
@@ -455,14 +745,14 @@ def ma_expected_time(
     V[~finite] = math.inf
     V[mask] = 0.0
     free = finite & ~mask
-    iterations, residual = _iterate(V, _rows_of(sp, free, cost), maximize,
-                                    cfg)
+    iterations, residual, info = _solve(V, sp, free, maximize, cost, cfg)
     scheduler = _extract_scheduler(
-        space, sp, by_target, V, free, maximize, mask, cfg, cost=cost,
+        space, sp, by_target, V, maximize, mask, cost=cost,
         progress=not maximize)
     return ValueResult(float(V[space.initial]), iterations, residual,
                        scheduler, {"pinned_inf": float((~finite).sum()),
-                                   "target_states": float(mask.sum())})
+                                   "target_states": float(mask.sum()),
+                                   **info})
 
 
 def ma_time_bounded(

@@ -364,8 +364,14 @@ def reachable_decisions(space: ExplicitStateSpace, ids: Iterable[int],
     mode) the first time any walk reaches it and hashed with the id by
     :func:`lss_decide`.  Two ids with equal tables make identical choices
     on every path that can occur.  Raises ValueError for an id outside
-    [0, 2**32), whether or not it reaches a decision.
+    [0, 2**32), whether or not it reaches a decision, and
+    :class:`NotGoodForDistribution` in ``distributed`` mode for a model
+    that is not good for distribution.
     """
+    if mode == "distributed":
+        violations = check_good_for_distribution(space)
+        if violations:
+            raise NotGoodForDistribution(violations)
     (choice_ptr, branch_ptr, _, branch_target, _,
      rate_ptr, _, rate_target, _, _) = space.walk
     observations: dict[int, bytes] = {}
@@ -413,10 +419,6 @@ def lss(
     requires the model to be good for distribution and hashes only the
     owner's observed variables, ``global`` mode hashes the full state.
     """
-    if cfg.mode == "distributed":
-        violations = check_good_for_distribution(space)
-        if violations:
-            raise NotGoodForDistribution(violations)
     ids = sample_scheduler_ids(cfg.sampler_seed, cfg.m)
     cache: dict[tuple, SmcEstimate] = {}
     table: list[tuple[int, SmcEstimate]] = []

@@ -170,6 +170,32 @@ def test_trust_attack_min_time_strategy_follows_restart_rule():
              "it at CD=3, 4 by restarting two behind; " + "; ".join(lines))
 
 
+def test_trust_attack_min_time_is_exact():
+    # the value is its own scheduler's expected time, which the restart
+    # rule does not beat; at CD=6 the rule is optimal, so its dense solve
+    # is the exact minimum
+    lines = []
+    for cd in (6, 12):
+        space = space_of(gen_bitcoin(BitcoinParams(M=0.2, CD=cd)).model)
+        result = ma_expected_time(space, "goal", Direction.MIN)
+        goal = target_mask(space, "goal")
+        own = _policy_expected_time(space, goal,
+                                    lambda s: result.scheduler[s])
+        rule = _policy_expected_time(space, goal, _restart_rule_pick(space))
+        assert result.info["exact"] == 1.0
+        assert abs(result.value - own) <= 1e-9 * own, (
+            f"CD={cd}: {result.value!r}, its scheduler's dense solve "
+            f"{own!r}")
+        assert rule >= own * (1 - 1e-9)
+        if cd == 6:
+            assert abs(result.value - rule) <= 1e-9 * rule, (
+                f"CD=6: {result.value!r}, restart-rule dense solve {rule!r}")
+        lines.append(f"CD={cd}: {result.value:.5f} min")
+    _verdict("trust-attack exact minimum", True,
+             "equals the dense solve of its scheduler to 1e-9: "
+             + "; ".join(lines))
+
+
 def test_trust_attack_sweep_brackets_two_and_a_half_days():
     minutes = {}
     for cd in range(1, 9):

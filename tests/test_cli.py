@@ -1,8 +1,12 @@
 """Command-line interface: subcommands, JSON reports, exit codes."""
 import json
+import math
 
 import pytest
 
+from qmv.casestudies import (BitcoinParams, NocParams, gen_bitcoin,
+                             gen_contact_mdp, gen_noc, parse_contact_plan,
+                             sample_contact_plan)
 from qmv.cli import main
 
 COIN = """
@@ -305,6 +309,73 @@ class TestLss:
             _, sim, _ = run_json(capsys, [
                 "simulate", path, *common, "--scheduler-id", str(row["id"])])
             assert sim["properties"][0]["mean"] == row["mean"]
+
+    def test_simulate_replays_distributed_mode_ids(self, capsys, tmp_path):
+        model = tmp_path / "contacts.gcm"
+        model.write_text(gen_contact_mdp(parse_contact_plan(
+            sample_contact_plan())).model)
+        common = ['Pmax=? [ F "delivered" ]', "--runs", "200", "--seed",
+                  "3", "--json"]
+        _, rep, _ = run_json(capsys, [
+            "lss", str(model), *common, "--schedulers", "6", "--table",
+            "--mode", "distributed"])
+        moved = 0
+        for row in rep["properties"][0]["table"]:
+            replay = ["simulate", str(model), *common, "--scheduler-id",
+                      str(row["id"])]
+            _, sim, _ = run_json(capsys, replay + ["--mode", "distributed"])
+            assert sim["properties"][0]["mean"] == row["mean"]
+            _, other, _ = run_json(capsys, replay)
+            moved += other["properties"][0]["mean"] != row["mean"]
+        # the mode matters: in global mode most ids decide differently
+        assert moved >= 1
+
+    def test_simulate_distributed_mode_rejects_shared_decisions(
+            self, capsys, model_file):
+        code, _, err = run(capsys, [
+            "simulate", model_file(INTERLEAVED), 'Pmax=? [ F "win" ]',
+            "--runs", "10", "--scheduler-id", "1", "--mode", "distributed"])
+        assert code == 4
+        assert "not good for distribution" in err
+
+
+def _bundled_properties():
+    """(case, property index, property text) of every bundled case study's
+    generated properties."""
+    cases = [gen_bitcoin(BitcoinParams()),
+             gen_contact_mdp(parse_contact_plan(sample_contact_plan())),
+             gen_noc(NocParams())]
+    out = []
+    for case in cases:
+        lines = [ln.split("//", 1)[0].strip()
+                 for ln in case.props.splitlines()]
+        out += [(case, i, text)
+                for i, text in enumerate(ln for ln in lines if ln)]
+    return out
+
+
+#: Digitization needs about 4.5e8 steps at the default time-bound error;
+#: MA time-bounded reachability by uniformization (ROADMAP direction C)
+#: would solve it.
+_NEEDS_UNIFORMIZATION = pytest.mark.xfail(
+    strict=True, reason="ROADMAP direction C: digitization of F<=3600 "
+                        "exceeds MAX_DIGITIZATION_STEPS")
+
+
+@pytest.mark.parametrize("case, index, text", [
+    pytest.param(*entry, id=f"{entry[0].name}-{entry[1]}",
+                 marks=[_NEEDS_UNIFORMIZATION] if "F<=3600" in entry[2]
+                 else [])
+    for entry in _bundled_properties()])
+def test_bundled_property_checks_under_default_flags(capsys, tmp_path, case,
+                                                     index, text):
+    gcm, props = case.write(tmp_path)
+    code, rep, _ = run_json(capsys, ["check", str(gcm), str(props),
+                                     "--prop-index", str(index), "--json"])
+    assert code == 0
+    (entry,) = rep["properties"]
+    assert entry["property"] == text
+    assert math.isfinite(entry["value"])
 
 
 class TestGen:

@@ -1,6 +1,7 @@
 """Numerical analyses: reachability, bounded CDFs, expected/bounded time."""
 import functools
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -31,6 +32,18 @@ from qmv.numeric import (
 from conftest import direct_space, induced_chain, random_layered_mdp, space_of
 
 CFG = SolverConfig()
+
+#: 0 moves to 1 or to the goal 2 (0.499 each), or escapes to 3; 1 returns
+#: to 0.  Certain reachability does not pin 0 or 1.
+TWO_STATE_CYCLE = """
+    dtmc
+    module m
+      x : [0..3] init 0;
+      [] x=0 -> 499/1000:(x'=1) + 499/1000:(x'=2) + 2/1000:(x'=3);
+      [] x=1 -> (x'=0);
+    endmodule
+    label "done" = x=2;
+"""
 
 TWO_CHOICE_MDP = """
     mdp
@@ -69,7 +82,7 @@ class TestReachProb:
         ratio = 1.5  # (1-p)/p
         expected = (1 - ratio ** 2) / (1 - ratio ** 5)
         res = reach_prob(sp, sp.labels["rich"], Direction.MAX, CFG)
-        assert res.value == pytest.approx(expected, abs=1e-5)
+        assert res.value == pytest.approx(expected, abs=1e-12)
 
     def test_unreachable_target_is_exactly_zero(self):
         sp = space_of("""
@@ -107,18 +120,56 @@ class TestReachProb:
         assert mx.value == 1.0
 
     def test_nonconvergence_is_a_solver_error(self, monkeypatch):
-        # disable the certain-reachability pin by adding a tiny escape
-        sp = space_of("""
-            dtmc
-            module m
-              x : [0..2] init 0;
-              [] x=0 -> 499/1000:(x'=0) + 499/1000:(x'=1) + 2/1000:(x'=2);
-            endmodule
-            label "done" = x=1;
-        """)
+        # a two-state cycle with a tiny escape, too large for a dense solve
+        monkeypatch.setattr(numeric, "MAX_DENSE_SCC", 1)
         monkeypatch.setattr(numeric, "MAX_ITERATIONS", 3)
+        sp = space_of(TWO_STATE_CYCLE)
         with pytest.raises(SolverError, match="no convergence after 3 "):
             reach_prob(sp, sp.labels["done"], Direction.MAX, CFG)
+
+    def test_oversize_block_falls_back_to_value_iteration(self, monkeypatch):
+        sp = space_of(TWO_STATE_CYCLE)
+        exact = reach_prob(sp, sp.labels["done"], Direction.MAX, CFG)
+        monkeypatch.setattr(numeric, "MAX_DENSE_SCC", 1)
+        approx = reach_prob(sp, sp.labels["done"], Direction.MAX, CFG)
+        # 0 -> 1 w.p. 0.499, 1 -> 0 surely: V0 = 0.499 V0 + 0.499
+        assert exact.info["exact"] == 1.0
+        assert exact.value == pytest.approx(499 / 501, abs=1e-15)
+        assert approx.info["exact"] == 0.0
+        assert approx.info["sccs"] == exact.info["sccs"] == 1.0
+        assert approx.info["largest_scc"] == 2.0
+        assert approx.iterations > 10
+        assert approx.value == pytest.approx(exact.value, abs=1e-5)
+
+    def test_scheduler_takes_a_row_better_by_less_than_epsilon(self):
+        # two ways to the goal, 0.5 and 0.500004: closer than 10 epsilon
+        sp = direct_space(
+            ModelClass.MDP,
+            [[[(0.5, 1), (0.5, 2)], [(0.500004, 1), (0.499996, 2)]],
+             [[(1, 1)]], [[(1, 2)]]],
+            labels={"goal": [1]})
+        res = reach_prob(sp, sp.labels["goal"], Direction.MAX, CFG)
+        assert res.value == 0.500004
+        assert res.scheduler[0] == 1
+
+    def test_end_component_max(self):
+        goal = [3]
+        values = {}
+        for s in range(len(END_COMPONENT)):
+            sp = direct_space(ModelClass.MDP, END_COMPONENT,
+                              labels={"goal": goal}, initial=s)
+            res = reach_prob(sp, sp.labels["goal"], Direction.MAX, CFG)
+            values[s] = res.value
+            assert res.info["exact"] == 1.0
+            # the scheduler's chain reaches the goal from every state of
+            # the end component, not only with the optimal probability
+            chain = induced_chain(sp, res.scheduler)
+            assert _prob1e_oracle(chain, chain.labels["goal"]) \
+                >= {0, 1, 2, 3}
+        sure = _prob1e_oracle(sp, sp.labels["goal"])
+        assert {s for s, v in values.items() if v == 1.0} == sure
+        dense = _dense_max_reach(sp, sp.labels["goal"])
+        assert values == pytest.approx(dict(enumerate(dense)), abs=1e-12)
 
     def test_scheduler_description_and_induced_chain(self):
         sp = space_of(TWO_CHOICE_MDP)
@@ -387,6 +438,33 @@ END_COMPONENT = [
 ]
 
 
+def _dense_max_reach(space, target) -> np.ndarray:
+    """Per state: the maximum reach probability over every deterministic
+    memoryless scheduler, each evaluated by one dense solve of its chain
+    (states that cannot reach the target in the chain are 0)."""
+    n = space.n_states
+    best = np.zeros(n)
+    for picks in itertools.product(*(range(len(cs))
+                                     for cs in space.choices)):
+        a, b = np.eye(n), target.astype(float)
+        succ = [set() for _ in range(n)]
+        for s, (cs, k) in enumerate(zip(space.choices, picks)):
+            for p, t in cs[k].distribution.branches:
+                succ[s].add(t)
+                if not target[s]:
+                    a[s, t] -= p
+        reach = set(np.flatnonzero(target).tolist())
+        while True:
+            grown = {s for s in range(n) if succ[s] & reach} | reach
+            if grown == reach:
+                break
+            reach = grown
+        for s in set(range(n)) - reach:
+            a[s] = np.eye(n)[s]
+        best = np.maximum(best, np.linalg.solve(a, b))
+    return best
+
+
 class TestExistsAlmostSure:
     @pytest.mark.parametrize("seed", range(8))
     def test_random_layered_mdps(self, seed):
@@ -404,6 +482,16 @@ class TestExistsAlmostSure:
         goal = space.labels["goal"]
         assert _prob1e(space, goal) == _prob1e_oracle(space, goal) \
             == {0, 1, 2, 3}
+
+    def test_gambler_chain(self):
+        space = space_of(GAMBLER_20)
+        goal = space.labels["goal"]
+        # from every inner state the walk can fall to 0, which never leaves
+        assert _prob1e(space, goal) == _prob1e_oracle(space, goal) \
+            == set(np.flatnonzero(goal).tolist())
+        both = goal | (space.valuations[:, 0] == 0)
+        assert _prob1e(space, both) == _prob1e_oracle(space, both) \
+            == set(range(21))
 
     def test_bitcoin_min_time_finite_set(self):
         space = space_of(gen_bitcoin(BitcoinParams(CD=3)).model)
@@ -492,39 +580,39 @@ def _result_digest(result) -> str:
 
 PINNED_RESULTS = [
     ("gambler20", '"goal"', "Pmax",
-     "cae5da5837fcc13eb195915ecc47894cec888b44927c6473ee22d3bfcda994f8"),
+     "303833a546c5c3ef5d44d1a4c30f910e59b69dd0a9975e6dcaa514e834660e77"),
     ("gambler20", '"goal"', "cdfmax<=100",
      "d282f5dbe08736106f2495cb350f988277decbe77db9b099b5051225c9dab58e"),
     ("bitcoin3", '"goal"', "Pmax",
-     "88eebf2d72c9acc1f6bbb71ecd90f0c71450735a21620dbd336bb97cc70d4c40"),
+     "31ad621b01e7569513f23974f7a53949e4d8ef2b03148e4cc63fbe3765f73c1a"),
     ("bitcoin3", "m_diff = -2", "Pmin",
-     "6661e94e76b2247fe76d9327598cbaa6e99b75f82e44a5981351f5d3cbaf2cd2"),
+     "4b5e3223994118ca58b0e178eb2c5dc4c448326bb71915db9dc25b70a0bbfff8"),
     ("bitcoin3", '"goal"', "Tmin",
-     "5c65e23dd91a1b1d04a5614b6acf48e0546e3e30a9dbedd5f0859e1c79e34464"),
+     "c57f45e361314454c5c306c3fafd130db4e2144e674b107c46602374e5cc1568"),
     ("bitcoin3", '"goal"', "Tmax",
-     "fcf4c8f14b9c39c886ff074de14e4bdd29d549b7fdd01b78bf53a4bee71ad1a6"),
+     "bc985589c3a2478e36f2271f5399108ff17ac6db6c4bd0c56e32038ad60da89a"),
     ("bitcoin3", '"goal"', "Pmax<=20",
      "0c6502f6a5336bddbc9a1c06d132a8a0203350cde1ef1dfe1b2c0257feb7f335"),
     ("bitcoin3", '"goal"', "Pmin<=20",
      "df9780de638d3eb29d5dbedfa0724ad12e7a5e49d6b4a385e1b12414cceca142"),
     ("contacts", '"delivered"', "Pmax",
-     "13b5f3fbdc6b588ce4e3c7aa5b83fc7e744a379665f8dcd96f11ac64d2b25869"),
+     "7d76d5eca2775ac5b98f143eaed635024b50d422a6e68dbfb68e2a81d6bdb86e"),
     ("contacts", '"delivered"', "Pmin",
-     "a05959b8247dcb812b1ae1747af21bb3299d2e349f3e3865479b33c4566ea46e"),
+     "5ceeb50d6a33ffecdb5d18ca884f5ff2e1f876a68711ee21a554f093adc715e6"),
     ("contacts", '"delivered"', "cdfmax<=12",
      "a5602993bcbd05afa769e47cf2d21a7b6ff11945bbd5b2c0cdb917870448de98"),
     ("contacts", '"delivered"', "cdfmin<=12",
      "24fd534facce71f260b9a989045483e003cb6b6d935b92bc3355ff4aef3ccbfc"),
     ("small_ma", '"goal"', "Pmax",
-     "c46ff14606998bd5dba5d04e52d7a95006c476c8cc7ddd3c0bf67120ea1671a6"),
+     "45141fed850e59ea2e72551107063fedbdf5c26e61a7e90555af10f0c20dd00b"),
     ("small_ma", '"goal"', "Pmin",
-     "4481b19209da5cf4947e6869177004c4f6ee7efde8ffe33928bde20adc244d34"),
+     "fe3c2f6374cb1ebc63cd9709fca77002272783e9565553a5067cfaab0d97c00a"),
     ("small_ma", "x = 4 | x = 6", "Tmin",
-     "b0fe6e8d9e0d568552b5effec75724eac13e0f0e43261c8359eda1c1951b006c"),
+     "4f08115becd5be8f8b81cc250d7f4791127e8a4a09455815d62a2d58a95f1e4a"),
     ("small_ma", "x = 4 | x = 6", "Tmax",
-     "171c0a7493c936c66bc05618fdaeff90b9330fcba71993982b32c174c0c1fd34"),
+     "57cc09e42782d68f0a2d0255d6f9ecb66479bcf5021b8fe737e8570282dbbad0"),
     ("small_ma", '"goal"', "Tmin",
-     "3d3d50ecd1dd188792c2b14da80426b086d8585ded958878886b70e0812d0bb0"),
+     "5b6049b8588d83d4419a0111e915d0de4a9ca327a37c155f7e189e36f0596350"),
     ("small_ma", '"goal"', "Pmax<=3",
      "75088b03bd2ed07068b05bd27e862316153a6d4e0ac2d523e29744ed1175cc37"),
     ("small_ma", '"goal"', "Pmin<=3",
@@ -533,10 +621,10 @@ PINNED_RESULTS = [
 
 
 class TestPinnedResults:
-    """Every reported field of a result, as computed before value iteration
-    ran over packed rows and almost-sure reachability became a backward
-    search.  A change here changes what ``qmv check`` and ``qmv cdf``
-    print."""
+    """Every reported field of a result: unbounded reachability and
+    expected time as solved exactly block by block, step- and time-bounded
+    analyses as computed before value iteration ran over packed rows.  A
+    change here changes what ``qmv check`` and ``qmv cdf`` print."""
 
     @pytest.mark.parametrize(
         "model, target, analysis, digest", PINNED_RESULTS,
