@@ -22,13 +22,7 @@ import qmv
 from qmv import casestudies, numeric, smc
 from qmv.core import Property, PropertyKind, decision_states, target_mask
 from qmv.lang import parse_model, parse_properties, parse_property
-from qmv.lang.errors import (
-    EvalError,
-    ExplorationError,
-    ExplorationLimit,
-    ModelError,
-    ModelSyntaxError,
-)
+from qmv.lang.errors import ExplorationLimit, ModelError
 from qmv.lang.explore import DEFAULT_STATE_CAP, explore
 
 
@@ -65,12 +59,11 @@ def _load_properties(args, model) -> list[Property]:
             raise ValueError(f"no properties in {path}")
     else:
         props = [parse_property(spec, **context)]
-    index = getattr(args, "prop_index", None)
-    if index is not None:
-        if not 0 <= index < len(props):
-            raise ValueError(
-                f"--prop-index {index} out of range (have {len(props)})")
-        props = [props[index]]
+    if args.prop_index is not None:
+        if not 0 <= args.prop_index < len(props):
+            raise ValueError(f"--prop-index {args.prop_index} out of range "
+                             f"(have {len(props)})")
+        props = [props[args.prop_index]]
     return props
 
 
@@ -328,12 +321,11 @@ def cmd_gen(args) -> int:
 # argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser, *, props=True) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("model", help="model file (.gcm)")
-    if props:
-        p.add_argument("props", help="property text, or a .props file")
-        p.add_argument("--prop-index", type=int, default=None,
-                       help="select one property from a .props file")
+    p.add_argument("props", help="property text, or a .props file")
+    p.add_argument("--prop-index", type=int, default=None,
+                   help="select one property from a .props file")
     p.add_argument("--json", action="store_true",
                    help="machine-readable report on stdout")
     p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
@@ -443,6 +435,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The exit code of each error, first match first: an ExplorationLimit is a
+#: ModelError and a NotGoodForDistribution a ValueError.
+_EXIT_CODES = {
+    ExplorationLimit: 2,
+    smc.NotGoodForDistribution: 4,
+    numeric.SolverError: 3,
+    ModelError: 1,
+    ValueError: 1,
+    KeyError: 1,
+    OSError: 1,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
@@ -450,22 +455,10 @@ def main(argv: list[str] | None = None) -> int:
     args.echo = argv
     try:
         return args.func(args)
-    except ModelSyntaxError as e:
+    except tuple(_EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ExplorationLimit as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except smc.NotGoodForDistribution as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except numeric.SolverError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except (ModelError, ExplorationError, EvalError, ValueError,
-            KeyError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        return next(code for error, code in _EXIT_CODES.items()
+                    if isinstance(e, error))
 
 
 if __name__ == "__main__":

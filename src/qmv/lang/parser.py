@@ -3,7 +3,8 @@
 ``parse_model`` turns source text into a :class:`~qmv.lang.ast.SymbolicModel`
 and rejects ill-formed models with positioned errors: unknown names, type
 mismatches, out-of-range initial values, writes to foreign locals, rates
-outside MA models.  ``parse_property`` handles the query syntax
+outside MA models, undeclared command tags in a model that declares
+actions.  ``parse_property`` handles the query syntax
 (``Pmax=? [ F pred ]`` and friends).
 
 Binary operators are parsed by one precedence-climbing loop over
@@ -459,6 +460,12 @@ def _analyze(ts: _Tokens, model: ast.SymbolicModel) -> None:
             if (cmd.rate is not None
                     and _type_of(ts, cmd.rate, types) == "bool"):
                 raise ts.error_at("rate must be a number", cmd.rate)
+            if model.actions and cmd.action not in (None, *model.actions):
+                # positioned at the tag, the token after the command's '['
+                at = [(t.line, t.column) for t in ts.tokens].index(cmd.pos)
+                raise ts.error(
+                    f"undeclared action {cmd.action!r} (declared: "
+                    f"{', '.join(model.actions)})", ts.tokens[at + 1])
             if _type_of(ts, cmd.guard, types) != "bool":
                 raise ts.error_at("guard must be boolean", cmd.guard)
             for br in cmd.branches:

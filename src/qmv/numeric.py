@@ -23,8 +23,13 @@ components and the immediate states of each digitization slice.  It stops
 at an absolute residual (``SolverConfig.epsilon``), which is not sound in
 general (it can stop early on slowly mixing models), and
 :data:`MAX_ITERATIONS` sweeps without reaching it are a
-:class:`SolverError`.  Every backward search (probability 0 and 1,
-progress towards the target) runs :func:`_backward_bfs`.
+:class:`SolverError`.
+
+Graph precomputation runs three searches over one in-branch order per
+analysis (:func:`_in_branches`), each looking at every branch once:
+:func:`_backward_bfs`; :func:`_peel`, the one greatest fixpoint (Pmin's
+zero set, Tmax's finite set, zero-time traps, Prob1E, topological levels);
+and :func:`_progress` (initial policies, the scheduler's progress rule).
 
 Every analysis reads the row-grouped arrays of the state space directly:
 per-row values are one ``reduceat`` over the branches, per-state optima one
@@ -121,8 +126,8 @@ class DecisionRow:
 # --------------------------------------------------------------------------
 # row groups
 
-#: Distance of a state that breadth-first search did not reach; also the
-#: "no entry" key of :func:`_first`.
+#: Distance of a state that breadth-first search did not reach, peel round
+#: of a state never peeled, and the "no entry" key of :func:`_first`.
 _FAR = np.iinfo(np.int64).max
 
 
@@ -182,12 +187,6 @@ def _first(flags: np.ndarray, starts: np.ndarray) -> np.ndarray:
                                starts)
 
 
-def _first_row(sp: ExplicitStateSpace, flags: np.ndarray) -> np.ndarray:
-    """Per state: the offset of its first flagged row, or -1."""
-    first = _first(flags, sp.choice_ptr[:-1])
-    return np.where(first == _FAR, -1, first - sp.choice_ptr[:-1])
-
-
 def _rows_of(sp: ExplicitStateSpace, states: np.ndarray,
              cost: np.ndarray | float = 0.0):
     """The rows of the ``states`` mask, packed: the states' indices, the
@@ -206,8 +205,10 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     """The distinct entries of ``a``, sorted: ``np.unique`` without the
     import of ``numpy.ma`` that its first call makes (1.2 MB of resident
     memory)."""
+    if len(a) < 2:  # a chain's frontier: skip the sort
+        return a
     a = np.sort(a)
-    return a[np.append(True, a[1:] != a[:-1])] if len(a) else a
+    return a[np.append(True, a[1:] != a[:-1])]
 
 
 def _ranges(ptr: np.ndarray, items: np.ndarray) -> np.ndarray:
@@ -224,16 +225,32 @@ def _ranges(ptr: np.ndarray, items: np.ndarray) -> np.ndarray:
 # graph precomputations
 
 
-def _backward_bfs(sp: ExplicitStateSpace, edges: np.ndarray,
-                  seeds: np.ndarray,
+def _in_branches(targets: np.ndarray, branch_row: np.ndarray,
+                 row_state: np.ndarray, n: int) -> tuple:
+    """The in-branch order ``(ptr, row, row_state)`` of ``n`` states whose
+    branches have the ``targets`` and lie in the rows ``branch_row``: the
+    branches into state ``s`` are ``ptr[s]:ptr[s + 1]``, ``row[k]`` is the
+    row of branch ``k`` there, and ``row_state[r]`` the state of row ``r``.
+    """
+    order = np.argsort(targets, kind="stable")
+    return (np.searchsorted(targets[order], np.arange(n + 1)),
+            branch_row[order], row_state)
+
+
+def _backward_bfs(g: tuple, seeds: np.ndarray,
+                  rows: np.ndarray | None = None,
                   allowed: np.ndarray | None = None) -> np.ndarray:
     """Breadth-first distances from ``seeds``, backwards along the branches
-    ``edges`` (given in order of target), entering only ``allowed`` states;
-    ``_FAR`` where unreached.  Level by level, so the distances do not
-    depend on the edge order."""
-    ptr = np.searchsorted(sp.branch_target[edges], np.arange(sp.n_states + 1))
-    preds = sp.branch_source[edges]
-    dist = np.full(sp.n_states, _FAR, dtype=np.int64)
+    of ``rows`` (default: all), entering only ``allowed`` states; ``_FAR``
+    where unreached.  Level by level, so the distances do not depend on the
+    branch order."""
+    ptr, row, row_state = g
+    preds = row_state[row]
+    if rows is not None:
+        kept = rows[row]
+        ptr = np.append(0, np.cumsum(kept))[ptr]
+        preds = preds[kept]
+    dist = np.full(len(seeds), _FAR, dtype=np.int64)
     frontier = np.flatnonzero(seeds)
     dist[frontier] = 0
     level = 0
@@ -248,54 +265,67 @@ def _backward_bfs(sp: ExplicitStateSpace, edges: np.ndarray,
     return dist
 
 
-def _can_stay(sp: ExplicitStateSpace, keep: np.ndarray,
-              rows: np.ndarray | bool = True) -> np.ndarray:
-    """The largest subset of ``keep`` in which every state has a row, among
-    ``rows``, whose branches all stay in the subset."""
-    while True:
-        row_in = np.logical_and.reduceat(keep[sp.branch_target],
-                                         sp.branch_ptr[:-1]) & rows
-        new = np.logical_or.reduceat(row_in, sp.choice_ptr[:-1]) & keep
-        if np.array_equal(new, keep):
-            return keep
-        keep = new
+def _peel(g: tuple, keep: np.ndarray,
+          anchor: np.ndarray | int = 0) -> np.ndarray:
+    """Per state: the round in which it is peeled off ``keep`` (-1 outside
+    ``keep``), or ``_FAR`` in the greatest subset of ``keep`` in which every
+    state not in ``anchor`` has a row whose branches all stay in the subset.
+
+    Round 0 peels the states of ``keep`` without such a row, each later
+    round those whose last such row led into the round before.  Driven by
+    the in-branches of the states peeled, it looks at every branch once."""
+    ptr, row, row_state = g
+    # the rows of keep whose branches all stay in it, and how many per
+    # state; an anchor counts one more
+    stay = keep[row_state]
+    stay[row[_ranges(ptr, np.flatnonzero(~keep))]] = False
+    staying = np.bincount(row_state[stay], minlength=len(keep)) + anchor
+    level = np.where(keep, _FAR, -1)
+    peeled = np.flatnonzero(keep & (staying == 0))
+    depth = 0
+    while peeled.size:
+        level[peeled] = depth
+        depth += 1
+        rows = _distinct(row[_ranges(ptr, peeled)])
+        rows = rows[stay[rows]]
+        stay[rows] = False
+        states = row_state[rows]
+        np.subtract.at(staying, states, 1)
+        peeled = states[staying[states] == 0]
+    return level
 
 
-def _exists_almost_sure(sp: ExplicitStateSpace, by_target: np.ndarray,
+def _progress(g: tuple, group_starts: np.ndarray, seeds: np.ndarray,
+              rows: np.ndarray | None = None) -> np.ndarray:
+    """Per state with rows (those of ``group_starts``): its first row among
+    ``rows`` (default: all) with a branch one breadth-first level closer to
+    ``seeds``, backwards along ``rows``; ``_FAR`` where it has none."""
+    ptr, row, row_state = g
+    dist = _backward_bfs(g, seeds, rows)
+    moves = np.zeros(len(row_state), dtype=bool)
+    moves[row[np.repeat(dist, np.diff(ptr)) < dist[row_state[row]]]] = True
+    if rows is not None:
+        moves &= rows
+    return _first(moves, group_starts)
+
+
+def _exists_almost_sure(sp: ExplicitStateSpace, g: tuple,
                         target: np.ndarray) -> np.ndarray:
     """States where some scheduler reaches ``target`` with probability 1:
     the greatest set from which ``target`` is reachable backwards along
     rows that stay in the set.
 
-    Between backward searches, non-target states left without a row that
-    stays in the set are peeled off, driven by the in-branches of the
-    states removed, as :func:`_backward_bfs` drives its frontier.  Every
-    state of the result has such a row, so the peel removes only states
-    that cannot belong; on a chain it removes in one pass what would
-    otherwise take one backward search per state."""
-    ptr = np.searchsorted(sp.branch_target[by_target],
-                          np.arange(sp.n_states + 1))
-    row_of = sp.branch_choice[by_target]
+    Between backward searches, :func:`_peel` removes the non-target states
+    left without a row that stays in the set: on a chain, in one pass what
+    would otherwise take one backward search per state."""
     u = np.ones(sp.n_states, dtype=bool)
-    # per row: all its branches stay in u; per state: how many such rows
-    stay = np.ones(len(sp.choice_state), dtype=bool)
-    staying = np.diff(sp.choice_ptr)
-    removed = np.zeros(0, dtype=np.int64)
     while True:
-        while removed.size:
-            u[removed] = False
-            rows = _distinct(row_of[_ranges(ptr, removed)])
-            rows = rows[stay[rows]]
-            stay[rows] = False
-            states, lost = np.unique(sp.choice_state[rows],
-                                     return_counts=True)
-            staying[states] -= lost
-            removed = states[(staying[states] == 0) & u[states]
-                             & ~target[states]]
-        v = _backward_bfs(sp, by_target[stay[row_of]], target) < _FAR
-        removed = np.flatnonzero(u & ~v)
-        if not removed.size:
+        stay = np.logical_and.reduceat(u[sp.branch_target],
+                                       sp.branch_ptr[:-1])
+        v = u & (_backward_bfs(g, target, stay) < _FAR)
+        if np.array_equal(u, v):
             return u
+        u = _peel(g, v, target) == _FAR
 
 
 # --------------------------------------------------------------------------
@@ -368,29 +398,6 @@ def _sccs(ptr: list[int], succ: list[int]) -> list[int]:
     return comp
 
 
-def _levels(comp: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Per component: the length of its longest path, along the edges
-    ``src -> dst`` between nodes, to a component without successors."""
-    n = int(comp.max()) + 1
-    cs, cd = comp[src], comp[dst]
-    cross = cs != cd
-    cs, cd = cs[cross], cd[cross]
-    succs = np.bincount(cs, minlength=n)
-    order = np.argsort(cd, kind="stable")
-    ptr = np.searchsorted(cd[order], np.arange(n + 1))
-    preds = cs[order]
-    level = np.zeros(n, dtype=np.int64)
-    frontier = np.flatnonzero(succs == 0)
-    depth = 0
-    while frontier.size:
-        level[frontier] = depth
-        depth += 1
-        pred = preds[_ranges(ptr, frontier)]
-        np.subtract.at(succs, pred, 1)
-        frontier = _distinct(pred[succs[pred] == 0])
-    return level
-
-
 def _policy_iteration(const: np.ndarray, prob: np.ndarray,
                       inside: np.ndarray, row_starts: np.ndarray,
                       group_starts: np.ndarray,
@@ -402,31 +409,23 @@ def _policy_iteration(const: np.ndarray, prob: np.ndarray,
     ``prob`` into the block (``inside`` is the local target, ``n`` for a
     branch that leaves the block, whose value ``const`` already holds).
     The initial policy picks, per state, the first row that moves closer
-    to a row leaving the block, so it leaves the block almost surely (it
-    is proper).  Each round evaluates the policy with one dense solve and
-    switches a state to its best row only where that row beats the chosen
-    one by more than ``ROUNDING_SLACK``; strict improvement keeps the
-    policy proper.
+    to the outside (:func:`_progress`), so it leaves the block almost
+    surely (it is proper).  Each round evaluates the policy with one dense
+    solve and switches a state to its best row only where that row beats
+    the chosen one by more than ``ROUNDING_SLACK``; strict improvement
+    keeps the policy proper.
     """
     n = len(group_starts)
     row_state = np.repeat(np.arange(n), np.diff(
         np.append(group_starts, len(row_starts))))
     row_ptr = np.append(row_starts, len(prob))
     inb = inside < n
-    # backward search inside the block from the rows that leave it
-    choice = _first(np.logical_or.reduceat(~inb, row_starts), group_starts)
-    dist = np.append(np.where(choice < _FAR, 0, _FAR), _FAR)
-    level = 0
-    while (choice == _FAR).any():
-        closer = _first(np.logical_or.reduceat(dist[inside] == level,
-                                               row_starts)
-                        & (dist[row_state] == _FAR), group_starts)
-        fresh = closer < _FAR
-        if not fresh.any():
-            raise SolverError("a strongly connected block has no way out")
-        level += 1
-        choice[fresh] = closer[fresh]
-        dist[:n][fresh] = level
+    choice = _progress(
+        _in_branches(inside, np.repeat(np.arange(len(row_starts)),
+                                       np.diff(row_ptr)), row_state, n + 1),
+        group_starts, np.arange(n + 1) == n)
+    if (choice == _FAR).any():
+        raise SolverError("a strongly connected block has no way out")
     x = np.zeros(n + 1)  # x[n]: the block's outside, held in const
     a = np.empty((n, n))
     for rounds in range(1, MAX_ITERATIONS + 1):
@@ -489,7 +488,13 @@ def _solve(V: np.ndarray, sp: ExplicitStateSpace, free: np.ndarray,
     comp = np.array(_sccs(np.searchsorted(src, np.arange(m + 1)).tolist(),
                           dst.tolist()))
     size = np.bincount(comp)
-    level = _levels(comp, src, dst)[comp]
+    # Kahn's algorithm: a component's peel round is the length of its
+    # longest path to one without successors
+    cs, cd = comp[src], comp[dst]
+    cross = cs != cd
+    level = _peel(_in_branches(cd[cross], np.arange(cross.sum()), cs[cross],
+                               len(size)),
+                  np.ones(len(size), dtype=bool))[comp]
     cyclic = size[comp] > 1
     # by level; in each, the single states first, then one component after
     # the other
@@ -554,7 +559,7 @@ def _solve(V: np.ndarray, sp: ExplicitStateSpace, free: np.ndarray,
 def _extract_scheduler(
     space: ExplicitStateSpace,
     sp: ExplicitStateSpace,
-    by_target: np.ndarray,
+    g: tuple,
     V: np.ndarray,
     maximize: bool,
     target: np.ndarray,
@@ -565,40 +570,33 @@ def _extract_scheduler(
 ) -> dict[int, int]:
     """Deterministic memoryless scheduler attaining ``V``.
 
-    ``sp`` is ``_closed(space)`` and ``by_target`` orders its branches by
-    target.  Ties break to the lowest choice index;
+    ``sp`` is ``_closed(space)`` and ``g`` its in-branch order.  Ties break
+    to the lowest choice index;
     where ``progress`` is set (maximizing reachability, minimizing time),
     the choice must also make progress toward the target through
     value-optimal rows, which keeps the induced chain from idling in
     value-preserving cycles.  ``stay_zero`` marks states whose scheduler
     must remain inside that set (minimal-probability extraction).
     """
+    starts = sp.choice_ptr[:-1]
     row_vals = _row_values(sp, V, cost)
-    opt = _optimum(row_vals, sp.choice_ptr[:-1], maximize)[sp.choice_state]
+    opt = _optimum(row_vals, starts, maximize)[sp.choice_state]
     with np.errstate(invalid="ignore"):
         # inf-valued rows of inf-valued states give NaN gaps, which compare
         # False and are correctly excluded
         candidate = np.abs(row_vals - opt) <= ROUNDING_SLACK * np.abs(opt)
 
-    first = _first_row(sp, candidate)
-    choice = np.where(~target & (first >= 0), first, 0)
+    first = _first(candidate, starts)
+    choice = np.where(~target & (first < _FAR), first, starts)
     if progress:
-        # BFS from the target, backwards over candidate rows only
-        dist = _backward_bfs(
-            sp, by_target[candidate[sp.branch_choice[by_target]]], target)
-        closer = dist[sp.branch_target] < dist[sp.branch_source]
-        moves = (np.logical_or.reduceat(closer, sp.branch_ptr[:-1])
-                 & candidate & (dist[sp.choice_state] < _FAR))
-        first = _first_row(sp, moves)
-        choice = np.where(~target & (first >= 0), first, choice)
+        first = _progress(g, starts, target, candidate)
+        choice = np.where(~target & (first < _FAR), first, choice)
     if stay_zero is not None:
-        # pick a choice that keeps the avoidance certificate
-        safe = np.logical_and.reduceat(stay_zero[sp.branch_target],
-                                       sp.branch_ptr[:-1])
-        choice = np.where(stay_zero, np.maximum(_first_row(sp, safe), 0),
-                          choice)
+        # a choice that stays in the zero set, which every zero state has
+        choice = np.where(stay_zero, _first(np.logical_and.reduceat(
+            stay_zero[sp.branch_target], sp.branch_ptr[:-1]), starts), choice)
     states = np.flatnonzero(np.diff(space.choice_ptr) > 0)
-    return dict(zip(states.tolist(), choice[states].tolist()))
+    return dict(zip(states.tolist(), (choice - starts)[states].tolist()))
 
 
 # --------------------------------------------------------------------------
@@ -620,16 +618,17 @@ def reach_prob(
     """
     mask = target_mask(space, target)
     sp = _closed(space)
-    by_target = np.argsort(sp.branch_target, kind="stable")
+    g = _in_branches(sp.branch_target, sp.branch_choice, sp.choice_state,
+                     sp.n_states)
     maximize = direction is Direction.MAX
     if maximize:
-        zero = _backward_bfs(sp, by_target, mask) == _FAR
-        one = _exists_almost_sure(sp, by_target, mask)
+        zero = _backward_bfs(g, mask) == _FAR
+        one = _exists_almost_sure(sp, g, mask)
     else:
         # some scheduler avoids the target forever; every scheduler reaches
         # it almost surely from where that set is unreachable
-        zero = _can_stay(sp, ~mask)
-        one = _backward_bfs(sp, by_target, zero, ~mask) == _FAR
+        zero = _peel(g, ~mask) == _FAR
+        one = _backward_bfs(g, zero, allowed=~mask) == _FAR
     zero &= ~mask
     one |= mask
 
@@ -641,7 +640,7 @@ def reach_prob(
         raise SolverError(f"probabilities left [0,1]: min {V.min()}, "
                           f"max {V.max()}")
     scheduler = _extract_scheduler(
-        space, sp, by_target, V, maximize, mask,
+        space, sp, g, V, maximize, mask,
         progress=maximize, stay_zero=zero if not maximize else None)
     return ValueResult(float(V[space.initial]), iterations, residual,
                        scheduler, {"pinned_zero": float(zero.sum()),
@@ -721,7 +720,8 @@ def ma_expected_time(
         raise SolverError("expected time is defined for MA models only")
     mask = target_mask(space, target)
     sp = _closed(space)
-    by_target = np.argsort(sp.branch_target, kind="stable")
+    g = _in_branches(sp.branch_target, sp.branch_choice, sp.choice_state,
+                     sp.n_states)
     has_choice = np.diff(space.choice_ptr) > 0
     # an embedded jump row costs the mean sojourn 1/E of its state
     rate = space.exit_rate[sp.choice_state]
@@ -729,13 +729,12 @@ def ma_expected_time(
     maximize = direction is Direction.MAX
     if maximize:
         # every scheduler reaches the target almost surely
-        finite = _backward_bfs(sp, by_target, _can_stay(sp, ~mask),
-                               ~mask) == _FAR
+        finite = _backward_bfs(g, _peel(g, ~mask) == _FAR,
+                               allowed=~mask) == _FAR
     else:
-        finite = _exists_almost_sure(sp, by_target, mask)
+        finite = _exists_almost_sure(sp, g, mask)
         # non-target states that can cycle forever through immediate choices
-        trap = _can_stay(sp, has_choice & ~mask,
-                         has_choice[sp.choice_state]) & finite
+        trap = (_peel(g, has_choice & ~mask) == _FAR) & finite
         if trap.any():
             raise SolverError(
                 "minimum expected time is ill-defined: zero-time cycle "
@@ -747,7 +746,7 @@ def ma_expected_time(
     free = finite & ~mask
     iterations, residual, info = _solve(V, sp, free, maximize, cost, cfg)
     scheduler = _extract_scheduler(
-        space, sp, by_target, V, maximize, mask, cost=cost,
+        space, sp, g, V, maximize, mask, cost=cost,
         progress=not maximize)
     return ValueResult(float(V[space.initial]), iterations, residual,
                        scheduler, {"pinned_inf": float((~finite).sum()),

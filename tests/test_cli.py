@@ -425,6 +425,19 @@ class TestExitCodes:
             'Pmax=? [ F "g" ]'])
         assert code == 1 and "line" in err
 
+    def test_undeclared_action_is_a_positioned_error(self, capsys,
+                                                     model_file):
+        # both modules synchronise on zz, which the model does not declare
+        code, out, err = run(capsys, [
+            "check", model_file("mdp\naction a;\nmodule m1\n"
+                                " x : [0..1] init 0;\n [zz] x=0 -> (x'=1);\n"
+                                "endmodule\nmodule m2\n y : [0..1] init 0;\n"
+                                " [zz] y=0 -> (y'=1);\nendmodule\n"),
+            'Pmax=? [ F x=1 ]'])
+        assert code == 1 and not out
+        assert err.startswith("error: undeclared action 'zz' (declared: a) "
+                              "(line 5, column 3)")
+
     def test_bad_property(self, capsys, model_file):
         code, _, err = run(capsys, [
             "check", model_file(COIN), 'Pmax=? [ G "heads" ]'])

@@ -420,9 +420,10 @@ def _prob1e_oracle(space, target) -> set[int]:
 
 def _prob1e(space, target) -> set[int]:
     sp = numeric._closed(space)
-    by_target = np.argsort(sp.branch_target, kind="stable")
+    g = numeric._in_branches(sp.branch_target, sp.branch_choice,
+                             sp.choice_state, sp.n_states)
     return set(np.flatnonzero(
-        numeric._exists_almost_sure(sp, by_target, target)).tolist())
+        numeric._exists_almost_sure(sp, g, target)).tolist())
 
 
 #: An end component {0, 1, 2} that a scheduler can leave only towards the
@@ -498,6 +499,137 @@ class TestExistsAlmostSure:
         for target in (space.labels["goal"], target_mask(
                 space, parse_property("Pmin=? [ F m_diff = -2 ]").target)):
             assert _prob1e(space, target) == _prob1e_oracle(space, target)
+
+
+# --------------------------------------------------------------------------
+# the greatest-fixpoint peel: Pmin's zero set, Tmax's finite set and the
+# zero-time trap
+
+
+def _row_successors(space) -> list[list[set[int]]]:
+    """Per state, the successors of each of its rows, over the object
+    views.  A Markovian state's only row is its race; an absorbing state's
+    is a self-loop."""
+    succs = []
+    for s, (cs, mk) in enumerate(zip(space.choices, space.markovian)):
+        if cs:
+            succs.append([{t for _, t in c.distribution.branches}
+                          for c in cs])
+        elif mk is not None:
+            succs.append([{t for _, t in mk.entries}])
+        else:
+            succs.append([{s}])
+    return succs
+
+
+def _stay_oracle(space, keep) -> set[int]:
+    """The textbook greatest fixpoint: the largest subset U of ``keep`` in
+    which every state has a row whose successors all lie in U."""
+    succs = _row_successors(space)
+    u = set(np.flatnonzero(keep).tolist())
+    while True:
+        v = {s for s in u if any(row <= u for row in succs[s])}
+        if v == u:
+            return u
+        u = v
+
+
+def _reach_oracle(space, seeds, allowed) -> set[int]:
+    """The states with a path into ``seeds`` whose other states are all
+    ``allowed``."""
+    succs = [set().union(*rows) for rows in _row_successors(space)]
+    reach = set(seeds)
+    while True:
+        grown = reach | {s for s in np.flatnonzero(allowed).tolist()
+                         if succs[s] & reach}
+        if grown == reach:
+            return reach
+        reach = grown
+
+
+def _peeled(space, keep) -> set[int]:
+    sp = numeric._closed(space)
+    g = numeric._in_branches(sp.branch_target, sp.branch_choice,
+                             sp.choice_state, sp.n_states)
+    return set(np.flatnonzero(numeric._peel(g, keep) == numeric._FAR)
+               .tolist())
+
+
+def _peel_cases():
+    for seed in range(8):
+        space = random_layered_mdp(seed)
+        goal = space.labels["goal"]
+        extra = np.random.default_rng(seed).random(space.n_states) < 0.3
+        yield f"layered{seed}", space, goal
+        yield f"layered{seed}+", space, goal | extra
+    space = direct_space(ModelClass.MDP, END_COMPONENT, labels={"goal": [3]})
+    yield "end_component", space, space.labels["goal"]
+    space = space_of(gen_bitcoin(BitcoinParams(CD=3)).model)
+    yield "bitcoin3", space, space.labels["goal"]
+    yield "bitcoin3 m_diff=-2", space, target_mask(
+        space, parse_property("Pmin=? [ F m_diff = -2 ]").target)
+
+
+class TestPeel:
+    @pytest.mark.parametrize("case", list(_peel_cases()),
+                             ids=lambda case: case[0])
+    def test_against_the_textbook_fixpoint(self, case):
+        _, space, target = case
+        # Pmin's zero set: some scheduler avoids the target forever
+        zero = _stay_oracle(space, ~target)
+        assert _peeled(space, ~target) == zero
+        pmin = reach_prob(space, target, Direction.MIN, CFG)
+        assert pmin.info["pinned_zero"] == len(zero)
+        # Pmin's one set, Tmax's finite set: no scheduler can reach the zero
+        # set without passing the target
+        finite = set(range(space.n_states)) - _reach_oracle(
+            space, zero, ~target)
+        assert pmin.info["pinned_one"] == len(finite)
+        # the zero-time trap: immediate non-target states with a choice
+        # that stays among them
+        immediate = np.diff(space.choice_ptr) > 0
+        assert _peeled(space, immediate & ~target) \
+            == _stay_oracle(space, immediate & ~target)
+        if space.model_class is ModelClass.MA:
+            tmax = ma_expected_time(space, target, Direction.MAX, CFG)
+            assert tmax.info["pinned_inf"] == space.n_states - len(finite)
+
+    def test_zero_time_trap_names_the_trapped_states(self):
+        space = space_of(TestMarkovAutomata.ZERO_TIME_TRAP)
+        goal = space.labels["goal"]
+        trap = _stay_oracle(space, (np.diff(space.choice_ptr) > 0) & ~goal)
+        assert trap == {0}
+        with pytest.raises(SolverError, match=r"through states \[0\]"):
+            ma_expected_time(space, goal, Direction.MIN, CFG)
+
+    def test_long_dtmc_chain_min(self):
+        n = 1999
+        space = space_of(f"""
+            dtmc
+            module chain
+              x : [0..{n}] init 0;
+              [] x<{n} -> 9/10:(x'=x+1) + 1/10:(x'=x);
+            endmodule
+            label "goal" = x={n};
+        """)
+        res = reach_prob(space, space.labels["goal"], Direction.MIN, CFG)
+        assert res.value == 1.0
+        assert res.info["pinned_zero"] == 0
+
+    def test_long_ma_chain_max_time(self):
+        n = 1999
+        space = space_of(f"""
+            ma
+            module chain
+              x : [0..{n}] init 0;
+              rate(2) x<{n} -> 9/10:(x'=x+1) + 1/10:(x'=x);
+            endmodule
+            label "goal" = x={n};
+        """)
+        res = ma_expected_time(space, space.labels["goal"], Direction.MAX,
+                               CFG)
+        assert res.value == pytest.approx(n / 1.8, rel=1e-12)
+        assert res.info["pinned_inf"] == 0
 
 
 # --------------------------------------------------------------------------
