@@ -336,12 +336,12 @@ def _add_solver(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsilon", type=float,
                    default=numeric.SolverConfig.epsilon,
                    help="value iteration convergence threshold, used only "
-                        "for the immediate states of MA time-bounded "
-                        "digitization and for strongly connected components "
-                        "too large for a dense solve")
+                        "for strongly connected components too large for a "
+                        "dense solve")
     p.add_argument("--time-bound-error", type=float,
                    default=numeric.SolverConfig.time_bound_error,
-                   help="a-priori digitization error for time bounds")
+                   help="requested bound width of MA time-bounded "
+                        "reachability")
 
 
 def _add_smc(p: argparse.ArgumentParser) -> None:

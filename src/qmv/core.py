@@ -384,7 +384,8 @@ class ValueResult:
     the distinguished "cannot reach" expected-time value.  ``scheduler`` maps
     state index to chosen choice index for every state with at least one
     choice (optimising analyses only).  ``info`` carries analysis metadata
-    such as digitization step counts and a-priori error bounds.
+    such as pinned-state counts, block statistics and the ``lower`` and
+    ``upper`` ends of a time-bounded bracket.
     """
 
     value: float

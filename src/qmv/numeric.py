@@ -2,28 +2,33 @@
 
 Reachability probabilities and MA expected time (exact, by graph
 precomputation and policy iteration per strongly connected component),
-whole step-bounded CDFs, MA time-bounded reachability via digitization, and
-deterministic scheduler extraction.
+whole step-bounded CDFs, MA time-bounded reachability bracketed by
+uniformization, and deterministic scheduler extraction.
 
 Unbounded reachability and expected time are solved by :func:`_solve`.
-Graph analysis first pins the states whose value is 0, 1 or infinite.  The
-remaining states are split into strongly connected components (iterative
-Tarjan), which are solved in topological order: all single-state
-components of one level by one exact Bellman update, every larger one by
-policy iteration with a dense ``numpy.linalg.solve`` per round.  Only a
-component above :data:`MAX_DENSE_SCC` states falls back to value iteration.
-A result's ``iterations`` counts policy rounds plus any value-iteration
-sweeps, ``residual`` is the largest |Bellman(V) - V| over the solved
-states after the solve, and ``info["exact"]`` is 1.0 when no component
-fell back.
+Graph analysis first pins the states whose value is 0, 1 or infinite.
+:func:`_plan` splits the remaining states into strongly connected
+components (iterative Tarjan) and orders them by topological level;
+:func:`_resolve` solves them in that order: all single-state components of
+one level by one exact Bellman update, every larger one by policy iteration
+with a dense ``numpy.linalg.solve`` per round.  Only a component above
+:data:`MAX_DENSE_SCC` states falls back to value iteration.  A result's
+``iterations`` counts policy rounds plus any value-iteration sweeps,
+``residual`` is the largest |Bellman(V) - V| over the solved states after
+the solve, and ``info["exact"]`` is 1.0 when no component fell back.
 
-Value iteration is plain Jacobi iteration over the packed rows of the
-states it solves for, one loop (:func:`_iterate`) shared by the oversize
-components and the immediate states of each digitization slice.  It stops
-at an absolute residual (``SolverConfig.epsilon``), which is not sound in
-general (it can stop early on slowly mixing models), and
-:data:`MAX_ITERATIONS` sweeps without reaching it are a
-:class:`SolverError`.
+MA time-bounded reachability (:func:`ma_time_bounded`) uniformizes the MA
+and brackets the time-dependent optimum from both sides, with a scheduler
+that counts jumps and one that knows their number in advance; it plans the
+immediate states once and resolves them exactly after every jump.  Its
+``value`` is the bracket's midpoint and its ``residual`` the bracket's
+width.
+
+Value iteration is plain Jacobi iteration over the packed rows of an
+oversize component (:func:`_iterate`).  It stops at an absolute residual
+(``SolverConfig.epsilon``), which is not sound in general (it can stop
+early on slowly mixing models), and :data:`MAX_ITERATIONS` sweeps without
+reaching it are a :class:`SolverError`.
 
 Graph precomputation runs three searches over one in-branch order per
 analysis (:func:`_in_branches`), each looking at every branch once:
@@ -66,23 +71,24 @@ MAX_ITERATIONS = 1_000_000
 #: 32 MB matrix); value iteration solves larger ones.
 MAX_DENSE_SCC = 2_048
 #: Relative rounding slack: a row is better than another only where its
-#: value is better by more than this fraction of the other's.
+#: value is better by more than this fraction of the other's, and a
+#: time-bounded bracket is widened by this fraction of its ends.
 ROUNDING_SLACK = 1e-10
 #: Largest step horizon of a step-bounded CDF.
 MAX_HORIZON = 1_000_000
-#: Largest digitization step count of MA time-bounded reachability.
-MAX_DIGITIZATION_STEPS = 10_000_000
+#: Largest number of Poisson terms (uniformized jumps per subinterval,
+#: summed over the subintervals) of MA time-bounded reachability.
+MAX_POISSON_TERMS = 1_000_000
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Numerical tuning knobs, each positive and finite.
 
-    ``epsilon`` is the absolute residual at which value iteration stops: in
-    the immediate states of each digitization slice and in strongly
-    connected components above :data:`MAX_DENSE_SCC` states;
-    ``time_bound_error`` is the a-priori digitization error allowed for MA
-    time-bounded reachability.
+    ``epsilon`` is the absolute residual at which value iteration stops,
+    which only strongly connected components above :data:`MAX_DENSE_SCC`
+    states use; ``time_bound_error`` is the requested width of the
+    [lower, upper] bracket of MA time-bounded reachability.
     """
 
     epsilon: float = 1e-6
@@ -187,18 +193,14 @@ def _first(flags: np.ndarray, starts: np.ndarray) -> np.ndarray:
                                starts)
 
 
-def _rows_of(sp: ExplicitStateSpace, states: np.ndarray,
-             cost: np.ndarray | float = 0.0):
+def _rows_of(sp: ExplicitStateSpace, states: np.ndarray):
     """The rows of the ``states`` mask, packed: the states' indices, the
-    branch probabilities and targets, the cost of each row, and the start
-    of each row and of each state's row group."""
+    branch probabilities and targets, and the start of each row."""
     rows = states[sp.choice_state]
     row_len = np.diff(sp.branch_ptr)[rows]
-    group_len = np.diff(sp.choice_ptr)[states]
     branches = rows[sp.branch_choice]
     return (np.flatnonzero(states), sp.branch_prob[branches],
-            sp.branch_target[branches], cost[rows] if np.ndim(cost) else cost,
-            np.cumsum(row_len) - row_len, np.cumsum(group_len) - group_len)
+            sp.branch_target[branches], np.cumsum(row_len) - row_len)
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:
@@ -334,8 +336,9 @@ def _exists_almost_sure(sp: ExplicitStateSpace, g: tuple,
 
 def _iterate(V: np.ndarray, rows: tuple, maximize: bool,
              cfg: SolverConfig) -> tuple[int, float]:
-    """Jacobi value iteration of the packed ``rows`` (see :func:`_rows_of`)
-    until no value changes by more than ``cfg.epsilon``.  Updates ``V`` in
+    """Jacobi value iteration of the packed ``rows`` ``(states, prob,
+    target, cost, row_starts, group_starts)`` until no value changes by
+    more than ``cfg.epsilon``.  Updates ``V`` in
     place; returns the sweeps made and the last residual."""
     idx, prob, target, cost, row_starts, group_starts = rows
     if not len(idx):
@@ -398,9 +401,27 @@ def _sccs(ptr: list[int], succ: list[int]) -> list[int]:
     return comp
 
 
+def _proper_policy(inside: np.ndarray, row_starts: np.ndarray,
+                   group_starts: np.ndarray) -> np.ndarray:
+    """Per state of a strongly connected block (see
+    :func:`_policy_iteration`): its first row that moves closer to the
+    outside (:func:`_progress`), so that the policy leaves the block almost
+    surely (it is proper)."""
+    n = len(group_starts)
+    row_state = np.repeat(np.arange(n), np.diff(
+        np.append(group_starts, len(row_starts))))
+    choice = _progress(
+        _in_branches(inside, np.repeat(np.arange(len(row_starts)), np.diff(
+            np.append(row_starts, len(inside)))), row_state, n + 1),
+        group_starts, np.arange(n + 1) == n)
+    if (choice == _FAR).any():
+        raise SolverError("a strongly connected block has no way out")
+    return choice
+
+
 def _policy_iteration(const: np.ndarray, prob: np.ndarray,
                       inside: np.ndarray, row_starts: np.ndarray,
-                      group_starts: np.ndarray,
+                      group_starts: np.ndarray, choice: np.ndarray,
                       maximize: bool) -> tuple[np.ndarray, int]:
     """Solve one strongly connected block of ``n`` states exactly; return
     its values and the policy rounds made.
@@ -408,24 +429,16 @@ def _policy_iteration(const: np.ndarray, prob: np.ndarray,
     Row ``r`` of the block is worth ``const[r]`` plus its branches
     ``prob`` into the block (``inside`` is the local target, ``n`` for a
     branch that leaves the block, whose value ``const`` already holds).
-    The initial policy picks, per state, the first row that moves closer
-    to the outside (:func:`_progress`), so it leaves the block almost
-    surely (it is proper).  Each round evaluates the policy with one dense
-    solve and switches a state to its best row only where that row beats
-    the chosen one by more than ``ROUNDING_SLACK``; strict improvement
-    keeps the policy proper.
+    ``choice`` is a proper initial policy (:func:`_proper_policy`).  Each
+    round evaluates the policy with one dense solve and switches a state to
+    its best row only where that row beats the chosen one by more than
+    ``ROUNDING_SLACK``; strict improvement keeps the policy proper.
     """
     n = len(group_starts)
     row_state = np.repeat(np.arange(n), np.diff(
         np.append(group_starts, len(row_starts))))
     row_ptr = np.append(row_starts, len(prob))
     inb = inside < n
-    choice = _progress(
-        _in_branches(inside, np.repeat(np.arange(len(row_starts)),
-                                       np.diff(row_ptr)), row_state, n + 1),
-        group_starts, np.arange(n + 1) == n)
-    if (choice == _FAR).any():
-        raise SolverError("a strongly connected block has no way out")
     x = np.zeros(n + 1)  # x[n]: the block's outside, held in const
     a = np.empty((n, n))
     for rounds in range(1, MAX_ITERATIONS + 1):
@@ -452,30 +465,32 @@ def _policy_iteration(const: np.ndarray, prob: np.ndarray,
     raise SolverError(f"no convergence after {MAX_ITERATIONS} policy rounds")
 
 
-def _solve(V: np.ndarray, sp: ExplicitStateSpace, free: np.ndarray,
-           maximize: bool, cost: np.ndarray | float,
-           cfg: SolverConfig) -> tuple[int, float, dict[str, float]]:
-    """Optimal values of the ``free`` states, written into ``V``, given the
-    values of all other states; returns the policy rounds plus value
-    iteration sweeps made, the largest Bellman residual over the free
-    states, and block statistics (``exact``, ``sccs``, ``largest_scc``).
+def _plan(sp: ExplicitStateSpace, free: np.ndarray, finite: np.ndarray,
+          cost: np.ndarray | float) -> tuple[list[tuple], dict[str, float]]:
+    """The level-ordered blocks in which :func:`_resolve` solves the ``free``
+    states, and block statistics (``sccs``, ``largest_scc``).
 
-    A free state uses only rows that leave it and whose successors all have
-    finite values.  The free states are split into strongly connected
-    components, which are solved by topological level, lowest first: all
-    single-state components of one level by one exact Bellman update (a
-    self-loop of probability q divides by 1-q), every larger component by
-    :func:`_policy_iteration`, or by :func:`_iterate` above
-    ``MAX_DENSE_SCC`` states.
+    A free state uses only rows that leave it and whose successors are all
+    ``finite``.  The free states are split into strongly connected
+    components, grouped by topological level, lowest first: per level one
+    block of all its single-state components, then one block per larger
+    component.  A block is ``(kind, states, prob, target, cost,
+    row_starts, group_starts, extra)`` over its packed rows.  Its ``kind``
+    is ``"level"`` for the single states, whose ``prob`` leaves the
+    self-loops out and whose ``extra`` is the denominator 1 - q of each
+    row's self-loop probability q; ``"dense"`` for a component of up to
+    :data:`MAX_DENSE_SCC` states, whose ``extra`` is the local branch
+    targets (``len(states)`` outside the block) and a proper initial policy
+    (:func:`_proper_policy`); and ``"large"`` for a larger one.
     """
     usable = (np.logical_or.reduceat(sp.branch_target != sp.branch_source,
                                      sp.branch_ptr[:-1])
-              & np.logical_and.reduceat(np.isfinite(V[sp.branch_target]),
+              & np.logical_and.reduceat(finite[sp.branch_target],
                                         sp.branch_ptr[:-1])
               & free[sp.choice_state])
     states = np.flatnonzero(free)
     if not len(states):
-        return 0, 0.0, {"exact": 1.0, "sccs": 0.0, "largest_scc": 0.0}
+        return [], {"sccs": 0.0, "largest_scc": 0.0}
     m = len(states)
     local = np.full(sp.n_states, m)
     local[states] = np.arange(m)
@@ -519,7 +534,7 @@ def _solve(V: np.ndarray, sp: ExplicitStateSpace, free: np.ndarray,
     cut = np.flatnonzero((level[1:] != level[:-1])
                          | (cyclic[1:] != cyclic[:-1])
                          | (cyclic[1:] & (comp[1:] != comp[:-1]))) + 1
-    iterations, exact = 0, True
+    blocks = []
     for a, e in zip(np.append(0, cut).tolist(), np.append(cut, m).tolist()):
         r0, r1 = group_ptr[a], group_ptr[e]
         b0, b1 = row_ptr[r0], row_ptr[r1]
@@ -527,33 +542,70 @@ def _solve(V: np.ndarray, sp: ExplicitStateSpace, free: np.ndarray,
         starts = row_ptr[r0:r1] - b0
         groups = group_ptr[a:e] - r0
         if not cyclic[a]:
-            # with a self-loop of probability q: (cost + rest) / (1 - q)
-            val = np.add.reduceat(np.where(loop[b0:b1], 0.0, p * V[t]),
-                                  starts) + row_cost[r0:r1]
-            val /= 1.0 - np.add.reduceat(np.where(loop[b0:b1], p, 0.0),
-                                         starts)
-            V[states[a:e]] = _optimum(val, groups, maximize)
-            continue
-        if e - a > MAX_DENSE_SCC:
-            sweeps, _ = _iterate(V, (states[a:e], p, t, row_cost[r0:r1],
-                                     starts, groups), maximize, cfg)
+            kind, here = "level", loop[b0:b1]
+            extra = 1.0 - np.add.reduceat(np.where(here, p, 0.0), starts)
+            p = np.where(here, 0.0, p)
+        elif e - a > MAX_DENSE_SCC:
+            kind, extra = "large", None
+        else:
+            kind, inside = "dense", local[t] - a
+            inside[(inside < 0) | (inside >= e - a)] = e - a
+            extra = inside, _proper_policy(inside, starts, groups)
+        blocks.append((kind, states[a:e], p, t, row_cost[r0:r1], starts,
+                       groups, extra))
+    return blocks, {"sccs": float(len(size)),
+                    "largest_scc": float(size.max())}
+
+
+def _resolve(V: np.ndarray, blocks: list[tuple], maximize: bool,
+             cfg: SolverConfig) -> tuple[int, bool]:
+    """Optimal values of the states of the ``blocks`` (see :func:`_plan`),
+    written into ``V``, given the values of all other states; returns the
+    policy rounds plus value iteration sweeps made, and whether every block
+    was solved exactly.
+
+    Block by block: the single states of a level by one exact Bellman
+    update (a self-loop of probability q divides by 1-q), a component by
+    :func:`_policy_iteration`, or by :func:`_iterate` above
+    ``MAX_DENSE_SCC`` states.
+    """
+    iterations, exact = 0, True
+    for kind, states, p, t, cost, starts, groups, extra in blocks:
+        if kind == "level":
+            val = np.add.reduceat(p * V[t], starts) + cost
+            V[states] = _optimum(val / extra, groups, maximize)
+        elif kind == "large":
+            sweeps, _ = _iterate(V, (states, p, t, cost, starts, groups),
+                                 maximize, cfg)
             iterations += sweeps
             exact = False
-            continue
-        inside = local[t] - a
-        outside = (inside < 0) | (inside >= e - a)
-        inside[outside] = e - a
-        const = np.add.reduceat(np.where(outside, p * V[t], 0.0),
-                                starts) + row_cost[r0:r1]
-        V[states[a:e]], rounds = _policy_iteration(const, p, inside, starts,
-                                                   groups, maximize)
-        iterations += rounds
+        else:
+            inside, choice = extra
+            const = np.add.reduceat(
+                np.where(inside == len(states), p * V[t], 0.0),
+                starts) + cost
+            V[states], rounds = _policy_iteration(const, p, inside, starts,
+                                                  groups, choice, maximize)
+            iterations += rounds
+    return iterations, exact
 
+
+def _solve(V: np.ndarray, sp: ExplicitStateSpace, free: np.ndarray,
+           maximize: bool, cost: np.ndarray | float,
+           cfg: SolverConfig) -> tuple[int, float, dict[str, float]]:
+    """Optimal values of the ``free`` states, written into ``V``, given the
+    values of all other states: :func:`_plan` and one :func:`_resolve`.
+    Returns the policy rounds plus value iteration sweeps made, the largest
+    Bellman residual over the free states, and block statistics
+    (``exact``, ``sccs``, ``largest_scc``)."""
+    blocks, info = _plan(sp, free, np.isfinite(V), cost)
+    if not blocks:
+        return 0, 0.0, {"exact": 1.0, **info}
+    iterations, exact = _resolve(V, blocks, maximize, cfg)
+    states = np.flatnonzero(free)
     opt = _optimum(_row_values(sp, V, cost), sp.choice_ptr[:-1], maximize)
     residual = float(np.max(np.abs(opt[states] - V[states])))
-    return iterations, residual, {"exact": float(exact),
-                                  "sccs": float(len(size)),
-                                  "largest_scc": float(size.max())}
+    return iterations, residual, {"exact": float(exact), **info}
 
 
 def _extract_scheduler(
@@ -588,7 +640,8 @@ def _extract_scheduler(
 
     first = _first(candidate, starts)
     choice = np.where(~target & (first < _FAR), first, starts)
-    if progress:
+    # where no state has two rows (a DTMC) no search can change the choice
+    if progress and (np.diff(sp.choice_ptr) > 1).any():
         first = _progress(g, starts, target, candidate)
         choice = np.where(~target & (first < _FAR), first, choice)
     if stay_zero is not None:
@@ -754,6 +807,30 @@ def ma_expected_time(
                                    **info})
 
 
+def _poisson(mean: float, tail: float) -> tuple[np.ndarray, np.ndarray]:
+    """Poisson(``mean``) weights ψ_0..ψ_K and survival P(N >= i) for
+    i = 0..K+1, where K is the first point with P(N >= K+1) <= ``tail``.
+
+    The weights start at the mode in log space (``exp(-mean)`` underflows
+    above a mean of about 745) and run out to where they underflow; the
+    survival is their reverse cumulative sum, which keeps the small tail
+    probabilities accurate where ``1 - cumsum`` would cancel them.
+    """
+    if mean == 0:
+        return np.ones(1), np.array([1.0, 0.0])
+    mode = math.floor(mean)
+    k = np.arange(1, math.ceil(mean + 40 * math.sqrt(mean) + 800))
+    # log ψ_k - log ψ_mode, summed outwards from k = 0
+    log_w = np.append(0.0, np.cumsum(np.log(mean / k)))
+    log_w += (mode * math.log(mean) - mean - math.lgamma(mode + 1)
+              - log_w[mode])
+    w = np.exp(log_w)
+    w /= w.sum()
+    survival = np.append(np.cumsum(w[::-1])[::-1], 0.0)
+    last = int(np.argmax(survival[1:] <= tail))
+    return w[:last + 1], survival[:last + 2]
+
+
 def ma_time_bounded(
     space: ExplicitStateSpace,
     target,
@@ -761,13 +838,26 @@ def ma_time_bounded(
     time_bound: float,
     cfg: SolverConfig = DEFAULT_CONFIG,
 ) -> ValueResult:
-    """Optimal probability of reaching ``target`` within ``time_bound`` minutes.
+    """Optimal probability of reaching ``target`` within ``time_bound``
+    minutes, bracketed from both sides to width ``cfg.time_bound_error``.
 
-    Digitization: the horizon is cut into k slices with
-    (λ_max·t)²/(2k) ≤ ``cfg.time_bound_error``; per slice a Markovian state
-    jumps with probability 1−e^(−E·δ), and immediate states, which take no
-    time, are resolved by value iteration at every time level.  The
-    a-priori error bound and k are reported in the result metadata.
+    The MA is uniformized at the largest exit rate λ of a non-target state,
+    target states are absorbing, and [0, T] is split into n equal
+    subintervals, processed backwards from the terminal vector.  Over each,
+    the number of jumps N is Poisson(λT/n), and two schedulers bound the
+    optimum: one that sees only the jumps i made so far in the subinterval
+    (achievable, so a lower bound of Pmax and an upper bound of Pmin), and
+    one that knows N (an upper bound of Pmax, a lower bound of Pmin).
+    Immediate states are solved exactly after every jump (:func:`_plan`
+    once, :func:`_resolve` per sweep); those that can stay in zero time
+    forever (Pmin) or cannot leave the immediate states (Pmax) keep the
+    value 0.  Truncations go to the safe side.  n doubles until the bracket
+    at the initial state is narrow enough; more than
+    :data:`MAX_POISSON_TERMS` Poisson terms are a :class:`SolverError`.
+
+    ``value`` is the bracket's midpoint and ``residual`` its width;
+    ``iterations`` counts Poisson sweeps (jumps) over all rounds, and
+    ``info`` carries ``lower``, ``upper``, ``lambda_max`` and ``intervals``.
     """
     if space.model_class is not ModelClass.MA:
         raise SolverError("time-bounded analysis is defined for MA models")
@@ -775,42 +865,105 @@ def ma_time_bounded(
         raise SolverError("time bound must be nonnegative")
     mask = target_mask(space, target)
     maximize = direction is Direction.MAX
+    width = cfg.time_bound_error
 
-    exit_rates = space.exit_rate  # 0 in states with choices
-    lam_max = float(exit_rates.max()) if space.n_states else 0.0
-    if lam_max > 0 and time_bound > 0:
-        # a tiny error bound can make the step count overflow to inf
-        k = (lam_max * time_bound) ** 2 / (2 * cfg.time_bound_error)
-        k = k if math.isinf(k) else max(1, math.ceil(k))
-    else:
-        k = 0
-    if k > MAX_DIGITIZATION_STEPS:
-        raise SolverError(
-            f"digitization needs {k} steps, above the configured cap "
-            f"{MAX_DIGITIZATION_STEPS}; increase time_bound_error or "
-            "reduce the bound")
-    delta = time_bound / k if k else 0.0
-    err_bound = ((lam_max * time_bound) ** 2 / (2 * k)) if k else 0.0
-
-    # targets are absorbing: only non-target states get rows
     sp = _closed(space)
-    m_idx, m_prob, m_tgt, _, m_starts, _ = _rows_of(
-        sp, (exit_rates > 0) & ~mask)
-    jump = -np.expm1(-exit_rates[m_idx] * delta)
-    stay = np.exp(-exit_rates[m_idx] * delta)
-    # immediate states take no time: resolve them at every time level
-    immediate = _rows_of(sp, (np.diff(space.choice_ptr) > 0) & ~mask)
+    g = _in_branches(sp.branch_target, sp.branch_choice, sp.choice_state,
+                     sp.n_states)
+    immediate = (np.diff(space.choice_ptr) > 0) & ~mask
+    if maximize:
+        stuck = immediate & (_backward_bfs(g, ~immediate) == _FAR)
+    else:
+        stuck = _peel(g, immediate) == _FAR
+    blocks, _ = _plan(sp, immediate & ~stuck, np.ones(sp.n_states, bool),
+                      0.0)
+    rate = space.exit_rate  # 0 in states with choices
+    # states whose values no subinterval changes: 1 on the target, 0 else
+    fixed = mask | stuck | ((rate == 0) & ~immediate)
+    # one row each, the embedded jump
+    idx, prob, tgt, starts = _rows_of(sp, (rate > 0) & ~mask)
+    lam = float(rate[idx].max()) if len(idx) else 0.0
+    # the uniformized step: jump along the embedded row with probability
+    # E/λ, stay otherwise
+    move = prob * np.repeat(rate[idx] / lam, np.diff(
+        np.append(starts, len(prob))))
+    stay = 1.0 - rate[idx] / lam
 
-    V = mask.astype(np.float64)
-    _iterate(V, immediate, maximize, cfg)
-    for _ in range(k):
-        emb = np.add.reduceat(m_prob * V[m_tgt], m_starts)
-        V[m_idx] = jump * emb + stay * V[m_idx]
-        _iterate(V, immediate, maximize, cfg)
+    def jump(V):
+        """The Markovian states' values one uniformized jump earlier."""
+        return stay * V[idx] + np.add.reduceat(move * V[tgt], starts)
 
-    info = {"digitization_steps": float(k), "error_bound": err_bound,
-            "lambda_max": lam_max, "step_size": delta}
-    return ValueResult(float(V[space.initial]), k, err_bound, None, info)
+    def settle(V, markov):
+        """``V`` with the Markovian values ``markov``, immediate states
+        solved again."""
+        V = V.copy()
+        V[idx] = markov
+        _resolve(V, blocks, maximize, cfg)
+        return V
+
+    def jump_count(W, L, weights, survival):
+        # L_i = (1 - c_i) W + c_i jump(L_(i+1)), c_i = P(N > i) / P(N >= i)
+        # and 1 - c_i = ψ_i / P(N >= i) without cancellation
+        for i in range(len(weights) - 1, -1, -1):
+            L = settle(W, (weights[i] * W[idx] + survival[i + 1] * jump(L))
+                       / survival[i])
+        return L
+
+    def clairvoyant(W, weights, dropped):
+        # the sum of ψ_k D_k, D_0 = W and D_(k+1) = jump(D_k)
+        acc, D = weights[0] * W, W
+        for w in weights[1:]:
+            D = settle(D, jump(D))
+            acc += w * D
+        acc = np.where(fixed, W, acc + dropped)
+        _resolve(acc, blocks, maximize, cfg)
+        return acc
+
+    terminal = mask.astype(np.float64)
+    _resolve(terminal, blocks, maximize, cfg)
+    n, sweeps, needed = 1, 0, 0.0
+    mean = lam * time_bound
+    while True:
+        lo, hi = terminal, terminal
+        if mean > 0:
+            # each subinterval truncates 1% of the width per side; Poisson
+            # weights below the smallest normal double underflow, so a
+            # smaller tail cannot be certified
+            tail = width / (100 * n)
+            needed = max(needed, mean if tail >= np.finfo(float).tiny
+                         else math.inf)
+            if needed <= MAX_POISSON_TERMS:
+                weights, survival = _poisson(mean / n, tail)
+                needed = max(needed, n * len(weights))
+            if needed > MAX_POISSON_TERMS:
+                raise SolverError(
+                    f"time-bounded reachability needs about {needed:.3g} "
+                    f"Poisson terms for a bound width of {width:g}, above "
+                    f"the configured cap {MAX_POISSON_TERMS}; increase "
+                    "time_bound_error or reduce the bound")
+            for _ in range(n):
+                if maximize:
+                    lo = jump_count(lo, lo, weights, survival)
+                    hi = clairvoyant(hi, weights, survival[-1])
+                else:
+                    lo = clairvoyant(lo, weights, 0.0)
+                    hi = jump_count(hi, np.ones_like(hi), weights, survival)
+            sweeps += n * (2 * len(weights) - 1)
+        # outwards by the rounding slack, relative as every step adds
+        # nonnegative terms; a fixed state's value is exact
+        slack = 0.0 if fixed[space.initial] else ROUNDING_SLACK
+        lower = float(lo[space.initial]) * (1.0 - slack)
+        upper = min(1.0, float(hi[space.initial]) * (1.0 + slack))
+        if upper - lower <= width:
+            break
+        # the gap shrinks about in proportion to 1/n, so about n·gap/width
+        # subintervals, each at least one term, would be narrow enough
+        needed = n * (upper - lower) / width
+        n *= 2
+
+    return ValueResult((lower + upper) / 2, sweeps, upper - lower, None,
+                       {"lower": lower, "upper": upper, "lambda_max": lam,
+                        "intervals": float(n)})
 
 
 # --------------------------------------------------------------------------

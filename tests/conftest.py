@@ -232,6 +232,20 @@ def geometric(p: float) -> ExplicitStateSpace:
     """)
 
 
+#: An immediate state that may loop forever in zero time or move on to a
+#: unit-rate race into the goal.
+TRAP_MA = """
+ma
+module m
+  x : [0..2] init 0;
+  [] x=0 -> (x'=0);
+  [] x=0 -> (x'=1);
+  rate(1) x=1 -> (x'=2);
+endmodule
+label "goal" = x=2;
+"""
+
+
 #: An MDP whose initial-state nondeterminism is split between two
 #: components; not good for distribution.
 INTERLEAVED_MDP = """

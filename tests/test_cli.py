@@ -9,6 +9,8 @@ from qmv.casestudies import (BitcoinParams, NocParams, gen_bitcoin,
                              sample_contact_plan)
 from qmv.cli import main
 
+from conftest import TRAP_MA
+
 COIN = """
 dtmc
 module coin
@@ -59,18 +61,6 @@ module right
 endmodule
 label "win" = x=1 & y=1;
 """
-
-TRAP_MA = """
-ma
-module m
-  x : [0..2] init 0;
-  [] x=0 -> (x'=0);
-  [] x=0 -> (x'=1);
-  rate(1) x=1 -> (x'=2);
-endmodule
-label "goal" = x=2;
-"""
-
 
 @pytest.fixture
 def model_file(tmp_path):
@@ -354,18 +344,8 @@ def _bundled_properties():
     return out
 
 
-#: Digitization needs about 4.5e8 steps at the default time-bound error;
-#: MA time-bounded reachability by uniformization (ROADMAP direction C)
-#: would solve it.
-_NEEDS_UNIFORMIZATION = pytest.mark.xfail(
-    strict=True, reason="ROADMAP direction C: digitization of F<=3600 "
-                        "exceeds MAX_DIGITIZATION_STEPS")
-
-
 @pytest.mark.parametrize("case, index, text", [
-    pytest.param(*entry, id=f"{entry[0].name}-{entry[1]}",
-                 marks=[_NEEDS_UNIFORMIZATION] if "F<=3600" in entry[2]
-                 else [])
+    pytest.param(*entry, id=f"{entry[0].name}-{entry[1]}")
     for entry in _bundled_properties()])
 def test_bundled_property_checks_under_default_flags(capsys, tmp_path, case,
                                                      index, text):
@@ -527,7 +507,7 @@ class TestExitCodes:
             "check", model_file(TRAP_MA), 'Pmax=? [ F<=10 "goal" ]',
             "--time-bound-error", "1e-320"])
         assert code == 3
-        assert "digitization needs inf steps" in err
+        assert "needs about inf Poisson terms" in err
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -29,7 +29,13 @@ from qmv.numeric import (
     step_bounded_cdf,
 )
 
-from conftest import direct_space, induced_chain, random_layered_mdp, space_of
+from conftest import (
+    TRAP_MA,
+    direct_space,
+    induced_chain,
+    random_layered_mdp,
+    space_of,
+)
 
 CFG = SolverConfig()
 
@@ -331,7 +337,20 @@ class TestMarkovAutomata:
         """)
         res = ma_time_bounded(sp, sp.labels["goal"], Direction.MAX, 2.0, CFG)
         assert res.value == pytest.approx(1 - math.exp(-1), abs=1e-4)
-        assert res.info.get("digitization_steps", 0) >= 1
+        assert res.info["lower"] <= 1 - math.exp(-1) <= res.info["upper"]
+
+    def test_time_bounded_from_the_target_is_exactly_one(self):
+        sp = space_of("""
+            ma
+            module m
+              x : [0..1] init 1;
+              rate(2) x=0 -> (x'=1);
+              rate(2) x=1 -> (x'=0);
+            endmodule
+            label "goal" = x=1;
+        """)
+        res = ma_time_bounded(sp, sp.labels["goal"], Direction.MAX, 3.0, CFG)
+        assert res.value == 1.0 and res.residual == 0.0
 
     def test_time_bounded_zero_bound(self):
         sp = space_of("""
@@ -680,7 +699,7 @@ def _pinned_space(name):
 
 def _analyse(space, target: str, analysis: str):
     """``Pmax``/``Pmin``/``Tmax``/``Tmin``: reach probability or expected
-    time; ``Pmax<=b``: time-bounded reachability at a coarse error bound;
+    time; ``Pmax<=b``: time-bounded reachability at a coarse bound width;
     ``cdfmax<=b``: the step-bounded CDF."""
     mask = target_mask(space, parse_property(f"Pmax=? [ F {target} ]").target)
     kind, bound = (analysis.split("<=") + [None])[:2]
@@ -724,9 +743,9 @@ PINNED_RESULTS = [
     ("bitcoin3", '"goal"', "Tmax",
      "bc985589c3a2478e36f2271f5399108ff17ac6db6c4bd0c56e32038ad60da89a"),
     ("bitcoin3", '"goal"', "Pmax<=20",
-     "0c6502f6a5336bddbc9a1c06d132a8a0203350cde1ef1dfe1b2c0257feb7f335"),
+     "6eae2e21ce25fc6ffcacf21354e2792ed40a4650b5e7f6a583b9b7d0a446a0c7"),
     ("bitcoin3", '"goal"', "Pmin<=20",
-     "df9780de638d3eb29d5dbedfa0724ad12e7a5e49d6b4a385e1b12414cceca142"),
+     "e0730fbd9b2b4ec823d39aae57d82d40d670009218c2bc8c101550640e8f15ad"),
     ("contacts", '"delivered"', "Pmax",
      "7d76d5eca2775ac5b98f143eaed635024b50d422a6e68dbfb68e2a81d6bdb86e"),
     ("contacts", '"delivered"', "Pmin",
@@ -746,17 +765,18 @@ PINNED_RESULTS = [
     ("small_ma", '"goal"', "Tmin",
      "5b6049b8588d83d4419a0111e915d0de4a9ca327a37c155f7e189e36f0596350"),
     ("small_ma", '"goal"', "Pmax<=3",
-     "75088b03bd2ed07068b05bd27e862316153a6d4e0ac2d523e29744ed1175cc37"),
+     "6d17725959700865fa6e89ea119af2ef5e995d7a107fab4c79068eb3366675fd"),
     ("small_ma", '"goal"', "Pmin<=3",
-     "a64a05f0e453b31f4caca497c98af5c85887a4c13a84583fc7a1b6be3f3257af"),
+     "d5694748bab5445d02484dc796b1af988a07ba5221a8c19b3f3f6584f2954fee"),
 ]
 
 
 class TestPinnedResults:
     """Every reported field of a result: unbounded reachability and
-    expected time as solved exactly block by block, step- and time-bounded
-    analyses as computed before value iteration ran over packed rows.  A
-    change here changes what ``qmv check`` and ``qmv cdf`` print."""
+    expected time as solved exactly block by block, step-bounded analyses
+    as computed before value iteration ran over packed rows, time-bounded
+    ones as bracketed by uniformization.  A change here changes what
+    ``qmv check`` and ``qmv cdf`` print."""
 
     @pytest.mark.parametrize(
         "model, target, analysis, digest", PINNED_RESULTS,
@@ -764,3 +784,109 @@ class TestPinnedResults:
     def test_result(self, model, target, analysis, digest):
         result = _analyse(_pinned_space(model), target, analysis)
         assert _result_digest(result) == digest
+
+
+# --------------------------------------------------------------------------
+# time-bounded reachability: the uniformization bracket
+
+
+def _stationary_time_bounded(space, goal, policy, t) -> float:
+    """P(reach ``goal`` within ``t``) when every state with choices takes
+    the one ``policy`` names, by dense uniformization.  Immediate states
+    take no time, so each passes its mass on to where its zero-time cascade
+    comes to rest; goal states are absorbing."""
+    n = space.n_states
+    imm = np.array([bool(cs) for cs in space.choices]) & ~goal
+    step = np.zeros((n, n))
+    for s in np.flatnonzero(imm):
+        for p, u in space.choices[s][policy[s]].distribution.branches:
+            step[s, u] += p
+    rest = np.linalg.solve(np.eye(n) - step, np.diag(~imm).astype(float))
+    gen = np.zeros((n, n))
+    for s in np.flatnonzero(~imm & ~goal):
+        race = space.markovian[s]
+        if race is not None:
+            for r, u in race.entries:
+                gen[s] += r * rest[u]
+            gen[s, s] -= race.exit_rate
+    lam = -gen.diagonal().min()
+    jump = np.eye(n) + gen / lam
+    pi, total = rest[space.initial], 0.0
+    for k in range(200):  # Poisson(lam * t) mass beyond is below 1e-60
+        total += math.exp(k * math.log(lam * t) - lam * t
+                          - math.lgamma(k + 1)) * pi[goal].sum()
+        pi = pi @ jump
+    return total
+
+
+class TestTimeBoundedBracket:
+    @pytest.mark.parametrize("width", [1e-2, 1e-6])
+    @pytest.mark.parametrize("direction", [Direction.MAX, Direction.MIN])
+    @pytest.mark.parametrize("model, bound", [("small_ma", 3.0),
+                                              ("bitcoin3", 20.0)])
+    def test_bracket_is_ordered_and_as_narrow_as_requested(
+            self, model, bound, direction, width):
+        space = _pinned_space(model)
+        res = ma_time_bounded(space, space.labels["goal"], direction, bound,
+                              SolverConfig(time_bound_error=width))
+        lower, upper = res.info["lower"], res.info["upper"]
+        assert 0.0 <= lower <= upper <= 1.0
+        assert upper - lower <= width
+        assert res.residual == upper - lower
+        assert res.value == (lower + upper) / 2
+
+    @pytest.mark.parametrize("width", [1e-2, 1e-6])
+    def test_bracket_encloses_every_stationary_policy(self, width):
+        # Pmax's lower end is achievable and Pmin's upper end too, so they
+        # are no worse than any stationary policy, up to the truncation
+        # each side may cost (1% of the width)
+        space = _pinned_space("small_ma")
+        goal = space.labels["goal"]
+        values = [_stationary_time_bounded(space, goal, policy, 3.0)
+                  for policy in itertools.product(
+                      *[range(max(len(cs), 1)) for cs in space.choices])]
+        cfg = SolverConfig(time_bound_error=width)
+        mx = ma_time_bounded(space, goal, Direction.MAX, 3.0, cfg).info
+        mn = ma_time_bounded(space, goal, Direction.MIN, 3.0, cfg).info
+        assert len(values) == 4
+        assert mx["lower"] >= max(values) - width / 100
+        assert mx["upper"] >= max(values)
+        assert mn["upper"] <= min(values) + width / 100
+        assert mn["lower"] <= min(values)
+
+    @pytest.mark.parametrize("mean", [0.0, 1e-3, 30.0, 300.0, 1000.0, 1e4])
+    def test_poisson_weights_are_finite_and_sum_to_the_tail(self, mean):
+        tail = 1e-9
+        weights, survival = numeric._poisson(mean, tail)
+        assert np.isfinite(weights).all() and np.isfinite(survival).all()
+        assert len(survival) == len(weights) + 1
+        assert survival[-1] <= tail < survival[-2]
+        assert 1.0 - tail <= weights.sum() <= 1.0 + 1e-12
+        assert weights.sum() + survival[-1] == pytest.approx(1.0, abs=1e-12)
+        mode = math.floor(mean)
+        pmf = math.exp(mode * math.log(mean) - mean - math.lgamma(mode + 1)
+                       if mean else 0.0)
+        assert weights[mode] == pytest.approx(pmf, rel=1e-9)
+
+    def test_bundled_bound_refines_to_the_default_width(self):
+        # rate times bound 300: digitization needed 4.5e8 steps for 1e-4
+        # and gave 0.61814 at an a-priori error of 0.05
+        space = space_of(gen_bitcoin(BitcoinParams()).model)
+        res = ma_time_bounded(space, space.labels["goal"], Direction.MAX,
+                              3600.0, CFG)
+        assert res.info["intervals"] > 1
+        assert res.info["upper"] - res.info["lower"] <= 1e-4
+        assert abs(res.value - 0.61814) <= 0.05
+
+    def test_zero_time_trap(self):
+        # Pmin loops forever in zero time; Pmax leaves for the race
+        space = space_of(TRAP_MA)
+        cfg = SolverConfig(time_bound_error=1e-6)
+        mn = ma_time_bounded(space, space.labels["goal"], Direction.MIN,
+                             10.0, cfg)
+        mx = ma_time_bounded(space, space.labels["goal"], Direction.MAX,
+                             10.0, cfg)
+        assert mn.info["lower"] == 0.0
+        assert mn.value == pytest.approx(0.0, abs=1e-6)
+        assert mx.value == pytest.approx(1 - math.exp(-10), abs=1e-6)
+        assert mx.info["lower"] <= 1 - math.exp(-10) <= mx.info["upper"]
