@@ -268,7 +268,10 @@ class SpaceBuilder:
 
     Choices arrive with raw weights, and this is the one place that divides
     them by their sum, exactly when all are ints or Fractions (weights 1
-    and 9 give exactly 0.1 and 0.9).  Duplicate targets of a
+    and 9 give exactly 0.1 and 0.9).  A choice with distinct targets is
+    normalised once per weight pattern: the probabilities are kept per
+    tuple of weights and their types, so ``1``, ``1.0`` and ``Fraction(1)``
+    never share an entry.  Duplicate targets of a
     choice or race are merged and entries sorted by target; the exit rate
     is the exactly rounded rate sum.  Maximal progress is applied here: a
     state with choices keeps no rates.  :func:`validate` checks the rates.
@@ -280,6 +283,7 @@ class SpaceBuilder:
         for name in ("choice_ptr", "branch_ptr", "rate_ptr"):
             self._arrays[name].append(0)
         self._actions: dict[str | None, int] = {}
+        self._probs: dict[tuple, tuple[float, ...]] = {}
 
     def add_state(
         self,
@@ -296,7 +300,7 @@ class SpaceBuilder:
         """
         a = self._arrays
         for action, owner, weighted in choices:
-            targets, probs = _normalise(weighted)
+            targets, probs = self._normalise(weighted)
             a["branch_prob"].extend(probs)
             a["branch_target"].extend(targets)
             a["branch_ptr"].append(len(a["branch_prob"]))
@@ -313,6 +317,22 @@ class SpaceBuilder:
         a["rate_target"].extend(targets)
         a["rate_ptr"].append(len(a["rate"]))
         a["exit_rate"].append(math.fsum(a["rate"][a["rate_ptr"][-2]:]))
+
+    def _normalise(self, weighted: Iterable[tuple[object, int]]):
+        """:func:`_normalise`, looked up by weight pattern when the targets
+        are distinct; a pattern that fails validation is never stored."""
+        weighted = list(weighted)
+        targets = [t for _, t in weighted]
+        if len(set(targets)) < len(targets):
+            return _normalise(weighted)
+        weights = tuple(w for w, _ in weighted)
+        key = (weights, tuple(map(type, weights)))
+        probs = self._probs.get(key)
+        if probs is None:
+            # positions as targets: the probabilities in weight order
+            probs = self._probs[key] = tuple(
+                _normalise(zip(weights, range(len(weights))))[1])
+        return zip(*sorted(zip(targets, probs)))
 
     def build(self, model_class: ModelClass, layout: tuple[VariableInfo, ...],
               valuations: np.ndarray, components: tuple[str, ...],

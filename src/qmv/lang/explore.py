@@ -4,12 +4,24 @@ Guards, weights, rates and assignments are compiled once with
 :meth:`qmv.lang.ast.Expr.compile` into Python functions of the valuation
 tuple (constants inlined), then the reachable state space is built
 breadth-first from the initial valuation and written state by state into
-the arrays of a :class:`qmv.core.SpaceBuilder`.  Immediate commands become
-choice rows; commands sharing an action label across several processes
-synchronize CSP-style (all participants move together, assignments merge,
-branch weights multiply).  Choices reach the builder with raw weights, and
-only the builder normalises them: the sum of the products is the product
-of the sums, so each command's branches are still normalised on their own.
+the arrays of a :class:`qmv.core.SpaceBuilder`.
+
+A state pays only for the commands it can enable.  Each process indexes
+its commands by one key variable, the ``x`` that leads the most guards as
+``x = c`` (or ``c = x``) with ``c`` reading constants only, folded once.
+A command whose leftmost ``&`` conjunct is that test is tried only in
+states where ``x`` equals ``c``; every other command is tried in every
+state, and the candidates keep command order.  Guards compile to Python
+``and``, which stops at a false first conjunct without evaluating the
+rest, so skipping the command changes nothing, errors included.  An
+equality further right is never indexed: a conjunct before it may raise.
+
+Immediate commands become choice rows; commands sharing an action label
+across several processes synchronize CSP-style (all participants move
+together, assignments merge, branch weights multiply).  Choices reach the
+builder with raw weights, and only the builder normalises them: the sum of
+the products is the product of the sums, so each command's branches are
+still normalised on their own.
 Markovian commands pool into a single exponential race per state (branch
 ``i`` of a command with rate ``r`` races at ``r * w_i / sum(w)``) and are
 dropped entirely in states that also have immediate choices (maximal
@@ -24,6 +36,7 @@ depends on this.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -99,6 +112,8 @@ class _Explorer:
                         ps.append(pi)
             self.cmds.append(lst)
             reads.append(names)
+        self.guard_index = [self._guard_index(p, lst)
+                            for p, lst in zip(model.processes, self.cmds)]
 
         # a variable is observed by the processes that declare it in their
         # observes list; without one, by its owner and, for a global, by
@@ -120,6 +135,44 @@ class _Explorer:
 
         self.index: dict[tuple, int] = {}
         self.order: list[tuple] = []
+
+    def _key_test(self, guard: ast.Expr):
+        """(column, value) of the leftmost conjunct of ``guard`` when that
+        conjunct is ``x = c`` or ``c = x`` for a variable ``x`` and an
+        expression ``c`` of constants only, else None."""
+        while isinstance(guard, ast.Binary) and guard.op == "&":
+            guard = guard.left
+        if not (isinstance(guard, ast.Binary) and guard.op == "="):
+            return None
+        for var, c in ((guard.left, guard.right), (guard.right, guard.left)):
+            if isinstance(var, ast.Name) and var.name in self.cols \
+                    and not any(n in self.cols for n in c.names()):
+                try:
+                    return self.cols[var.name], c.constant(self.consts)
+                except EvalError:
+                    return None  # left to raise where the guard runs
+        return None
+
+    def _guard_index(self, process: ast.ProcessDef, cmds: list[_Cmd]):
+        """(key column, {key value: candidates in command order},
+        unindexed commands) of one process, as the module docstring
+        describes; the key column is None when no guard leads with a test
+        of a variable against constants."""
+        tests = [self._key_test(cmd.guard) for cmd in process.commands]
+        counts = Counter(t[0] for t in tests if t is not None)
+        if not counts:
+            return None, {}, cmds
+        col = max(counts, key=counts.__getitem__)  # a tie goes to the first
+        buckets: dict[object, list[_Cmd]] = {}
+        rest = []
+        for cmd, test in zip(cmds, tests):
+            if test is not None and test[0] == col:
+                buckets.setdefault(test[1], []).append(cmd)
+            else:
+                rest.append(cmd)
+        return col, {
+            value: sorted(bucket + rest, key=lambda c: c.index)
+            for value, bucket in buckets.items()}, rest
 
     def _c(self, e: ast.Expr, reads: set[str]):
         """Compile ``e``, adding the names it reads to ``reads``."""
@@ -175,7 +228,9 @@ class _Explorer:
     def _expand(self, vals: tuple):
         """Choice candidates (origin-sorted) and markovian entries."""
         enabled: list[list[_Cmd]] = [
-            [c for c in lst if c.guard(vals)] for lst in self.cmds]
+            [c for c in (rest if col is None else table.get(vals[col], rest))
+             if c.guard(vals)]
+            for col, table, rest in self.guard_index]
 
         cands = []  # (origin, action, owner, [(weight, succ vals)])
         sync_here: set[str] = set()

@@ -4,12 +4,15 @@ import hashlib
 import math
 from dataclasses import replace
 from fractions import Fraction
+from random import Random
 
 import numpy as np
 import pytest
 
 from qmv.casestudies import (
     BitcoinParams,
+    Contact,
+    ContactPlan,
     NocParams,
     gen_bitcoin,
     gen_contact_mdp,
@@ -24,6 +27,7 @@ from qmv.core import (
     PropertyKind,
     SpaceBuilder,
     VariableInfo,
+    _normalise,
     decision_states,
     scheduler_owner,
     target_mask,
@@ -36,13 +40,21 @@ from qmv.numeric import _closed
 from conftest import direct_space, space_of
 
 
+def _written(*choices):
+    """The branches one builder writes for a run of single-choice states;
+    a later state may reuse an earlier state's normalisation."""
+    builder = SpaceBuilder()
+    for weighted in choices:
+        builder.add_state([(None, 0, weighted)])
+    sp = builder.build(ModelClass.MDP, (), np.zeros((len(choices), 0)),
+                       components=("m",))
+    return [cs[0].distribution for cs in sp.choices]
+
+
 def _branches(weighted):
     """The branches the builder writes for a single choice."""
-    builder = SpaceBuilder()
-    builder.add_state([(None, 0, weighted)])
-    sp = builder.build(ModelClass.MDP, (), np.zeros((1, 0)), components=("m",))
-    (choice,) = sp.choices[0]
-    return choice.distribution
+    (distribution,) = _written(weighted)
+    return distribution
 
 
 def _rules(sp):
@@ -80,6 +92,40 @@ class TestDistribution:
     def test_build_rejects_bool_weight(self):
         with pytest.raises(TypeError):
             _branches([(True, 0)])
+
+    def test_weight_patterns_of_equal_value_keep_their_own_rounding(self):
+        # 3, 3.0 and Fraction(3) are equal and hash alike, but beside 1/3 the
+        # exact and the float path round differently
+        third = Fraction(1, 3)
+        patterns = [[(third, 0), (w, 1)] for w in (3, 3.0, Fraction(3))]
+        patterns += [[(w, 0)] for w in (1, 1.0, Fraction(1))]
+
+        def uncached(weighted):
+            targets, probs = _normalise(weighted)
+            return tuple(zip(probs, targets))
+
+        written = [d.branches for d in _written(*patterns, *patterns)]
+        assert written == [uncached(p) for p in patterns] * 2
+        assert written[0] == ((0.1, 0), (0.9, 1)) != written[1]
+
+    def test_rejected_weights_raise_on_every_state(self):
+        for bad, error in ((True, TypeError), ("1", TypeError),
+                           (0, ValueError), (-1, ValueError)):
+            builder = SpaceBuilder()
+            for _ in range(2):
+                with pytest.raises(error):
+                    builder.add_state([(None, 0, [(bad, 0), (1, 1)])])
+
+    def test_duplicate_targets_merge_after_a_distinct_pattern(self):
+        assert [d.branches for d in _written(
+            [(1, 2), (1, 0), (2, 1)], [(1, 2), (1, 0), (2, 2)])] == [
+            ((0.25, 0), (0.5, 1), (0.25, 2)), ((0.25, 0), (0.75, 2))]
+
+    def test_permuted_targets_of_one_pattern_come_out_sorted(self):
+        assert [d.branches for d in _written(
+            [(1, 2), (3, 0)], [(1, 0), (3, 2)], [(3, 0), (1, 2)])] == [
+            ((0.75, 0), (0.25, 2)), ((0.25, 0), (0.75, 2)),
+            ((0.75, 0), (0.25, 2))]
 
     def test_direct_constructor_validates(self):
         # arrays given directly are not checked on construction, but by
@@ -324,6 +370,23 @@ class TestPinnedSpaces:
         self._check(
             space_of(gen_bitcoin(BitcoinParams(CD=3)).model), 57,
             "3367bd565e18adda23302afdb2e110532972603a1b15a8f47cfba58361a4313e")
+
+    def test_seeded_contact_plan(self):
+        # 160 commands guarded ``step = e``, spread over six processes: the
+        # explorer's guard index skips all but a few of them in each state
+        rng = Random(9)
+        names = tuple(f"N{i}" for i in range(1, 7))
+        contacts = []
+        for slot in range(1, 21):
+            pairs: set[tuple[str, str]] = set()
+            while len(pairs) < 2:
+                pairs.add(tuple(rng.sample(names, 2)))
+            contacts += [Contact(a, b, slot, rng.randint(1, 9) / 10)
+                         for a, b in sorted(pairs)]
+        plan = ContactPlan(names, 20, tuple(contacts), "N1", "N6", copies=3)
+        self._check(
+            space_of(gen_contact_mdp(plan).model), 1987,
+            "ea2a515bfdb29dc4a15a2220dd332fc84d7f3e35d175e219b454ec4341e1fd63")
 
     def test_hand_built_ma_with_choices_and_rates(self):
         space = direct_space(

@@ -1,5 +1,6 @@
 """Language front end: lexing, parsing, semantic checks, exploration."""
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmv.core import Direction, ModelClass, PropertyKind, target_mask
+from qmv.core import (
+    _FLOAT_ARRAYS,
+    _INT_ARRAYS,
+    Direction,
+    ModelClass,
+    PropertyKind,
+    target_mask,
+)
 from qmv.lang import (
     Binary,
     BoolLit,
@@ -25,7 +33,12 @@ from qmv.lang import (
     parse_property,
 )
 from qmv.lang.ast import PRECEDENCE
-from qmv.lang.explore import check_good_for_distribution, explore
+from qmv.lang.explore import (
+    DEFAULT_STATE_CAP,
+    _Explorer,
+    check_good_for_distribution,
+    explore,
+)
 from qmv.lang.lexer import KEYWORDS, tokenize
 
 from conftest import INTERLEAVED_MDP, space_of
@@ -537,6 +550,149 @@ class TestSynchronisation:
         # 'go' is used by a single process: it fires alone
         actions = sorted((c.action or "") for c in sp.choices[0])
         assert actions == ["", "go"]
+
+
+def _unindexed(model):
+    """``model`` with every guard ``g`` rewritten to ``true & (g)``, whose
+    leftmost conjunct is no equality, so the explorer indexes nothing."""
+    return replace(model, processes=tuple(
+        replace(p, commands=tuple(
+            replace(c, guard=Binary("&", BoolLit(True), c.guard))
+            for c in p.commands))
+        for p in model.processes))
+
+
+def _key_columns(model):
+    """The guard-index key column of each process (None: no index)."""
+    return [col for col, _, _ in
+            _Explorer(model, DEFAULT_STATE_CAP, "").guard_index]
+
+
+class TestGuardIndex:
+    """The explorer tries, per process, only the commands whose leading
+    ``x = c`` conjunct matches the state, plus the unindexed ones.  Each
+    model here must explore to exactly the arrays of its twin in which
+    nothing is indexed."""
+
+    # reversed, constant-expression, bool, never-matching, '|' and '!'
+    # guards, indexed and unindexed commands interleaved, and an action
+    # synchronised across two processes
+    MDP = """
+        mdp
+        const int N = 4;
+        const real H = 1/2;
+        global g : bool init false;
+        module a
+          x : [0..4] init 0;
+          [] x = 0 -> 1/2:(x'=1) + 1/2:(x'=2);
+          [] x > 2 -> (x'=0);
+          [] 2 = x & !g -> (g'=true);
+          [] x = N-1 -> 2:(x'=N) + 1:(x'=0);
+          [] x = H -> (x'=0);
+          [] x = 1 | x = 4 -> (x'=3);
+          [] !(x = 2) & g -> (g'=false);
+          [sync] x = 2 -> (x'=3);
+          [sync] N-2 = x & g -> (x'=4);
+        endmodule
+        module c
+          y : [0..2] init 0;
+          [sync] y < 2 -> (y'=y+1);
+          [sync] g = true & y = 0 -> (y'=2);
+          [] true = g & y = 2 -> (y'=0);
+          [] g = false & y = 1 -> (y'=2);
+        endmodule
+        label "done" = x = 4 & y = 2;
+    """
+
+    MA = """
+        ma
+        module m
+          x : [0..3] init 0;
+          rate(2) x = 0 -> 1:(x'=1) + 3:(x'=2);
+          rate(1) x = 1 -> (x'=3);
+          [] x = 2 -> 1:(x'=3) + 1:(x'=0);
+          rate(5) x >= 2 -> (x'=0);
+          rate(1) 3 = x -> (x'=1);
+        endmodule
+    """
+
+    @staticmethod
+    def _assert_same_space(a, b):
+        assert np.array_equal(a.valuations, b.valuations)
+        for name in _INT_ARRAYS + _FLOAT_ARRAYS:
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert a.actions == b.actions and a.initial == b.initial
+        assert a.labels.keys() == b.labels.keys()
+        for name in a.labels:
+            assert np.array_equal(a.labels[name], b.labels[name])
+
+    @pytest.mark.parametrize("source, keys", [(MDP, [1, 0]), (MA, [0])],
+                             ids=["mdp", "ma"])
+    def test_index_explores_like_its_unindexed_twin(self, source, keys):
+        model = parse_model(source)
+        twin = _unindexed(model)
+        # a keys on x (column 1), c on the global g (column 0)
+        assert _key_columns(model) == keys
+        assert _key_columns(twin) == [None] * len(keys)
+        space = explore(model)
+        assert space.n_states >= 4
+        self._assert_same_space(space, explore(twin))
+
+    def test_error_before_the_key_conjunct_is_still_raised(self):
+        source = """
+            mdp
+            module m
+              x : [0..2] init 0;
+              y : [0..1] init 0;
+              [] x = 0 -> (x'=2);
+              [] GUARD -> (x'=0);
+            endmodule
+        """
+        with pytest.raises(ExplorationError, match="division by zero"):
+            explore(parse_model(source.replace("GUARD", "10/y > 1 & x = 1")))
+        # Python's ``and`` never evaluates 10/y when x = 1 is false, so
+        # this model has always explored, and the index skips nothing more
+        assert explore(parse_model(
+            source.replace("GUARD", "x = 1 & 10/y > 1"))).n_states == 2
+
+    def test_candidates_run_in_command_order(self):
+        # both commands fail at x = 0; the unindexed one comes first
+        with pytest.raises(ExplorationError, match="x := 2 outside"):
+            explore(parse_model("""
+                mdp
+                module m
+                  x : [0..1] init 0;
+                  [] x < 1 -> (x'=2);
+                  [] x = 0 -> (x'=3);
+                endmodule
+            """))
+
+    def test_guard_calls_are_bounded_by_the_candidates(self):
+        n = 200
+        lines = ["dtmc", "module ladder", f"  x : [0..{n + 1}] init 1;"]
+        lines += [f"  [] x={k} -> 1/2:(x'={k + 1}) + 1/2:(x'={k - 1});"
+                  for k in range(1, n + 1)]
+        # unindexed commands, and a second command in one bucket; none is
+        # ever enabled where another command is
+        lines += [f"  [] x > {n + 1} -> (x'=0);", "  [] x < 0 -> (x'=0);",
+                  f"  [] x = {n // 2} & x < 0 -> (x'=0);", "endmodule"]
+        explorer = _Explorer(parse_model("\n".join(lines)),
+                             DEFAULT_STATE_CAP, "")
+        calls = 0
+
+        def counted(guard):
+            def call(vals):
+                nonlocal calls
+                calls += 1
+                return guard(vals)
+            return call
+
+        for cmd in explorer.cmds[0]:
+            cmd.guard = counted(cmd.guard)
+        space = explorer.run()
+        assert space.n_states == n + 2
+        largest_bucket, unindexed = 2, 2
+        assert calls <= space.n_states * (largest_bucket + unindexed)
 
 
 class TestGoodForDistribution:
