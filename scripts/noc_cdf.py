@@ -21,17 +21,19 @@ def main() -> None:
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--pattern", choices=("every-other", "bursty"),
-                    default="every-other")
-    ap.add_argument("--burst-len", type=int, default=None,
+                    default=NocParams.pattern)
+    ap.add_argument("--burst-len", type=int, default=NocParams.burst_len,
                     help="injection cycles per burst (bursty pattern)")
-    ap.add_argument("--burst-period", type=int, default=None,
+    ap.add_argument("--burst-period", type=int,
+                    default=NocParams.burst_period,
                     help="cycles between burst starts (bursty pattern)")
-    ap.add_argument("--buffer", type=int, default=1,
-                    help="queue bound per router (default 1)")
-    ap.add_argument("--events", type=int, default=1,
-                    help="noise events to accumulate (default 1)")
-    ap.add_argument("--horizon", type=int, default=10,
-                    help="clock cycles covered by the CDF (default 10)")
+    ap.add_argument("--buffer", type=int, default=NocParams.buffer,
+                    help="queue bound per router (default %(default)s)")
+    ap.add_argument("--events", type=int, default=NocParams.events,
+                    help="noise events to accumulate (default %(default)s)")
+    ap.add_argument("--horizon", type=int, default=NocParams.horizon,
+                    help="clock cycles covered by the CDF "
+                         "(default %(default)s)")
     ap.add_argument("-o", "--out", default="-",
                     help="output CSV file (default: stdout)")
     args = ap.parse_args()

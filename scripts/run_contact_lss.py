@@ -2,7 +2,7 @@
 """Compare lightweight scheduler sampling against the exact optimum.
 
 Loads a contact plan (JSON), builds the routing MDP, computes the exact
-maximum delivery probability by value iteration, then samples scheduler
+maximum delivery probability by policy iteration, then samples scheduler
 ids in global and distributed mode and reports each mode's best estimate.
 Sampling is an underapproximation: its best estimate stays at or below
 the exact optimum up to the confidence-interval half-width.
@@ -44,7 +44,7 @@ def main() -> None:
     print(f"  {len(plan.nodes)} nodes, {plan.slots} slots, "
           f"{len(plan.contacts)} contacts, {plan.copies} copies "
           f"-> {space.n_states} states")
-    print(f"exact Pmax (value iteration): {exact.value:.6f}")
+    print(f"exact Pmax (policy iteration): {exact.value:.6f}")
 
     prop = Property(kind=PropertyKind.REACH_PROB, direction=Direction.MAX,
                     target="delivered")

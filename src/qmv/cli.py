@@ -4,15 +4,27 @@ Subcommands: ``check`` (exact analysis), ``cdf`` (whole step-bounded
 reachability CDF), ``simulate`` (Monte Carlo estimation), ``lss``
 (lightweight scheduler sampling) and ``gen`` (case-study generators).
 
-Results go to stdout (aligned text, or JSON with ``--json``); diagnostics
-go to stderr.  Exit codes: 0 success, 1 parse/parameter errors, 2 state
-cap exceeded, 3 solver failure, 4 model not good for distribution.
-All commands are deterministic given their flags; the only varying report
-fields live under the top-level ``timing`` key.
+``check``, ``cdf``, ``simulate`` and ``lss`` share one pipeline,
+:func:`_run`: read and explore the model; parse the properties and select
+them (``--prop-index``, else all for ``check`` and the first otherwise);
+resolve every selected target to a state mask, so an ill-typed target
+fails before any analysis runs; analyse each property; build one report.
+Each command supplies only its analysis, which returns the fields of its
+report entry.
+
+Results go to stdout: the report as JSON with ``--json``, otherwise text
+rendered from it, one aligned ``key  value`` row per scalar field of the
+model and of each property entry (``cdf`` without ``--out`` prints its
+``t,probability`` rows instead).  Diagnostics go to stderr.  Exit codes:
+0 success, 1 parse/parameter errors, 2 state cap exceeded, 3 solver
+failure, 4 model not good for distribution.  All commands are
+deterministic given their flags; the only varying report fields live
+under the top-level ``timing`` key.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -20,51 +32,103 @@ from pathlib import Path
 
 import qmv
 from qmv import casestudies, numeric, smc
-from qmv.core import Property, PropertyKind, decision_states, target_mask
+from qmv.core import PropertyKind, decision_states, target_mask
 from qmv.lang import parse_model, parse_properties, parse_property
 from qmv.lang.errors import ExplorationLimit, ModelError
 from qmv.lang.explore import DEFAULT_STATE_CAP, explore
 
 
-def _load_model(args):
+def _aligned(rows) -> list[str]:
+    width = max((len(key) for key, _ in rows), default=0)
+    return [f"{key:<{width}}  {value}" for key, value in rows]
+
+
+def _text(report) -> list[str]:
+    """A row for each scalar field of the model and of each property entry
+    (floats by ``repr``); then, after a blank line, ``lss --table``'s
+    ``id  mean`` rows."""
+    rows = list(report["model"].items())
+    table = []
+    for entry in report["properties"]:
+        rows += [(key, value) for key, value in entry.items()
+                 if not isinstance(value, (list, dict))]
+        table += [(str(row["id"]), row["mean"])
+                  for row in entry.get("table", ())]
+    return _aligned(rows) + (["", *_aligned(table)] if table else [])
+
+
+def _csv(values) -> list[str]:
+    return [f"{t},{v!r}" for t, v in enumerate(values)]
+
+
+def _run(args, analyse, *, seeds=None, text=_text) -> int:
+    """Load, resolve, analyse and report; return the exit code.
+
+    ``analyse(space, prop)`` gets each selected property with its target
+    resolved to a state mask and returns the fields of its report entry;
+    a :class:`numeric.SolverError` becomes an ``error`` entry and exit
+    code 3, and the other properties still run.  ``text`` renders the
+    report for stdout without ``--json``.
+    ``timing`` holds every nondeterministic field, so reports with equal
+    flags compare equal after dropping it.
+    """
     path = Path(args.model)
-    try:
-        text = path.read_text()
-    except OSError as e:
-        raise ValueError(f"cannot read model: {e}") from None
-    model = parse_model(text)
+    model = parse_model(path.read_text())
     t0 = time.perf_counter()
     space = explore(model, state_cap=args.state_cap, name=path.stem)
-    dt = time.perf_counter() - t0
-    stats = {
-        "path": str(path),
-        "class": space.model_class.value,
-        "states": space.n_states,
-        "transitions": space.transition_count(),
-    }
-    return model, space, stats, dt
+    timing = {"explore_seconds": time.perf_counter() - t0,
+              "property_seconds": []}
 
-
-def _load_properties(args, model) -> list[Property]:
-    """The positional property argument: inline text, or a file of one
-    property per line; ``--prop-index`` selects one (default: all for
-    check, the first otherwise).  Label names resolve against the model's
-    labels, bare or quoted."""
-    spec = args.props
-    path = Path(spec)
     context = {"model_class": model.model_class, "labels": model.label_map()}
-    if path.is_file():
-        props = parse_properties(path.read_text(), **context)
+    props_path = Path(args.props)
+    if props_path.is_file():
+        props = parse_properties(props_path.read_text(), **context)
         if not props:
-            raise ValueError(f"no properties in {path}")
+            raise ValueError(f"no properties in {props_path}")
     else:
-        props = [parse_property(spec, **context)]
+        props = [parse_property(args.props, **context)]
     if args.prop_index is not None:
         if not 0 <= args.prop_index < len(props):
             raise ValueError(f"--prop-index {args.prop_index} out of range "
                              f"(have {len(props)})")
         props = [props[args.prop_index]]
-    return props
+    elif args.subcommand != "check":
+        props = props[:1]
+    constants = model.constant_values()
+    props = [dataclasses.replace(
+        p, target=target_mask(space, p.target, constants)) for p in props]
+
+    entries, code = [], 0
+    for prop in props:
+        t0 = time.perf_counter()
+        try:
+            entry = analyse(space, prop)
+        except numeric.SolverError as e:
+            print(f"error: {prop.text}: {e}", file=sys.stderr)
+            entry, code = {"error": str(e)}, 3
+        timing["property_seconds"].append(time.perf_counter() - t0)
+        entries.append({"property": prop.text, **entry})
+
+    report = {
+        "tool": "qmv",
+        "version": qmv.__version__,
+        "command": list(args.echo),
+        "model": {
+            "path": str(path),
+            "class": space.model_class.value,
+            "states": space.n_states,
+            "transitions": space.transition_count(),
+        },
+        "properties": entries,
+        "seeds": seeds or {},
+        "timing": timing,
+    }
+    if args.json:
+        print(json.dumps(report, indent=2))
+    else:
+        for line in text(report):
+            print(line)
+    return code
 
 
 def _solver_config(args) -> numeric.SolverConfig:
@@ -72,126 +136,6 @@ def _solver_config(args) -> numeric.SolverConfig:
         epsilon=args.epsilon,
         time_bound_error=args.time_bound_error,
     )
-
-
-def _report(args, stats, props_out, *, seeds=None, timing=None) -> dict:
-    """Machine-readable record of one command invocation.
-
-    ``timing`` holds every nondeterministic field, so reports with equal
-    flags compare equal after dropping it.
-    """
-    return {
-        "tool": "qmv",
-        "version": qmv.__version__,
-        "command": list(args.echo),
-        "model": stats,
-        "properties": props_out,
-        "seeds": seeds or {},
-        "timing": timing or {},
-    }
-
-
-def _emit(args, report: dict, lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        width = max((len(k) for k, _ in (ln for ln in lines if isinstance(ln, tuple))), default=0)
-        for ln in lines:
-            if isinstance(ln, tuple):
-                print(f"{ln[0]:<{width}}  {ln[1]}")
-            else:
-                print(ln)
-
-
-def _model_lines(stats) -> list:
-    return [
-        ("model", f"{stats['path']} ({stats['class']})"),
-        ("states", stats["states"]),
-        ("transitions", stats["transitions"]),
-    ]
-
-
-# --------------------------------------------------------------------------
-# check
-
-
-def cmd_check(args) -> int:
-    model, space, stats, explore_dt = _load_model(args)
-    props = _load_properties(args, model)
-    cfg = _solver_config(args)
-    constants = model.constant_values()
-    out, lines, times = [], _model_lines(stats), []
-    failed = False
-    for prop in props:
-        t0 = time.perf_counter()
-        try:
-            result = numeric.check_property(space, prop, cfg,
-                                            constants=constants)
-        except numeric.SolverError as e:
-            print(f"error: {prop.text}: {e}", file=sys.stderr)
-            failed = True
-            out.append({"property": prop.text, "error": str(e)})
-            lines += [("property", prop.text), ("error", str(e))]
-            continue
-        finally:
-            times.append(time.perf_counter() - t0)
-        entry = {
-            "property": prop.text,
-            "value": result.value,
-            "iterations": result.iterations,
-            "residual": result.residual,
-        }
-        if result.info:
-            entry["info"] = result.info
-        out.append(entry)
-        lines += [("property", prop.text), ("value", repr(result.value)),
-                  ("iterations", result.iterations)]
-    report = _report(args, stats, out, timing={
-        "explore_seconds": explore_dt, "property_seconds": times})
-    _emit(args, report, lines)
-    return 3 if failed else 0
-
-
-# --------------------------------------------------------------------------
-# cdf
-
-
-def cmd_cdf(args) -> int:
-    model, space, stats, explore_dt = _load_model(args)
-    prop = _load_properties(args, model)[0]
-    if prop.kind not in (PropertyKind.REACH_PROB,
-                         PropertyKind.STEP_BOUNDED_REACH_PROB):
-        raise ValueError("cdf needs a reachability property")
-    cfg = _solver_config(args)
-    mask = target_mask(space, prop.target, model.constant_values())
-    t0 = time.perf_counter()
-    result = numeric.step_bounded_cdf(space, mask, prop.direction,
-                                      args.horizon, cfg)
-    dt = time.perf_counter() - t0
-    rows = [f"{t},{v!r}" for t, v in enumerate(result.values)]
-    if args.out:
-        Path(args.out).write_text("\n".join(rows) + "\n")
-    entry = {
-        "property": prop.text,
-        "horizon": args.horizon,
-        "monotone": result.monotone,
-        "final": result.final,
-        "cdf": list(result.values),
-    }
-    report = _report(args, stats, [entry], timing={
-        "explore_seconds": explore_dt, "property_seconds": [dt]})
-    if args.json or args.out:
-        _emit(args, report, _model_lines(stats) + [
-            ("property", prop.text), ("horizon", args.horizon),
-            ("final", repr(result.final)), ("csv", args.out)])
-    else:
-        for row in rows:
-            print(row)
-    return 0
-
-
-# --------------------------------------------------------------------------
-# simulate
 
 
 def _smc_config(args) -> smc.SmcConfig:
@@ -202,93 +146,86 @@ def _smc_config(args) -> smc.SmcConfig:
                          master_seed=args.seed, max_steps=args.max_steps)
 
 
+def cmd_check(args) -> int:
+    cfg = _solver_config(args)
+
+    def analyse(space, prop):
+        result = numeric.check_property(space, prop, cfg)
+        entry = {"value": result.value, "iterations": result.iterations,
+                 "residual": result.residual}
+        if result.info:
+            entry["info"] = result.info
+        return entry
+
+    return _run(args, analyse)
+
+
+def cmd_cdf(args) -> int:
+    cfg = _solver_config(args)  # validated, though no setting applies
+
+    def analyse(space, prop):
+        if prop.kind not in (PropertyKind.REACH_PROB,
+                             PropertyKind.STEP_BOUNDED_REACH_PROB):
+            raise ValueError("cdf needs a reachability property")
+        result = numeric.step_bounded_cdf(space, prop.target, prop.direction,
+                                          args.horizon, cfg)
+        if args.out:
+            Path(args.out).write_text("\n".join(_csv(result.values)) + "\n")
+        return {"horizon": args.horizon, "monotone": result.monotone,
+                "final": result.final, "cdf": list(result.values)}
+
+    def rows(report):
+        return _csv(report["properties"][0].get("cdf", ()))
+
+    return _run(args, analyse, text=_text if args.out else rows)
+
+
 def cmd_simulate(args) -> int:
-    model, space, stats, explore_dt = _load_model(args)
-    prop = _load_properties(args, model)[0]
     cfg = _smc_config(args)
-    constants = model.constant_values()
-    resolver = None
-    if args.scheduler_id is not None:
-        (decisions,) = smc.reachable_decisions(space, [args.scheduler_id],
-                                               args.mode)
-        resolver = decisions.__getitem__
-    elif decision_states(space):
-        raise ValueError("the model has nondeterministic choices; pass "
-                         "--scheduler-id to fix a scheduler")
-    t0 = time.perf_counter()
-    est = smc.estimate(space, resolver, prop, cfg, constants=constants)
-    dt = time.perf_counter() - t0
-    entry = {
-        "property": prop.text,
-        "mean": est.mean,
-        "ci_low": est.ci_low,
-        "ci_high": est.ci_high,
-        "runs": est.runs,
-        "truncated_runs": est.truncated,
-    }
-    if args.scheduler_id is not None:
-        entry["scheduler_id"] = args.scheduler_id
-    report = _report(args, stats, [entry],
-                     seeds={"master_seed": cfg.master_seed},
-                     timing={"explore_seconds": explore_dt,
-                             "property_seconds": [dt]})
-    _emit(args, report, _model_lines(stats) + [
-        ("property", prop.text), ("mean", repr(est.mean)),
-        ("ci", f"[{est.ci_low!r}, {est.ci_high!r}]"),
-        ("runs", est.runs), ("truncated", est.truncated)])
-    return 0
 
+    def analyse(space, prop):
+        resolver = None
+        if args.scheduler_id is not None:
+            (decisions,) = smc.reachable_decisions(
+                space, [args.scheduler_id], args.mode)
+            resolver = decisions.__getitem__
+        elif decision_states(space):
+            raise ValueError("the model has nondeterministic choices; pass "
+                             "--scheduler-id to fix a scheduler")
+        est = smc.estimate(space, resolver, prop, cfg)
+        entry = {"mean": est.mean, "ci_low": est.ci_low,
+                 "ci_high": est.ci_high, "runs": est.runs,
+                 "truncated_runs": est.truncated}
+        if args.scheduler_id is not None:
+            entry["scheduler_id"] = args.scheduler_id
+        return entry
 
-# --------------------------------------------------------------------------
-# lss
+    return _run(args, analyse, seeds={"master_seed": cfg.master_seed})
 
 
 def cmd_lss(args) -> int:
-    model, space, stats, explore_dt = _load_model(args)
-    prop = _load_properties(args, model)[0]
-    cfg = smc.LssConfig(
-        m=args.schedulers,
-        mode=args.mode,
-        direction=prop.direction,
-        inner=_smc_config(args),
-        sampler_seed=args.seed,
-    )
-    t0 = time.perf_counter()
-    result = smc.lss(space, prop, cfg, constants=model.constant_values())
-    dt = time.perf_counter() - t0
-    entry = {
-        "property": prop.text,
-        "mode": result.mode,
-        "schedulers": args.schedulers,
-        "distinct_behaviors": result.distinct_behaviors,
-        "best_id": result.best_id,
-        "mean": result.best.mean,
-        "ci_low": result.best.ci_low,
-        "ci_high": result.best.ci_high,
-        "runs_per_scheduler": result.best.runs,
-    }
-    if args.table:
-        entry["table"] = [
-            {"id": sid, "mean": est.mean, "ci_low": est.ci_low,
-             "ci_high": est.ci_high}
-            for sid, est in result.table
-        ]
-    report = _report(args, stats, [entry],
-                     seeds={"sampler_seed": args.seed,
-                            "master_seed": cfg.inner.master_seed},
-                     timing={"explore_seconds": explore_dt,
-                             "property_seconds": [dt]})
-    lines = _model_lines(stats) + [
-        ("property", prop.text), ("mode", result.mode),
-        ("schedulers", args.schedulers),
-        ("distinct", result.distinct_behaviors),
-        ("best id", result.best_id), ("mean", repr(result.best.mean)),
-        ("ci", f"[{result.best.ci_low!r}, {result.best.ci_high!r}]")]
-    if args.table:
-        lines.append("")
-        lines += [(str(sid), repr(est.mean)) for sid, est in result.table]
-    _emit(args, report, lines)
-    return 0
+    inner = _smc_config(args)
+
+    def analyse(space, prop):
+        result = smc.lss(space, prop, smc.LssConfig(
+            m=args.schedulers, mode=args.mode, direction=prop.direction,
+            inner=inner, sampler_seed=args.seed))
+        best = result.best
+        entry = {"mode": result.mode, "schedulers": args.schedulers,
+                 "distinct_behaviors": result.distinct_behaviors,
+                 "best_id": result.best_id, "mean": best.mean,
+                 "ci_low": best.ci_low, "ci_high": best.ci_high,
+                 "runs_per_scheduler": best.runs}
+        if args.table:
+            entry["table"] = [
+                {"id": sid, "mean": est.mean, "ci_low": est.ci_low,
+                 "ci_high": est.ci_high}
+                for sid, est in result.table
+            ]
+        return entry
+
+    return _run(args, analyse, seeds={"sampler_seed": args.seed,
+                                      "master_seed": inner.master_seed})
 
 
 # --------------------------------------------------------------------------
@@ -305,11 +242,9 @@ def cmd_gen(args) -> int:
         plan = casestudies.parse_contact_plan(Path(args.plan).read_bytes())
         case = casestudies.gen_contact_mdp(plan)
     else:
-        params = casestudies.NocParams(
-            pattern=args.pattern, burst_len=args.burst_len,
-            burst_period=args.burst_period, buffer=args.buffer,
-            k_res=args.k_res, k_ind=args.k_ind, events=args.events,
-            horizon=args.horizon)
+        params = casestudies.NocParams(**{
+            f.name: getattr(args, f.name)
+            for f in dataclasses.fields(casestudies.NocParams)})
         case = casestudies.gen_noc(params)
     gcm, props = case.write(args.out_dir)
     print(gcm)
@@ -401,11 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a case-study model")
     gsub = p.add_subparsers(dest="case", required=True)
 
+    bitcoin = casestudies.BitcoinParams
     g = gsub.add_parser("bitcoin", help="blockchain trust attack (MA)")
-    g.add_argument("--M", type=float, default=0.2,
+    g.add_argument("--M", type=float, default=bitcoin.M,
                    help="attacker's hash-rate fraction")
-    g.add_argument("--CD", type=int, default=6, help="confirmation depth")
-    g.add_argument("--DB", type=int, default=None,
+    g.add_argument("--CD", type=int, default=bitcoin.CD,
+                   help="confirmation depth")
+    g.add_argument("--DB", type=int, default=bitcoin.DB,
                    help="give-up distance (default: CD)")
     g.add_argument("--goal", default=None, help="success predicate")
     g.add_argument("--out-dir", default=".")
@@ -416,18 +353,19 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out-dir", default=".")
     g.set_defaults(func=cmd_gen)
 
+    noc = casestudies.NocParams
     g = gsub.add_parser("noc", help="network-on-chip noise (DTMC)")
     g.add_argument("--pattern", choices=("every-other", "bursty"),
-                   default="every-other")
-    g.add_argument("--burst-len", type=int, default=None)
-    g.add_argument("--burst-period", type=int, default=None)
-    g.add_argument("--buffer", type=int, default=1)
-    g.add_argument("--k-res", type=int, default=3,
+                   default=noc.pattern)
+    g.add_argument("--burst-len", type=int, default=noc.burst_len)
+    g.add_argument("--burst-period", type=int, default=noc.burst_period)
+    g.add_argument("--buffer", type=int, default=noc.buffer)
+    g.add_argument("--k-res", type=int, default=noc.k_res,
                    help="simultaneous transmitters for a resistive event")
-    g.add_argument("--k-ind", type=int, default=2,
+    g.add_argument("--k-ind", type=int, default=noc.k_ind,
                    help="transmitter-count change for an inductive event")
-    g.add_argument("--events", type=int, default=1)
-    g.add_argument("--horizon", type=int, default=10,
+    g.add_argument("--events", type=int, default=noc.events)
+    g.add_argument("--horizon", type=int, default=noc.horizon,
                    help="cycles in the bundled property")
     g.add_argument("--out-dir", default=".")
     g.set_defaults(func=cmd_gen)

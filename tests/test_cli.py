@@ -166,6 +166,17 @@ class TestCheck:
         assert code == 1 and out == ""
         assert problem in err
 
+    def test_ill_typed_target_fails_before_any_analysis(self, capsys,
+                                                       model_file, tmp_path):
+        # the first property's solver would fail; the second's target is
+        # rejected before it runs
+        props = tmp_path / "trap.props"
+        props.write_text('Tmin=? [ F "goal" ]\nPmax=? [ F x + 1 ]\n')
+        code, out, err = run(capsys, [
+            "check", model_file(TRAP_MA), str(props)])
+        assert code == 1 and out == ""
+        assert "must be boolean" in err and "zero-time" not in err
+
     def test_expression_target_reads_model_constants(self, capsys,
                                                      model_file):
         src = "dtmc\nconst int K = 1;\n" + COIN.split("dtmc", 1)[1]
@@ -329,6 +340,80 @@ class TestLss:
         assert "not good for distribution" in err
 
 
+class TestText:
+    """Without --json, stdout is one aligned row per scalar report field."""
+
+    @pytest.mark.parametrize("model, argv, rows", [
+        pytest.param(TRAP_MA, ["check", "{props}"], [
+            "path         {model}",
+            "class        ma",
+            "states       3",
+            "transitions  3",
+            'property     Pmax=? [ F "goal" ]',
+            "value        1.0",
+            "iterations   0",
+            "residual     0.0",
+            'property     Tmin=? [ F "goal" ]',
+            "error        minimum expected time is ill-defined: zero-time "
+            "cycle through states [0]",
+        ], id="check"),
+        pytest.param(GEOMETRIC, ["cdf", 'Pmax=? [ F "done" ]', "--horizon",
+                                 "3", "--out", "{csv}"], [
+            "path         {model}",
+            "class        dtmc",
+            "states       2",
+            "transitions  3",
+            'property     Pmax=? [ F "done" ]',
+            "horizon      3",
+            "monotone     True",
+            "final        0.875",
+        ], id="cdf"),
+        pytest.param(COIN, ["simulate", 'Pmax=? [ F "heads" ]', "--runs",
+                            "400", "--seed", "1"], [
+            "path            {model}",
+            "class           dtmc",
+            "states          3",
+            "transitions     4",
+            'property        Pmax=? [ F "heads" ]',
+            "mean            0.525",
+            "ci_low          0.4760612883291765",
+            "ci_high         0.5739387116708236",
+            "runs            400",
+            "truncated_runs  0",
+        ], id="simulate"),
+        pytest.param(TWO_CHOICE, ["lss", 'Pmax=? [ F "goal" ]',
+                                  "--schedulers", "4", "--runs", "100",
+                                  "--seed", "5", "--table"], [
+            "path                {model}",
+            "class               mdp",
+            "states              3",
+            "transitions         6",
+            'property            Pmax=? [ F "goal" ]',
+            "mode                global",
+            "schedulers          4",
+            "distinct_behaviors  2",
+            "best_id             1097127993",
+            "mean                0.93",
+            "ci_low              0.8799911847770816",
+            "ci_high             0.9800088152229185",
+            "runs_per_scheduler  100",
+            "",
+            "2675342405  0.09",
+            "1097127993  0.93",
+            "3185950873  0.93",
+            "1539898300  0.09",
+        ], id="lss-table"),
+    ])
+    def test_rows(self, capsys, model_file, tmp_path, model, argv, rows):
+        props = tmp_path / "trap.props"
+        props.write_text('Pmax=? [ F "goal" ]\nTmin=? [ F "goal" ]\n')
+        path = model_file(model)
+        argv = [a.format(props=props, csv=tmp_path / "cdf.csv")
+                for a in argv]
+        _, out, _ = run(capsys, [argv[0], path, *argv[1:]])
+        assert out.splitlines() == [row.format(model=path) for row in rows]
+
+
 def _bundled_properties():
     """(case, property index, property text) of every bundled case study's
     generated properties."""
@@ -390,6 +475,18 @@ class TestGen:
             "gen", "noc", "--burst-len", "2", "--out-dir", str(tmp_path)])
         assert code == 1
         assert "burst" in err
+
+
+    @pytest.mark.parametrize("case, expected", [
+        ("bitcoin", gen_bitcoin(BitcoinParams())),
+        ("noc", gen_noc(NocParams())),
+    ])
+    def test_defaults_are_the_generator_defaults(self, capsys, tmp_path,
+                                                 case, expected):
+        code, _, _ = run(capsys, ["gen", case, "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert (tmp_path / f"{case}.gcm").read_text() == expected.model
+        assert (tmp_path / f"{case}.props").read_text() == expected.props
 
 
 class TestExitCodes:

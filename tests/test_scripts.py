@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
     ("noc_cdf.py", ["--horizon", "2"], "stderr",
      "352 states; P(reach 1 event(s) within 2 cycles) = 1.000000"),
     ("run_contact_lss.py", ["--schedulers", "2", "--runs", "20"], "stdout",
-     "exact Pmax (value iteration): 0.493000"),
+     "exact Pmax (policy iteration): 0.493000"),
 ], ids=["sweep_bitcoin", "noc_cdf", "run_contact_lss"])
 def test_script_runs(script, args, stream, line):
     src = str(ROOT / "src")
