@@ -167,6 +167,10 @@ def cmd_cdf(args) -> int:
         if prop.kind not in (PropertyKind.REACH_PROB,
                              PropertyKind.STEP_BOUNDED_REACH_PROB):
             raise ValueError("cdf needs a reachability property")
+        if prop.bound not in (None, args.horizon):
+            print(f"warning: {prop.text}: step bound {prop.bound} ignored; "
+                  f"the CDF runs to --horizon {args.horizon}",
+                  file=sys.stderr)
         result = numeric.step_bounded_cdf(space, prop.target, prop.direction,
                                           args.horizon, cfg)
         if args.out:

@@ -8,7 +8,8 @@ uniformization, and deterministic scheduler extraction.
 Unbounded reachability and expected time are solved by :func:`_solve`.
 Graph analysis first pins the states whose value is 0, 1 or infinite.
 :func:`_plan` splits the remaining states into strongly connected
-components (iterative Tarjan) and orders them by topological level;
+components (iterative Tarjan) and packs their rows in topological order,
+with one search for the initial policies of all cyclic ones;
 :func:`_resolve` solves them in that order: all single-state components of
 one level by one exact Bellman update, every larger one by policy iteration
 with a dense ``numpy.linalg.solve`` per round.  Only a component above
@@ -20,9 +21,9 @@ the solve, and ``info["exact"]`` is 1.0 when no component fell back.
 MA time-bounded reachability (:func:`ma_time_bounded`) uniformizes the MA
 and brackets the time-dependent optimum from both sides, with a scheduler
 that counts jumps and one that knows their number in advance; it plans the
-immediate states once and resolves them exactly after every jump.  Its
-``value`` is the bracket's midpoint and its ``residual`` the bracket's
-width.
+immediate states once and resolves them exactly after every jump, each
+cyclic block from its last policy.  Its ``value`` is the bracket's
+midpoint and its ``residual`` the bracket's width.
 
 Value iteration is plain Jacobi iteration over the packed rows of an
 oversize component (:func:`_iterate`).  It stops at an absolute residual
@@ -46,6 +47,7 @@ analysis is deterministic.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -193,16 +195,6 @@ def _first(flags: np.ndarray, starts: np.ndarray) -> np.ndarray:
                                starts)
 
 
-def _rows_of(sp: ExplicitStateSpace, states: np.ndarray):
-    """The rows of the ``states`` mask, packed: the states' indices, the
-    branch probabilities and targets, and the start of each row."""
-    rows = states[sp.choice_state]
-    row_len = np.diff(sp.branch_ptr)[rows]
-    branches = rows[sp.branch_choice]
-    return (np.flatnonzero(states), sp.branch_prob[branches],
-            sp.branch_target[branches], np.cumsum(row_len) - row_len)
-
-
 def _distinct(a: np.ndarray) -> np.ndarray:
     """The distinct entries of ``a``, sorted: ``np.unique`` without the
     import of ``numpy.ma`` that its first call makes (1.2 MB of resident
@@ -218,8 +210,9 @@ def _ranges(ptr: np.ndarray, items: np.ndarray) -> np.ndarray:
     in order."""
     lo = ptr[items]
     lens = ptr[items + 1] - lo
-    ends = np.cumsum(lens)
-    return np.repeat(lo - ends + lens, lens) + np.arange(
+    # methods: np.cumsum's and np.repeat's dispatch costs a microsecond each
+    ends = lens.cumsum()
+    return (lo - ends + lens).repeat(lens) + np.arange(
         ends[-1] if len(ends) else 0)
 
 
@@ -401,42 +394,22 @@ def _sccs(ptr: list[int], succ: list[int]) -> list[int]:
     return comp
 
 
-def _proper_policy(inside: np.ndarray, row_starts: np.ndarray,
-                   group_starts: np.ndarray) -> np.ndarray:
-    """Per state of a strongly connected block (see
-    :func:`_policy_iteration`): its first row that moves closer to the
-    outside (:func:`_progress`), so that the policy leaves the block almost
-    surely (it is proper)."""
-    n = len(group_starts)
-    row_state = np.repeat(np.arange(n), np.diff(
-        np.append(group_starts, len(row_starts))))
-    choice = _progress(
-        _in_branches(inside, np.repeat(np.arange(len(row_starts)), np.diff(
-            np.append(row_starts, len(inside)))), row_state, n + 1),
-        group_starts, np.arange(n + 1) == n)
-    if (choice == _FAR).any():
-        raise SolverError("a strongly connected block has no way out")
-    return choice
-
-
 def _policy_iteration(const: np.ndarray, prob: np.ndarray,
                       inside: np.ndarray, row_starts: np.ndarray,
-                      group_starts: np.ndarray, choice: np.ndarray,
-                      maximize: bool) -> tuple[np.ndarray, int]:
+                      group_starts: np.ndarray, row_state: np.ndarray,
+                      choice: np.ndarray, maximize: bool) -> tuple:
     """Solve one strongly connected block of ``n`` states exactly; return
-    its values and the policy rounds made.
+    its values, the policy rounds made and the final policy.
 
-    Row ``r`` of the block is worth ``const[r]`` plus its branches
-    ``prob`` into the block (``inside`` is the local target, ``n`` for a
-    branch that leaves the block, whose value ``const`` already holds).
-    ``choice`` is a proper initial policy (:func:`_proper_policy`).  Each
+    Row ``r`` of the block belongs to state ``row_state[r]`` and is worth
+    ``const[r]`` plus its branches ``prob`` into the block (``inside`` is
+    the local target, ``n`` for a branch that leaves the block, whose value
+    ``const`` already holds).  ``choice`` is a proper initial policy.  Each
     round evaluates the policy with one dense solve and switches a state to
     its best row only where that row beats the chosen one by more than
     ``ROUNDING_SLACK``; strict improvement keeps the policy proper.
     """
     n = len(group_starts)
-    row_state = np.repeat(np.arange(n), np.diff(
-        np.append(group_starts, len(row_starts))))
     row_ptr = np.append(row_starts, len(prob))
     inb = inside < n
     x = np.zeros(n + 1)  # x[n]: the block's outside, held in const
@@ -459,29 +432,34 @@ def _policy_iteration(const: np.ndarray, prob: np.ndarray,
         gain = best - now if maximize else now - best
         better = gain > ROUNDING_SLACK * np.abs(now)
         if not better.any():
-            return x[:n], rounds
+            return x[:n], rounds, choice
         choice = np.where(better, _first(q == best[row_state], group_starts),
                           choice)
     raise SolverError(f"no convergence after {MAX_ITERATIONS} policy rounds")
 
 
+#: The packed layout of :func:`_plan`.
+_Plan = namedtuple("_Plan", "blocks states groups policy starts row_state "
+                   "cost denom prob target inside")
+
+
 def _plan(sp: ExplicitStateSpace, free: np.ndarray, finite: np.ndarray,
-          cost: np.ndarray | float) -> tuple[list[tuple], dict[str, float]]:
-    """The level-ordered blocks in which :func:`_resolve` solves the ``free``
+          cost: np.ndarray | float) -> tuple[_Plan, dict[str, float]]:
+    """The packed layout in which :func:`_resolve` solves the ``free``
     states, and block statistics (``sccs``, ``largest_scc``).
 
     A free state uses only rows that leave it and whose successors are all
     ``finite``.  The free states are split into strongly connected
-    components, grouped by topological level, lowest first: per level one
-    block of all its single-state components, then one block per larger
-    component.  A block is ``(kind, states, prob, target, cost,
-    row_starts, group_starts, extra)`` over its packed rows.  Its ``kind``
-    is ``"level"`` for the single states, whose ``prob`` leaves the
-    self-loops out and whose ``extra`` is the denominator 1 - q of each
-    row's self-loop probability q; ``"dense"`` for a component of up to
-    :data:`MAX_DENSE_SCC` states, whose ``extra`` is the local branch
-    targets (``len(states)`` outside the block) and a proper initial policy
-    (:func:`_proper_policy`); and ``"large"`` for a larger one.
+    components and grouped by topological level, lowest first: per level
+    one ``"level"`` block of its single-state components, then one
+    ``"dense"`` block per larger component (``"large"`` above
+    :data:`MAX_DENSE_SCC` states).  A block ``(kind, states, rows,
+    branches)`` slices the per-state, per-row and per-branch arrays of the
+    layout, whose indices count from the block's first state, row or
+    branch.  Level rows leave self-loops out of ``prob`` and divide by
+    ``denom``, 1 - q for the self-loop probability q.  ``inside`` is a
+    branch's target, or the block's size where it leaves the block, and
+    ``policy`` a proper initial row per state of a dense block.
     """
     usable = (np.logical_or.reduceat(sp.branch_target != sp.branch_source,
                                      sp.branch_ptr[:-1])
@@ -489,8 +467,6 @@ def _plan(sp: ExplicitStateSpace, free: np.ndarray, finite: np.ndarray,
                                         sp.branch_ptr[:-1])
               & free[sp.choice_state])
     states = np.flatnonzero(free)
-    if not len(states):
-        return [], {"sccs": 0.0, "largest_scc": 0.0}
     m = len(states)
     local = np.full(sp.n_states, m)
     local[states] = np.arange(m)
@@ -501,22 +477,30 @@ def _plan(sp: ExplicitStateSpace, free: np.ndarray, finite: np.ndarray,
     src = local[sp.branch_source[edge]]
     dst = local[sp.branch_target[edge]]
     comp = np.array(_sccs(np.searchsorted(src, np.arange(m + 1)).tolist(),
-                          dst.tolist()))
-    size = np.bincount(comp)
+                          dst.tolist()), dtype=np.int64)
+    sizes = np.bincount(comp)
     # Kahn's algorithm: a component's peel round is the length of its
     # longest path to one without successors
     cs, cd = comp[src], comp[dst]
     cross = cs != cd
     level = _peel(_in_branches(cd[cross], np.arange(cross.sum()), cs[cross],
-                               len(size)),
-                  np.ones(len(size), dtype=bool))[comp]
-    cyclic = size[comp] > 1
+                               len(sizes)),
+                  np.ones(len(sizes), dtype=bool))[comp]
+    cyclic = sizes[comp] > 1
     # by level; in each, the single states first, then one component after
     # the other
     order = np.lexsort((comp, cyclic, level))
     states, level, cyclic, comp = (states[order], level[order],
                                    cyclic[order], comp[order])
     local[states] = np.arange(m)
+    # the states bounds[k]:bounds[k + 1] form block k; per state, its
+    # block's first state and size
+    cut = np.ones(m, dtype=bool)
+    cut[1:] = ((level[1:] != level[:-1]) | (cyclic[1:] != cyclic[:-1])
+               | (cyclic[1:] & (comp[1:] != comp[:-1])))
+    bounds = np.append(np.flatnonzero(cut), m)
+    width = np.diff(bounds)
+    first, size = np.repeat(bounds[:-1], width), np.repeat(width, width)
 
     # the rows of the free states in that order, packed
     all_rows = _ranges(sp.choice_ptr, states)
@@ -526,66 +510,79 @@ def _plan(sp: ExplicitStateSpace, free: np.ndarray, finite: np.ndarray,
     rows = all_rows[kept]
     branches = _ranges(sp.branch_ptr, rows)
     row_ptr = np.append(0, np.cumsum(np.diff(sp.branch_ptr)[rows]))
+    row_state = np.repeat(np.arange(m), np.diff(group_ptr))
+    branch_row = np.repeat(np.arange(len(rows)), np.diff(row_ptr))
+    branch_state = row_state[branch_row]
     prob = sp.branch_prob[branches]
     target = sp.branch_target[branches]
-    row_cost = cost[rows] if np.ndim(cost) else np.full(len(rows), cost)
-    loop = target == sp.branch_source[branches]
+    loop = (target == sp.branch_source[branches]) & ~cyclic[branch_state]
+    denom = 1.0 - np.add.reduceat(np.where(loop, prob, 0.0), row_ptr[:-1])
+    prob[loop] = 0.0
+    outside = np.append(comp, -1)[local[target]] != comp[branch_state]
+    inside = np.where(outside, size[branch_state],
+                      local[target] - first[branch_state])
 
-    cut = np.flatnonzero((level[1:] != level[:-1])
-                         | (cyclic[1:] != cyclic[:-1])
-                         | (cyclic[1:] & (comp[1:] != comp[:-1]))) + 1
-    blocks = []
-    for a, e in zip(np.append(0, cut).tolist(), np.append(cut, m).tolist()):
-        r0, r1 = group_ptr[a], group_ptr[e]
-        b0, b1 = row_ptr[r0], row_ptr[r1]
-        p, t = prob[b0:b1], target[b0:b1]
-        starts = row_ptr[r0:r1] - b0
-        groups = group_ptr[a:e] - r0
-        if not cyclic[a]:
-            kind, here = "level", loop[b0:b1]
-            extra = 1.0 - np.add.reduceat(np.where(here, p, 0.0), starts)
-            p = np.where(here, 0.0, p)
-        elif e - a > MAX_DENSE_SCC:
-            kind, extra = "large", None
-        else:
-            kind, inside = "dense", local[t] - a
-            inside[(inside < 0) | (inside >= e - a)] = e - a
-            extra = inside, _proper_policy(inside, starts, groups)
-        blocks.append((kind, states[a:e], p, t, row_cost[r0:r1], starts,
-                       groups, extra))
-    return blocks, {"sccs": float(len(size)),
-                    "largest_scc": float(size.max())}
+    first_row = group_ptr[first]
+    policy = np.zeros(m, dtype=np.int64)
+    dense = cyclic & (size <= MAX_DENSE_SCC)
+    if dense.any():
+        # one search for all: a branch that leaves its block leads to the
+        # extra node m, so distances to m are distances within the block
+        searched = dense[branch_state]
+        node = np.where(outside, m, local[target])[searched]
+        choice = _progress(
+            _in_branches(node, branch_row[searched], row_state, m + 1),
+            group_ptr[:-1], np.arange(m + 1) == m)[dense]
+        if (choice == _FAR).any():
+            raise SolverError("a strongly connected block has no way out")
+        policy[dense] = choice - first_row[dense]
+
+    kind = np.array(["level", "dense", "large"])[
+        cyclic[bounds[:-1]] * (1 + (width > MAX_DENSE_SCC))]
+    blocks = list(zip(kind.tolist(), *(
+        map(slice, ptr[:-1].tolist(), ptr[1:].tolist())
+        for ptr in (bounds, group_ptr[bounds], row_ptr[group_ptr[bounds]]))))
+    return _Plan(blocks, states, group_ptr[:-1] - first_row, policy,
+                 row_ptr[:-1] - row_ptr[first_row][row_state],
+                 row_state - first[row_state],
+                 cost[rows] if np.ndim(cost) else np.full(len(rows), cost),
+                 denom, prob, target, inside), {
+        "sccs": float(len(sizes)), "largest_scc": float(sizes.max(initial=0))}
 
 
-def _resolve(V: np.ndarray, blocks: list[tuple], maximize: bool,
+def _resolve(V: np.ndarray, plan: _Plan, maximize: bool,
              cfg: SolverConfig) -> tuple[int, bool]:
-    """Optimal values of the states of the ``blocks`` (see :func:`_plan`),
+    """Optimal values of the states of the ``plan`` (see :func:`_plan`),
     written into ``V``, given the values of all other states; returns the
     policy rounds plus value iteration sweeps made, and whether every block
     was solved exactly.
 
     Block by block: the single states of a level by one exact Bellman
     update (a self-loop of probability q divides by 1-q), a component by
-    :func:`_policy_iteration`, or by :func:`_iterate` above
+    :func:`_policy_iteration` from the policy it kept in the plan, which a
+    strict improvement keeps proper, or by :func:`_iterate` above
     ``MAX_DENSE_SCC`` states.
     """
     iterations, exact = 0, True
-    for kind, states, p, t, cost, starts, groups, extra in blocks:
+    for kind, at, rows, branches in plan.blocks:
+        states, groups = plan.states[at], plan.groups[at]
+        cost, starts = plan.cost[rows], plan.starts[rows]
+        p, t = plan.prob[branches], plan.target[branches]
         if kind == "level":
             val = np.add.reduceat(p * V[t], starts) + cost
-            V[states] = _optimum(val / extra, groups, maximize)
+            V[states] = _optimum(val / plan.denom[rows], groups, maximize)
         elif kind == "large":
             sweeps, _ = _iterate(V, (states, p, t, cost, starts, groups),
                                  maximize, cfg)
             iterations += sweeps
             exact = False
         else:
-            inside, choice = extra
+            inside = plan.inside[branches]
             const = np.add.reduceat(
-                np.where(inside == len(states), p * V[t], 0.0),
-                starts) + cost
-            V[states], rounds = _policy_iteration(const, p, inside, starts,
-                                                  groups, choice, maximize)
+                np.where(inside == len(states), p * V[t], 0.0), starts) + cost
+            V[states], rounds, plan.policy[at] = _policy_iteration(
+                const, p, inside, starts, groups, plan.row_state[rows],
+                plan.policy[at], maximize)
             iterations += rounds
     return iterations, exact
 
@@ -598,13 +595,12 @@ def _solve(V: np.ndarray, sp: ExplicitStateSpace, free: np.ndarray,
     Returns the policy rounds plus value iteration sweeps made, the largest
     Bellman residual over the free states, and block statistics
     (``exact``, ``sccs``, ``largest_scc``)."""
-    blocks, info = _plan(sp, free, np.isfinite(V), cost)
-    if not blocks:
-        return 0, 0.0, {"exact": 1.0, **info}
-    iterations, exact = _resolve(V, blocks, maximize, cfg)
-    states = np.flatnonzero(free)
+    if not free.any():
+        return 0, 0.0, {"exact": 1.0, "sccs": 0.0, "largest_scc": 0.0}
+    plan, info = _plan(sp, free, np.isfinite(V), cost)
+    iterations, exact = _resolve(V, plan, maximize, cfg)
     opt = _optimum(_row_values(sp, V, cost), sp.choice_ptr[:-1], maximize)
-    residual = float(np.max(np.abs(opt[states] - V[states])))
+    residual = float(np.max(np.abs(opt[free] - V[free])))
     return iterations, residual, {"exact": float(exact), **info}
 
 
@@ -875,18 +871,21 @@ def ma_time_bounded(
         stuck = immediate & (_backward_bfs(g, ~immediate) == _FAR)
     else:
         stuck = _peel(g, immediate) == _FAR
-    blocks, _ = _plan(sp, immediate & ~stuck, np.ones(sp.n_states, bool),
-                      0.0)
+    plan, _ = _plan(sp, immediate & ~stuck, np.ones(sp.n_states, bool), 0.0)
     rate = space.exit_rate  # 0 in states with choices
     # states whose values no subinterval changes: 1 on the target, 0 else
     fixed = mask | stuck | ((rate == 0) & ~immediate)
     # one row each, the embedded jump
-    idx, prob, tgt, starts = _rows_of(sp, (rate > 0) & ~mask)
+    idx = np.flatnonzero((rate > 0) & ~mask)
+    rows = sp.choice_ptr[idx]
+    branches = _ranges(sp.branch_ptr, rows)
+    prob, tgt = sp.branch_prob[branches], sp.branch_target[branches]
+    row_len = np.diff(sp.branch_ptr)[rows]
+    starts = np.cumsum(row_len) - row_len
     lam = float(rate[idx].max()) if len(idx) else 0.0
     # the uniformized step: jump along the embedded row with probability
     # E/λ, stay otherwise
-    move = prob * np.repeat(rate[idx] / lam, np.diff(
-        np.append(starts, len(prob))))
+    move = prob * np.repeat(rate[idx] / lam, row_len)
     stay = 1.0 - rate[idx] / lam
 
     def jump(V):
@@ -898,7 +897,7 @@ def ma_time_bounded(
         solved again."""
         V = V.copy()
         V[idx] = markov
-        _resolve(V, blocks, maximize, cfg)
+        _resolve(V, plan, maximize, cfg)
         return V
 
     def jump_count(W, L, weights, survival):
@@ -916,11 +915,11 @@ def ma_time_bounded(
             D = settle(D, jump(D))
             acc += w * D
         acc = np.where(fixed, W, acc + dropped)
-        _resolve(acc, blocks, maximize, cfg)
+        _resolve(acc, plan, maximize, cfg)
         return acc
 
     terminal = mask.astype(np.float64)
-    _resolve(terminal, blocks, maximize, cfg)
+    _resolve(terminal, plan, maximize, cfg)
     n, sweeps, needed = 1, 0, 0.0
     mean = lam * time_bound
     while True:

@@ -221,6 +221,18 @@ class TestCdf:
         assert res["cdf"] == [0.0, 0.5, 0.75]
         assert res["monotone"] is True and res["final"] == 0.75
 
+    def test_an_ignored_step_bound_is_named_on_stderr(self, capsys,
+                                                      model_file):
+        path = model_file(GEOMETRIC)
+        for bound, note in ((2, ""), (5, (
+                'warning: Pmax=? [ F<=5 "done" ]: step bound 5 ignored; '
+                "the CDF runs to --horizon 2\n"))):
+            code, out, err = run(capsys, [
+                "cdf", path, f'Pmax=? [ F<={bound} "done" ]',
+                "--horizon", "2"])
+            assert code == 0 and err == note
+            assert out == "0,0.0\n1,0.5\n2,0.75\n"
+
 
 class TestSimulate:
     def test_deterministic_estimate(self, capsys, model_file):

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmv import numeric
 from qmv.casestudies import (
@@ -174,7 +176,7 @@ class TestReachProb:
                 >= {0, 1, 2, 3}
         sure = _prob1e_oracle(sp, sp.labels["goal"])
         assert {s for s, v in values.items() if v == 1.0} == sure
-        dense = _dense_max_reach(sp, sp.labels["goal"])
+        dense = _dense_reach(sp, sp.labels["goal"])
         assert values == pytest.approx(dict(enumerate(dense)), abs=1e-12)
 
     def test_scheduler_description_and_induced_chain(self):
@@ -458,31 +460,81 @@ END_COMPONENT = [
 ]
 
 
-def _dense_max_reach(space, target) -> np.ndarray:
-    """Per state: the maximum reach probability over every deterministic
-    memoryless scheduler, each evaluated by one dense solve of its chain
-    (states that cannot reach the target in the chain are 0)."""
+def _chain_reach(space, target, picks) -> np.ndarray:
+    """Per state: the probability of reaching ``target`` in the chain that
+    takes row ``picks[s]`` in every state ``s``, by one dense solve (states
+    that cannot reach the target in the chain are 0)."""
     n = space.n_states
-    best = np.zeros(n)
-    for picks in itertools.product(*(range(len(cs))
-                                     for cs in space.choices)):
-        a, b = np.eye(n), target.astype(float)
-        succ = [set() for _ in range(n)]
-        for s, (cs, k) in enumerate(zip(space.choices, picks)):
-            for p, t in cs[k].distribution.branches:
-                succ[s].add(t)
-                if not target[s]:
-                    a[s, t] -= p
-        reach = set(np.flatnonzero(target).tolist())
-        while True:
-            grown = {s for s in range(n) if succ[s] & reach} | reach
-            if grown == reach:
-                break
-            reach = grown
-        for s in set(range(n)) - reach:
-            a[s] = np.eye(n)[s]
-        best = np.maximum(best, np.linalg.solve(a, b))
-    return best
+    a, b = np.eye(n), target.astype(float)
+    succ = [set() for _ in range(n)]
+    for s, (cs, k) in enumerate(zip(space.choices, picks)):
+        for p, t in cs[k].distribution.branches:
+            succ[s].add(t)
+            if not target[s]:
+                a[s, t] -= p
+    reach = set(np.flatnonzero(target).tolist())
+    while True:
+        grown = {s for s in range(n) if succ[s] & reach} | reach
+        if grown == reach:
+            break
+        reach = grown
+    for s in set(range(n)) - reach:
+        a[s] = np.eye(n)[s]
+    return np.linalg.solve(a, b)
+
+
+def _dense_reach(space, target, maximize: bool = True) -> np.ndarray:
+    """Per state: the maximum (or minimum) reach probability over every
+    deterministic memoryless scheduler (:func:`_chain_reach` each)."""
+    values = np.array([_chain_reach(space, target, picks)
+                       for picks in itertools.product(
+                           *(range(len(cs)) for cs in space.choices))])
+    return values.max(axis=0) if maximize else values.min(axis=0)
+
+
+@st.composite
+def _random_mdps(draw):
+    """(choices, goal states, initial state) of an MDP of 2-7 states with
+    1-3 choices each: 1-5 inner states, the goal and, from three states on,
+    an absorbing sink.  An inner choice has up to two branches to any inner
+    state, so self-loops and cycles through several states are common, and
+    may leak to the goal and the sink; integer weights, 0 for no branch."""
+    n = draw(st.integers(2, 7))
+    inner = n - 1 if n == 2 else n - 2
+    weight = st.integers(0, 2)
+    choice = st.tuples(st.lists(st.tuples(weight, st.integers(0, inner - 1)),
+                                min_size=1, max_size=2), weight, weight)
+    choices = []
+    for s in range(inner):
+        rows = []
+        for branches, to_goal, to_sink in draw(
+                st.lists(choice, min_size=1, max_size=3)):
+            row = branches + [(to_goal, n - 1), (to_sink, n - 2)][:n - inner]
+            row = [(w, t) for w, t in row if w] or [(1, s)]
+            rows.append(row)
+        choices.append(rows)
+    choices += [[[(1, s)]] for s in range(inner, n)]
+    return choices, [n - 1], draw(st.integers(0, inner - 1))
+
+
+class TestExactSolverAgainstPolicyEnumeration:
+    @given(_random_mdps())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_random_mdps(self, mdp):
+        choices, goal, initial = mdp
+        space = direct_space(ModelClass.MDP, choices, labels={"goal": goal},
+                             initial=initial)
+        target = space.labels["goal"]
+        for direction in (Direction.MAX, Direction.MIN):
+            maximize = direction is Direction.MAX
+            res = reach_prob(space, target, direction, CFG)
+            best = _dense_reach(space, target, maximize)[initial]
+            assert res.value == pytest.approx(best, abs=1e-12)
+            assert res.info["exact"] == 1.0
+            # the scheduler attains the value
+            picks = [res.scheduler[s] for s in range(space.n_states)]
+            assert _chain_reach(space, target, picks)[initial] \
+                == pytest.approx(best, abs=1e-12)
 
 
 class TestExistsAlmostSure:
@@ -684,6 +736,40 @@ SMALL_MA = """
     label "goal" = x=4;
 """
 
+#: An immediate cycle between x=0 and x=1: the direct way (b) to the slow
+#: race at x=3, or round through x=1 to the fast race at x=2, which may
+#: send the run back.
+IMMEDIATE_CYCLE_MA = """
+    ma
+    module m
+      x : [0..5] init 0;
+      [a] x=0 -> (x'=1);   [b] x=0 -> (x'=3);
+      [c] x=1 -> (x'=0);   [d] x=1 -> (x'=2);
+      rate(4) x=2 -> 1/2:(x'=4) + 1/2:(x'=0);
+      rate(1) x=3 -> (x'=4);
+    endmodule
+    label "goal" = x=4;
+"""
+
+#: A link of ``k`` hops: each hop fails with 1/10 into a retry state,
+#: which retries (back to the hop) or skips it, both risking the sink
+#: ``k + 1``.  Every hop is a two-state cyclic block of its own.
+RETRY = """
+    mdp
+    module link
+      i : [0..{sink}] init 0;
+      b : [0..1] init 0;
+      [] b=0 & i<{k} -> 9/10:(i'=i+1) + 1/10:(b'=1);
+      [retry] b=1 -> 9/10:(b'=0) + 1/10:(i'={sink}, b'=0);
+      [skip] b=1 -> 1/2:(i'=i+1, b'=0) + 1/2:(i'={sink}, b'=0);
+    endmodule
+    label "done" = i={k};
+"""
+
+
+def retry_model(k: int) -> str:
+    return RETRY.format(k=k, sink=k + 1)
+
 
 @functools.cache
 def _pinned_space(name):
@@ -694,6 +780,10 @@ def _pinned_space(name):
     if name == "contacts":
         return space_of(gen_contact_mdp(parse_contact_plan(
             sample_contact_plan())).model)
+    if name == "retry50":
+        return space_of(retry_model(50))
+    if name == "immediate_cycle":
+        return space_of(IMMEDIATE_CYCLE_MA)
     return space_of(SMALL_MA)
 
 
@@ -768,6 +858,10 @@ PINNED_RESULTS = [
      "6d17725959700865fa6e89ea119af2ef5e995d7a107fab4c79068eb3366675fd"),
     ("small_ma", '"goal"', "Pmin<=3",
      "d5694748bab5445d02484dc796b1af988a07ba5221a8c19b3f3f6584f2954fee"),
+    ("retry50", '"done"', "Pmax",
+     "1f49f772ed1260aafec83dfebbdfed75c70ac33dfd88bbc3b2bb4c534e9e5232"),
+    ("retry50", '"done"', "Pmin",
+     "e61eb4e383e09db9853ed1787d351d2433b0e2665f76c534cafe83529953d036"),
 ]
 
 
@@ -790,17 +884,20 @@ class TestPinnedResults:
 # time-bounded reachability: the uniformization bracket
 
 
-def _stationary_time_bounded(space, goal, policy, t) -> float:
+def _stationary_time_bounded(space, goal, policy, t) -> float | None:
     """P(reach ``goal`` within ``t``) when every state with choices takes
     the one ``policy`` names, by dense uniformization.  Immediate states
     take no time, so each passes its mass on to where its zero-time cascade
-    comes to rest; goal states are absorbing."""
+    comes to rest; goal states are absorbing.  None where the policy
+    cycles through immediate states, in zero time."""
     n = space.n_states
     imm = np.array([bool(cs) for cs in space.choices]) & ~goal
     step = np.zeros((n, n))
     for s in np.flatnonzero(imm):
         for p, u in space.choices[s][policy[s]].distribution.branches:
             step[s, u] += p
+    if np.linalg.matrix_power(step, n).any():
+        return None
     rest = np.linalg.solve(np.eye(n) - step, np.diag(~imm).astype(float))
     gen = np.zeros((n, n))
     for s in np.flatnonzero(~imm & ~goal):
@@ -823,7 +920,8 @@ class TestTimeBoundedBracket:
     @pytest.mark.parametrize("width", [1e-2, 1e-6])
     @pytest.mark.parametrize("direction", [Direction.MAX, Direction.MIN])
     @pytest.mark.parametrize("model, bound", [("small_ma", 3.0),
-                                              ("bitcoin3", 20.0)])
+                                              ("bitcoin3", 20.0),
+                                              ("immediate_cycle", 6.0)])
     def test_bracket_is_ordered_and_as_narrow_as_requested(
             self, model, bound, direction, width):
         space = _pinned_space(model)
@@ -836,23 +934,42 @@ class TestTimeBoundedBracket:
         assert res.value == (lower + upper) / 2
 
     @pytest.mark.parametrize("width", [1e-2, 1e-6])
-    def test_bracket_encloses_every_stationary_policy(self, width):
+    @pytest.mark.parametrize("model, bound, policies", [
+        ("small_ma", 3.0, 4), ("immediate_cycle", 6.0, 3)])
+    def test_bracket_encloses_every_stationary_policy(self, model, bound,
+                                                      policies, width):
         # Pmax's lower end is achievable and Pmin's upper end too, so they
         # are no worse than any stationary policy, up to the truncation
         # each side may cost (1% of the width)
-        space = _pinned_space("small_ma")
+        space = _pinned_space(model)
         goal = space.labels["goal"]
-        values = [_stationary_time_bounded(space, goal, policy, 3.0)
-                  for policy in itertools.product(
-                      *[range(max(len(cs), 1)) for cs in space.choices])]
+        values = [v for policy in itertools.product(
+                      *[range(max(len(cs), 1)) for cs in space.choices])
+                  if (v := _stationary_time_bounded(space, goal, policy,
+                                                    bound)) is not None]
         cfg = SolverConfig(time_bound_error=width)
-        mx = ma_time_bounded(space, goal, Direction.MAX, 3.0, cfg).info
-        mn = ma_time_bounded(space, goal, Direction.MIN, 3.0, cfg).info
-        assert len(values) == 4
+        mx = ma_time_bounded(space, goal, Direction.MAX, bound, cfg).info
+        mn = ma_time_bounded(space, goal, Direction.MIN, bound, cfg).info
+        assert len(values) == policies
         assert mx["lower"] >= max(values) - width / 100
         assert mx["upper"] >= max(values)
         assert mn["upper"] <= min(values) + width / 100
         assert mn["lower"] <= min(values)
+
+    def test_a_second_resolve_starts_from_the_kept_policy(self):
+        space = _pinned_space("immediate_cycle")
+        sp = numeric._closed(space)
+        plan, _ = numeric._plan(sp, np.diff(space.choice_ptr) > 0,
+                                np.ones(space.n_states, dtype=bool), 0.0)
+        dense = [kind for kind, *_ in plan.blocks].count("dense")
+        # the initial policy takes b at x=0, but the way round is better
+        x = space.valuations[:, 0]
+        V = np.select([x == 2, x == 3, x == 4], [0.9, 0.5, 1.0])
+        first, _ = numeric._resolve(V, plan, True, CFG)
+        second, _ = numeric._resolve(V, plan, True, CFG)
+        assert dense == 1
+        assert first == 2
+        assert second == dense
 
     @pytest.mark.parametrize("mean", [0.0, 1e-3, 30.0, 300.0, 1000.0, 1e4])
     def test_poisson_weights_are_finite_and_sum_to_the_tail(self, mean):
