@@ -202,7 +202,7 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     if len(a) < 2:  # a chain's frontier: skip the sort
         return a
     a = np.sort(a)
-    return a[np.append(True, a[1:] != a[:-1])]
+    return a[np.concatenate(([True], a[1:] != a[:-1]))]
 
 
 def _ranges(ptr: np.ndarray, items: np.ndarray) -> np.ndarray:
@@ -410,7 +410,7 @@ def _policy_iteration(const: np.ndarray, prob: np.ndarray,
     ``ROUNDING_SLACK``; strict improvement keeps the policy proper.
     """
     n = len(group_starts)
-    row_ptr = np.append(row_starts, len(prob))
+    row_ptr = np.concatenate((row_starts, [len(prob)]))
     inb = inside < n
     x = np.zeros(n + 1)  # x[n]: the block's outside, held in const
     a = np.empty((n, n))
@@ -455,11 +455,11 @@ def _plan(sp: ExplicitStateSpace, free: np.ndarray, finite: np.ndarray,
     ``"dense"`` block per larger component (``"large"`` above
     :data:`MAX_DENSE_SCC` states).  A block ``(kind, states, rows,
     branches)`` slices the per-state, per-row and per-branch arrays of the
-    layout, whose indices count from the block's first state, row or
-    branch.  Level rows leave self-loops out of ``prob`` and divide by
-    ``denom``, 1 - q for the self-loop probability q.  ``inside`` is a
-    branch's target, or the block's size where it leaves the block, and
-    ``policy`` a proper initial row per state of a dense block.
+    layout; ``groups``, ``policy``, ``starts``, ``row_state`` and ``inside``
+    count rows, branches and states from the block's first one.  Level
+    rows leave self-loops out of ``prob`` and divide by ``denom``, 1 - q
+    for the self-loop probability q; ``inside`` is a branch's target (the
+    block's size where it leaves), ``policy`` a proper initial policy.
     """
     usable = (np.logical_or.reduceat(sp.branch_target != sp.branch_source,
                                      sp.branch_ptr[:-1])

@@ -149,6 +149,15 @@ class TestReachProb:
         assert approx.iterations > 10
         assert approx.value == pytest.approx(exact.value, abs=1e-5)
 
+    def test_a_cyclic_block_without_a_way_out_is_a_solver_error(self):
+        # graph analysis never leaves such a block free: plan one directly,
+        # beside a block that does leave
+        sp = direct_space(ModelClass.DTMC, [[[(1, 1)]], [[(1, 0)]], [[(1, 3)]],
+                                            [[(1, 2), (1, 4)]], [[(1, 4)]]])
+        free = np.array([True, True, True, True, False])
+        with pytest.raises(SolverError, match="no way out"):
+            numeric._plan(sp, free, np.ones(5, dtype=bool), 0.0)
+
     def test_scheduler_takes_a_row_better_by_less_than_epsilon(self):
         # two ways to the goal, 0.5 and 0.500004: closer than 10 epsilon
         sp = direct_space(
