@@ -198,8 +198,8 @@ def cmd_simulate(args) -> int:
                              "--scheduler-id to fix a scheduler")
         est = smc.estimate(space, resolver, prop, cfg)
         entry = {"mean": est.mean, "ci_low": est.ci_low,
-                 "ci_high": est.ci_high, "runs": est.runs,
-                 "truncated_runs": est.truncated}
+                 "ci_high": est.ci_high, "ci_method": est.ci_method,
+                 "runs": est.runs, "truncated_runs": est.truncated}
         if args.scheduler_id is not None:
             entry["scheduler_id"] = args.scheduler_id
         return entry
@@ -219,6 +219,7 @@ def cmd_lss(args) -> int:
                  "distinct_behaviors": result.distinct_behaviors,
                  "best_id": result.best_id, "mean": best.mean,
                  "ci_low": best.ci_low, "ci_high": best.ci_high,
+                 "ci_method": best.ci_method,
                  "runs_per_scheduler": best.runs}
         if args.table:
             entry["table"] = [

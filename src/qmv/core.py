@@ -217,26 +217,6 @@ class ExplicitStateSpace:
             if rp[s + 1] > rp[s] else None
             for s in range(self.n_states))
 
-    @cached_property
-    def walk(self) -> tuple[list, ...]:
-        """Python lists for walks that read one entry at a time (list
-        indexing beats array indexing): ``choice_ptr``, ``branch_ptr``,
-        ``branch_prob``, ``branch_target``, per choice whether every branch
-        returns to its state, ``rate_ptr``, ``rate``, ``rate_target``,
-        ``exit_rate``, and per state whether no rate leaves it."""
-        leaving = self.branch_target != self.branch_source
-        self_loop = np.bincount(self.branch_choice[leaving],
-                                minlength=len(self.choice_owner)) == 0
-        moving = self.rate_target != self.rate_state
-        stuck = np.bincount(self.rate_state[moving],
-                            minlength=self.n_states) == 0
-        return (
-            self.choice_ptr.tolist(), self.branch_ptr.tolist(),
-            self.branch_prob.tolist(), self.branch_target.tolist(),
-            self_loop.tolist(), self.rate_ptr.tolist(), self.rate.tolist(),
-            self.rate_target.tolist(), self.exit_rate.tolist(),
-            stuck.tolist())
-
     def variable_index(self, name: str) -> int:
         for i, v in enumerate(self.layout):
             if v.name == name:

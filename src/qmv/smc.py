@@ -1,35 +1,40 @@
 """Statistical model checking and lightweight scheduler sampling.
 
-Simulation resolves nondeterminism through a *resolver* (state index →
-choice index) and walks the Python-list form of the state space's arrays
-(:attr:`qmv.core.ExplicitStateSpace.walk`).  Lightweight scheduler
-sampling (LSS) represents a scheduler as a 32-bit integer id: at a decision
-state the choice is ``fmix64(FNV-1a-64(id ++ encoded state)) mod k``, so a
-single integer determines a complete deterministic memoryless scheduler.
-In *global* mode the encoded state covers every variable; in *distributed*
-mode only the variables observed by the component that owns the decision,
-which restricts sampling to schedulers implementable with local
-information.  :func:`reachable_decisions` resolves an id by one forward
-walk from the initial state, so only the decision states that the id's
-own choices reach are encoded and hashed; ``qmv lss`` and
-``qmv simulate --scheduler-id`` (which replays global-mode ids only) both
-go through it.
+Simulation advances all runs of an estimate in lockstep over the state
+space's arrays: each step picks every live run's choice (a resolver maps
+a state index to a choice index) or its Markovian race, draws uniforms,
+picks successors on cumulative weights and drops the runs that finished.
+Lightweight scheduler sampling (LSS) represents a scheduler as a 32-bit
+integer id: at a decision state the choice is
+``fmix64(FNV-1a-64(id ++ encoded state)) mod k``, so a single integer
+determines a complete deterministic memoryless scheduler.  In *global*
+mode the encoded state covers every variable; in *distributed* mode only
+the variables observed by the component that owns the decision, which
+restricts sampling to schedulers implementable with local information.
+:func:`reachable_decisions` resolves an id by one forward search from the
+initial state, so only the decision states that the id's own choices
+reach are encoded and hashed; ``qmv lss`` and ``qmv simulate
+--scheduler-id`` both go through it.
 
-Everything is reproducible: per-run seeds are derived by hashing
-``(master_seed, run_index)``, so each run's outcome depends only on its
-index.
+Everything is reproducible: run ``r`` of an estimate is keyed by
+:func:`run_seed` of ``(master_seed, r)``, and its draw ``j`` is output
+``j`` of SplitMix64 seeded with that key, computed from the counter
+alone.  Each run's outcome therefore depends only on its index, whichever
+runs share its batch.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from random import Random
+from statistics import NormalDist
 from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from qmv.core import (
     Direction,
     ExplicitStateSpace,
-    ModelClass,
     Property,
     PropertyKind,
     scheduler_owner,
@@ -40,6 +45,8 @@ from qmv.lang.explore import check_good_for_distribution
 FNV_OFFSET = 14695981039346656037
 FNV_PRIME = 1099511628211
 _MASK64 = (1 << 64) - 1
+#: SplitMix64's increment, the golden-ratio odd constant.
+_GAMMA = 0x9E3779B97F4A7C15
 
 
 def fnv1a64(data: bytes) -> int:
@@ -97,9 +104,10 @@ def lss_decide(scheduler_id: int, state_bytes: bytes, k: int) -> int:
 
 
 def run_seed(master_seed: int, run_index: int) -> int:
-    """Per-run seed: hash of (master seed, run index), both 8 bytes LE."""
-    return fnv1a64(master_seed.to_bytes(8, "little", signed=False)
-                   + run_index.to_bytes(8, "little", signed=False))
+    """The key of run ``run_index``: output ``run_index`` of SplitMix64
+    seeded with the master seed."""
+    return int(_splitmix64(np.uint64(master_seed),
+                           np.array([run_index], dtype=np.uint64))[0])
 
 
 # --------------------------------------------------------------------------
@@ -164,8 +172,10 @@ class LssConfig:
 class SmcEstimate:
     """Estimated probability with a confidence interval.
 
-    The interval is the (epsilon, delta) guarantee when the run count was
-    Okamoto-sized, otherwise a 95% normal approximation.
+    ``ci_method`` names the interval: ``"okamoto"`` is the (epsilon,
+    delta) guarantee of an Okamoto-sized run count, clipped to [0, 1];
+    ``"clopper-pearson"`` is the exact binomial interval at
+    :data:`CONFIDENCE` of a fixed run count, which never has zero width.
     """
 
     mean: float
@@ -173,6 +183,7 @@ class SmcEstimate:
     ci_high: float
     runs: int
     truncated: int = 0
+    ci_method: str = "clopper-pearson"
 
     def __post_init__(self):
         if not (self.ci_low <= self.mean <= self.ci_high):
@@ -185,7 +196,8 @@ class SmcEstimate:
 
 @dataclass(frozen=True)
 class RunOutcome:
-    """One simulation run: did it hit the target, and how far did it get."""
+    """One simulation run: whether it hit the target, its steps, its model
+    time at the end, and whether ``max_steps`` cut it off."""
 
     hit: bool
     steps: int
@@ -221,17 +233,118 @@ class NotGoodForDistribution(ValueError):
 
 Resolver = Callable[[int], int]
 
+#: At most this many runs are simulated at once, and at most this many
+#: (scheduler id, state) pairs are searched at once.
+MAX_BATCH = 1 << 16
 
-def _pick(u: float, weights: list[float], targets: list[int],
-          lo: int, hi: int) -> int:
-    """The target of the first entry in ``lo:hi`` whose running weight
-    sum exceeds ``u``."""
-    acc = 0.0
-    for b in range(lo, hi):
-        acc += weights[b]
-        if u < acc:
-            return targets[b]
-    return targets[hi - 1]
+
+def _splitmix64(seed, index):
+    """Output ``index`` of SplitMix64 seeded with ``seed``, where one of
+    the two is a uint64 array and the other a Python int."""
+    z = seed + ((index + 1) * _GAMMA & _MASK64)
+    z ^= z >> 30
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> 27
+    z *= np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> 31)
+
+
+def _uniforms(keys: np.ndarray, draw: int) -> np.ndarray:
+    """Draw ``draw`` of the runs with these keys, in [0, 1)."""
+    return (_splitmix64(keys, draw) >> 11) * 2.0 ** -53
+
+
+def _rows(space: ExplicitStateSpace):
+    """The simulator's rows: every immediate choice, then every state's
+    race, whose rates are divided by its exit rate.
+
+    Returns per state its first row (its first choice, or its race); per
+    row its first entry, and whether no entry leaves its state; per entry
+    its target; and the weight sum of all entries before each entry.
+    """
+    n_choices = len(space.choice_owner)
+    first = np.where(np.diff(space.choice_ptr) > 0, space.choice_ptr[:-1],
+                     n_choices + np.arange(space.n_states))
+    ptr = np.concatenate([space.branch_ptr,
+                          space.branch_ptr[-1] + space.rate_ptr[1:]])
+    row = np.concatenate([space.branch_choice, n_choices + space.rate_state])
+    target = np.concatenate([space.branch_target, space.rate_target])
+    leaving = target != np.concatenate([space.branch_source, space.rate_state])
+    stays = np.bincount(row[leaving], minlength=len(ptr) - 1) == 0
+    weight = np.concatenate([space.branch_prob,
+                             space.rate / space.exit_rate[space.rate_state]])
+    return first, ptr, stays, target, np.cumsum(np.append(0.0, weight))
+
+
+def _simulate(space: ExplicitStateSpace, resolver: Resolver | None,
+              prop: Property, mask: np.ndarray, batches: Iterable[np.ndarray],
+              max_steps: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """Per batch of run keys, the runs' hits, steps, model times at the
+    end and truncations; the runs of a batch advance in lockstep.
+
+    Each step gathers every live run's row (its resolved choice, or its
+    race), samples the Markovian sojourns, picks each successor with the
+    run's uniform on the cumulative weights and drops the finished runs.
+    The resolver is asked once per decision state that some run enters.
+    """
+    if prop.kind is PropertyKind.EXPECTED_TIME:
+        raise ValueError("expected-time properties are not simulated; "
+                         "use the numeric analysis")
+    if not prop.compatible_with(space.model_class):
+        raise ValueError(f"{prop.kind.value} properties do not apply to "
+                         f"{space.model_class.value} models")
+    step_bound = prop.bound \
+        if prop.kind is PropertyKind.STEP_BOUNDED_REACH_PROB else None
+    time_bound = prop.bound \
+        if prop.kind is PropertyKind.TIME_BOUNDED_REACH_PROB else None
+    first, ptr, stays, target, cum = _rows(space)
+    base, last, cum = cum[ptr[:-1]], ptr[1:] - 1, cum[1:]
+    n_choices = len(space.choice_owner)
+    # per state the offset of its resolved choice, -1 until resolved
+    offsets = np.where(np.diff(space.choice_ptr) >= 2, -1, 0)
+    for keys in batches:
+        hit = np.zeros(len(keys), dtype=bool)
+        truncated = np.zeros(len(keys), dtype=bool)
+        steps = np.zeros(len(keys), dtype=np.int64)
+        elapsed = np.zeros(len(keys))
+        live = np.arange(len(keys))
+        state = np.full(len(keys), space.initial)
+        clock = np.zeros(len(keys))
+        t = 0
+        while live.size:
+            at = mask[state]
+            if t in (step_bound, max_steps):
+                hit[live], steps[live], elapsed[live] = at, t, clock
+                truncated[live] = ~at & (t != step_bound)
+                break
+            offset = offsets[state]
+            if offset.min() < 0:  # a run at a target keeps -1 and stops
+                for s in np.unique(state[(offset < 0) & ~at]).tolist():
+                    if resolver is None:
+                        raise ValueError(f"state {s} has several choices "
+                                         "but no resolver was supplied")
+                    offsets[s] = resolver(s)
+                offset = offsets[state]
+            row = first[state] + offset
+            # a pure self-loop under a memoryless resolver, or a state no
+            # rate leaves: the state never changes again, a definitive miss
+            stop = at | stays[row]
+            race = np.flatnonzero((row >= n_choices) & ~stop)
+            if race.size:
+                clock[race] -= np.log1p(-_uniforms(keys[race], 2 * t + 1)) \
+                    / space.exit_rate[state[race]]
+                if time_bound is not None:
+                    stop |= clock > time_bound
+            if stop.any():
+                done = live[stop]
+                hit[done], steps[done], elapsed[done] = at[stop], t, clock[stop]
+                go = ~stop
+                live, keys, row, clock = live[go], keys[go], row[go], clock[go]
+            entry = np.searchsorted(cum, base[row] + _uniforms(keys, 2 * t),
+                                    "right")
+            state = target[np.minimum(entry, last[row])]
+            t += 1
+        yield hit, steps, elapsed, truncated
 
 
 def simulate_run(
@@ -242,7 +355,7 @@ def simulate_run(
     *,
     max_steps: int = SmcConfig.max_steps,
 ) -> RunOutcome:
-    """Simulate one path; all randomness comes from ``seed``.
+    """Simulate one path, keyed by ``seed`` in [0, 2**64).
 
     Markovian states sample an Exp(exit_rate) sojourn and a successor by
     rate proportion; immediate states ask the resolver when there are two
@@ -250,59 +363,13 @@ def simulate_run(
     target state is entered within the property's bound (steps for
     step-bounded, minutes for time-bounded, ``max_steps`` as a safety net
     for unbounded properties — exceeding it records a truncated miss).
+    ``simulate_run(..., run_seed(master_seed, r))`` is run ``r`` of
+    :func:`estimate`.
     """
-    if prop.kind is PropertyKind.EXPECTED_TIME:
-        raise ValueError("expected-time properties are not simulated; "
-                         "use the numeric analysis")
-    if prop.kind is PropertyKind.TIME_BOUNDED_REACH_PROB \
-            and space.model_class is not ModelClass.MA:
-        raise ValueError("time bounds need an MA model")
-    if prop.kind is PropertyKind.STEP_BOUNDED_REACH_PROB \
-            and space.model_class is ModelClass.MA:
-        raise ValueError("step bounds need a DTMC or MDP model")
-    mask = target_mask(space, prop.target)
-    (choice_ptr, branch_ptr, branch_prob, branch_target, self_loop,
-     rate_ptr, rate, rate_target, exit_rate, stuck) = space.walk
-    random = Random(seed).random
-    state = space.initial
-    steps = 0
-    elapsed = 0.0
-    step_bound = prop.bound if prop.kind is PropertyKind.STEP_BOUNDED_REACH_PROB else None
-    time_bound = prop.bound if prop.kind is PropertyKind.TIME_BOUNDED_REACH_PROB else None
-
-    while True:
-        if mask[state]:
-            return RunOutcome(True, steps, elapsed)
-        if step_bound is not None and steps >= step_bound:
-            return RunOutcome(False, steps, elapsed)
-        if steps >= max_steps:
-            return RunOutcome(False, steps, elapsed, truncated=True)
-        c = choice_ptr[state]
-        k = choice_ptr[state + 1] - c
-        if k:
-            if k > 1:
-                if resolver is None:
-                    raise ValueError(
-                        f"state {state} has {k} choices but no resolver "
-                        "was supplied")
-                c += resolver(state)
-            if self_loop[c]:
-                # pure self-loop under a memoryless resolver: the state can
-                # never change again, so this is a definitive miss
-                return RunOutcome(False, steps, elapsed)
-            state = _pick(random(), branch_prob, branch_target,
-                          branch_ptr[c], branch_ptr[c + 1])
-        else:
-            if stuck[state]:
-                # absorbing non-target state: the run can never succeed
-                return RunOutcome(False, steps, elapsed)
-            total = exit_rate[state]
-            elapsed += -math.log(1.0 - random()) / total
-            if time_bound is not None and elapsed > time_bound:
-                return RunOutcome(False, steps, elapsed)
-            state = _pick(random() * total, rate, rate_target,
-                          rate_ptr[state], rate_ptr[state + 1])
-        steps += 1
+    (out,) = _simulate(space, resolver, prop, target_mask(space, prop.target),
+                       [np.array([seed], dtype=np.uint64)], max_steps)
+    hit, steps, elapsed, truncated = (x[0].item() for x in out)
+    return RunOutcome(hit, steps, elapsed, truncated)
 
 
 def estimate(
@@ -315,33 +382,97 @@ def estimate(
 ) -> SmcEstimate:
     """Monte Carlo estimate of a reachability property.
 
-    Run ``r`` is seeded with ``run_seed(master_seed, r)``, so the result
-    depends only on ``cfg``.
+    Run ``r`` is keyed by ``run_seed(master_seed, r)``, so the result
+    depends only on ``cfg``, not on how the runs are batched.
     """
     n = cfg.n_runs()
-    mask = target_mask(space, prop.target, constants)
-    resolved = Property(prop.kind, prop.direction, mask, prop.bound,
-                        prop.text)
+    batches = (_splitmix64(np.uint64(cfg.master_seed), np.arange(
+        lo, min(n, lo + MAX_BATCH), dtype=np.uint64))
+        for lo in range(0, n, MAX_BATCH))
     hits = truncated = 0
-    for r in range(n):
-        out = simulate_run(space, resolver, resolved,
-                           run_seed(cfg.master_seed, r),
-                           max_steps=cfg.max_steps)
-        hits += out.hit
-        truncated += out.truncated
-
+    for hit, _, _, cut in _simulate(
+            space, resolver, prop, target_mask(space, prop.target, constants),
+            batches, cfg.max_steps):
+        hits += int(hit.sum())
+        truncated += int(cut.sum())
     mean = hits / n
-    if cfg.runs is None:
-        half = cfg.epsilon
-    else:
-        half = 1.96 * math.sqrt(mean * (1.0 - mean) / n)
-    return SmcEstimate(
-        mean=mean,
-        ci_low=max(0.0, mean - half),
-        ci_high=min(1.0, mean + half),
-        runs=n,
-        truncated=truncated,
-    )
+    if cfg.runs is not None:
+        return SmcEstimate(mean, *clopper_pearson(hits, n), n, truncated,
+                           "clopper-pearson")
+    return SmcEstimate(mean, max(0.0, mean - cfg.epsilon),
+                       min(1.0, mean + cfg.epsilon), n, truncated, "okamoto")
+
+
+#: Confidence level of the interval of a fixed number of runs.
+CONFIDENCE = 0.95
+
+
+def _betainc(a: float, b: float, x: float) -> float:
+    """The regularized incomplete beta function I_x(a, b), for a, b > 0,
+    by its continued fraction (modified Lentz) behind a ``math.lgamma``
+    prefactor; the fraction converges fast below x = (a+1) / (a+b+2), and
+    I_x(a, b) = 1 - I_(1-x)(b, a) covers the rest."""
+    if x <= 0.0 or x >= 1.0:
+        return max(0.0, min(1.0, x))
+    if x > (a + 1) / (a + b + 2):
+        return 1.0 - _betainc(b, a, 1.0 - x)
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    fraction = d
+    for m in range(1, 100_000):
+        for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            fraction *= c * d
+        if abs(c * d - 1.0) < 1e-15:
+            break
+    return math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                    + a * math.log(x) + b * math.log1p(-x)) * fraction / a
+
+
+def _beta_quantile(q: float, a: float, b: float) -> tuple[float, float]:
+    """A bracket no wider than 2**-40 around the p with I_p(a, b) = q.
+
+    Bisection that first tries a Newton step (the beta density is the
+    derivative), lengthened by a quarter of the final width so that the
+    bracket closes from both sides; the step is kept when it lands inside
+    the bracket, and the midpoint is taken otherwise.  The first guess is
+    the normal approximation.
+    """
+    width = 2.0 ** -40
+    norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    sd = math.sqrt(a * b / (a + b + 1)) / (a + b)
+    lo, hi, p = 0.0, 1.0, a / (a + b) + NormalDist().inv_cdf(q) * sd
+    while hi - lo > width:
+        if not lo < p < hi:
+            p = (lo + hi) / 2
+        excess = _betainc(a, b, p) - q
+        if excess < 0:
+            lo = p
+        else:
+            hi = p
+        density = math.exp(norm + (a - 1) * math.log(p)
+                           + (b - 1) * math.log1p(-p))
+        if density > 0:
+            p -= excess / density + math.copysign(width / 4, excess)
+    return lo, hi
+
+
+def clopper_pearson(hits: int, runs: int) -> tuple[float, float]:
+    """The Clopper-Pearson interval of a binomial proportion at
+    :data:`CONFIDENCE`: the quantiles of Beta(hits, runs-hits+1) and
+    Beta(hits+1, runs-hits), each rounded outwards.  Its coverage is at
+    least the confidence for every true proportion."""
+    tail = (1 - CONFIDENCE) / 2
+    low = 0.0 if hits == 0 else \
+        _beta_quantile(tail, hits, runs - hits + 1)[0]
+    high = 1.0 if hits == runs else \
+        _beta_quantile(1 - tail, hits + 1, runs - hits)[1]
+    return low, high
 
 
 # --------------------------------------------------------------------------
@@ -359,49 +490,57 @@ def reachable_decisions(space: ExplicitStateSpace, ids: Iterable[int],
     """Per scheduler id: its choice index at each decision state reachable
     from the initial state under that id's own choices.
 
-    One forward walk per id; a decision state is encoded (the whole state
-    in ``global`` mode, the owner's observed variables in ``distributed``
-    mode) the first time any walk reaches it and hashed with the id by
-    :func:`lss_decide`.  Two ids with equal tables make identical choices
-    on every path that can occur.  Raises ValueError for an id outside
-    [0, 2**32), whether or not it reaches a decision, and
-    :class:`NotGoodForDistribution` in ``distributed`` mode for a model
-    that is not good for distribution.
+    One breadth-first search per id, over the arrays, for up to
+    :data:`MAX_BATCH` (id, state) pairs at once; a decision state is
+    encoded (the whole state in ``global`` mode, the owner's observed
+    variables in ``distributed`` mode) the first time any search reaches
+    it and hashed with the id by :func:`lss_decide`.  Two ids with equal
+    tables make identical choices on every path that can occur.  Raises
+    ValueError for an id outside [0, 2**32), whether or not it reaches a
+    decision, and :class:`NotGoodForDistribution` in ``distributed`` mode
+    for a model that is not good for distribution.
     """
     if mode == "distributed":
         violations = check_good_for_distribution(space)
         if violations:
             raise NotGoodForDistribution(violations)
-    (choice_ptr, branch_ptr, _, branch_target, _,
-     rate_ptr, _, rate_target, _, _) = space.walk
-    observations: dict[int, bytes] = {}
+    ids = list(ids)
     for sid in ids:
         if not 0 <= sid < 2 ** 32:
             raise ValueError(f"scheduler id {sid} outside [0, 2**32)")
-        decisions: dict[int, int] = {}
-        seen = {space.initial}
-        stack = [space.initial]
-        while stack:
-            s = stack.pop()
-            c = choice_ptr[s]
-            k = choice_ptr[s + 1] - c
-            if k:
-                if k > 1:
-                    obs = observations.get(s)
-                    if obs is None:
-                        obs = observations[s] = encode_state(
-                            space, s, "all" if mode == "global" else
-                            space.observed_indices(scheduler_owner(space, s)))
-                    decisions[s] = lss_decide(sid, obs, k)
-                    c += decisions[s]
-                succs = branch_target[branch_ptr[c]:branch_ptr[c + 1]]
-            else:
-                succs = rate_target[rate_ptr[s]:rate_ptr[s + 1]]
-            for t in succs:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        yield decisions
+    n = space.n_states
+    first, ptr, _, target, _ = _rows(space)
+    counts = np.diff(space.choice_ptr)
+    observations: dict[int, bytes] = {}
+    per_batch = max(1, MAX_BATCH // n)
+    for lo in range(0, len(ids), per_batch):
+        batch = ids[lo:lo + per_batch]
+        tables: list[dict[int, int]] = [{} for _ in batch]
+        # pair i * n + s: state s in the search of the batch's i-th id
+        pairs = np.arange(len(batch)) * n + space.initial
+        seen = np.zeros(len(batch) * n, dtype=bool)
+        seen[pairs] = True
+        while pairs.size:
+            who, state = np.divmod(pairs, n)
+            row = first[state]
+            decide = np.flatnonzero(counts[state] >= 2)
+            for j, i, s, k in zip(decide.tolist(), who[decide].tolist(),
+                                  state[decide].tolist(),
+                                  counts[state[decide]].tolist()):
+                obs = observations.get(s)
+                if obs is None:
+                    obs = observations[s] = encode_state(
+                        space, s, "all" if mode == "global" else
+                        space.observed_indices(scheduler_owner(space, s)))
+                pick = tables[i][s] = lss_decide(batch[i], obs, k)
+                row[j] += pick
+            width = ptr[row + 1] - ptr[row]
+            entries = np.repeat(ptr[row] - np.cumsum(width) + width, width) \
+                + np.arange(width.sum())
+            reached = np.repeat(who * n, width) + target[entries]
+            pairs = np.unique(reached[~seen[reached]])
+            seen[pairs] = True
+        yield from tables
 
 
 def lss(

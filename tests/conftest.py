@@ -139,24 +139,23 @@ def reachable_under(
 ) -> np.ndarray:
     """States reachable from the initial state when following ``scheduler``
     (a choice index for every state that has choices)."""
-    (choice_ptr, branch_ptr, _, branch_target, _,
-     rate_ptr, _, rate_target, _, _) = space.walk
-    seen = [False] * space.n_states
+    seen = np.zeros(space.n_states, dtype=bool)
     seen[space.initial] = True
     stack = [space.initial]
     while stack:
         s = stack.pop()
-        c = choice_ptr[s]
-        if choice_ptr[s + 1] > c:
+        c = space.choice_ptr[s]
+        if space.choice_ptr[s + 1] > c:
             c += scheduler[s]
-            succs = branch_target[branch_ptr[c]:branch_ptr[c + 1]]
+            succs = space.branch_target[space.branch_ptr[c]:
+                                        space.branch_ptr[c + 1]]
         else:
-            succs = rate_target[rate_ptr[s]:rate_ptr[s + 1]]
-        for t in succs:
+            succs = space.rate_target[space.rate_ptr[s]:space.rate_ptr[s + 1]]
+        for t in succs.tolist():
             if not seen[t]:
                 seen[t] = True
                 stack.append(t)
-    return np.array(seen, dtype=bool)
+    return seen
 
 
 def random_layered_mdp(seed: int, *, layers: int = 3, width: int = 3,
@@ -195,17 +194,20 @@ def random_layered_mdp(seed: int, *, layers: int = 3, width: int = 3,
         ModelClass.MDP, choices, labels={"goal": [goal]})
 
 
+#: Fair coin: one flip to heads (labelled) or tails, both absorbing.
+COIN = """
+dtmc
+module coin
+  x : [0..2] init 0;
+  [] x=0 -> 0.5:(x'=1) + 0.5:(x'=2);
+endmodule
+label "heads" = x=1;
+"""
+
+
 @pytest.fixture
 def coin_dtmc() -> ExplicitStateSpace:
-    """Fair coin: one flip to heads (labelled) or tails, both absorbing."""
-    return space_of("""
-        dtmc
-        module coin
-          x : [0..2] init 0;
-          [] x=0 -> 0.5:(x'=1) + 0.5:(x'=2);
-        endmodule
-        label "heads" = x=1;
-    """)
+    return space_of(COIN)
 
 
 @pytest.fixture

@@ -265,9 +265,10 @@ class TestSimulate:
             "--scheduler-id", "12345", "--json"])
         assert code == 0
         assert rep["properties"] == [{
-            "property": 'Pmax=? [ F<=600 "goal" ]', "mean": 0.42,
-            "ci_low": 0.3515962808028686, "ci_high": 0.4884037191971314,
-            "runs": 200, "truncated_runs": 0, "scheduler_id": 12345}]
+            "property": 'Pmax=? [ F<=600 "goal" ]', "mean": 0.455,
+            "ci_low": 0.38461304203868996, "ci_high": 0.5267407524812366,
+            "ci_method": "clopper-pearson", "runs": 200,
+            "truncated_runs": 0, "scheduler_id": 12345}]
 
     def test_okamoto_sizing_via_eps_delta(self, capsys, model_file):
         code, rep, _ = run_json(capsys, [
@@ -387,9 +388,10 @@ class TestText:
             "states          3",
             "transitions     4",
             'property        Pmax=? [ F "heads" ]',
-            "mean            0.525",
-            "ci_low          0.4760612883291765",
-            "ci_high         0.5739387116708236",
+            "mean            0.515",
+            "ci_low          0.4648180519109717",
+            "ci_high         0.5649584428296132",
+            "ci_method       clopper-pearson",
             "runs            400",
             "truncated_runs  0",
         ], id="simulate"),
@@ -405,15 +407,16 @@ class TestText:
             "schedulers          4",
             "distinct_behaviors  2",
             "best_id             1097127993",
-            "mean                0.93",
-            "ci_low              0.8799911847770816",
-            "ci_high             0.9800088152229185",
+            "mean                0.9",
+            "ci_low              0.8237774022597588",
+            "ci_high             0.9509953107786913",
+            "ci_method           clopper-pearson",
             "runs_per_scheduler  100",
             "",
-            "2675342405  0.09",
-            "1097127993  0.93",
-            "3185950873  0.93",
-            "1539898300  0.09",
+            "2675342405  0.07",
+            "1097127993  0.9",
+            "3185950873  0.9",
+            "1539898300  0.07",
         ], id="lss-table"),
     ])
     def test_rows(self, capsys, model_file, tmp_path, model, argv, rows):

@@ -28,6 +28,7 @@ from qmv.smc import (
     NotGoodForDistribution,
     SmcConfig,
     SmcEstimate,
+    clopper_pearson,
     encode_state,
     estimate,
     fmix64,
@@ -40,8 +41,11 @@ from qmv.smc import (
 )
 
 from conftest import (
+    COIN,
     INTERLEAVED_MDP,
+    TRAP_MA,
     direct_space,
+    geometric,
     reachable_under,
     space_of,
 )
@@ -107,7 +111,8 @@ class TestHashing:
             lss_decide(7, sb, 0)
 
     def test_run_seed_frozen_value(self):
-        assert run_seed(0, 0) == 9808874869469701221
+        # SplitMix64's published first output for seed 0
+        assert run_seed(0, 0) == 0xE220A8397B1DCDAF
 
     def test_scheduler_id_sampling_is_deterministic(self):
         assert sample_scheduler_ids(5, 4) == sample_scheduler_ids(5, 4)
@@ -247,6 +252,141 @@ class TestEstimate:
         est = estimate(sp, None, _unbounded("goal"), SmcConfig(runs=10))
         assert est.mean == 1.0
 
+    def test_rare_event_interval_is_not_degenerate(self):
+        # a Wald interval around 0 hits in 50 runs is [0, 0], excluding 0.01
+        sp = space_of("""
+            dtmc
+            module m
+              x : [0..2] init 0;
+              [] x=0 -> 1/100:(x'=1) + 99/100:(x'=2);
+            endmodule
+            label "hit" = x=1;
+        """)
+        est = estimate(sp, None, _unbounded("hit"), SmcConfig(runs=50))
+        assert est.ci_method == "clopper-pearson"
+        assert est.ci_high > 0
+        assert est.ci_low <= 0.01 <= est.ci_high
+
+    def test_okamoto_sizing_names_its_interval(self, coin_dtmc):
+        cfg = SmcConfig(epsilon=0.1, delta=0.1)
+        est = estimate(coin_dtmc, None, _unbounded("heads"), cfg)
+        assert est.ci_method == "okamoto"
+
+
+def _trap_reaches_the_race(state):
+    return 1
+
+
+#: (space, property, resolver, max_steps) cases for the lockstep simulator:
+#: no resolver, truncation, and a resolved MA under a time bound
+LOCKSTEP_CASES = {
+    "coin": (lambda: space_of(COIN), _unbounded("heads"), None, 100),
+    "truncated": (lambda: geometric(0.5), _unbounded("done"), None, 3),
+    "ma-time-bound": (
+        lambda: space_of(TRAP_MA),
+        Property(PropertyKind.TIME_BOUNDED_REACH_PROB, Direction.MAX, "goal",
+                 bound=1.0),
+        _trap_reaches_the_race, 100),
+}
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("case", list(LOCKSTEP_CASES))
+    def test_estimate_does_not_depend_on_the_batch_size(self, case,
+                                                         monkeypatch):
+        make, prop, resolver, max_steps = LOCKSTEP_CASES[case]
+        space = make()
+        cfg = SmcConfig(runs=300, master_seed=4, max_steps=max_steps)
+        results = []
+        for cap in (1, 7, smc.MAX_BATCH):
+            monkeypatch.setattr(smc, "MAX_BATCH", cap)
+            results.append(estimate(space, resolver, prop, cfg))
+        assert results[0] == results[1] == results[2]
+        assert 0 < results[0].mean < 1
+        if case == "truncated":
+            assert results[0].truncated > 0
+
+    def test_lss_does_not_depend_on_the_batch_size(self, monkeypatch):
+        sp = space_of(TestLss.MDP)
+        cfg = LssConfig(m=20, inner=SmcConfig(runs=100), sampler_seed=1)
+        results = []
+        for cap in (1, 7, smc.MAX_BATCH):
+            monkeypatch.setattr(smc, "MAX_BATCH", cap)
+            results.append(lss(sp, _unbounded("goal"), cfg))
+        assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("case", list(LOCKSTEP_CASES))
+    def test_simulate_run_replays_run_r_of_estimate(self, case):
+        make, prop, resolver, max_steps = LOCKSTEP_CASES[case]
+        space = make()
+        hits = []
+        for runs in range(1, 41):
+            cfg = SmcConfig(runs=runs, master_seed=9, max_steps=max_steps)
+            hits.append(round(estimate(space, resolver, prop, cfg).mean
+                              * runs))
+        # run r is the difference between the first r+1 and the first r
+        for r, (before, after) in enumerate(zip([0] + hits, hits)):
+            out = simulate_run(space, resolver, prop, run_seed(9, r),
+                               max_steps=max_steps)
+            assert out.hit == (after - before)
+
+    def test_resolver_is_asked_once_per_decision_state_entered(self,
+                                                               monkeypatch):
+        # 0 decides between 1 and 2; 1 decides between the target 3,
+        # itself a decision state, and the sink 4; nothing leads to 2
+        sp = direct_space(
+            ModelClass.MDP,
+            [[[(1, 1)], [(1, 2)]],
+             [[(1, 3), (1, 4)], [(1, 4)]],
+             [[(1, 3)], [(1, 4)]],
+             [[(1, 3)], [(1, 4)]],
+             [[(1, 4)]]],
+            labels={"goal": [3]})
+        asked = []
+
+        def first_choice(state):
+            asked.append(state)
+            return 0
+
+        monkeypatch.setattr(smc, "MAX_BATCH", 7)
+        est = estimate(sp, first_choice, _unbounded("goal"),
+                       SmcConfig(runs=50))
+        assert 0 < est.mean < 1
+        assert asked == [0, 1]
+
+
+class TestClopperPearson:
+    @pytest.mark.parametrize("runs", [1, 10, 300, 10 ** 6])
+    def test_closed_form_at_the_ends(self, runs):
+        # Beta(1, n) has the quantile 1 - (1-q)^(1/n)
+        low, high = clopper_pearson(0, runs)
+        assert low == 0.0
+        assert high == pytest.approx(1 - 0.025 ** (1 / runs), abs=1e-11)
+        assert high >= 1 - 0.025 ** (1 / runs) - 1e-15
+        low, high = clopper_pearson(runs, runs)
+        assert low == pytest.approx(0.025 ** (1 / runs), abs=1e-11)
+        assert high == 1.0
+
+    def test_matches_a_tabulated_interval(self):
+        # Clopper & Pearson's exact 95% interval for 150 of 300
+        low, high = clopper_pearson(150, 300)
+        assert low == pytest.approx(0.4419977, abs=1e-7)
+        assert high == pytest.approx(0.5580023, abs=1e-7)
+        assert low + high == pytest.approx(1.0, abs=1e-11)
+
+    @pytest.mark.parametrize("p", [0.01, 0.5, 0.99])
+    @pytest.mark.parametrize("runs", [10, 40])
+    def test_seeded_coverage(self, p, runs):
+        reps = 2000
+        draws = np.random.default_rng(2024).binomial(runs, p, size=reps)
+        intervals = [clopper_pearson(x, runs) for x in range(runs + 1)]
+        assert all(low < high for low, high in intervals)
+        covered = sum(intervals[x][0] <= p <= intervals[x][1]
+                      for x in draws.tolist())
+        # three standard deviations of the coverage count of reps draws
+        slack = 3 * math.sqrt(0.95 * 0.05 / reps)
+        assert covered / reps >= 0.95 - slack
+
 
 class TestLss:
     MDP = """
@@ -335,13 +475,13 @@ class TestSampledSchedulers:
     # deduplication or simulation shows here
     PINNED = {
         ("contacts", "global"):
-            "14df74da4fd473c84f44861b4dd779d9ed41fb03623f76be8a910aca5803cca0",
+            "81c61b56e02dc93d236b6d697a0f7389c26b301790f70fb6f959d0516722b5cb",
         ("contacts", "distributed"):
-            "3ede8fcf16101565bfcfcab156eeb29ddb58e9b38f24a48c929895011a7c50eb",
+            "745c398d8b242efba4f171b8d424a2aa9c16ac31d5851de11fdc7f74bcfcdb54",
         ("bitcoin", "global"):
-            "d69d2db8bdcb3b803a07102579a3ded230275fbf008e390d3b9da5e715e17262",
+            "f5c5041b1d8c171b039ac181a65cc747336c5f8bddec59006620e3fd71fcdea9",
         ("bitcoin", "distributed"):
-            "c203ff3546150075d942e09292e03eac299a477fc0d414ac45c37d455f915019",
+            "f513ee87ba5ed6d258e0ba1c944c54c1cf3ee9f3eeece2c81903ece814c4889f",
     }
 
     @pytest.mark.parametrize("case,mode", list(PINNED))
