@@ -313,9 +313,10 @@ def _simulate(space: ExplicitStateSpace, resolver: Resolver | None,
         t = 0
         while live.size:
             at = mask[state]
-            if t in (step_bound, max_steps):
+            bounded = step_bound is not None and t >= step_bound
+            if bounded or t == max_steps:
                 hit[live], steps[live], elapsed[live] = at, t, clock
-                truncated[live] = ~at & (t != step_bound)
+                truncated[live] = ~at & (not bounded)
                 break
             offset = offsets[state]
             if offset.min() < 0:  # a run at a target keeps -1 and stops
@@ -337,7 +338,8 @@ def _simulate(space: ExplicitStateSpace, resolver: Resolver | None,
                     stop |= clock > time_bound
             if stop.any():
                 done = live[stop]
-                hit[done], steps[done], elapsed[done] = at[stop], t, clock[stop]
+                hit[done], steps[done] = at[stop], t
+                elapsed[done] = clock[stop]
                 go = ~stop
                 live, keys, row, clock = live[go], keys[go], row[go], clock[go]
             entry = np.searchsorted(cum, base[row] + _uniforms(keys, 2 * t),
@@ -368,8 +370,7 @@ def simulate_run(
     """
     (out,) = _simulate(space, resolver, prop, target_mask(space, prop.target),
                        [np.array([seed], dtype=np.uint64)], max_steps)
-    hit, steps, elapsed, truncated = (x[0].item() for x in out)
-    return RunOutcome(hit, steps, elapsed, truncated)
+    return RunOutcome(*(x[0].item() for x in out))
 
 
 def estimate(
@@ -411,9 +412,7 @@ def _betainc(a: float, b: float, x: float) -> float:
     """The regularized incomplete beta function I_x(a, b), for a, b > 0,
     by its continued fraction (modified Lentz) behind a ``math.lgamma``
     prefactor; the fraction converges fast below x = (a+1) / (a+b+2), and
-    I_x(a, b) = 1 - I_(1-x)(b, a) covers the rest."""
-    if x <= 0.0 or x >= 1.0:
-        return max(0.0, min(1.0, x))
+    I_x(a, b) = 1 - I_(1-x)(b, a) covers the rest.  Needs 0 < x < 1."""
     if x > (a + 1) / (a + b + 2):
         return 1.0 - _betainc(b, a, 1.0 - x)
     tiny = 1e-300
@@ -421,8 +420,9 @@ def _betainc(a: float, b: float, x: float) -> float:
     d = 1.0 / (d if abs(d) > tiny else tiny)
     fraction = d
     for m in range(1, 100_000):
-        for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
-                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+        even = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        odd = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
+        for num in (even, odd):
             d = 1.0 + num * d
             d = 1.0 / (d if abs(d) > tiny else tiny)
             c = 1.0 + num / c
