@@ -524,16 +524,17 @@ def reachable_decisions(space: ExplicitStateSpace, ids: Iterable[int],
             who, state = np.divmod(pairs, n)
             row = first[state]
             decide = np.flatnonzero(counts[state] >= 2)
-            for j, i, s, k in zip(decide.tolist(), who[decide].tolist(),
-                                  state[decide].tolist(),
-                                  counts[state[decide]].tolist()):
+            picks = []
+            for i, s, k in zip(who[decide].tolist(), state[decide].tolist(),
+                               counts[state[decide]].tolist()):
                 obs = observations.get(s)
                 if obs is None:
                     obs = observations[s] = encode_state(
                         space, s, "all" if mode == "global" else
                         space.observed_indices(scheduler_owner(space, s)))
                 pick = tables[i][s] = lss_decide(batch[i], obs, k)
-                row[j] += pick
+                picks.append(pick)
+            row[decide] += np.array(picks, dtype=np.int64)
             width = ptr[row + 1] - ptr[row]
             entries = np.repeat(ptr[row] - np.cumsum(width) + width, width) \
                 + np.arange(width.sum())
