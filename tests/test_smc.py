@@ -234,6 +234,7 @@ class TestEstimate:
         cfg = SmcConfig(epsilon=0.05, delta=0.1, master_seed=2)
         est = estimate(coin_dtmc, None, _unbounded("heads"), cfg)
         assert est.half_width == pytest.approx(0.05)
+        assert est.ci_method == "okamoto"
 
     def test_interval_is_clipped_to_unit_range(self, coin_dtmc):
         cfg = SmcConfig(epsilon=0.3, delta=0.1, master_seed=2)
@@ -266,11 +267,6 @@ class TestEstimate:
         assert est.ci_method == "clopper-pearson"
         assert est.ci_high > 0
         assert est.ci_low <= 0.01 <= est.ci_high
-
-    def test_okamoto_sizing_names_its_interval(self, coin_dtmc):
-        cfg = SmcConfig(epsilon=0.1, delta=0.1)
-        est = estimate(coin_dtmc, None, _unbounded("heads"), cfg)
-        assert est.ci_method == "okamoto"
 
 
 def _trap_reaches_the_race(state):
