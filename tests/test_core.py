@@ -345,8 +345,9 @@ def _view_digest(space) -> str:
 
 
 class TestPinnedSpaces:
-    """State order, choice order and every probability of four spaces, as
-    explored before the spaces were stored as arrays.  LSS hashes states
+    """State order, choice order and every probability of pinned spaces:
+    the case studies as explored before the spaces were stored as arrays,
+    the stress models as explored one state at a time.  LSS hashes states
     by index and valuation, so any change here changes sampled
     schedulers."""
 
@@ -387,6 +388,48 @@ class TestPinnedSpaces:
         self._check(
             space_of(gen_contact_mdp(plan).model), 1987,
             "ea2a515bfdb29dc4a15a2220dd332fc84d7f3e35d175e219b454ec4341e1fd63")
+
+    # what the case studies lack: state-dependent real weights and rates,
+    # a '/' in a guard's right conjunct (never evaluated where it would
+    # divide by zero), an action with two deciding participants, duplicate
+    # targets with unequal weights, maximal progress and DTMC deadlocks
+    STRESS_MA = """
+        ma
+        const real R = 3/2;
+        action go;
+        module a
+          x : [0..3] init 0;
+          [go] x < 3 -> (x+1)/3:(x'=x+1) + 1/2:(x'=x);
+          [go] x < 2 -> 2:(x'=0) + 1:(x'=0) + (x+2)/3:(x'=2);
+          [] x = 3 & y = 0 -> (x'=0);
+          rate(x + R) x > 0 & 6/x > 1 -> 1:(x'=x-1) + x/2:(x'=x) + 1:(x'=x-1);
+          rate(3) x = 3 -> (x'=3);
+        endmodule
+        module b
+          y : [0..2] init 0;
+          [go] y < 2 -> (y'=y+1);
+          [go] y > 0 -> 1/4:(y'=y-1) + y:(y'=0) + 1:(y'=0);
+          rate(y/2 + 1) y = 0 | 4/y > 1 -> 1:(y'=0) + (y+1)/3:(y'=1);
+        endmodule
+    """
+
+    STRESS_DTMC = """
+        dtmc
+        module m
+          x : [0..4] init 1;
+          [] x > 0 & 12/x > 3 -> x/3:(x'=x+1) + 1:(x'=x-1) + (1/2):(x'=x-1);
+        endmodule
+    """
+
+    def test_stress_ma(self):
+        self._check(
+            space_of(self.STRESS_MA), 12,
+            "d3ca862575b44c79691ccc4a58e72959a577f06ec8e1aba3b98a6a5d3246146b")
+
+    def test_stress_dtmc(self):
+        self._check(
+            space_of(self.STRESS_DTMC), 5,
+            "77bdd09ca09d24da50fe96203ea86f5ad7ccf8287e01efd66f0a5b367d485849")
 
     def test_hand_built_ma_with_choices_and_rates(self):
         space = direct_space(
