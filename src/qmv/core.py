@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import math
-from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -244,26 +243,28 @@ def state_dict(layout: Iterable[VariableInfo],
 
 
 class SpaceBuilder:
-    """Writes the arrays of an :class:`ExplicitStateSpace`, state by state.
+    """Writes the arrays of an :class:`ExplicitStateSpace`, a batch of states
+    at a time.
 
     Choices arrive with raw weights, and this is the one place that divides
-    them by their sum, exactly when all are ints or Fractions (weights 1
-    and 9 give exactly 0.1 and 0.9).  A choice with distinct targets is
-    normalised once per weight pattern: the probabilities are kept per
-    tuple of weights and their types, so ``1``, ``1.0`` and ``Fraction(1)``
-    never share an entry.  Duplicate targets of a
+    them by their sum, through :func:`_normalise`: exactly when all are
+    ints or Fractions (weights 1 and 9 give exactly 0.1 and 0.9).  A batch
+    brings its choices in groups that share their weights, and a group is
+    normalised once per duplicate-target pattern.  Normalised numbers are
+    kept per tuple of weights, their types and the pattern, so ``1``,
+    ``1.0`` and ``Fraction(1)`` never share an entry.  Duplicate targets of a
     choice or race are merged and entries sorted by target; the exit rate
     is the exactly rounded rate sum.  Maximal progress is applied here: a
     state with choices keeps no rates.  :func:`validate` checks the rates.
     """
 
     def __init__(self):
-        self._arrays = {name: array("d" if name in _FLOAT_ARRAYS else "q")
-                        for name in _INT_ARRAYS + _FLOAT_ARRAYS}
-        for name in ("choice_ptr", "branch_ptr", "rate_ptr"):
-            self._arrays[name].append(0)
+        # per array, the chunks written so far; the three pointer arrays
+        # hold per-group counts until :meth:`build`
+        self._chunks: dict[str, list[np.ndarray]] = {
+            name: [] for name in _INT_ARRAYS + _FLOAT_ARRAYS}
         self._actions: dict[str | None, int] = {}
-        self._probs: dict[tuple, tuple[float, ...]] = {}
+        self._probs: dict[tuple, tuple] = {}
 
     def add_state(
         self,
@@ -278,70 +279,190 @@ class SpaceBuilder:
         number and ValueError for a non-positive weight or a choice
         without branches.
         """
-        a = self._arrays
+        groups = []
         for action, owner, weighted in choices:
-            targets, probs = self._normalise(weighted)
-            a["branch_prob"].extend(probs)
-            a["branch_target"].extend(targets)
-            a["branch_ptr"].append(len(a["branch_prob"]))
-            a["choice_owner"].append(owner)
-            a["choice_action"].append(
-                self._actions.setdefault(action, len(self._actions)))
-        a["choice_ptr"].append(len(a["choice_owner"]))
-        merged: dict[int, object] = {}
-        if a["choice_ptr"][-1] == a["choice_ptr"][-2]:
-            for r, t in rates:
-                merged[t] = merged.get(t, 0) + r
-        targets = sorted(merged)
-        a["rate"].extend(float(merged[t]) for t in targets)
-        a["rate_target"].extend(targets)
-        a["rate_ptr"].append(len(a["rate"]))
-        a["exit_rate"].append(math.fsum(a["rate"][a["rate_ptr"][-2]:]))
+            weighted = list(weighted)
+            groups.append((_ROW0, action, owner, [w for w, _ in weighted],
+                           _row([t for _, t in weighted])))
+        rates = list(rates)
+        self.add_states(1, groups, [(_ROW0, [r for r, _ in rates],
+                                     _row([t for _, t in rates]))])
 
-    def _normalise(self, weighted: Iterable[tuple[object, int]]):
-        """:func:`_normalise`, looked up by weight pattern when the targets
-        are distinct; a pattern that fails validation is never stored."""
-        weighted = list(weighted)
-        targets = [t for _, t in weighted]
-        if len(set(targets)) < len(targets):
-            return _normalise(weighted)
-        weights = tuple(w for w, _ in weighted)
-        key = (weights, tuple(map(type, weights)))
-        probs = self._probs.get(key)
-        if probs is None:
-            # positions as targets: the probabilities in weight order
-            probs = self._probs[key] = tuple(
-                _normalise(zip(weights, range(len(weights))))[1])
-        return zip(*sorted(zip(targets, probs)))
+    def add_states(self, count: int, choices: Iterable[tuple] = (),
+                   races: Iterable[tuple] = ()) -> None:
+        """Append ``count`` states, numbered 0 to ``count - 1`` here.
+
+        ``choices`` holds groups (rows, action, owner, weights, targets):
+        each state ``rows[i]`` (increasing) gets one choice with branch
+        weights ``weights`` and targets ``targets[i]``.  A weight is a
+        number for the whole group or an array of exact numbers, one per
+        row; ``owner`` is an int or one per row.  A state's choices come in
+        the order of their groups.  ``races`` holds groups (rows, rates,
+        targets) of rate entries in the same form.  Raises like
+        :meth:`add_state`.
+        """
+        chunks = self._chunks
+        choices = [g for g in choices if len(g[0])]
+        rows = [np.asarray(g[0], dtype=np.int64) for g in choices]
+        crow = np.concatenate(rows) if rows else _NONE
+        corder = np.argsort(crow, kind="stable")
+        cid = np.empty(len(crow), dtype=np.int64)
+        cid[corder] = np.arange(len(crow))
+        bounds = np.cumsum([0] + [len(r) for r in rows])
+
+        entries: list[tuple[np.ndarray, np.ndarray, object]] = []
+        for (_, _, _, weights, targets), r, lo in zip(choices, rows, bounds):
+            ids = cid[lo:lo + len(r)]
+            targets = np.asarray(targets, dtype=np.int64).reshape(len(r), -1)
+            for sel, merged, probs in self._normalised(weights, targets):
+                entries += [(ids[sel], t, p) for t, p in zip(merged.T, probs)]
+        # actions are numbered in the order of their first choice
+        for g in sorted(range(len(choices)), key=lambda g: cid[bounds[g]]):
+            self._actions.setdefault(choices[g][1], len(self._actions))
+        if entries:
+            ent = np.concatenate([ids for ids, _, _ in entries])
+            target = np.concatenate([t for _, t, _ in entries])
+            prob = np.concatenate([np.broadcast_to(p, len(ids))
+                                   for ids, _, p in entries])
+            order = np.lexsort((target, ent))
+            chunks["branch_prob"].append(prob[order])
+            chunks["branch_target"].append(target[order])
+            chunks["branch_ptr"].append(np.bincount(ent, minlength=len(crow)))
+            chunks["choice_owner"].append(np.concatenate([
+                np.broadcast_to(np.asarray(g[2], dtype=np.int64), len(r))
+                for g, r in zip(choices, rows)])[corder])
+            chunks["choice_action"].append(np.concatenate([
+                np.full(len(r), self._actions[g[1]])
+                for g, r in zip(choices, rows)])[corder])
+        n_choices = np.bincount(crow, minlength=count)
+        chunks["choice_ptr"].append(n_choices)
+        self._add_races(count, races, n_choices > 0)
+
+    def _add_races(self, count: int, races, has_choice: np.ndarray) -> None:
+        """Merged, sorted rates and the exit rates of :meth:`add_states`."""
+        row, target, value = [], [], []
+        for rows, rates, targets in races:
+            rows = np.asarray(rows, dtype=np.int64)
+            targets = np.asarray(targets, dtype=np.int64).reshape(len(rows), -1)
+            for t, rate in zip(targets.T, rates):
+                row.append(rows)
+                target.append(t)
+                value.append(rate.astype(object) if isinstance(rate, np.ndarray)
+                             else np.full(len(rows), rate, dtype=object))
+        rate = np.zeros(0)
+        n_rates = np.zeros(count, dtype=np.int64)
+        if row:
+            row, target, value = (np.concatenate(x) for x in (row, target, value))
+            keep = ~has_choice[row]
+            row, target, value = row[keep], target[keep], value[keep]
+            order = np.lexsort((target, row))
+            row, target, value = row[order], target[order], value[order]
+            start = np.flatnonzero(np.diff(row, prepend=-1)
+                                   | np.diff(target, prepend=-1))
+            row, target = row[start], target[start]
+            rate = np.add.reduceat(value, start).astype(np.float64) \
+                if len(start) else np.zeros(0)
+            n_rates = np.bincount(row, minlength=count)
+        exit_rate = np.zeros(count)
+        if len(rate):
+            first = np.flatnonzero(np.diff(row, prepend=-1))
+            # a sum of one or two floats is exactly rounded; longer ones
+            # need fsum
+            exit_rate[row[first]] = np.add.reduceat(rate, first)
+            ends = np.append(first[1:], len(rate))
+            for lo, hi in zip(first.tolist(), ends.tolist()):
+                if hi - lo > 2:
+                    exit_rate[row[lo]] = math.fsum(rate[lo:hi].tolist())
+            self._chunks["rate"].append(rate)
+            self._chunks["rate_target"].append(target)
+        self._chunks["rate_ptr"].append(n_rates)
+        self._chunks["exit_rate"].append(exit_rate)
+
+    def _normalised(self, weights: list, targets: np.ndarray):
+        """Per duplicate-target pattern of ``targets``: the rows it covers,
+        the merged targets and their probabilities (numbers, or arrays over
+        those rows)."""
+        n, b = targets.shape
+        label = np.argmax(targets[:, :, None] == targets[:, None, :], axis=2) \
+            if b > 1 else np.zeros((n, b), dtype=np.int64)
+        if b < 2 or (label == np.arange(b)).all():
+            patterns = [(slice(None), tuple(range(b)))]
+        else:
+            distinct, inverse = np.unique(label, axis=0, return_inverse=True)
+            inverse = inverse.reshape(-1)
+            patterns = [(np.flatnonzero(inverse == i), tuple(p))
+                        for i, p in enumerate(distinct.tolist())]
+        for sel, pattern in patterns:
+            ws = [w[sel] if isinstance(w, np.ndarray) else w for w in weights]
+            if any(isinstance(w, np.ndarray) for w in ws):
+                labels, probs = _normalise(zip(ws, pattern))
+            else:
+                key = (tuple(ws), tuple(map(type, ws)), pattern)
+                found = self._probs.get(key)
+                if found is None:
+                    found = self._probs[key] = _normalise(zip(ws, pattern))
+                labels, probs = found
+            yield sel, targets[sel][:, labels], probs
 
     def build(self, model_class: ModelClass, layout: tuple[VariableInfo, ...],
               valuations: np.ndarray, components: tuple[str, ...],
               **fields) -> ExplicitStateSpace:
         """The finished space; ``fields`` are its ``initial``, ``labels``
         and ``name``.  The builder takes no further states."""
+        arrays = {}
+        for name, chunks in self._chunks.items():
+            arr = np.concatenate(chunks) if chunks else np.zeros(
+                0, dtype=np.float64 if name in _FLOAT_ARRAYS else np.int64)
+            if name.endswith("_ptr"):
+                arr = np.concatenate(([0], np.cumsum(arr)))
+            arrays[name] = arr
         return ExplicitStateSpace(model_class, tuple(layout), valuations,
                                   tuple(components), tuple(self._actions),
-                                  **self._arrays, **fields)
+                                  **arrays, **fields)
+
+
+_NONE = np.zeros(0, dtype=np.int64)
+_ROW0 = np.zeros(1, dtype=np.int64)
+
+
+def _row(targets: list[int]) -> np.ndarray:
+    return np.array(targets, dtype=np.int64).reshape(1, -1)
+
+
+#: float(w / total), exact for ints and Fractions, elementwise on arrays
+_RATIO = np.frompyfunc(lambda w, total: float(Fraction(w) / total), 2, 1)
 
 
 def _normalise(weighted: Iterable[tuple[object, int]]):
-    """(sorted targets, probabilities) of positive per-target weights."""
+    """(sorted targets, probabilities) of positive per-target weights.
+
+    A weight may also be an array of exact weights (ints or Fractions), one
+    per row of a batch of choices that share their targets: each row is
+    normalised on its own, and the probabilities are arrays too.
+    """
     merged: dict[int, object] = {}
     exact = True
     for w, t in weighted:
-        if isinstance(w, float):
-            exact = False
-        elif not isinstance(w, (int, Fraction)) or isinstance(w, bool):
-            raise TypeError(f"weight {w!r} is not a number")
-        if w <= 0:
-            raise ValueError(f"non-positive weight {w}")
+        if isinstance(w, np.ndarray):
+            w = w.astype(object)
+            if (w <= 0).any():
+                raise ValueError(f"non-positive weight {w[w <= 0][0]}")
+        else:
+            if isinstance(w, float):
+                exact = False
+            elif not isinstance(w, (int, Fraction)) or isinstance(w, bool):
+                raise TypeError(f"weight {w!r} is not a number")
+            if w <= 0:
+                raise ValueError(f"non-positive weight {w}")
         merged[t] = merged.get(t, 0) + w
     if not merged:
         raise ValueError("choice without branches")
     targets = sorted(merged)
     if exact:
         total = sum(merged.values())
-        return targets, [float(Fraction(merged[t]) / total) for t in targets]
+        probs = [_RATIO(merged[t], total) for t in targets]
+        return targets, [p.astype(np.float64) if isinstance(p, np.ndarray)
+                         else p for p in probs]
     total = math.fsum(float(w) for w in merged.values())
     return targets, [float(merged[t]) / total for t in targets]
 
@@ -412,8 +533,8 @@ def target_mask(space: ExplicitStateSpace, target: object,
     the language front end (:class:`qmv.lang.ast.Expr`).  An expression is
     type-checked against the layout's variables and ``constants`` (model
     constants are not part of the state): it must be boolean, and
-    undeclared names are rejected.  It is then compiled once and evaluated
-    on every valuation row.
+    undeclared names are rejected.  It is then compiled and evaluated on
+    all valuation rows in one call.
     """
     if isinstance(target, np.ndarray):
         mask = np.asarray(target, dtype=bool)
@@ -439,10 +560,7 @@ def target_mask(space: ExplicitStateSpace, target: object,
     if kind != "bool":
         raise ValueError(
             f"target {target.pretty()} has type {kind}; it must be boolean")
-    cols = {v.name: i for i, v in enumerate(space.layout)}
-    fn = target.compile(cols, consts)
-    return np.fromiter(map(fn, space.valuations.tolist()), dtype=bool,
-                       count=space.n_states)
+    return target.compile(space.layout, consts)(space.valuations)
 
 
 def validate(space: ExplicitStateSpace) -> list[Violation]:

@@ -8,17 +8,25 @@ parse(pretty(parse(text))) is structurally equal to parse(text).
 pretty-printer both read it, so the two cannot disagree.
 
 Expression semantics live here and nowhere else: :meth:`Expr.type` holds the
-static typing rules, :meth:`Expr.compile` turns an expression into a Python
-function of a valuation row (constants inlined) and :meth:`Expr.constant`
-evaluates constant expressions.
+static typing rules and :meth:`Expr.compile` turns an expression into a
+function of a valuation matrix, one row per state, that evaluates it on all
+rows at once (constants inlined and folded).  Ints and bools are int64 and
+bool arrays, except that an int whose declared bounds could leave int64 is
+computed on exact Python ints; reals are exact Fractions in object arrays.
+``&``, ``|`` and ``?:`` run their right side or branches only on the rows
+that select them, so a division by zero raises exactly where it would one
+state at a time.  :meth:`Expr.constant` is the same code on one row.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
-from qmv.core import ModelClass
+import numpy as np
+
+from qmv.core import ModelClass, VariableInfo
 from qmv.lang.errors import EvalError, ExprTypeError
 
 Value = Union[int, bool, Fraction]
@@ -38,22 +46,42 @@ class Expr:
         """
         raise NotImplementedError
 
-    def compile(self, cols: Mapping[str, int], consts: Mapping[str, Value]):
-        """Python function of a valuation sequence ``v``.
+    def compile(self, layout: Sequence[VariableInfo],
+                consts: Mapping[str, Value]) -> Callable:
+        """Function of a valuation matrix ``V``, returning one value per row.
 
-        Names in ``cols`` read ``v[cols[name]]``; every other name is
-        inlined from ``consts``.  The expression must type-check.
+        Row ``i`` of the int64 matrix ``V`` is one valuation: column ``j``
+        holds ``layout[j]`` (booleans as 0/1), whose declared bounds the
+        values keep.  Every other name is inlined from ``consts``.  The
+        result is a bool array, an int64 array, or an object array of
+        Python ints (an int that int64 might not hold) or of Fractions (a
+        real).  The expression must type-check.
         """
-        source = "lambda v: " + self._py(cols, consts)
-        return eval(source, dict(_EVAL_GLOBALS))
+        code = self._vec(_Scope(
+            {v.name: (j, v) for j, v in enumerate(layout)}, consts))
+        if code.run is None:
+            value, dtype = code.value, code.dtype
+            return lambda V: np.full(len(V), value, dtype=dtype)
+        return code.run
 
     def constant(self, consts: Mapping[str, Value]) -> Value:
         """Value of an expression that reads constants only."""
-        return eval(self._py({}, consts), dict(_EVAL_GLOBALS))
+        code = self._vec(_Scope({}, consts))
+        # a constant that does not fold raises where it runs
+        return code.value if code.run is None \
+            else code.run(_ONE_ROW).tolist()[0]
 
-    def _py(self, cols: Mapping[str, int],
-            consts: Mapping[str, Value]) -> str:
-        """Python source of the expression, for :meth:`compile`."""
+    def bounds(self, layout: Sequence[VariableInfo],
+               consts: Mapping[str, Value]) -> tuple[int, int] | None:
+        """[lo, hi] holding every value of an int expression on valuations
+        within the layout's bounds (what :meth:`compile` analyses); None
+        for a bool or real expression."""
+        code = self._vec(_Scope(
+            {v.name: (j, v) for j, v in enumerate(layout)}, consts))
+        return (code.lo, code.hi) if code.kind == "int" else None
+
+    def _vec(self, scope: _Scope) -> _Code:
+        """The compiled form of the expression, for :meth:`compile`."""
         raise NotImplementedError
 
     def children(self) -> tuple[Expr, ...]:
@@ -76,8 +104,8 @@ class IntLit(Expr):
     def type(self, types):
         return "int"
 
-    def _py(self, cols, consts):
-        return repr(self.value)
+    def _vec(self, scope):
+        return _constant(self.value)
 
 
 @dataclass(frozen=True)
@@ -93,8 +121,8 @@ class RealLit(Expr):
     def type(self, types):
         return "real"
 
-    def _py(self, cols, consts):
-        return _value_py(self.value)
+    def _vec(self, scope):
+        return _constant(self.value)
 
 
 @dataclass(frozen=True)
@@ -104,8 +132,8 @@ class BoolLit(Expr):
     def type(self, types):
         return "bool"
 
-    def _py(self, cols, consts):
-        return repr(self.value)
+    def _vec(self, scope):
+        return _constant(self.value)
 
 
 @dataclass(frozen=True)
@@ -118,11 +146,14 @@ class Name(Expr):
             raise ExprTypeError(f"undeclared name {self.name!r}", self)
         return t
 
-    def _py(self, cols, consts):
-        if self.name in cols:
-            return f"v[{cols[self.name]}]"
+    def _vec(self, scope):
+        if self.name in scope.columns:
+            j, var = scope.columns[self.name]
+            if var.is_bool:
+                return _Code("bool", lambda V: V[:, j] != 0)
+            return _Code("int", lambda V: V[:, j], lo=var.lo, hi=var.hi)
         try:
-            return _value_py(consts[self.name])
+            return _constant(scope.consts[self.name])
         except KeyError:
             raise EvalError(f"undefined name {self.name!r}") from None
 
@@ -145,9 +176,11 @@ class Unary(Expr):
             raise ExprTypeError("'!' needs a boolean", self)
         return "bool"
 
-    def _py(self, cols, consts):
-        inner = self.operand._py(cols, consts)
-        return f"(not {inner})" if self.op == "!" else f"(-{inner})"
+    def _vec(self, scope):
+        x = self.operand._vec(scope)
+        if self.op == "!":
+            return _node("bool", np.logical_not, (x,))
+        return _arith(np.negative, x.kind, -x.hi, -x.lo, (x,))
 
     def children(self):
         return (self.operand,)
@@ -180,12 +213,25 @@ class Binary(Expr):
             return _numeric((lt, rt))
         return "bool"  # comparisons
 
-    def _py(self, cols, consts):
-        left = self.left._py(cols, consts)
-        right = self.right._py(cols, consts)
-        if self.op == "/":
-            return f"_div({left}, {right})"
-        return f"({left} {_PY_OPS.get(self.op, self.op)} {right})"
+    def _vec(self, scope):
+        a, b = self.left._vec(scope), self.right._vec(scope)
+        op = self.op
+        if op in ("&", "|"):
+            return _logical(op == "&", a, b)
+        if op == "/":
+            return _node("real", _divide, (a, b), raises=True)
+        if op in _COMPARE:
+            return _compare(_COMPARE[op], a, b)
+        if "real" in (a.kind, b.kind):
+            return _arith(_ARITH[op], "real", 0, 0, (a, b))
+        if op == "+":
+            lo, hi = a.lo + b.lo, a.hi + b.hi
+        elif op == "-":
+            lo, hi = a.lo - b.hi, a.hi - b.lo
+        else:
+            corners = [x * y for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
+            lo, hi = min(corners), max(corners)
+        return _arith(_ARITH[op], "int", lo, hi, (a, b))
 
     def children(self):
         return (self.left, self.right)
@@ -209,10 +255,9 @@ class Cond(Expr):
                 "branches of '?:' mix boolean and number", self)
         return "bool" if lt == "bool" else _numeric((lt, rt))
 
-    def _py(self, cols, consts):
-        return (f"({self.then._py(cols, consts)} if "
-                f"{self.cond._py(cols, consts)} else "
-                f"{self.other._py(cols, consts)})")
+    def _vec(self, scope):
+        return _cond(self.cond._vec(scope), self.then._vec(scope),
+                     self.other._vec(scope))
 
     def children(self):
         return (self.cond, self.then, self.other)
@@ -231,9 +276,13 @@ class Call(Expr):
             raise ExprTypeError(f"{self.fn} needs numeric arguments", self)
         return _numeric(arg_types)
 
-    def _py(self, cols, consts):
-        args = ", ".join(a._py(cols, consts) for a in self.args)
-        return f"{self.fn}({args})"
+    def _vec(self, scope):
+        args = tuple(a._vec(scope) for a in self.args)
+        if any(a.kind == "real" for a in args):
+            return _arith(_EXTREME[self.fn], "real", 0, 0, args)
+        pick = min if self.fn == "min" else max
+        return _arith(_EXTREME[self.fn], "int", pick(a.lo for a in args),
+                      pick(a.hi for a in args), args)
 
     def children(self):
         return self.args
@@ -243,27 +292,187 @@ def _numeric(types: Iterable[str]) -> str:
     return "int" if all(t == "int" for t in types) else "real"
 
 
-def _value_py(value: Value) -> str:
-    if isinstance(value, Fraction):
-        return f"Fraction({value.numerator}, {value.denominator})"
-    return repr(value)
+# --------------------------------------------------------------------------
+# the compiled form
+
+#: int64's range: an int subexpression whose bounds leave it is computed
+#: on exact Python ints in an object array.
+_I64_MIN, _I64_MAX = -2**63, 2**63 - 1
+
+_ONE_ROW = np.zeros((1, 0), dtype=np.int64)
 
 
-def _div(a, b):
-    if b == 0:
+@dataclass(frozen=True)
+class _Scope:
+    columns: Mapping[str, tuple[int, VariableInfo]]
+    consts: Mapping[str, Value]
+
+
+@dataclass(frozen=True)
+class _Code:
+    """One compiled subexpression.
+
+    ``kind`` is "bool", "int" or "real"; an int can take only values in
+    [``lo``, ``hi``].  A constant has ``run`` None and its Python value in
+    ``value``; otherwise ``run`` maps a valuation matrix to an array of one
+    value per row.  ``raises`` tells whether running it may raise, that is,
+    whether it divides.
+    """
+
+    kind: str
+    run: Callable | None = None
+    value: object = None
+    lo: int = 0
+    hi: int = 0
+    raises: bool = False
+
+    @property
+    def dtype(self):
+        if self.kind == "bool":
+            return bool
+        if self.kind == "int" and _I64_MIN <= self.lo <= self.hi <= _I64_MAX:
+            return np.int64
+        return object
+
+    def get(self, V):
+        """The values on the rows of ``V``; a constant gives its scalar."""
+        return self.value if self.run is None else self.run(V)
+
+
+def _constant(value: Value) -> _Code:
+    if isinstance(value, bool):
+        return _Code("bool", value=value)
+    if isinstance(value, int):
+        return _Code("int", value=value, lo=value, hi=value)
+    return _Code("real", value=value)
+
+
+def _node(kind: str, op: Callable, args: tuple[_Code, ...], lo: int = 0,
+          hi: int = 0, raises: bool = False) -> _Code:
+    """The code applying the elementwise ``op`` to the values of ``args``.
+    With constant arguments it is folded into a constant, unless folding
+    raises: then it raises wherever it runs."""
+    raises = raises or any(a.raises for a in args)
+    if all(a.run is None for a in args):
+        try:
+            return _Code(kind, None, op(*(
+                np.full(1, a.value, dtype=a.dtype) for a in args)).tolist()[0],
+                lo, hi, raises)
+        except EvalError:
+            pass
+    if len(args) == 1:
+        (a,) = args
+        run = lambda V: op(a.get(V))  # noqa: E731
+    elif len(args) == 2:
+        a, b = args
+        run = lambda V: op(a.get(V), b.get(V))  # noqa: E731
+    else:
+        run = lambda V: op(*(a.get(V) for a in args))  # noqa: E731
+    return _Code(kind, run, None, lo, hi, raises)
+
+
+def _exact(x):
+    """``x`` with int64 values turned into Python ints."""
+    if isinstance(x, np.ndarray) and x.dtype != object:
+        return x.astype(object)
+    return x
+
+
+def _arith(fn: Callable, kind: str, lo: int, hi: int,
+           args: tuple[_Code, ...]) -> _Code:
+    """``fn`` on int64 where the result and every argument fit in it, else
+    on exact Python numbers (narrowed back to int64 when the result
+    fits)."""
+    out = _Code(kind, lo=lo, hi=hi).dtype
+    exact = out is object or any(a.dtype is object for a in args)
+
+    def op(*values):
+        if not exact:
+            return fn(*values)
+        result = fn(*map(_exact, values))
+        return result if out is object else result.astype(np.int64)
+    return _node(kind, op, args, lo, hi)
+
+
+def _compare(fn: Callable, a: _Code, b: _Code) -> _Code:
+    if object not in (a.dtype, b.dtype):
+        return _node("bool", fn, (a, b))
+    return _node("bool", lambda x, y: np.asarray(
+        fn(_exact(x), _exact(y)), dtype=bool), (a, b))
+
+
+_QUOTIENT = np.frompyfunc(lambda x, y: Fraction(x) / Fraction(y), 2, 1)
+
+
+def _divide(x, y):
+    if np.any(y == 0):
         raise EvalError("division by zero")
-    return Fraction(a) / Fraction(b)
+    return _QUOTIENT(_exact(x), _exact(y))
 
 
-_PY_OPS = {"&": "and", "|": "or", "=": "=="}
+def _extreme(better: Callable) -> Callable:
+    """min or max of any number of arguments, keeping the first of equal
+    values as Python's min and max do."""
+    def fn(*values):
+        acc = values[0]
+        for v in values[1:]:
+            acc = np.where(better(v, acc), v, acc)
+        return acc
+    return fn
 
-_EVAL_GLOBALS = {
-    "__builtins__": {},
-    "Fraction": Fraction,
-    "_div": _div,
-    "min": min,
-    "max": max,
-}
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_COMPARE = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_EXTREME = {"min": _extreme(operator.lt), "max": _extreme(operator.gt)}
+
+
+def _subset(code: _Code, V, rows, out) -> None:
+    """Write ``code``'s values on ``rows`` of ``V`` into ``out[rows]``,
+    running it on those rows only."""
+    if rows.size:
+        out[rows] = _exact(code.get(V[rows])) if out.dtype == object \
+            else code.get(V[rows])
+
+
+def _logical(is_and: bool, a: _Code, b: _Code) -> _Code:
+    """``a & b`` or ``a | b``: ``b`` runs only on the rows ``a`` leaves
+    undecided."""
+    if a.run is None:
+        return b if bool(a.value) == is_and else a
+    if not b.raises:
+        return _node("bool", np.logical_and if is_and else np.logical_or,
+                     (a, b), raises=a.raises)
+
+    def run(V):
+        out = np.array(a.run(V), dtype=bool)
+        _subset(b, V, np.flatnonzero(out if is_and else ~out), out)
+        return out
+    return _Code("bool", run, raises=True)
+
+
+def _cond(c: _Code, t: _Code, o: _Code) -> _Code:
+    """``c ? t : o``: each branch runs only on the rows that select it."""
+    if c.run is None:
+        return t if c.value else o
+    if t.kind == "bool":
+        kind = "bool"
+    else:
+        kind = "real" if "real" in (t.kind, o.kind) else "int"
+    code = _Code(kind, lo=min(t.lo, o.lo), hi=max(t.hi, o.hi))
+    dtype = code.dtype
+    wide = (lambda x: _exact(x)) if dtype is object else (lambda x: x)
+    if not (t.raises or o.raises):
+        return _node(kind, lambda cv, tv, ov: np.where(cv, wide(tv), wide(ov)),
+                     (c, t, o), code.lo, code.hi)
+
+    def run(V):
+        cv = c.run(V)
+        out = np.empty(len(V), dtype=dtype)
+        _subset(t, V, np.flatnonzero(cv), out)
+        _subset(o, V, np.flatnonzero(~cv), out)
+        return out
+    return replace(code, run=run, raises=True)
 
 
 #: Operator precedence, tighter binds higher; every binary operator is

@@ -1,44 +1,50 @@
 """Explicit-state exploration of symbolic models.
 
 Guards, weights, rates and assignments are compiled once with
-:meth:`qmv.lang.ast.Expr.compile` into Python functions of the valuation
-tuple (constants inlined), then the reachable state space is built
-breadth-first from the initial valuation and written state by state into
-the arrays of a :class:`qmv.core.SpaceBuilder`.
+:meth:`qmv.lang.ast.Expr.compile` into functions of a valuation matrix
+(constants inlined), and the reachable state space is built breadth-first
+from the initial valuation, one BFS level at a time: the frontier is an
+int64 matrix with one row per state, every command runs once over all the
+frontier rows that enable it, and the level's states reach the arrays of a
+:class:`qmv.core.SpaceBuilder` in one batch.
 
 A state pays only for the commands it can enable.  Each process indexes
 its commands by one key variable, the ``x`` that leads the most guards as
 ``x = c`` (or ``c = x``) with ``c`` reading constants only, folded once.
-A command whose leftmost ``&`` conjunct is that test is tried only in
-states where ``x`` equals ``c``; every other command is tried in every
-state, and the candidates keep command order.  Guards compile to Python
-``and``, which stops at a false first conjunct without evaluating the
-rest, so skipping the command changes nothing, errors included.  An
-equality further right is never indexed: a conjunct before it may raise.
+A command whose leftmost ``&`` conjunct is that test runs only on the rows
+where ``x`` equals ``c``; every other command runs on every row, and the
+candidates keep command order.  ``&`` runs its right side only on the rows
+its left side leaves true, so skipping the command changes nothing, errors
+included.  An equality further right is never indexed: a conjunct before
+it may raise.
 
 Immediate commands become choice rows; commands sharing an action label
 across several processes synchronize CSP-style (all participants move
-together, assignments merge, branch weights multiply).  Choices reach the
-builder with raw weights, and only the builder normalises them: the sum of
-the products is the product of the sums, so each command's branches are
-still normalised on their own.
-Markovian commands pool into a single exponential race per state (branch
-``i`` of a command with rate ``r`` races at ``r * w_i / sum(w)``) and are
-dropped entirely in states that also have immediate choices (maximal
-progress).  Labels are resolved on the finished space by
-:func:`qmv.core.target_mask`, like every other property target.
+together, assignments merge, branch weights multiply), over the product of
+the participants' enabled commands.  Choices reach the builder with raw
+weights, and only the builder normalises them: the sum of the products is
+the product of the sums, so each command's branches are still normalised
+on their own.  Markovian commands pool into a single exponential race per
+state (branch ``i`` of a command with rate ``r`` races at
+``r * w_i / sum(w)``) and are dropped entirely in states that also have
+immediate choices (maximal progress).  Labels are resolved on the finished
+space by :func:`qmv.core.target_mask`, like every other property target.
 
-Everything is deterministic: states are indexed in BFS discovery order and
-choices are sorted by (component index, command index, partner indices), so
-two explorations of the same model are identical — scheduler sampling
-depends on this.
+Everything is deterministic and as if the states were expanded one at a
+time: states are numbered in order of first discovery under (parent,
+choice, branch), choices are sorted by (component index, command index,
+partner indices), and an error names the first state, in that order, that
+one-at-a-time expansion would have failed on, with the same message.  A
+level that fails is searched by bisection for that state, which is then
+expanded alone.  Scheduler sampling depends on this.
 """
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -51,6 +57,7 @@ from qmv.core import (
     target_mask,
 )
 from qmv.lang import ast
+from qmv.lang.ast import _exact
 from qmv.lang.errors import EvalError, ExplorationError, ExplorationLimit
 
 DEFAULT_STATE_CAP = 10_000_000
@@ -58,14 +65,75 @@ DEFAULT_STATE_CAP = 10_000_000
 
 @dataclass
 class _Cmd:
-    """Compiled command: callables over the valuation tuple."""
+    """Compiled command.  ``guard`` is a function of a valuation matrix;
+    the rate, weights and assignment values are constants or such
+    functions."""
 
     index: int
     action: str | None
-    guard: object
+    guard: Callable
     rate: object | None
-    branches: list  # [(weight_fn, [(column, rhs_fn), ...])]
+    branches: list  # [(weight, [(column, value), ...])]
     line: int
+    #: every assigned value provably lies in its variable's range
+    in_range: bool
+
+    def __post_init__(self):
+        # the branch weights and race entries when they are positive
+        # constants, computed once
+        weights = [w for w, _ in self.branches]
+        self.weights = weights if not any(
+            callable(w) or w <= 0 for w in weights) else None
+        rate = self.rate
+        self.races = [Fraction(rate) * w / sum(weights) for w in weights] \
+            if self.weights is not None and rate is not None \
+            and not callable(rate) and rate > 0 else None
+
+
+@dataclass
+class _Group:
+    """Choices (or race entries) of one command or command combination on
+    the frontier ``rows`` it enables: branch ``b`` goes to ``succ[b][i]``
+    from row ``rows[i]`` with raw weight (or exact rate) ``weights[b]``."""
+
+    rows: np.ndarray
+    succ: list[np.ndarray]
+    weights: list
+    origin: tuple = ()
+    action: str | None = None
+    owner: object = 0
+    race: bool = False
+    in_range: bool = True
+
+
+#: the origin of the self-loop that pads a deadlock, a state's only choice
+_DEADLOCK = (-1,)
+
+_NONE = np.zeros(0, dtype=np.int64)
+
+#: Fraction(rate) elementwise
+_FRACTION = np.frompyfunc(Fraction, 1, 1)
+
+
+#: each comparison with its sides swapped
+_FLIPPED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _conjuncts(guard: ast.Expr):
+    if isinstance(guard, ast.Binary) and guard.op == "&":
+        yield from _conjuncts(guard.left)
+        yield from _conjuncts(guard.right)
+    else:
+        yield guard
+
+
+def _after_leftmost(guard: ast.Expr) -> ast.Expr:
+    """``guard`` without the leftmost conjunct of its ``&`` chain."""
+    if not (isinstance(guard, ast.Binary) and guard.op == "&"):
+        return ast.BoolLit(True)
+    if not (isinstance(guard.left, ast.Binary) and guard.left.op == "&"):
+        return guard.right
+    return ast.Binary("&", _after_leftmost(guard.left), guard.right)
 
 
 # --------------------------------------------------------------------------
@@ -86,34 +154,14 @@ class _Explorer:
             decls += [(v, pi) for v in p.variables]
         self.cols = {v.name: i for i, (v, _) in enumerate(decls)}
 
-        # compiled commands, the names each process reads and the action
-        # synchronization table
-        self.cmds: list[list[_Cmd]] = []
-        reads: list[set[str]] = []
-        self.participants: dict[str, list[int]] = {}
-        for pi, p in enumerate(model.processes):
-            names: set[str] = set()
-            lst = []
-            for ci, cmd in enumerate(p.commands):
-                branches = [
-                    (self._c(br.weight, names),
-                     [(self.cols[a.var], self._c(a.expr, names))
-                      for a in br.assignments])
-                    for br in cmd.branches
-                ]
-                lst.append(_Cmd(
-                    ci, cmd.action, self._c(cmd.guard, names),
-                    self._c(cmd.rate, names) if cmd.rate is not None
-                    else None,
-                    branches, cmd.pos[0]))
-                if cmd.action is not None:
-                    ps = self.participants.setdefault(cmd.action, [])
-                    if pi not in ps:
-                        ps.append(pi)
-            self.cmds.append(lst)
-            reads.append(names)
-        self.guard_index = [self._guard_index(p, lst)
-                            for p, lst in zip(model.processes, self.cmds)]
+        # the names each process reads
+        reads = [
+            {n for cmd in p.commands
+             for e in (cmd.guard, cmd.rate, *(
+                 x for br in cmd.branches
+                 for x in (br.weight, *(a.expr for a in br.assignments))))
+             if e is not None for n in e.names()}
+            for p in model.processes]
 
         # a variable is observed by the processes that declare it in their
         # observes list; without one, by its owner and, for a global, by
@@ -133,8 +181,97 @@ class _Explorer:
         self.initial_vals = tuple(
             int(v.init.constant(self.consts)) for v, _ in decls)
 
-        self.index: dict[tuple, int] = {}
-        self.order: list[tuple] = []
+        # compiled commands and the action synchronization table
+        self.cmds: list[list[_Cmd]] = []
+        self.participants: dict[str, list[int]] = {}
+        for pi, p in enumerate(model.processes):
+            lst = []
+            for ci, cmd in enumerate(p.commands):
+                layout = self._narrowed(cmd.guard)
+                assigned = [[(self.cols[a.var], a.expr) for a in br.assignments]
+                            for br in cmd.branches]
+                lst.append(_Cmd(
+                    ci, cmd.action, None,  # compiled with the guard index
+                    None if cmd.rate is None else self._c(cmd.rate, layout),
+                    [(self._c(br.weight, layout),
+                      [(col, self._c(e, layout)) for col, e in part])
+                     for br, part in zip(cmd.branches, assigned)],
+                    cmd.pos[0],
+                    all(self._within(e, col, layout)
+                        for part in assigned for col, e in part)))
+                if cmd.action is not None:
+                    ps = self.participants.setdefault(cmd.action, [])
+                    if pi not in ps:
+                        ps.append(pi)
+            self.cmds.append(lst)
+        self.guard_index = [self._guard_index(p, lst)
+                            for p, lst in zip(model.processes, self.cmds)]
+        self.markovian = any(c.rate is not None for lst in self.cmds for c in lst)
+
+        # exact state keys: mixed-radix int64 keys when the declared ranges
+        # fit, else the valuation row's bytes
+        self.lo = np.array([v.lo for v in self.layout], dtype=np.int64)
+        self.hi = np.array([v.hi for v in self.layout], dtype=np.int64)
+        sizes = [v.hi - v.lo + 1 for v in self.layout]
+        stride = [1] * len(sizes)
+        for j in range(len(sizes) - 2, -1, -1):
+            stride[j] = stride[j + 1] * sizes[j + 1]
+        self.radix = None
+        if not sizes or stride[0] * sizes[0] <= 2**63:
+            # row @ stride differs from the mixed-radix key by a constant,
+            # modulo 2^64, so it is exact too
+            self.radix = np.array(stride, dtype=np.int64)
+        self.index: dict[object, int] = {}
+
+    def _c(self, e: ast.Expr, layout: tuple[VariableInfo, ...]):
+        """``e``'s value when it reads constants only and evaluates, else
+        its compiled form over ``layout``."""
+        if not any(n in self.cols for n in e.names()):
+            try:
+                return e.constant(self.consts)
+            except EvalError:
+                pass  # left to raise where it runs
+        return e.compile(layout, self.consts)
+
+    def _narrowed(self, guard: ast.Expr) -> tuple[VariableInfo, ...]:
+        """The layout with the bounds of each int variable narrowed by the
+        top-level conjuncts of ``guard`` that compare it with an int
+        constant: a command's weights, rates and assignments run only
+        where its guard holds."""
+        lo = [v.lo for v in self.layout]
+        hi = [v.hi for v in self.layout]
+        for test in _conjuncts(guard):
+            if not (isinstance(test, ast.Binary) and test.op in _FLIPPED):
+                continue
+            for var, c, op in ((test.left, test.right, test.op),
+                               (test.right, test.left, _FLIPPED[test.op])):
+                if not (isinstance(var, ast.Name) and var.name in self.cols) \
+                        or any(n in self.cols for n in c.names()):
+                    continue
+                try:
+                    k = c.constant(self.consts)
+                except EvalError:
+                    continue
+                j = self.cols[var.name]
+                if isinstance(k, bool) or not isinstance(k, int) \
+                        or self.layout[j].is_bool:
+                    continue
+                if op in ("=", ">=", ">"):
+                    lo[j] = max(lo[j], k + (op == ">"))
+                if op in ("=", "<=", "<"):
+                    hi[j] = min(hi[j], k - (op == "<"))
+        if any(a > b for a, b in zip(lo, hi)):
+            return self.layout  # the guard never holds
+        return tuple(replace(v, lo=a, hi=b)
+                     for v, a, b in zip(self.layout, lo, hi))
+
+    def _within(self, e: ast.Expr, col: int,
+                layout: tuple[VariableInfo, ...]) -> bool:
+        var = self.layout[col]
+        if var.is_bool:
+            return True
+        lo, hi = e.bounds(layout, self.consts)
+        return var.lo <= lo and hi <= var.hi
 
     def _key_test(self, guard: ast.Expr):
         """(column, value) of the leftmost conjunct of ``guard`` when that
@@ -154,177 +291,373 @@ class _Explorer:
         return None
 
     def _guard_index(self, process: ast.ProcessDef, cmds: list[_Cmd]):
-        """(key column, {key value: candidates in command order},
-        unindexed commands) of one process, as the module docstring
-        describes; the key column is None when no guard leads with a test
-        of a variable against constants."""
+        """(key column, {key value: the commands keyed on it}, unindexed
+        commands) of one process, as the module docstring describes; the
+        key column is None when no guard leads with a test of a variable
+        against constants."""
         tests = [self._key_test(cmd.guard) for cmd in process.commands]
         counts = Counter(t[0] for t in tests if t is not None)
-        if not counts:
-            return None, {}, cmds
-        col = max(counts, key=counts.__getitem__)  # a tie goes to the first
-        buckets: dict[object, list[_Cmd]] = {}
+        col = max(counts, key=counts.__getitem__) if counts else None
+        buckets: dict[object, list[_Cmd]] = {}  # a tie goes to the first
         rest = []
-        for cmd, test in zip(cmds, tests):
+        for cmd, test, source in zip(cmds, tests, process.commands):
+            guard = source.guard
             if test is not None and test[0] == col:
                 buckets.setdefault(test[1], []).append(cmd)
+                # the key test holds on every row the command runs on
+                guard = _after_leftmost(guard)
             else:
                 rest.append(cmd)
-        return col, {
-            value: sorted(bucket + rest, key=lambda c: c.index)
-            for value, bucket in buckets.items()}, rest
+            cmd.guard = guard.compile(self.layout, self.consts)
+        return col, buckets, rest
 
-    def _c(self, e: ast.Expr, reads: set[str]):
-        """Compile ``e``, adding the names it reads to ``reads``."""
-        reads.update(e.names())
-        return e.compile(self.cols, self.consts)
+    def _keys(self, rows: np.ndarray) -> np.ndarray:
+        if self.radix is not None:
+            return rows @ self.radix
+        rows = np.ascontiguousarray(rows)
+        return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))) \
+            .reshape(len(rows))
 
-    def _intern(self, vals: tuple) -> int:
-        idx = self.index.get(vals)
-        if idx is None:
-            idx = len(self.order)
-            if idx >= self.state_cap:
-                raise ExplorationLimit(self.state_cap)
-            self.index[vals] = idx
-            self.order.append(vals)
-        return idx
+    def _where(self, row) -> dict:
+        return state_dict(self.layout, row)
 
-    def _apply(self, vals: tuple, assignments, line: int,
-               action: str | None) -> tuple:
-        """Apply merged assignments; all right sides read ``vals``."""
-        new = list(vals)
-        written: set[int] = set()
-        for col, fn in assignments:
+    # -- one level -------------------------------------------------------
+
+    def _enabled(self, F: np.ndarray, pi: int) -> list[tuple[_Cmd, np.ndarray]]:
+        """The commands of process ``pi`` that some row of ``F`` enables,
+        in command order, each with the rows that enable it."""
+        col, buckets, rest = self.guard_index[pi]
+        cands = [(c, None) for c in rest]  # None: every row
+        if col is not None:
+            key = F[:, col]
+            present = set(key.tolist())
+            for value in present:
+                bucket = buckets.get(value, ())
+                rows = None if len(present) == 1 or not bucket \
+                    else (key == value).nonzero()[0]
+                cands += [(c, rows) for c in bucket]
+            cands.sort(key=lambda t: t[0].index)
+        enabled = []
+        for cmd, rows in cands:
+            mask = cmd.guard(F if rows is None else F[rows])
+            rows = mask.nonzero()[0] if rows is None else rows[mask]
+            if rows.size:
+                enabled.append((cmd, rows))
+        return enabled
+
+    def _weights(self, cmd: _Cmd, sub: np.ndarray) -> list:
+        """A command's raw branch weights on the rows ``sub``."""
+        if cmd.weights is not None:
+            return cmd.weights
+        out = []
+        for weight, _ in cmd.branches:
+            w = weight(sub) if callable(weight) else weight
+            self._positive(w, sub, cmd.line, "branch weight")
+            out.append(w)
+        return out
+
+    def _positive(self, values, sub: np.ndarray, line: int, what: str):
+        """Raise unless every value (one per row of ``sub``, or one
+        constant for all) is positive."""
+        if isinstance(values, np.ndarray):
+            bad = (values <= 0).nonzero()[0]
+            i = bad[0] if bad.size else None
+        else:
+            i = 0 if values <= 0 else None
+        if i is not None:
+            value = values[i] if isinstance(values, np.ndarray) else values
+            raise ExplorationError(
+                f"line {line}: {what} {value} is not positive in state "
+                f"{self._where(sub[i])}")
+
+    def _race(self, cmd: _Cmd, sub: np.ndarray) -> list:
+        """A rate command's exact race entries on the rows ``sub``: branch
+        ``i`` races at ``rate * w_i / sum(w)``."""
+        rate = cmd.rate(sub) if callable(cmd.rate) else cmd.rate
+        self._positive(rate, sub, cmd.line, "rate")
+        weights = [_exact(w) for w in self._weights(cmd, sub)]
+        rate = _FRACTION(_exact(rate))
+        total = sum(weights)
+        return [rate * w / total for w in weights]
+
+    def _apply(self, sub: np.ndarray, assignments, line: int,
+               action: str | None, strict: bool) -> np.ndarray:
+        """Apply merged assignments to the rows ``sub``; all right sides
+        read ``sub``.  With ``strict``, a row fails on the first assignment,
+        in order, that conflicts with an earlier one, does not evaluate or
+        leaves its variable's range; without, ranges are left to the
+        caller, except for values int64 cannot hold."""
+        new = sub.copy()
+        done: list[int] = []
+        try:
+            for col, value in assignments:
+                if col in done:
+                    if strict:
+                        self._check(sub, new, done, line)
+                    raise ExplorationError(
+                        f"line {line}: conflicting synchronized writes to "
+                        f"{self.layout[col].name!r} on action {action!r} in "
+                        f"state {self._where(sub[0])}")
+                v = value(sub) if callable(value) else value
+                var = self.layout[col]
+                if isinstance(v, np.ndarray):
+                    if v.dtype == object \
+                            and ((v < var.lo) | (v > var.hi)).any():
+                        self._check(sub, new, done, line, col, v)
+                elif not var.lo <= v <= var.hi:
+                    self._check(sub, new, done, line, col, v)
+                new[:, col] = v
+                done.append(col)
+        except EvalError:
+            if strict:
+                self._check(sub, new, done, line)
+            raise
+        if strict:
+            self._check(sub, new, done, line)
+        return new
+
+    def _check(self, sub, new, done, line, col=None, value=None):
+        """Raise for the first row of ``new`` with a variable out of its
+        range: the first of the columns ``done`` that is, else ``col`` if
+        ``value`` is."""
+        bad = (new < self.lo) | (new > self.hi)
+        if col is not None:
             var = self.layout[col]
-            if col in written:
-                raise ExplorationError(
-                    f"line {line}: conflicting synchronized writes to "
-                    f"{var.name!r} on action {action!r} in state "
-                    f"{state_dict(self.layout, vals)}")
-            written.add(col)
-            value = fn(vals)
-            if isinstance(value, bool):
-                value = int(value)
-            if not var.lo <= value <= var.hi:
-                raise ExplorationError(
-                    f"line {line}: assignment {var.name} := {value} "
-                    f"outside [{var.lo}..{var.hi}] in state "
-                    f"{state_dict(self.layout, vals)}")
-            new[col] = value
-        return tuple(new)
+            bad[:, col] = (value < var.lo) | (value > var.hi)
+            new = new.astype(object)
+            new[:, col] = value
+            done = done + [col]
+        if not bad.any():
+            return
+        i = int(bad.any(axis=1).argmax())
+        j = next(j for j in done if bad[i, j])
+        var = self.layout[j]
+        raise ExplorationError(
+            f"line {line}: assignment {var.name} := {new[i, j]} "
+            f"outside [{var.lo}..{var.hi}] in state {self._where(sub[i])}")
 
-    def _weighted(self, cmd: _Cmd, vals: tuple):
-        """A command's raw branch weights: [(weight, assignments)]."""
-        weighted = []
-        for weight_fn, assignments in cmd.branches:
-            w = weight_fn(vals)
-            if w <= 0:
-                raise ExplorationError(
-                    f"line {cmd.line}: branch weight {w} is not positive in "
-                    f"state {state_dict(self.layout, vals)}")
-            weighted.append((w, assignments))
-        return weighted
+    def _synchronise(self, F: np.ndarray, action: str, enabled,
+                     choices: list[_Group], strict: bool) -> None:
+        """The choices of ``action``: one group per combination of
+        enabled participant commands that some row enables together."""
+        ps = self.participants[action]
+        per_proc = [[(c, rows) for c, rows in enabled[pi] if c.action == action]
+                    for pi in ps]
+        if not all(per_proc):
+            return  # some participant blocks the synchronization everywhere
+        masks = {}
+        owner = np.full(len(F), ps[0])
+        for pi, lst in reversed(list(zip(ps, per_proc))):
+            count = np.zeros(len(F), dtype=np.int64)
+            for c, rows in lst:
+                masks[pi, c.index] = np.zeros(len(F), dtype=bool)
+                masks[pi, c.index][rows] = True
+                count[rows] += 1
+            owner[count > 1] = pi  # the first participant that decides
+        for combo in itertools.product(*per_proc):
+            mask = np.logical_and.reduce(
+                [masks[pi, c.index] for pi, (c, _) in zip(ps, combo)])
+            rows = mask.nonzero()[0]
+            if not rows.size:
+                continue
+            sub = F[rows]
+            cmds = [c for c, _ in combo]
+            parts = [self._weights(c, sub) for c in cmds]
+            weights, succ = [], []
+            for pick in itertools.product(*(range(len(p)) for p in parts)):
+                weight = 1
+                merged = []
+                for c, part, b in zip(cmds, parts, pick):
+                    weight = weight * _exact(part[b])
+                    merged += c.branches[b][1]
+                weights.append(weight)
+                succ.append(self._apply(sub, merged, cmds[0].line, action,
+                                        strict))
+            choices.append(_Group(
+                rows, succ, weights,
+                tuple(x for pi, c in zip(ps, cmds) for x in (pi, c.index)),
+                action, owner[rows],
+                in_range=all(c.in_range for c in cmds)))
 
-    def _expand(self, vals: tuple):
-        """Choice candidates (origin-sorted) and markovian entries."""
-        enabled: list[list[_Cmd]] = [
-            [c for c in (rest if col is None else table.get(vals[col], rest))
-             if c.guard(vals)]
-            for col, table, rest in self.guard_index]
+    def _expand(self, F: np.ndarray, strict: bool = False):
+        """The choice groups, sorted by origin, and the race groups of the
+        frontier rows ``F``, then every successor row with the frontier row
+        it leaves, in group and branch order.
 
-        cands = []  # (origin, action, owner, [(weight, succ vals)])
-        sync_here: set[str] = set()
+        Raises :class:`EvalError` or :class:`ExplorationError` when some
+        row fails.  With ``strict`` and a single row, that is the error a
+        one-state-at-a-time expansion raises first; without, values out of
+        range are found for the whole level at once, at the end.
+        """
+        enabled = [self._enabled(F, pi) for pi in range(len(self.cmds))]
+        choices: list[_Group] = []
+        synced: set[str] = set()
         for pi, lst in enumerate(enabled):
-            for cmd in lst:
+            for cmd, rows in lst:
                 if cmd.rate is not None:
                     continue
                 if (cmd.action is not None
                         and len(self.participants[cmd.action]) > 1):
-                    sync_here.add(cmd.action)
+                    synced.add(cmd.action)
                     continue
-                branches = [
-                    (w, self._apply(vals, a, cmd.line, cmd.action))
-                    for w, a in self._weighted(cmd, vals)]
-                cands.append(((pi, cmd.index), cmd.action, pi, branches))
+                sub = F if len(rows) == len(F) else F[rows]
+                weights = self._weights(cmd, sub)
+                choices.append(_Group(
+                    rows, [self._apply(sub, a, cmd.line, cmd.action, strict)
+                           for _, a in cmd.branches],
+                    weights, (pi, cmd.index), cmd.action, pi,
+                    in_range=cmd.in_range))
+        for action in sorted(synced):
+            self._synchronise(F, action, enabled, choices, strict)
+        choices.sort(key=lambda g: g.origin)
 
-        for action in sorted(sync_here):
-            ps = self.participants[action]
-            per_proc = [
-                [c for c in enabled[pi] if c.action == action] for pi in ps]
-            if not all(per_proc):
-                continue  # some participant blocks the synchronization
-            deciders = [pi for pi, lst in zip(ps, per_proc) if len(lst) > 1]
-            owner = deciders[0] if deciders else ps[0]
-            for combo in itertools.product(*per_proc):
-                origin = tuple(
-                    x for pi, c in zip(ps, combo) for x in (pi, c.index))
-                parts = [self._weighted(c, vals) for c in combo]
-                line = combo[0].line
-                branches = []
-                for pick in itertools.product(*parts):
-                    weight = 1
-                    merged = []
-                    for w, assignments in pick:
-                        weight *= w
-                        merged += assignments
-                    branches.append(
-                        (weight, self._apply(vals, merged, line, action)))
-                cands.append((origin, action, owner, branches))
-        cands.sort(key=lambda c: c[0])
-
-        markov = []  # (Fraction rate, succ vals)
-        if not cands:
+        races: list[_Group] = []
+        if self.markovian:
+            free = np.ones(len(F), dtype=bool)
+            for g in choices:
+                free[g.rows] = False
             for pi, lst in enumerate(enabled):
-                for cmd in lst:
+                for cmd, rows in lst:
                     if cmd.rate is None:
                         continue
-                    rate = cmd.rate(vals)
-                    if rate <= 0:
-                        raise ExplorationError(
-                            f"line {cmd.line}: rate {rate} is not positive "
-                            f"in state {state_dict(self.layout, vals)}")
-                    weighted = self._weighted(cmd, vals)
-                    total = sum(w for w, _ in weighted)
-                    for w, assignments in weighted:
-                        markov.append(
-                            (Fraction(rate) * w / total,
-                             self._apply(vals, assignments, cmd.line, None)))
-        return cands, markov
+                    rows = rows[free[rows]]
+                    if not rows.size:
+                        continue
+                    sub = F if len(rows) == len(F) else F[rows]
+                    values = cmd.races or self._race(cmd, sub)
+                    races.append(_Group(
+                        rows, [self._apply(sub, a, cmd.line, None, strict)
+                               for _, a in cmd.branches],
+                        values, (pi, cmd.index), race=True,
+                        in_range=cmd.in_range))
+
+        groups = choices + races
+        if not groups:
+            return choices, races, _NONE, F[:0]
+        if not strict:
+            unsure = [s for g in groups if not g.in_range for s in g.succ]
+            if unsure and ((np.concatenate(unsure) < self.lo)
+                           | (np.concatenate(unsure) > self.hi)).any():
+                raise ExplorationError("a variable leaves its range")
+        rows = np.concatenate([g.rows for g in groups for _ in g.succ])
+        succ = np.concatenate([s for g in groups for s in g.succ])
+        return choices, races, rows, succ
+
+    def _raise_first_error(self, F: np.ndarray):
+        """Raise the error that expanding the rows of ``F`` one at a time
+        would raise first: bisect for the first row that fails, admit the
+        rows before it (which may hit the state cap first), then expand
+        that row alone."""
+        lo, hi = 0, len(F) - 1  # F[:hi + 1] fails
+        while lo < hi:
+            mid = (lo + hi) // 2
+            try:
+                self._expand(F[:mid + 1])
+            except (EvalError, ExplorationError):
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo:
+            self._admit(F[:lo], self._expand(F[:lo]))
+        try:
+            self._expand(F[lo:lo + 1], strict=True)
+        except EvalError as exc:
+            raise ExplorationError(
+                f"{exc} in state {self._where(F[lo])}") from None
+        raise AssertionError("a failing row expanded alone")
+
+    def _admit(self, F: np.ndarray, level) -> np.ndarray:
+        """Number the successors of the frontier rows ``F`` (states
+        ``self.expanded`` on), log the level's choices and races and return
+        the next frontier."""
+        choices, races, rows, succ = level
+        stuck = dtmc = None
+        if self.model.model_class is not ModelClass.MA and not (
+                len(choices) == 1 and len(choices[0].rows) == len(F)):
+            n_choices = np.bincount(
+                np.concatenate([g.rows for g in choices] + [_NONE]),
+                minlength=len(F))
+            stuck = (n_choices == 0).nonzero()[0]
+            if self.model.model_class is ModelClass.DTMC \
+                    and len(choices) > 1:
+                many = (n_choices > 1).nonzero()[0]
+                dtmc = int(many[0]) if many.size else None
+
+        # number the successors in (row, group, branch) order
+        nxt = F[:0]
+        if len(succ):
+            order = rows.argsort(kind="stable")
+            index = self.index
+            get = index.get
+            n = len(index)
+            ids, fresh = [], []
+            for p, k in enumerate(self._keys(succ)[order].tolist()):
+                i = get(k)
+                if i is None:
+                    i = index[k] = len(index)
+                    fresh.append(p)
+                ids.append(i)
+            if len(index) > self.state_cap:
+                over = int(rows[order[fresh[self.state_cap - n]]])
+                if dtmc is not None and dtmc < over:
+                    self._dtmc_error(F, dtmc, n_choices)
+                raise ExplorationLimit(self.state_cap)
+            nxt = succ[order[fresh]]
+            targets = np.empty(len(ids), dtype=np.int64)
+            targets[order] = ids
+        if dtmc is not None:
+            self._dtmc_error(F, dtmc, n_choices)
+
+        lo = 0
+        for g in choices + races:
+            hi = lo + len(g.rows) * len(g.succ)
+            log = self.race_log if g.race else self.choice_log
+            self.actions[g.origin] = g.action
+            log.setdefault(g.origin, []).append((
+                self.expanded + g.rows, g.owner, g.weights,
+                targets[lo:hi].reshape(len(g.succ), len(g.rows)).T))
+            lo = hi
+        if stuck is not None and stuck.size:  # deadlock: stay put forever
+            stuck += self.expanded
+            self.choice_log.setdefault(_DEADLOCK, []).append(
+                (stuck, 0, [1], stuck[:, None]))
+        self.expanded += len(F)
+        return nxt
+
+    def _dtmc_error(self, F, row: int, n_choices):
+        raise ExplorationError(
+            f"dtmc state {self._where(F[row])} enables "
+            f"{n_choices[row]} choices; a dtmc must be deterministic")
 
     def run(self) -> ExplicitStateSpace:
         model = self.model
-        self._intern(self.initial_vals)
-        builder = SpaceBuilder()
-        # the loop also walks the states that _intern appends: a BFS queue
-        for state, vals in enumerate(self.order):
+        frontier = np.array([self.initial_vals], dtype=np.int64).reshape(
+            1, len(self.layout))
+        self.index[self._keys(frontier).tolist()[0]] = 0
+        self.expanded = 0
+        # per origin, the groups of every level
+        self.choice_log: dict[tuple, list] = {}
+        self.race_log: dict[tuple, list] = {}
+        self.actions: dict[tuple, str | None] = {_DEADLOCK: None}
+        levels = []
+        while len(frontier):
+            levels.append(frontier)
             try:
-                cands, markov = self._expand(vals)
-            except EvalError as exc:
-                where = state_dict(self.layout, vals)
-                raise ExplorationError(f"{exc} in state {where}") from None
-            choices = [
-                (action, owner, [(p, self._intern(sv)) for p, sv in branches])
-                for _, action, owner, branches in cands]
-            if model.model_class is ModelClass.DTMC and len(choices) > 1:
-                raise ExplorationError(
-                    f"dtmc state {state_dict(self.layout, vals)} enables "
-                    f"{len(choices)} choices; a dtmc must be "
-                    "deterministic")
-            if not choices and not markov \
-                    and model.model_class is not ModelClass.MA:
-                # deadlock: stay put forever
-                choices = [(None, 0, [(1, state)])]
-            builder.add_state(
-                choices, [(r, self._intern(sv)) for r, sv in markov])
-
-        n = len(self.order)
-        valuations = np.array(self.order, dtype=np.int64).reshape(
-            n, len(self.layout))
-        # label resolution copies the valuations into Python rows; drop the
-        # BFS bookkeeping first so the copy does not raise peak memory
+                level = self._expand(frontier)
+            except (EvalError, ExplorationError):
+                self._raise_first_error(frontier)
+            frontier = self._admit(frontier, level)
+        valuations = np.concatenate(levels)
         self.index.clear()
-        self.order.clear()
 
+        builder = SpaceBuilder()
+        builder.add_states(
+            len(valuations),
+            [(rows, self.actions[origin], owner, weights, targets)
+             for origin, (rows, owner, weights, targets)
+             in _joined(self.choice_log)],
+            [(rows, weights, targets)
+             for _, (rows, _, weights, targets) in _joined(self.race_log)])
         space = builder.build(
             model.model_class, self.layout, valuations,
             components=tuple(p.name for p in model.processes),
@@ -333,6 +666,24 @@ class _Explorer:
             (decl.name, target_mask(space, decl.expr, self.consts))
             for decl in model.labels)
         return space
+
+
+def _joined(log: dict[tuple, list]):
+    """(origin, (rows, owner, weights, targets)) per origin in origin order,
+    each the concatenation of the origin's groups over all levels."""
+    for origin in sorted(log):
+        parts = log[origin]
+        rows = np.concatenate([p[0] for p in parts])
+        owners = [p[1] for p in parts]
+        owner = owners[0] if all(isinstance(o, int) for o in owners) \
+            else np.concatenate([np.broadcast_to(o, len(p[0]))
+                                 for o, p in zip(owners, parts)])
+        weights = [
+            np.concatenate([p[2][b] for p in parts])
+            if isinstance(w, np.ndarray) else w
+            for b, w in enumerate(parts[0][2])]
+        yield origin, (rows, owner, weights,
+                       np.concatenate([p[3] for p in parts]))
 
 
 def explore(

@@ -37,7 +37,6 @@ from qmv.core import (
     ExplicitStateSpace,
     Property,
     PropertyKind,
-    scheduler_owner,
     target_mask,
 )
 from qmv.lang.explore import check_good_for_distribution
@@ -101,6 +100,43 @@ def lss_decide(scheduler_id: int, state_bytes: bytes, k: int) -> int:
         raise ValueError("k must be at least 1")
     j = fnv1a64(scheduler_id.to_bytes(4, "little") + state_bytes)
     return fmix64(j) % k
+
+
+_PRIME = np.uint64(FNV_PRIME)
+#: FNV's step over seven zero bytes after the byte ``b``:
+#: ``((h ^ b) * p) * p**7``
+_PRIME8 = np.uint64(pow(FNV_PRIME, 8, 1 << 64))
+
+
+def lss_choices(ids: np.ndarray, rows: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """:func:`lss_decide` of many (id, state) pairs at once: pair ``i``
+    chooses among ``k[i]`` alternatives by scheduler id ``ids[i]`` and the
+    encoded state whose variables are ``rows[i]`` (a matrix of int64
+    values, one row per pair, encoded as :func:`encode_state` does).
+
+    FNV-1a-64 runs over the byte columns in uint64 numpy, whose
+    multiplication wraps modulo 2**64 as FNV needs; a variable whose values
+    all lie in [0, 256) takes one step for its eight bytes.
+    """
+    h = np.full(len(ids), FNV_OFFSET, dtype=np.uint64)
+    for b in np.asarray(ids, dtype="<u4").view(np.uint8) \
+            .reshape(len(ids), 4).T:
+        h = (h ^ b) * _PRIME
+    rows = np.ascontiguousarray(rows, dtype="<i8")
+    small = ((rows >= 0) & (rows < 256)).all(axis=0)
+    data = rows.view(np.uint8).reshape(len(rows), -1, 8)
+    for j in range(rows.shape[1]):
+        if small[j]:
+            h = (h ^ data[:, j, 0]) * _PRIME8
+        else:
+            for b in range(8):
+                h = (h ^ data[:, j, b]) * _PRIME
+    h ^= h >> 33
+    h *= np.uint64(0xFF51AFD7ED558CCD)
+    h ^= h >> 33
+    h *= np.uint64(0xC4CEB9FE1A85EC53)
+    h ^= h >> 33
+    return (h % np.asarray(k, dtype=np.uint64)).astype(np.int64)
 
 
 def run_seed(master_seed: int, run_index: int) -> int:
@@ -493,11 +529,12 @@ def reachable_decisions(space: ExplicitStateSpace, ids: Iterable[int],
     from the initial state under that id's own choices.
 
     One breadth-first search per id, over the arrays, for up to
-    :data:`MAX_BATCH` (id, state) pairs at once; a decision state is
-    encoded (the whole state in ``global`` mode, the owner's observed
-    variables in ``distributed`` mode) the first time any search reaches
-    it and hashed with the id by :func:`lss_decide`.  Two ids with equal
-    tables make identical choices on every path that can occur.  Raises
+    :data:`MAX_BATCH` (id, state) pairs at once; the decision states each
+    level of the search reaches are encoded (the whole state in ``global``
+    mode, the owner's observed variables in ``distributed`` mode) and
+    hashed with their ids by :func:`lss_choices`, all pairs of the level
+    in one call per owner.  Two ids with equal tables make identical
+    choices on every path that can occur.  Raises
     ValueError for an id outside [0, 2**32), whether or not it reaches a
     decision, and :class:`NotGoodForDistribution` in ``distributed`` mode
     for a model that is not good for distribution.
@@ -513,7 +550,15 @@ def reachable_decisions(space: ExplicitStateSpace, ids: Iterable[int],
     n = space.n_states
     first, ptr, _, target, _ = _rows(space)
     counts = np.diff(space.choice_ptr)
-    observations: dict[int, bytes] = {}
+    # the variables each decision state's choice reads
+    if mode == "global":
+        views = [(np.ones(n, dtype=bool), list(range(space.n_variables)))]
+    else:
+        owner = np.full(n, -1)
+        busy = counts > 0
+        owner[busy] = space.choice_owner[space.choice_ptr[:-1][busy]]
+        views = [(owner == c, list(space.observed_indices(c)))
+                 for c in range(len(space.components))]
     per_batch = max(1, MAX_BATCH // n)
     for lo in range(0, len(ids), per_batch):
         batch = ids[lo:lo + per_batch]
@@ -522,21 +567,20 @@ def reachable_decisions(space: ExplicitStateSpace, ids: Iterable[int],
         pairs = np.arange(len(batch)) * n + space.initial
         seen = np.zeros(len(batch) * n, dtype=bool)
         seen[pairs] = True
+        batch_ids = np.array(batch, dtype=np.int64)
         while pairs.size:
             who, state = np.divmod(pairs, n)
             row = first[state]
-            decide = np.flatnonzero(counts[state] >= 2)
-            picks = []
-            for i, s, k in zip(who[decide].tolist(), state[decide].tolist(),
-                               counts[state[decide]].tolist()):
-                obs = observations.get(s)
-                if obs is None:
-                    obs = observations[s] = encode_state(
-                        space, s, "all" if mode == "global" else
-                        space.observed_indices(scheduler_owner(space, s)))
-                pick = tables[i][s] = lss_decide(batch[i], obs, k)
-                picks.append(pick)
-            row[decide] += np.array(picks, dtype=np.int64)
+            for mine, columns in views:
+                decide = np.flatnonzero((counts[state] >= 2) & mine[state])
+                if not decide.size:
+                    continue
+                i, s = who[decide], state[decide]
+                picks = lss_choices(
+                    batch_ids[i], space.valuations[s][:, columns], counts[s])
+                row[decide] += picks
+                for i, s, pick in zip(i.tolist(), s.tolist(), picks.tolist()):
+                    tables[i][s] = pick
             width = ptr[row + 1] - ptr[row]
             entries = np.repeat(ptr[row] - np.cumsum(width) + width, width) \
                 + np.arange(width.sum())

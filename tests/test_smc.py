@@ -34,6 +34,7 @@ from qmv.smc import (
     fmix64,
     fnv1a64,
     lss,
+    lss_choices,
     lss_decide,
     run_seed,
     sample_scheduler_ids,
@@ -498,31 +499,46 @@ class TestSampledSchedulers:
 
     def test_lss_hashes_only_reachable_decision_states(self, monkeypatch):
         space, prop, constants = CASE_STUDIES["contacts"]()
-        state_of = {encode_state(space, s): s for s in range(space.n_states)}
-        hashed: dict[int, set[int]] = {}
-        encoded: list[int] = []
+        state_of = {tuple(row): s
+                    for s, row in enumerate(space.valuations.tolist())}
+        hashed: dict[int, list[int]] = {}
 
-        def decide(sid, obs, k):
-            hashed.setdefault(sid, set()).add(state_of[obs])
-            return lss_decide(sid, obs, k)
+        def choices(ids, rows, k):
+            for sid, row in zip(ids.tolist(), rows.tolist()):
+                hashed.setdefault(sid, []).append(state_of[tuple(row)])
+            return lss_choices(ids, rows, k)
 
-        def encode(space, state, projection="all"):
-            encoded.append(state)
-            return encode_state(space, state, projection)
-
-        monkeypatch.setattr(smc, "lss_decide", decide)
-        monkeypatch.setattr(smc, "encode_state", encode)
+        monkeypatch.setattr(smc, "lss_choices", choices)
         ids = sample_scheduler_ids(0, 10)
         lss(space, prop, LssConfig(m=10, inner=SmcConfig(runs=10)),
             constants=constants)
 
-        assert len(encoded) == len(set(encoded)), "a state encoded twice"
         counts = np.diff(space.choice_ptr).tolist()
         for sid in ids:
+            assert len(hashed[sid]) == len(set(hashed[sid])), \
+                "a state hashed twice with one id"
             scheduler = {s: 0 for s, k in enumerate(counts) if k}
             scheduler.update(
                 (s, lss_decide(sid, encode_state(space, s), counts[s]))
                 for s in decision_states(space))
             reached = reachable_under(space, scheduler)
-            assert hashed[sid] == {
+            assert set(hashed[sid]) == {
                 s for s in decision_states(space) if reached[s]}
+
+    def test_batched_hash_is_lss_decide(self):
+        # random int64 values are random bytes; small values take the
+        # one-step path for a variable's seven zero high bytes
+        rng = np.random.default_rng(5)
+        for n_vars in (0, 1, 3, 20):
+            rows = rng.integers(-2**63, 2**63, size=(200, n_vars),
+                                dtype=np.int64)
+            rows[:100] %= 256
+            rows[150:, :1] = rng.integers(0, 256, size=(50, min(n_vars, 1)))
+            ids = rng.integers(0, 2**32, size=200)
+            k = rng.integers(1, 9, size=200)
+            expected = [
+                lss_decide(int(i), b"".join(
+                    int(v).to_bytes(8, "little", signed=True) for v in row),
+                    int(kk))
+                for i, row, kk in zip(ids, rows.tolist(), k)]
+            assert lss_choices(ids, rows, k).tolist() == expected
