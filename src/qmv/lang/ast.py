@@ -20,9 +20,10 @@ state at a time.  :meth:`Expr.constant` is the same code on one row.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple,
+                    Sequence, Union)
 
 import numpy as np
 
@@ -308,8 +309,7 @@ class _Scope:
     consts: Mapping[str, Value]
 
 
-@dataclass(frozen=True)
-class _Code:
+class _Code(NamedTuple):
     """One compiled subexpression.
 
     ``kind`` is "bool", "int" or "real"; an int can take only values in
@@ -472,7 +472,7 @@ def _cond(c: _Code, t: _Code, o: _Code) -> _Code:
         _subset(t, V, np.flatnonzero(cv), out)
         _subset(o, V, np.flatnonzero(~cv), out)
         return out
-    return replace(code, run=run, raises=True)
+    return code._replace(run=run, raises=True)
 
 
 #: Operator precedence, tighter binds higher; every binary operator is

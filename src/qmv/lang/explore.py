@@ -44,7 +44,6 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -65,13 +64,12 @@ DEFAULT_STATE_CAP = 10_000_000
 
 @dataclass
 class _Cmd:
-    """Compiled command.  ``guard`` is a function of a valuation matrix;
-    the rate, weights and assignment values are constants or such
-    functions."""
+    """Compiled command: its guard, rate, weights and assignment values
+    are constants or functions of a valuation matrix."""
 
     index: int
     action: str | None
-    guard: Callable
+    guard: object
     rate: object | None
     branches: list  # [(weight, [(column, value), ...])]
     line: int
@@ -188,17 +186,18 @@ class _Explorer:
             lst = []
             for ci, cmd in enumerate(p.commands):
                 layout = self._narrowed(cmd.guard)
-                assigned = [[(self.cols[a.var], a.expr) for a in br.assignments]
-                            for br in cmd.branches]
+                branches = [
+                    (self._c(br.weight, layout),
+                     [(self.cols[a.var], self._c(a.expr, layout))
+                      for a in br.assignments])
+                    for br in cmd.branches]
                 lst.append(_Cmd(
                     ci, cmd.action, None,  # compiled with the guard index
                     None if cmd.rate is None else self._c(cmd.rate, layout),
-                    [(self._c(br.weight, layout),
-                      [(col, self._c(e, layout)) for col, e in part])
-                     for br, part in zip(cmd.branches, assigned)],
-                    cmd.pos[0],
-                    all(self._within(e, col, layout)
-                        for part in assigned for col, e in part)))
+                    branches, cmd.pos[0],
+                    all(self._within(a.expr, value, col, layout)
+                        for br, (_, part) in zip(cmd.branches, branches)
+                        for a, (col, value) in zip(br.assignments, part))))
                 if cmd.action is not None:
                     ps = self.participants.setdefault(cmd.action, [])
                     if pi not in ps:
@@ -262,15 +261,18 @@ class _Explorer:
                     hi[j] = min(hi[j], k - (op == "<"))
         if any(a > b for a, b in zip(lo, hi)):
             return self.layout  # the guard never holds
-        return tuple(replace(v, lo=a, hi=b)
+        return tuple(v if (a, b) == (v.lo, v.hi) else replace(v, lo=a, hi=b)
                      for v, a, b in zip(self.layout, lo, hi))
 
-    def _within(self, e: ast.Expr, col: int,
+    def _within(self, e: ast.Expr, value, col: int,
                 layout: tuple[VariableInfo, ...]) -> bool:
+        """Whether ``e``, compiled to ``value`` over ``layout``, keeps
+        column ``col`` in its declared range."""
         var = self.layout[col]
         if var.is_bool:
             return True
-        lo, hi = e.bounds(layout, self.consts)
+        lo, hi = e.bounds(layout, self.consts) if callable(value) \
+            else (value, value)
         return var.lo <= lo and hi <= var.hi
 
     def _key_test(self, guard: ast.Expr):
@@ -308,7 +310,7 @@ class _Explorer:
                 guard = _after_leftmost(guard)
             else:
                 rest.append(cmd)
-            cmd.guard = guard.compile(self.layout, self.consts)
+            cmd.guard = self._c(guard, self.layout)
         return col, buckets, rest
 
     def _keys(self, rows: np.ndarray) -> np.ndarray:
@@ -339,8 +341,13 @@ class _Explorer:
             cands.sort(key=lambda t: t[0].index)
         enabled = []
         for cmd, rows in cands:
-            mask = cmd.guard(F if rows is None else F[rows])
-            rows = mask.nonzero()[0] if rows is None else rows[mask]
+            if callable(cmd.guard):
+                mask = cmd.guard(F if rows is None else F[rows])
+                rows = mask.nonzero()[0] if rows is None else rows[mask]
+            elif not cmd.guard:
+                continue
+            elif rows is None:
+                rows = np.arange(len(F))
             if rows.size:
                 enabled.append((cmd, rows))
         return enabled

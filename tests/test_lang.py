@@ -1,4 +1,5 @@
 """Language front end: lexing, parsing, semantic checks, exploration."""
+import operator
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -14,6 +15,7 @@ from qmv.core import (
     Direction,
     ModelClass,
     PropertyKind,
+    VariableInfo,
     target_mask,
 )
 from qmv.lang import (
@@ -223,26 +225,30 @@ class TestParser:
 
 def _binop(t):
     (lt, lv), op, (rt, rv) = t
-    value = {"+": lv + rv, "-": lv - rv, "*": lv * rv}[op]
-    return (f"({lt} {op} {rt})", value)
+    value = {"+": operator.add, "-": operator.sub, "*": operator.mul}[op]
+    return (f"({lt} {op} {rt})", lambda z: value(lv(z), rv(z)))
 
 
-#: (source text, expected value) pairs for random integer expressions.
+#: (source text, expected value) pairs for random integer expressions; the
+#: value is a function of a shift ``z`` added to every literal
 _exprs = st.recursive(
-    st.integers(-4, 4).map(lambda n: (f"({n})", n)),
+    st.integers(-4, 4).map(lambda n: (f"({n})", lambda z: n + z)),
     lambda kids: st.one_of(
         st.tuples(kids, st.sampled_from(["+", "-", "*"]), kids).map(_binop),
         st.tuples(kids, kids).map(
-            lambda t: (f"min({t[0][0]}, {t[1][0]})", min(t[0][1], t[1][1]))),
+            lambda t: (f"min({t[0][0]}, {t[1][0]})",
+                       lambda z: min(t[0][1](z), t[1][1](z)))),
         st.tuples(kids, kids).map(
-            lambda t: (f"max({t[0][0]}, {t[1][0]})", max(t[0][1], t[1][1]))),
+            lambda t: (f"max({t[0][0]}, {t[1][0]})",
+                       lambda z: max(t[0][1](z), t[1][1](z)))),
         st.tuples(kids, kids, kids, kids).map(
             lambda t: (f"({t[0][0]} < {t[1][0]} ? {t[2][0]} : {t[3][0]})",
-                       t[2][1] if t[0][1] < t[1][1] else t[3][1])),
-        kids.map(lambda c: (f"(-{c[0]})", -c[1])),
+                       lambda z: t[2][1](z) if t[0][1](z) < t[1][1](z)
+                       else t[3][1](z))),
+        kids.map(lambda c: (f"(-{c[0]})", lambda z: -c[1](z))),
     ),
     max_leaves=8,
-).filter(lambda tv: abs(tv[1]) <= 10 ** 6)
+).filter(lambda tv: abs(tv[1](0)) <= 10 ** 6)
 
 
 _BINARY_OPS = sorted(op for op in PRECEDENCE if op not in ("?:", "unary"))
@@ -310,7 +316,8 @@ class TestExpressionEvaluation:
     @given(_exprs)
     @settings(max_examples=60, deadline=None)
     def test_integer_expressions_evaluate_like_python(self, tv):
-        text, value = tv
+        text, shifted = tv
+        value = shifted(0)
         sp = space_of(
             "dtmc\nmodule m\n x : [-1000000..1000000] "
             f"init {text};\nendmodule")
@@ -323,6 +330,30 @@ class TestExpressionEvaluation:
             " x : [-1000000..1000000] init 0;\n"
             f" [] z=0 -> (z'=1, x'={over_z});\nendmodule")
         assert sp.state_values(1) == {"z": 1, "x": value}
+        # on a batch of rows, one per shift z of every literal
+        expr = parse_property(f"Pmax=? [ F {over_z} = 0 ]").target.left
+        shifts = np.arange(-3, 4).reshape(-1, 1)
+        assert expr.compile((VariableInfo("z", -3, 3),), {})(shifts) \
+            .tolist() == [shifted(z) for z in range(-3, 4)]
+
+    def test_values_beyond_int64_are_exact(self):
+        # x * x exceeds 2**63 - 1 inside the declared bounds; int64 would
+        # wrap it to a negative number
+        model = """
+            dtmc
+            module m
+              x : [0..4000000000] init 3037000500;
+              y : [0..9223372036854775807] init 0;
+              [] y = 0 -> (y'=VALUE);
+            endmodule
+            label "big" = x * x > 9223372036854775807;
+        """
+        sp = space_of(model.replace("VALUE", "x * x - (x * x - 7)"))
+        assert sp.state_values(1)["y"] == 7
+        assert sp.labels["big"].tolist() == [True, True]
+        with pytest.raises(ExplorationError,
+                           match=r"y := 9223372037000250000 outside"):
+            space_of(model.replace("VALUE", "x * x"))
 
 
 class TestExplore:
@@ -678,21 +709,24 @@ class TestGuardIndex:
                   f"  [] x = {n // 2} & x < 0 -> (x'=0);", "endmodule"]
         explorer = _Explorer(parse_model("\n".join(lines)),
                              DEFAULT_STATE_CAP, "")
-        calls = 0
+        rows = 0
 
         def counted(guard):
-            def call(vals):
-                nonlocal calls
-                calls += 1
-                return guard(vals)
+            def call(V):
+                nonlocal rows
+                rows += len(V)
+                return guard(V)
             return call
 
         for cmd in explorer.cmds[0]:
-            cmd.guard = counted(cmd.guard)
+            # a guard that is only its key test holds on all its rows and
+            # runs on none
+            if callable(cmd.guard):
+                cmd.guard = counted(cmd.guard)
         space = explorer.run()
         assert space.n_states == n + 2
         largest_bucket, unindexed = 2, 2
-        assert calls <= space.n_states * (largest_bucket + unindexed)
+        assert rows <= space.n_states * (largest_bucket + unindexed)
 
 
 class TestGoodForDistribution:
