@@ -58,8 +58,7 @@ class Expr:
         Python ints (an int that int64 might not hold) or of Fractions (a
         real).  The expression must type-check.
         """
-        code = self._vec(_Scope(
-            {v.name: (j, v) for j, v in enumerate(layout)}, consts))
+        code = self._vec(_Scope.of(layout, consts))
         if code.run is None:
             value, dtype = code.value, code.dtype
             return lambda V: np.full(len(V), value, dtype=dtype)
@@ -67,7 +66,7 @@ class Expr:
 
     def constant(self, consts: Mapping[str, Value]) -> Value:
         """Value of an expression that reads constants only."""
-        code = self._vec(_Scope({}, consts))
+        code = self._vec(_Scope.of((), consts))
         # a constant that does not fold raises where it runs
         return code.value if code.run is None \
             else code.run(_ONE_ROW).tolist()[0]
@@ -77,8 +76,7 @@ class Expr:
         """[lo, hi] holding every value of an int expression on valuations
         within the layout's bounds (what :meth:`compile` analyses); None
         for a bool or real expression."""
-        code = self._vec(_Scope(
-            {v.name: (j, v) for j, v in enumerate(layout)}, consts))
+        code = self._vec(_Scope.of(layout, consts))
         return (code.lo, code.hi) if code.kind == "int" else None
 
     def _vec(self, scope: _Scope) -> _Code:
@@ -307,6 +305,11 @@ _ONE_ROW = np.zeros((1, 0), dtype=np.int64)
 class _Scope:
     columns: Mapping[str, tuple[int, VariableInfo]]
     consts: Mapping[str, Value]
+
+    @staticmethod
+    def of(layout: Sequence[VariableInfo], consts: Mapping[str, Value]):
+        """Column ``j`` holds ``layout[j]``."""
+        return _Scope({v.name: (j, v) for j, v in enumerate(layout)}, consts)
 
 
 class _Code(NamedTuple):

@@ -543,9 +543,10 @@ class _Explorer:
             return choices, races, _NONE, F[:0]
         if not strict:
             unsure = [s for g in groups if not g.in_range for s in g.succ]
-            if unsure and ((np.concatenate(unsure) < self.lo)
-                           | (np.concatenate(unsure) > self.hi)).any():
-                raise ExplorationError("a variable leaves its range")
+            if unsure:
+                unsure = np.concatenate(unsure)
+                if ((unsure < self.lo) | (unsure > self.hi)).any():
+                    raise ExplorationError("a variable leaves its range")
         rows = np.concatenate([g.rows for g in groups for _ in g.succ])
         succ = np.concatenate([s for g in groups for s in g.succ])
         return choices, races, rows, succ
