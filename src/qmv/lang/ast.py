@@ -464,7 +464,7 @@ def _cond(c: _Code, t: _Code, o: _Code) -> _Code:
         kind = "real" if "real" in (t.kind, o.kind) else "int"
     code = _Code(kind, lo=min(t.lo, o.lo), hi=max(t.hi, o.hi))
     dtype = code.dtype
-    wide = (lambda x: _exact(x)) if dtype is object else (lambda x: x)
+    wide = _exact if dtype is object else (lambda x: x)
     if not (t.raises or o.raises):
         return _node(kind, lambda cv, tv, ov: np.where(cv, wide(tv), wide(ov)),
                      (c, t, o), code.lo, code.hi)

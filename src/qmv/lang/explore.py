@@ -4,9 +4,9 @@ Guards, weights, rates and assignments are compiled once with
 :meth:`qmv.lang.ast.Expr.compile` into functions of a valuation matrix
 (constants inlined), and the reachable state space is built breadth-first
 from the initial valuation, one BFS level at a time: the frontier is an
-int64 matrix with one row per state, every command runs once over all the
-frontier rows that enable it, and the level's states reach the arrays of a
-:class:`qmv.core.SpaceBuilder` in one batch.
+int64 matrix with one row per state, and every command runs once over all
+the frontier rows that enable it.  The choices of all levels reach the
+arrays of a :class:`qmv.core.SpaceBuilder` in one batch at the end.
 
 A state pays only for the commands it can enable.  Each process indexes
 its commands by one key variable, the ``x`` that leads the most guards as
