@@ -504,6 +504,103 @@ class TestExplore:
         assert coin_dtmc.labels["heads"].sum() == 1
 
 
+class TestErrorOrder:
+    """A model error is the one that expanding the states one at a time,
+    in discovery order, would raise first, and within a state, the first
+    in command and assignment order."""
+
+    @staticmethod
+    def _error(source: str, **kwargs) -> str:
+        with pytest.raises(ExplorationError) as info:
+            explore(parse_model(source), **kwargs)
+        return str(info.value)
+
+    def test_assignments_fail_in_order_within_a_row(self):
+        source = """
+            mdp
+            module m
+              x : [0..4] init 0;
+              y : [0..1] init 0;
+              z : [0..1] init 0;
+              [] x=0 -> (UPDATE);
+            endmodule
+        """
+        state = "in state {'x': 0, 'y': 0, 'z': 0}"
+        assert self._error(source.replace(
+            "UPDATE", "x'=5, z'=(1/y > 0 ? 1 : 0)")) \
+            == f"line 7: assignment x := 5 outside [0..4] {state}"
+        assert self._error(source.replace(
+            "UPDATE", "z'=(1/y > 0 ? 1 : 0), x'=5")) \
+            == f"division by zero {state}"
+
+    def test_synchronised_range_error_before_the_conflict(self):
+        source = """
+            mdp
+            global g : [0..2] init 0;
+            module a
+              x : [0..1] init 0;
+              [go] x=0 -> (g'=VALUE);
+            endmodule
+            module b
+              y : [0..1] init 0;
+              [go] y=0 -> (g'=1);
+            endmodule
+        """
+        state = "in state {'g': 0, 'x': 0, 'y': 0}"
+        assert self._error(source.replace("VALUE", "3")) \
+            == f"line 6: assignment g := 3 outside [0..2] {state}"
+        assert self._error(source.replace("VALUE", "2")) \
+            == f"line 6: conflicting synchronized writes to 'g' on " \
+               f"action 'go' {state}"
+
+    def test_first_row_wins_over_an_earlier_command(self):
+        # the second row fails in the second command, the first row only
+        # in the third
+        assert self._error("""
+            mdp
+            module m
+              x : [0..9] init 0;
+              y : [0..1] init 0;
+              [] x=0 -> 1/2:(x'=1, y'=0) + 1/2:(x'=1, y'=1);
+              [] x=1 & y=1 -> (x'=x+10);
+              [] x=1 & y=0 -> (x'=x+20);
+            endmodule
+        """) == "line 8: assignment x := 21 outside [0..9] " \
+                "in state {'x': 1, 'y': 0}"
+
+    def test_weight_fails_before_a_later_command(self):
+        assert self._error("""
+            mdp
+            module m
+              x : [0..9] init 0;
+              y : [0..1] init 0;
+              [] x=0 -> 1/y:(x'=1) + 1:(x'=2);
+              [] x=0 -> (x'=x+20);
+            endmodule
+        """) == "division by zero in state {'x': 0, 'y': 0}"
+
+    def test_rows_before_the_failing_row_are_admitted(self):
+        # four states before the failing level; its first two rows add two
+        # more, the third fails
+        model = parse_model("""
+            mdp
+            module m
+              x : [0..9] init 0;
+              y : [0..2] init 0;
+              [] x=0 -> 1/3:(x'=1, y'=0) + 1/3:(x'=1, y'=1)
+                        + 1/3:(x'=1, y'=2);
+              [] x=1 & y<2 -> (x'=2+y);
+              [] x=1 & y=2 -> (x'=x+20);
+            endmodule
+        """)
+        with pytest.raises(ExplorationLimit):
+            explore(model, state_cap=5)
+        with pytest.raises(ExplorationError) as info:
+            explore(model, state_cap=6)
+        assert str(info.value) == "line 9: assignment x := 21 outside " \
+                                  "[0..9] in state {'x': 1, 'y': 2}"
+
+
 class TestSynchronisation:
     SYNC = """
         mdp
