@@ -34,9 +34,17 @@ Everything is deterministic and as if the states were expanded one at a
 time: states are numbered in order of first discovery under (parent,
 choice, branch), choices are sorted by (component index, command index,
 partner indices), and an error names the first state, in that order, that
-one-at-a-time expansion would have failed on, with the same message.  A
-level that fails is searched by bisection for that state, which is then
-expanded alone.  Scheduler sampling depends on this.
+one-at-a-time expansion would have failed on, with the same message.
+Scheduler sampling depends on this.  There is one rule for errors: a
+write whose value is not proven in range is checked as it is applied, so
+evaluation errors, conflicting synchronized writes and values out of range
+raise in assignment order; a level that fails is bisected for its first
+failing row, which is then expanded alone on the same path.
+
+A value is proven in range once per assignment, before the search:
+:meth:`qmv.lang.ast.Expr.bounds` over the declared ranges, narrowed by the
+guard's top-level comparisons of a variable with a constant, lies inside
+the variable's range.  ``x < N -> (x'=x+1)`` is never checked.
 """
 from __future__ import annotations
 
@@ -71,10 +79,10 @@ class _Cmd:
     action: str | None
     guard: object
     rate: object | None
-    branches: list  # [(weight, [(column, value), ...])]
+    #: [(weight, [(column, value, proven), ...])]: ``proven`` when the
+    #: value provably lies in its variable's range wherever the guard holds
+    branches: list
     line: int
-    #: every assigned value provably lies in its variable's range
-    in_range: bool
 
     def __post_init__(self):
         # the branch weights and race entries when they are positive
@@ -101,7 +109,6 @@ class _Group:
     action: str | None = None
     owner: object = 0
     race: bool = False
-    in_range: bool = True
 
 
 #: the origin of the self-loop that pads a deadlock, a state's only choice
@@ -186,18 +193,13 @@ class _Explorer:
             lst = []
             for ci, cmd in enumerate(p.commands):
                 layout = self._narrowed(cmd.guard)
-                branches = [
-                    (self._c(br.weight, layout),
-                     [(self.cols[a.var], self._c(a.expr, layout))
-                      for a in br.assignments])
-                    for br in cmd.branches]
                 lst.append(_Cmd(
                     ci, cmd.action, None,  # compiled with the guard index
                     None if cmd.rate is None else self._c(cmd.rate, layout),
-                    branches, cmd.pos[0],
-                    all(self._within(a.expr, value, col, layout)
-                        for br, (_, part) in zip(cmd.branches, branches)
-                        for a, (col, value) in zip(br.assignments, part))))
+                    [(self._c(br.weight, layout),
+                      [self._assignment(a, layout) for a in br.assignments])
+                     for br in cmd.branches],
+                    cmd.pos[0]))
                 if cmd.action is not None:
                     ps = self.participants.setdefault(cmd.action, [])
                     if pi not in ps:
@@ -209,8 +211,6 @@ class _Explorer:
 
         # exact state keys: mixed-radix int64 keys when the declared ranges
         # fit, else the valuation row's bytes
-        self.lo = np.array([v.lo for v in self.layout], dtype=np.int64)
-        self.hi = np.array([v.hi for v in self.layout], dtype=np.int64)
         sizes = [v.hi - v.lo + 1 for v in self.layout]
         stride = [1] * len(sizes)
         for j in range(len(sizes) - 2, -1, -1):
@@ -264,16 +264,19 @@ class _Explorer:
         return tuple(v if (a, b) == (v.lo, v.hi) else replace(v, lo=a, hi=b)
                      for v, a, b in zip(self.layout, lo, hi))
 
-    def _within(self, e: ast.Expr, value, col: int,
-                layout: tuple[VariableInfo, ...]) -> bool:
-        """Whether ``e``, compiled to ``value`` over ``layout``, keeps
-        column ``col`` in its declared range."""
+    def _assignment(self, a: ast.Assignment,
+                    layout: tuple[VariableInfo, ...]) -> tuple:
+        """(column, value, proven) of ``a`` with its value compiled over
+        ``layout``: ``proven`` when the value provably lies in the
+        variable's declared range."""
+        col = self.cols[a.var]
+        value = self._c(a.expr, layout)
         var = self.layout[col]
         if var.is_bool:
-            return True
-        lo, hi = e.bounds(layout, self.consts) if callable(value) \
+            return col, value, True
+        lo, hi = a.expr.bounds(layout, self.consts) if callable(value) \
             else (value, value)
-        return var.lo <= lo and hi <= var.hi
+        return col, value, var.lo <= lo and hi <= var.hi
 
     def _key_test(self, guard: ast.Expr):
         """(column, value) of the leftmost conjunct of ``guard`` when that
@@ -366,16 +369,19 @@ class _Explorer:
     def _positive(self, values, sub: np.ndarray, line: int, what: str):
         """Raise unless every value (one per row of ``sub``, or one
         constant for all) is positive."""
-        if isinstance(values, np.ndarray):
-            bad = (values <= 0).nonzero()[0]
-            i = bad[0] if bad.size else None
-        else:
-            i = 0 if values <= 0 else None
-        if i is not None:
+        self._fail_where(values <= 0, values, sub,
+                         f"line {line}: {what} {{}} is not positive")
+
+    def _fail_where(self, bad, values, sub: np.ndarray, message: str):
+        """Raise ``message``, formatted with the value and followed by the
+        state, for the first row of ``sub`` that is ``bad``; ``bad`` and
+        ``values`` hold one entry per row, or one for all."""
+        rows = np.flatnonzero(bad)
+        if rows.size:
+            i = rows[0]
             value = values[i] if isinstance(values, np.ndarray) else values
             raise ExplorationError(
-                f"line {line}: {what} {value} is not positive in state "
-                f"{self._where(sub[i])}")
+                f"{message.format(value)} in state {self._where(sub[i])}")
 
     def _race(self, cmd: _Cmd, sub: np.ndarray) -> list:
         """A rate command's exact race entries on the rows ``sub``: branch
@@ -388,63 +394,32 @@ class _Explorer:
         return [rate * w / total for w in weights]
 
     def _apply(self, sub: np.ndarray, assignments, line: int,
-               action: str | None, strict: bool) -> np.ndarray:
+               action: str | None) -> np.ndarray:
         """Apply merged assignments to the rows ``sub``; all right sides
-        read ``sub``.  With ``strict``, a row fails on the first assignment,
-        in order, that conflicts with an earlier one, does not evaluate or
-        leaves its variable's range; without, ranges are left to the
-        caller, except for values int64 cannot hold."""
+        read ``sub``.  Raises at the first assignment, in order, that
+        conflicts with an earlier one, does not evaluate, or writes a value
+        that is not proven in range and leaves its variable's range."""
         new = sub.copy()
         done: list[int] = []
-        try:
-            for col, value in assignments:
-                if col in done:
-                    if strict:
-                        self._check(sub, new, done, line)
-                    raise ExplorationError(
-                        f"line {line}: conflicting synchronized writes to "
-                        f"{self.layout[col].name!r} on action {action!r} in "
-                        f"state {self._where(sub[0])}")
-                v = value(sub) if callable(value) else value
+        for col, value, proven in assignments:
+            if col in done:
+                raise ExplorationError(
+                    f"line {line}: conflicting synchronized writes to "
+                    f"{self.layout[col].name!r} on action {action!r} in "
+                    f"state {self._where(sub[0])}")
+            v = value(sub) if callable(value) else value
+            if not proven:
                 var = self.layout[col]
-                if isinstance(v, np.ndarray):
-                    if v.dtype == object \
-                            and ((v < var.lo) | (v > var.hi)).any():
-                        self._check(sub, new, done, line, col, v)
-                elif not var.lo <= v <= var.hi:
-                    self._check(sub, new, done, line, col, v)
-                new[:, col] = v
-                done.append(col)
-        except EvalError:
-            if strict:
-                self._check(sub, new, done, line)
-            raise
-        if strict:
-            self._check(sub, new, done, line)
+                self._fail_where(
+                    (v < var.lo) | (v > var.hi), v, sub,
+                    f"line {line}: assignment {var.name} := {{}} outside "
+                    f"[{var.lo}..{var.hi}]")
+            new[:, col] = v
+            done.append(col)
         return new
 
-    def _check(self, sub, new, done, line, col=None, value=None):
-        """Raise for the first row of ``new`` with a variable out of its
-        range: the first of the columns ``done`` that is, else ``col`` if
-        ``value`` is."""
-        bad = (new < self.lo) | (new > self.hi)
-        if col is not None:
-            var = self.layout[col]
-            bad[:, col] = (value < var.lo) | (value > var.hi)
-            new = new.astype(object)
-            new[:, col] = value
-            done = done + [col]
-        if not bad.any():
-            return
-        i = int(bad.any(axis=1).argmax())
-        j = next(j for j in done if bad[i, j])
-        var = self.layout[j]
-        raise ExplorationError(
-            f"line {line}: assignment {var.name} := {new[i, j]} "
-            f"outside [{var.lo}..{var.hi}] in state {self._where(sub[i])}")
-
     def _synchronise(self, F: np.ndarray, action: str, enabled,
-                     choices: list[_Group], strict: bool) -> None:
+                     choices: list[_Group]) -> None:
         """The choices of ``action``: one group per combination of
         enabled participant commands that some row enables together."""
         ps = self.participants[action]
@@ -478,23 +453,20 @@ class _Explorer:
                     weight = weight * _exact(part[b])
                     merged += c.branches[b][1]
                 weights.append(weight)
-                succ.append(self._apply(sub, merged, cmds[0].line, action,
-                                        strict))
+                succ.append(self._apply(sub, merged, cmds[0].line, action))
             choices.append(_Group(
                 rows, succ, weights,
                 tuple(x for pi, c in zip(ps, cmds) for x in (pi, c.index)),
-                action, owner[rows],
-                in_range=all(c.in_range for c in cmds)))
+                action, owner[rows]))
 
-    def _expand(self, F: np.ndarray, strict: bool = False):
+    def _expand(self, F: np.ndarray):
         """The choice groups, sorted by origin, and the race groups of the
         frontier rows ``F``, then every successor row with the frontier row
         it leaves, in group and branch order.
 
         Raises :class:`EvalError` or :class:`ExplorationError` when some
-        row fails.  With ``strict`` and a single row, that is the error a
-        one-state-at-a-time expansion raises first; without, values out of
-        range are found for the whole level at once, at the end.
+        row fails; for a single row, the error that expanding it alone
+        raises first.
         """
         enabled = [self._enabled(F, pi) for pi in range(len(self.cmds))]
         choices: list[_Group] = []
@@ -510,12 +482,11 @@ class _Explorer:
                 sub = F if len(rows) == len(F) else F[rows]
                 weights = self._weights(cmd, sub)
                 choices.append(_Group(
-                    rows, [self._apply(sub, a, cmd.line, cmd.action, strict)
+                    rows, [self._apply(sub, a, cmd.line, cmd.action)
                            for _, a in cmd.branches],
-                    weights, (pi, cmd.index), cmd.action, pi,
-                    in_range=cmd.in_range))
+                    weights, (pi, cmd.index), cmd.action, pi))
         for action in sorted(synced):
-            self._synchronise(F, action, enabled, choices, strict)
+            self._synchronise(F, action, enabled, choices)
         choices.sort(key=lambda g: g.origin)
 
         races: list[_Group] = []
@@ -533,20 +504,13 @@ class _Explorer:
                     sub = F if len(rows) == len(F) else F[rows]
                     values = cmd.races or self._race(cmd, sub)
                     races.append(_Group(
-                        rows, [self._apply(sub, a, cmd.line, None, strict)
+                        rows, [self._apply(sub, a, cmd.line, None)
                                for _, a in cmd.branches],
-                        values, (pi, cmd.index), race=True,
-                        in_range=cmd.in_range))
+                        values, (pi, cmd.index), race=True))
 
         groups = choices + races
         if not groups:
             return choices, races, _NONE, F[:0]
-        if not strict:
-            unsure = [s for g in groups if not g.in_range for s in g.succ]
-            if unsure:
-                unsure = np.concatenate(unsure)
-                if ((unsure < self.lo) | (unsure > self.hi)).any():
-                    raise ExplorationError("a variable leaves its range")
         rows = np.concatenate([g.rows for g in groups for _ in g.succ])
         succ = np.concatenate([s for g in groups for s in g.succ])
         return choices, races, rows, succ
@@ -568,7 +532,7 @@ class _Explorer:
         if lo:
             self._admit(F[:lo], self._expand(F[:lo]))
         try:
-            self._expand(F[lo:lo + 1], strict=True)
+            self._expand(F[lo:lo + 1])
         except EvalError as exc:
             raise ExplorationError(
                 f"{exc} in state {self._where(F[lo])}") from None

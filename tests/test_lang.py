@@ -601,6 +601,84 @@ class TestErrorOrder:
                                   "[0..9] in state {'x': 1, 'y': 2}"
 
 
+#: guard conjuncts (variable, operator, constant, constant on the left)
+_tests = st.tuples(st.sampled_from("xy"),
+                   st.sampled_from(["=", "!=", "<", "<=", ">", ">="]),
+                   st.integers(-1, 4), st.booleans())
+#: assigned values a*x + b*y + d
+_sums = st.tuples(st.integers(-1, 1), st.integers(-1, 1), st.integers(-2, 2))
+_COMPARE = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+class TestRangeProof:
+    """An assignment proven in range skips the range check, so the proof
+    must hold wherever the guard does; it is what keeps narrow levels
+    fast, so it must also find the simple cases."""
+
+    @staticmethod
+    def _proven(guard: str, *updates: str) -> list[bool]:
+        explorer = _Explorer(parse_model(f"""
+            mdp
+            const int N = 3;
+            module m
+              x : [0..N] init 0;
+              y : [0..1] init 0;
+              [] {guard} -> ({", ".join(updates)});
+            endmodule
+        """), DEFAULT_STATE_CAP, "")
+        [cmd] = explorer.cmds[0]
+        return [proven for _, part in cmd.branches
+                for _, _, proven in part]
+
+    @pytest.mark.parametrize("guard, update, proven", [
+        ("x<N", "x'=x+1", True),
+        ("N > x", "x'=x+1", True),
+        ("true", "x'=x+1", False),
+        ("x<N | y=0", "x'=x+1", False),
+        ("x<N", "x'=N+1", False),
+        ("x<N", "x'=N", True),
+        ("x<=N", "x'=x+1", False),
+        ("0 < x", "x'=x-1", True),
+        ("x>=0", "x'=x-1", False),
+    ])
+    def test_assignment_flags(self, guard, update, proven):
+        assert self._proven(guard, update) == [proven]
+
+    @given(st.lists(_tests, min_size=1, max_size=3),
+           st.none() | _tests, _sums, _sums)
+    @settings(max_examples=200, deadline=None)
+    def test_proven_values_stay_in_range(self, conjuncts, alternative,
+                                         to_x, to_y):
+        def text(test):
+            name, op, k, flipped = test
+            return f"{k} {op} {name}" if flipped else f"{name} {op} {k}"
+
+        guard = " & ".join(map(text, conjuncts))
+        if alternative is not None:
+            guard = f"({guard}) | {text(alternative)}"
+        sums = [f"({a})*x + ({b})*y + ({d})" for a, b, d in (to_x, to_y)]
+        proven = self._proven(guard, f"x'={sums[0]}", f"y'={sums[1]}")
+
+        def holds(test, x, y):
+            name, op, k, flipped = test
+            value = {"x": x, "y": y}[name]
+            return _COMPARE[op](k, value) if flipped \
+                else _COMPARE[op](value, k)
+
+        rows = [(x, y) for x in range(4) for y in range(2)
+                if all(holds(t, x, y) for t in conjuncts)
+                or alternative is not None and holds(alternative, x, y)]
+        # a guard of comparisons other than != holds on a box, where the
+        # bounds of a linear sum are exact
+        box = rows and alternative is None \
+            and all(op != "!=" for _, op, _, _ in conjuncts)
+        for ok, (a, b, d), hi in zip(proven, (to_x, to_y), (3, 1)):
+            inside = all(0 <= a * x + b * y + d <= hi for x, y in rows)
+            assert inside or not ok, guard
+            assert ok == inside or not box, guard
+
+
 class TestSynchronisation:
     SYNC = """
         mdp
