@@ -41,10 +41,10 @@ evaluation errors, conflicting synchronized writes and values out of range
 raise in assignment order; a level that fails is bisected for its first
 failing row, which is then expanded alone on the same path.
 
-A value is proven in range once per assignment, before the search:
-:meth:`qmv.lang.ast.Expr.bounds` over the declared ranges, narrowed by the
-guard's top-level comparisons of a variable with a constant, lies inside
-the variable's range.  ``x < N -> (x'=x+1)`` is never checked.
+A value is proven in range, once per assignment before the search, when
+its :meth:`qmv.lang.ast.Expr.bounds` over the declared ranges, narrowed by
+the guard's top-level comparisons of a variable with a constant, lie
+inside the variable's range: ``x < N -> (x'=x+1)`` is never checked.
 """
 from __future__ import annotations
 
