@@ -8,14 +8,16 @@ parse(pretty(parse(text))) is structurally equal to parse(text).
 pretty-printer both read it, so the two cannot disagree.
 
 Expression semantics live here and nowhere else: :meth:`Expr.type` holds the
-static typing rules and :meth:`Expr.compile` turns an expression into a
-function of a valuation matrix, one row per state, that evaluates it on all
-rows at once (constants inlined and folded).  Ints and bools are int64 and
-bool arrays, except that an int whose declared bounds could leave int64 is
-computed on exact Python ints; reals are exact Fractions in object arrays.
-``&``, ``|`` and ``?:`` run their right side or branches only on the rows
-that select them, so a division by zero raises exactly where it would one
-state at a time.  :meth:`Expr.constant` is the same code on one row.
+static typing rules and :meth:`Expr.compile` turns an expression into one
+code object: a function of a valuation matrix, one row per state, that
+evaluates it on all rows at once (constants inlined and folded), and that
+tells whether the expression folds to a constant, its value if so, and the
+range of an int's values.  Ints and bools are int64 and bool arrays,
+except that an int whose declared bounds could leave int64 is computed on
+exact Python ints; reals are exact Fractions in object arrays.  ``&``,
+``|`` and ``?:`` run their right side or branches only on the rows that
+select them, so a division by zero raises exactly where it would one state
+at a time.  :meth:`Expr.constant` is the same code on one row.
 """
 from __future__ import annotations
 
@@ -48,8 +50,10 @@ class Expr:
         raise NotImplementedError
 
     def compile(self, layout: Sequence[VariableInfo],
-                consts: Mapping[str, Value]) -> Callable:
-        """Function of a valuation matrix ``V``, returning one value per row.
+                consts: Mapping[str, Value]) -> _Code:
+        """The compiled code: a function of a valuation matrix ``V``,
+        returning one value per row, that also tells whether the expression
+        folds to a constant and the range of an int.
 
         Row ``i`` of the int64 matrix ``V`` is one valuation: column ``j``
         holds ``layout[j]`` (booleans as 0/1), whose declared bounds the
@@ -58,29 +62,17 @@ class Expr:
         Python ints (an int that int64 might not hold) or of Fractions (a
         real).  The expression must type-check.
         """
-        code = self._vec(_Scope.of(layout, consts))
-        if code.run is None:
-            value, dtype = code.value, code.dtype
-            return lambda V: np.full(len(V), value, dtype=dtype)
-        return code.run
+        return self._vec(_Scope.of(layout, consts))
 
     def constant(self, consts: Mapping[str, Value]) -> Value:
-        """Value of an expression that reads constants only."""
-        code = self._vec(_Scope.of((), consts))
+        """Value of an expression that folds to a constant."""
+        code = self.compile((), consts)
         # a constant that does not fold raises where it runs
         return code.value if code.run is None \
             else code.run(_ONE_ROW).tolist()[0]
 
-    def bounds(self, layout: Sequence[VariableInfo],
-               consts: Mapping[str, Value]) -> tuple[int, int] | None:
-        """[lo, hi] holding every value of an int expression on valuations
-        within the layout's bounds (what :meth:`compile` analyses); None
-        for a bool or real expression."""
-        code = self._vec(_Scope.of(layout, consts))
-        return (code.lo, code.hi) if code.kind == "int" else None
-
     def _vec(self, scope: _Scope) -> _Code:
-        """The compiled form of the expression, for :meth:`compile`."""
+        """The compiled code of the expression, for :meth:`compile`."""
         raise NotImplementedError
 
     def children(self) -> tuple[Expr, ...]:
@@ -313,13 +305,15 @@ class _Scope:
 
 
 class _Code(NamedTuple):
-    """One compiled subexpression.
+    """One compiled (sub)expression, what :meth:`Expr.compile` returns.
 
-    ``kind`` is "bool", "int" or "real"; an int can take only values in
-    [``lo``, ``hi``].  A constant has ``run`` None and its Python value in
+    ``kind`` is "bool", "int" or "real"; an int takes only values in
+    [``lo``, ``hi``] on valuations within the layout's bounds.  Code that
+    folds to a constant has ``run`` None and its Python value in
     ``value``; otherwise ``run`` maps a valuation matrix to an array of one
-    value per row.  ``raises`` tells whether running it may raise, that is,
-    whether it divides.
+    value per row.  Calling the code gives one value per row either way.
+    ``raises`` tells whether running it may raise, that is, whether it
+    divides.
     """
 
     kind: str
@@ -328,6 +322,11 @@ class _Code(NamedTuple):
     lo: int = 0
     hi: int = 0
     raises: bool = False
+
+    def __call__(self, V):
+        if self.run is None:
+            return np.full(len(V), self.value, dtype=self.dtype)
+        return self.run(V)
 
     @property
     def dtype(self):

@@ -1,18 +1,19 @@
 """Explicit-state exploration of symbolic models.
 
-Guards, weights, rates and assignments are compiled once with
-:meth:`qmv.lang.ast.Expr.compile` into functions of a valuation matrix
-(constants inlined), and the reachable state space is built breadth-first
-from the initial valuation, one BFS level at a time: the frontier is an
-int64 matrix with one row per state, and every command runs once over all
-the frontier rows that enable it.  The choices of all levels reach the
-arrays of a :class:`qmv.core.SpaceBuilder` in one batch at the end.
+Guards, weights, rates and assignments are compiled once each with
+:meth:`qmv.lang.ast.Expr.compile`, into their value when they fold to a
+constant, else into functions of a valuation matrix (constants inlined),
+and the reachable state space is built breadth-first from the initial
+valuation, one BFS level at a time: the frontier is an int64 matrix with
+one row per state, and every command runs once over all the frontier
+rows that enable it.  The choices of all levels reach the arrays of a
+:class:`qmv.core.SpaceBuilder` in one batch at the end.
 
 A state pays only for the commands it can enable.  Each process indexes
 its commands by one key variable, the ``x`` that leads the most guards as
-``x = c`` (or ``c = x``) with ``c`` reading constants only, folded once.
-A command whose leftmost ``&`` conjunct is that test runs only on the rows
-where ``x`` equals ``c``; every other command runs on every row, and the
+``x = c`` (or ``c = x``) with ``c`` that folds to a constant.  A command
+whose leftmost ``&`` conjunct is that test runs only on the rows where
+``x`` equals ``c``; every other command runs on every row, and the
 candidates keep command order.  ``&`` runs its right side only on the rows
 its left side leaves true, so skipping the command changes nothing, errors
 included.  An equality further right is never indexed: a conjunct before
@@ -42,9 +43,9 @@ raise in assignment order; a level that fails is bisected for its first
 failing row, which is then expanded alone on the same path.
 
 A value is proven in range, once per assignment before the search, when
-its :meth:`qmv.lang.ast.Expr.bounds` over the declared ranges, narrowed by
-the guard's top-level comparisons of a variable with a constant, lie
-inside the variable's range: ``x < N -> (x'=x+1)`` is never checked.
+the range of its compiled code over the declared ranges, narrowed by the
+guard's top-level comparisons of a variable with a constant, lies inside
+the variable's range: ``x < N -> (x'=x+1)`` is never checked.
 """
 from __future__ import annotations
 
@@ -186,27 +187,20 @@ class _Explorer:
         self.initial_vals = tuple(
             int(v.init.constant(self.consts)) for v, _ in decls)
 
-        # compiled commands and the action synchronization table
+        # compiled commands, their guard index and the action
+        # synchronization table
         self.cmds: list[list[_Cmd]] = []
+        self.guard_index = []
         self.participants: dict[str, list[int]] = {}
         for pi, p in enumerate(model.processes):
-            lst = []
-            for ci, cmd in enumerate(p.commands):
-                layout = self._narrowed(cmd.guard)
-                lst.append(_Cmd(
-                    ci, cmd.action, None,  # compiled with the guard index
-                    None if cmd.rate is None else self._c(cmd.rate, layout),
-                    [(self._c(br.weight, layout),
-                      [self._assignment(a, layout) for a in br.assignments])
-                     for br in cmd.branches],
-                    cmd.pos[0]))
+            cmds, index = self._compile(p)
+            self.cmds.append(cmds)
+            self.guard_index.append(index)
+            for cmd in p.commands:
                 if cmd.action is not None:
                     ps = self.participants.setdefault(cmd.action, [])
                     if pi not in ps:
                         ps.append(pi)
-            self.cmds.append(lst)
-        self.guard_index = [self._guard_index(p, lst)
-                            for p, lst in zip(model.processes, self.cmds)]
         self.markovian = any(c.rate is not None for lst in self.cmds for c in lst)
 
         # exact state keys: mixed-radix int64 keys when the declared ranges
@@ -223,42 +217,43 @@ class _Explorer:
         self.index: dict[object, int] = {}
 
     def _c(self, e: ast.Expr, layout: tuple[VariableInfo, ...]):
-        """``e``'s value when it reads constants only and evaluates, else
-        its compiled form over ``layout``."""
-        if not any(n in self.cols for n in e.names()):
-            try:
-                return e.constant(self.consts)
-            except EvalError:
-                pass  # left to raise where it runs
-        return e.compile(layout, self.consts)
+        """``e``'s value when it folds to a constant, else its code over
+        ``layout``."""
+        code = e.compile(layout, self.consts)
+        return code.value if code.run is None else code.run
 
-    def _narrowed(self, guard: ast.Expr) -> tuple[VariableInfo, ...]:
-        """The layout with the bounds of each int variable narrowed by the
-        top-level conjuncts of ``guard`` that compare it with an int
-        constant: a command's weights, rates and assignments run only
-        where its guard holds."""
-        lo = [v.lo for v in self.layout]
-        hi = [v.hi for v in self.layout]
+    def _comparisons(self, guard: ast.Expr) -> list:
+        """Per top-level conjunct of ``guard``, in order: (column, op,
+        value) when the conjunct is ``x op c`` or ``c op x`` for a variable
+        ``x`` and a comparison other than ``!=``, with ``c`` folding to a
+        constant, written as ``x op value``; else None."""
+        found = []
         for test in _conjuncts(guard):
+            found.append(None)
             if not (isinstance(test, ast.Binary) and test.op in _FLIPPED):
                 continue
             for var, c, op in ((test.left, test.right, test.op),
                                (test.right, test.left, _FLIPPED[test.op])):
-                if not (isinstance(var, ast.Name) and var.name in self.cols) \
-                        or any(n in self.cols for n in c.names()):
-                    continue
-                try:
-                    k = c.constant(self.consts)
-                except EvalError:
-                    continue
-                j = self.cols[var.name]
-                if isinstance(k, bool) or not isinstance(k, int) \
-                        or self.layout[j].is_bool:
-                    continue
-                if op in ("=", ">=", ">"):
-                    lo[j] = max(lo[j], k + (op == ">"))
-                if op in ("=", "<=", "<"):
-                    hi[j] = min(hi[j], k - (op == "<"))
+                if isinstance(var, ast.Name) and var.name in self.cols:
+                    code = c.compile(self.layout, self.consts)
+                    if code.run is None:
+                        found[-1] = self.cols[var.name], op, code.value
+        return found
+
+    def _narrowed(self, comparisons: list) -> tuple[VariableInfo, ...]:
+        """The layout with the bounds of each int variable narrowed by a
+        guard's ``comparisons`` with an int constant: a command's weights,
+        rates and assignments run only where its guard holds."""
+        lo = [v.lo for v in self.layout]
+        hi = [v.hi for v in self.layout]
+        for j, op, k in filter(None, comparisons):
+            if isinstance(k, bool) or not isinstance(k, int) \
+                    or self.layout[j].is_bool:
+                continue
+            if op in ("=", ">=", ">"):
+                lo[j] = max(lo[j], k + (op == ">"))
+            if op in ("=", "<=", "<"):
+                hi[j] = min(hi[j], k - (op == "<"))
         if any(a > b for a, b in zip(lo, hi)):
             return self.layout  # the guard never holds
         return tuple(v if (a, b) == (v.lo, v.hi) else replace(v, lo=a, hi=b)
@@ -270,51 +265,44 @@ class _Explorer:
         ``layout``: ``proven`` when the value provably lies in the
         variable's declared range."""
         col = self.cols[a.var]
-        value = self._c(a.expr, layout)
+        code = a.expr.compile(layout, self.consts)
         var = self.layout[col]
-        if var.is_bool:
-            return col, value, True
-        lo, hi = a.expr.bounds(layout, self.consts) if callable(value) \
-            else (value, value)
-        return col, value, var.lo <= lo and hi <= var.hi
+        return (col, code.value if code.run is None else code.run,
+                var.is_bool or var.lo <= code.lo and code.hi <= var.hi)
 
-    def _key_test(self, guard: ast.Expr):
-        """(column, value) of the leftmost conjunct of ``guard`` when that
-        conjunct is ``x = c`` or ``c = x`` for a variable ``x`` and an
-        expression ``c`` of constants only, else None."""
-        while isinstance(guard, ast.Binary) and guard.op == "&":
-            guard = guard.left
-        if not (isinstance(guard, ast.Binary) and guard.op == "="):
-            return None
-        for var, c in ((guard.left, guard.right), (guard.right, guard.left)):
-            if isinstance(var, ast.Name) and var.name in self.cols \
-                    and not any(n in self.cols for n in c.names()):
-                try:
-                    return self.cols[var.name], c.constant(self.consts)
-                except EvalError:
-                    return None  # left to raise where the guard runs
-        return None
-
-    def _guard_index(self, process: ast.ProcessDef, cmds: list[_Cmd]):
-        """(key column, {key value: the commands keyed on it}, unindexed
-        commands) of one process, as the module docstring describes; the
-        key column is None when no guard leads with a test of a variable
-        against constants."""
-        tests = [self._key_test(cmd.guard) for cmd in process.commands]
-        counts = Counter(t[0] for t in tests if t is not None)
+    def _compile(self, process: ast.ProcessDef):
+        """The compiled commands of ``process`` and its guard index: (key
+        column, {key value: the commands keyed on it}, unindexed commands),
+        as the module docstring describes; the key column is None when no
+        guard leads with a test of a variable against a constant."""
+        comparisons = [self._comparisons(cmd.guard)
+                       for cmd in process.commands]
+        keys = [(first[0], first[2]) if first and first[1] == "=" else None
+                for first, *_ in comparisons]
+        counts = Counter(key[0] for key in keys if key is not None)
         col = max(counts, key=counts.__getitem__) if counts else None
+        cmds: list[_Cmd] = []
         buckets: dict[object, list[_Cmd]] = {}  # a tie goes to the first
         rest = []
-        for cmd, test, source in zip(cmds, tests, process.commands):
-            guard = source.guard
-            if test is not None and test[0] == col:
-                buckets.setdefault(test[1], []).append(cmd)
-                # the key test holds on every row the command runs on
-                guard = _after_leftmost(guard)
+        for ci, (cmd, tests, key) in enumerate(
+                zip(process.commands, comparisons, keys)):
+            keyed = key is not None and key[0] == col
+            layout = self._narrowed(tests)
+            cmds.append(_Cmd(
+                ci, cmd.action,
+                # the key test holds on every row a keyed command runs on
+                self._c(_after_leftmost(cmd.guard) if keyed else cmd.guard,
+                        self.layout),
+                None if cmd.rate is None else self._c(cmd.rate, layout),
+                [(self._c(br.weight, layout),
+                  [self._assignment(a, layout) for a in br.assignments])
+                 for br in cmd.branches],
+                cmd.pos[0]))
+            if keyed:
+                buckets.setdefault(key[1], []).append(cmds[-1])
             else:
-                rest.append(cmd)
-            cmd.guard = self._c(guard, self.layout)
-        return col, buckets, rest
+                rest.append(cmds[-1])
+        return cmds, (col, buckets, rest)
 
     def _keys(self, rows: np.ndarray) -> np.ndarray:
         if self.radix is not None:

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from qmv.lang.errors import ModelSyntaxError
 
@@ -14,11 +14,11 @@ TOKEN_RE = re.compile(
     rf"""
       (?P<skip>[ \t\r]+|//[^\n]*)
     | (?P<nl>\n)
-    | (?P<decimal>\d+\.\d+)
-    | (?P<int>\d+)
-    | (?P<name>{IDENTIFIER_RE.pattern})
-    | (?P<string>"[^"\n]*")
-    | (?P<op>->|<=|>=|!=|\.\.|[-+*/()\[\]:;,?'=<>&|!])
+    | (?P<DECIMAL>\d+\.\d+)
+    | (?P<INT>\d+)
+    | (?P<NAME>{IDENTIFIER_RE.pattern})
+    | (?P<STRING>"[^"\n]*")
+    | (?P<OP>->|<=|>=|!=|\.\.|[-+*/()\[\]:;,?'=<>&|!])
     """,
     re.VERBOSE,
 )
@@ -31,9 +31,10 @@ KEYWORDS = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class Token:
-    type: str  # NAME, INT, DECIMAL, STRING, OP, EOF
+class Token(NamedTuple):
+    #: NAME, INT, DECIMAL, STRING, OP (the name of the group of TOKEN_RE
+    #: that matched it) or EOF
+    type: str
     text: str
     line: int
     column: int
@@ -52,14 +53,11 @@ def tokenize(source: str) -> list[Token]:
                 line, pos - line_start + 1, source,
             )
         kind = m.lastgroup
-        text = m.group()
         if kind == "nl":
             line += 1
             line_start = m.end()
         elif kind != "skip":
-            ttype = {"decimal": "DECIMAL", "int": "INT", "name": "NAME",
-                     "string": "STRING", "op": "OP"}[kind]
-            tokens.append(Token(ttype, text, line, pos - line_start + 1))
+            tokens.append(Token(kind, m.group(), line, pos - line_start + 1))
         pos = m.end()
     tokens.append(Token("EOF", "", line, pos - line_start + 1))
     return tokens

@@ -23,6 +23,7 @@ from qmv.lang import (
     BoolLit,
     Call,
     Cond,
+    EvalError,
     ExplorationError,
     ExplorationLimit,
     IntLit,
@@ -335,6 +336,22 @@ class TestExpressionEvaluation:
         shifts = np.arange(-3, 4).reshape(-1, 1)
         assert expr.compile((VariableInfo("z", -3, 3),), {})(shifts) \
             .tolist() == [shifted(z) for z in range(-3, 4)]
+        # the compiled code's range holds every value on the layout
+        code = expr.compile((VariableInfo("z", -3, 3),), {})
+        assert all(code.lo <= v <= code.hi for v in code(shifts).tolist())
+
+    def test_a_constant_that_does_not_fold_raises_where_it_runs(self):
+        expr = Binary("/", IntLit(1), Name("Z"))
+        code = expr.compile((), {"Z": 0})  # compiling does not raise
+        assert code.run is not None and code.kind == "real"
+        with pytest.raises(EvalError, match="division by zero"):
+            code(np.zeros((1, 0), dtype=np.int64))
+        with pytest.raises(EvalError, match="division by zero"):
+            expr.constant({"Z": 0})
+        folded = expr.compile((), {"Z": 4})
+        assert folded.run is None and folded.value == Fraction(1, 4)
+        assert folded(np.zeros((2, 0), dtype=np.int64)).tolist() \
+            == [Fraction(1, 4)] * 2
 
     def test_values_beyond_int64_are_exact(self):
         # x * x exceeds 2**63 - 1 inside the declared bounds; int64 would
@@ -641,6 +658,7 @@ class TestRangeProof:
         ("x<=N", "x'=x+1", False),
         ("0 < x", "x'=x-1", True),
         ("x>=0", "x'=x-1", False),
+        ("x < (false ? x : N)", "x'=x+1", True),
     ])
     def test_assignment_flags(self, guard, update, proven):
         assert self._proven(guard, update) == [proven]
@@ -799,6 +817,7 @@ class TestGuardIndex:
           [] !(x = 2) & g -> (g'=false);
           [sync] x = 2 -> (x'=3);
           [sync] N-2 = x & g -> (x'=4);
+          [] x = (true ? 3 : x) & g -> (g'=false);
         endmodule
         module c
           y : [0..2] init 0;
