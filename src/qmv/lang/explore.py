@@ -280,9 +280,10 @@ class _Explorer:
         keys = [(first[0], first[2]) if first and first[1] == "=" else None
                 for first, *_ in comparisons]
         counts = Counter(key[0] for key in keys if key is not None)
+        # a tie goes to the first
         col = max(counts, key=counts.__getitem__) if counts else None
         cmds: list[_Cmd] = []
-        buckets: dict[object, list[_Cmd]] = {}  # a tie goes to the first
+        buckets: dict[object, list[_Cmd]] = {}
         rest = []
         for ci, (cmd, tests, key) in enumerate(
                 zip(process.commands, comparisons, keys)):
