@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -256,8 +256,10 @@ class _Explorer:
                 hi[j] = min(hi[j], k - (op == "<"))
         if any(a > b for a, b in zip(lo, hi)):
             return self.layout  # the guard never holds
-        return tuple(v if (a, b) == (v.lo, v.hi) else replace(v, lo=a, hi=b)
-                     for v, a, b in zip(self.layout, lo, hi))
+        return tuple(
+            v if (a, b) == (v.lo, v.hi)
+            else VariableInfo(v.name, a, b, v.is_bool, v.owner, v.observers)
+            for v, a, b in zip(self.layout, lo, hi))
 
     def _assignment(self, a: ast.Assignment,
                     layout: tuple[VariableInfo, ...]) -> tuple:

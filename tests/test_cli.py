@@ -621,6 +621,14 @@ class TestExitCodes:
         assert code == 3
         assert "needs about inf Poisson terms" in err
 
+    def test_horizon_above_the_cap_is_a_solver_failure(self, capsys,
+                                                      model_file):
+        code, out, err = run(capsys, [
+            "cdf", model_file(COIN), 'Pmax=? [ F "heads" ]',
+            "--horizon", "1000001"])
+        assert code == 3 and not out
+        assert "horizon 1000001 exceeds MAX_HORIZON (1000000)" in err
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

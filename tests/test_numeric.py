@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from qmv import numeric
 from qmv.casestudies import (
     BitcoinParams,
+    NocParams,
     gen_bitcoin,
     gen_contact_mdp,
+    gen_noc,
     parse_contact_plan,
     sample_contact_plan,
 )
@@ -237,6 +239,104 @@ class TestStepBoundedCdf:
         cdf = step_bounded_cdf(coin_dtmc, coin_dtmc.labels["heads"],
                                Direction.MIN, 2, CFG)
         assert list(cdf.values) == [0.0, 0.5, 0.5]
+
+
+#: Each step moves on with 1/2 or falls into the dead end 4, which never
+#: reaches the goal 3: the mass in 4 never leaves, so only dropping the
+#: states that cannot reach the goal lets the distribution empty.
+DEAD_END = """
+    dtmc
+    module m
+      x : [0..4] init 0;
+      [] x<3 -> 1/2:(x'=x+1) + 1/2:(x'=4);
+    endmodule
+    label "goal" = x=3;
+"""
+
+
+def _reference_cdf(space, mask, direction, t_max):
+    """The CDF iterated up to ``t_max`` without stopping: the forward loop
+    over ``np.add.at`` for a DTMC, every backward sweep for an MDP."""
+    sp = numeric._closed(space)
+    if space.model_class is ModelClass.DTMC:
+        pi = np.zeros(space.n_states)
+        pi[space.initial] = 1.0
+        acc = float(pi[mask].sum())
+        pi[mask] = 0.0
+        values = [acc]
+        for _ in range(t_max):
+            nxt = np.zeros_like(pi)
+            np.add.at(nxt, sp.branch_target,
+                      pi[sp.branch_source] * sp.branch_prob)
+            pi = nxt
+            acc += float(pi[mask].sum())
+            pi[mask] = 0.0
+            values.append(acc)
+    else:
+        best = np.maximum if direction is Direction.MAX else np.minimum
+        V = mask.astype(np.float64)
+        values = [float(V[space.initial])]
+        for _ in range(t_max):
+            rows = np.add.reduceat(sp.branch_prob * V[sp.branch_target],
+                                   sp.branch_ptr[:-1])
+            V = np.where(mask, 1.0, best.reduceat(rows, sp.choice_ptr[:-1]))
+            values.append(float(V[space.initial]))
+    return values, all(b >= a for a, b in zip(values, values[1:]))
+
+
+@functools.cache
+def _stop_space(name):
+    if name == "noc":
+        return space_of(gen_noc(NocParams()).model)
+    if name == "dead_end":
+        return space_of(DEAD_END)
+    if name == "gambler20":
+        return space_of(GAMBLER_20)
+    if name == "contacts":
+        return space_of(gen_contact_mdp(parse_contact_plan(
+            sample_contact_plan())).model)
+    return space_of(retry_model(3))
+
+
+class TestCdfStop:
+    """The CDF stops once no later step can change a value and fills the
+    rest of the horizon; every value equals the unstopped iteration's."""
+
+    @pytest.mark.parametrize("model, label, direction, horizon, sweeps", [
+        # the distribution empties at step 6
+        ("noc", "noisy", Direction.MAX, 200, 6),
+        # empties at step 3 only once the dead end's mass is dropped
+        ("dead_end", "goal", Direction.MAX, 50, 3),
+        # the walk between the two ends never empties
+        ("gambler20", "goal", Direction.MAX, 2000, 2000),
+        # acyclic MDP: fixed points well within the horizon
+        ("contacts", "delivered", Direction.MAX, 40, 6),
+        ("contacts", "delivered", Direction.MIN, 40, 1),
+        # cyclic MDP: the retry loops converge to a fixed point in floats
+        ("retry3", "done", Direction.MAX, 2000, 38),
+        ("retry3", "done", Direction.MIN, 2000, 8),
+    ])
+    def test_values_equal_the_unstopped_iteration(
+            self, monkeypatch, model, label, direction, horizon, sweeps):
+        space = _stop_space(model)
+        mask = space.labels[label]
+        values, monotone = _reference_cdf(space, mask, direction, horizon)
+        # one np.bincount per forward step, one _row_values per sweep
+        counted = [0]
+        name, owner = (("bincount", np)
+                       if space.model_class is ModelClass.DTMC
+                       else ("_row_values", numeric))
+        step = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            counted[0] += 1
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+        cdf = step_bounded_cdf(space, mask, direction, horizon, CFG)
+        assert cdf.values == tuple(values)
+        assert cdf.monotone == monotone
+        assert counted[0] == sweeps
 
 
 class TestMarkovAutomata:
