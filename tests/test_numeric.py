@@ -303,9 +303,9 @@ class TestCdfStop:
     rest of the horizon; every value equals the unstopped iteration's."""
 
     @pytest.mark.parametrize("model, label, direction, horizon, sweeps", [
-        # the distribution empties at step 6
+        # the distribution empties after 6 steps
         ("noc", "noisy", Direction.MAX, 200, 6),
-        # empties at step 3 only once the dead end's mass is dropped
+        # empties after 3 steps only because the dead end's mass is dropped
         ("dead_end", "goal", Direction.MAX, 50, 3),
         # the walk between the two ends never empties
         ("gambler20", "goal", Direction.MAX, 2000, 2000),
