@@ -352,6 +352,56 @@ class TestLockstep:
         assert asked == [0, 1]
 
 
+#: An MA whose states, in index order, are immediate (a decision), Markovian,
+#: absorbing, immediate (a decision), Markovian, absorbing, immediate and
+#: the absorbing goal: the simulator's rows of the three kinds interleave.
+INTERLEAVED_MA = """
+ma
+module m
+  x : [0..7] init 0;
+  [] x=0 -> 1/2:(x'=1) + 1/2:(x'=2);
+  [] x=0 -> (x'=3);
+  rate(2) x=1 -> (x'=3);
+  rate(1) x=1 -> (x'=4);
+  [] x=3 -> 1/3:(x'=4) + 2/3:(x'=5);
+  [] x=3 -> (x'=1);
+  rate(3) x=4 -> (x'=6);
+  rate(1) x=4 -> (x'=0);
+  [] x=6 -> 1/2:(x'=7) + 1/2:(x'=2);
+endmodule
+label "goal" = x=7;
+"""
+
+
+class TestPinnedMaEstimates:
+    # SHA-256 of the estimates under all four deterministic schedulers, for
+    # an unbounded and a time-bounded property, and of the first runs'
+    # outcomes; any change to how runs pick successors or races shows here
+    PINNED = "ae97b88c139314f604f99340fe0abf797d7138bf4053a4ac242201a0ac376c5d"
+
+    def test_estimates_are_pinned(self):
+        model = parse_model(INTERLEAVED_MA)
+        space = explore(model)
+        kinds = ["I" if k else "M" if r else "A" for k, r in zip(
+            np.diff(space.choice_ptr).tolist(), space.exit_rate.tolist())]
+        assert "".join(kinds) == "IMAIMAIA"
+        payload = []
+        for text in ('Pmax=? [ F "goal" ]', 'Pmax=? [ F<=2 "goal" ]'):
+            prop = parse_property(text, model_class=model.model_class,
+                                  labels=model.label_map())
+            for first, second in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                pick = {0: first, 3: second}.__getitem__
+                est = estimate(space, pick, prop,
+                               SmcConfig(runs=2000, master_seed=3))
+                assert est.truncated == 0
+                payload.append([est.mean, est.ci_low, est.ci_high])
+            payload.append([list(simulate_run(space, pick, prop,
+                                              run_seed(3, r)).__dict__.values())
+                            for r in range(20)])
+        digest = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+        assert digest == self.PINNED
+
+
 class TestClopperPearson:
     @pytest.mark.parametrize("runs", [1, 10, 300, 10 ** 6])
     def test_closed_form_at_the_ends(self, runs):
