@@ -675,6 +675,21 @@ def decision_states(space: ExplicitStateSpace) -> list[int]:
     return np.flatnonzero(np.diff(space.choice_ptr) >= 2).tolist()
 
 
+def check_good_for_distribution(space: ExplicitStateSpace) -> list[int]:
+    """States whose decision is shared between components.
+
+    Returns every reachable state with two or more immediate choices owned
+    by different components.  An empty list means every decision belongs to
+    exactly one component, so schedulers can be sampled per component from
+    locally observable information.
+    """
+    busy = np.diff(space.choice_ptr) > 0
+    starts, owner = space.choice_ptr[:-1][busy], space.choice_owner
+    shared = (np.minimum.reduceat(owner, starts)
+              != np.maximum.reduceat(owner, starts))
+    return np.flatnonzero(busy)[shared].tolist()
+
+
 def scheduler_owner(space: ExplicitStateSpace, state: int) -> int:
     """Owner of the decision in ``state`` (unique if good-for-distribution)."""
     lo, hi = space.choice_ptr[state], space.choice_ptr[state + 1]

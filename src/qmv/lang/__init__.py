@@ -27,7 +27,7 @@ from qmv.lang.errors import (
     ModelSyntaxError,
 )
 from qmv.lang.parser import parse_model, parse_properties, parse_property
-from qmv.lang.explore import check_good_for_distribution, explore
+from qmv.lang.explore import explore
 
 __all__ = [
     "Assignment", "Binary", "BoolLit", "Branch", "Call", "Command", "Cond",
@@ -36,5 +36,5 @@ __all__ = [
     "EvalError", "ExplorationError", "ExplorationLimit", "ModelError",
     "ModelSyntaxError",
     "parse_model", "parse_properties", "parse_property",
-    "check_good_for_distribution", "explore",
+    "explore",
 ]

@@ -668,18 +668,3 @@ def explore(
     if not model.processes:
         raise ExplorationError("model has no modules")
     return _Explorer(model, state_cap, name).run()
-
-
-def check_good_for_distribution(space: ExplicitStateSpace) -> list[int]:
-    """States whose decision is shared between components.
-
-    Returns every reachable state with two or more immediate choices owned
-    by different components.  An empty list means every decision belongs to
-    exactly one component, so schedulers can be sampled per component from
-    locally observable information.
-    """
-    busy = np.diff(space.choice_ptr) > 0
-    starts, owner = space.choice_ptr[:-1][busy], space.choice_owner
-    shared = (np.minimum.reduceat(owner, starts)
-              != np.maximum.reduceat(owner, starts))
-    return np.flatnonzero(busy)[shared].tolist()

@@ -147,6 +147,8 @@ def _closed(space: ExplicitStateSpace) -> ExplicitStateSpace:
     so every state has a row and per-state reductions stay total.  States
     that have choices keep their rows, so a row's offset within its state
     is still the choice index there.  The rates stay in place, unread.
+    Besides the solvers here, :mod:`qmv.smc`'s simulator and its
+    scheduler search (``reachable_decisions``) read these rows.
     """
     counts = np.diff(space.choice_ptr)
     idle = counts == 0

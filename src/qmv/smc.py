@@ -1,9 +1,10 @@
 """Statistical model checking and lightweight scheduler sampling.
 
-Simulation advances all runs of an estimate in lockstep over the state
-space's arrays: each step picks every live run's choice (a resolver maps
-a state index to a choice index) or its Markovian race, draws uniforms,
-picks successors on cumulative weights and drops the runs that finished.
+Simulation advances all runs of an estimate in lockstep over the rows of
+:func:`qmv.numeric._closed` (every state's choices, else the embedded
+jump of its race, else a self-loop): each step picks every live run's row
+(a resolver maps a state index to a choice index), draws uniforms, picks
+successors on cumulative weights and drops the runs that finished.
 Lightweight scheduler sampling (LSS) represents a scheduler as a 32-bit
 integer id: at a decision state the choice is
 ``fmix64(FNV-1a-64(id ++ encoded state)) mod k``, so a single integer
@@ -37,9 +38,10 @@ from qmv.core import (
     ExplicitStateSpace,
     Property,
     PropertyKind,
+    check_good_for_distribution,
     target_mask,
 )
-from qmv.lang.explore import check_good_for_distribution
+from qmv.numeric import _closed, _distinct, _ranges
 
 FNV_OFFSET = 14695981039346656037
 FNV_PRIME = 1099511628211
@@ -212,6 +214,8 @@ class SmcEstimate:
     delta) guarantee of an Okamoto-sized run count, clipped to [0, 1];
     ``"clopper-pearson"`` is the exact binomial interval at
     :data:`CONFIDENCE` of a fixed run count, which never has zero width.
+    ``mean`` counts the ``truncated`` runs as misses; the interval's upper
+    end counts them as hits, so it holds whatever they would have done.
     """
 
     mean: float
@@ -290,37 +294,16 @@ def _uniforms(keys: np.ndarray, draw: int) -> np.ndarray:
     return (_splitmix64(keys, draw) >> 11) * 2.0 ** -53
 
 
-def _rows(space: ExplicitStateSpace):
-    """The simulator's rows: every immediate choice, then every state's
-    race, whose rates are divided by its exit rate.
-
-    Returns per state its first row (its first choice, or its race); per
-    row its first entry, and whether no entry leaves its state; per entry
-    its target; and the weight sum of all entries before each entry.
-    """
-    n_choices = len(space.choice_owner)
-    first = np.where(np.diff(space.choice_ptr) > 0, space.choice_ptr[:-1],
-                     n_choices + np.arange(space.n_states))
-    ptr = np.concatenate([space.branch_ptr,
-                          space.branch_ptr[-1] + space.rate_ptr[1:]])
-    row = np.concatenate([space.branch_choice, n_choices + space.rate_state])
-    target = np.concatenate([space.branch_target, space.rate_target])
-    leaving = target != np.concatenate([space.branch_source, space.rate_state])
-    stays = np.bincount(row[leaving], minlength=len(ptr) - 1) == 0
-    weight = np.concatenate([space.branch_prob,
-                             space.rate / space.exit_rate[space.rate_state]])
-    return first, ptr, stays, target, np.cumsum(np.append(0.0, weight))
-
-
 def _simulate(space: ExplicitStateSpace, resolver: Resolver | None,
               prop: Property, mask: np.ndarray, batches: Iterable[np.ndarray],
               max_steps: int) -> Iterator[tuple[np.ndarray, ...]]:
     """Per batch of run keys, the runs' hits, steps, model times at the
     end and truncations; the runs of a batch advance in lockstep.
 
-    Each step gathers every live run's row (its resolved choice, or its
-    race), samples the Markovian sojourns, picks each successor with the
-    run's uniform on the cumulative weights and drops the finished runs.
+    Each step gathers every live run's closed row (its resolved choice, or
+    its race's embedded jump), samples the sojourns in states with an exit
+    rate, picks each successor with the run's uniform on the cumulative
+    weights and drops the finished runs.
     The resolver is asked once per decision state that some run enters.
     """
     if prop.kind is PropertyKind.EXPECTED_TIME:
@@ -333,11 +316,15 @@ def _simulate(space: ExplicitStateSpace, resolver: Resolver | None,
         if prop.kind is PropertyKind.STEP_BOUNDED_REACH_PROB else None
     time_bound = prop.bound \
         if prop.kind is PropertyKind.TIME_BOUNDED_REACH_PROB else None
-    first, ptr, stays, target, cum = _rows(space)
+    sp = _closed(space)
+    first, ptr, target = sp.choice_ptr[:-1], sp.branch_ptr, sp.branch_target
+    # per row whether every branch returns to its own state
+    stays = np.bincount(sp.branch_choice[target != sp.branch_source],
+                        minlength=len(ptr) - 1) == 0
+    cum = np.cumsum(np.append(0.0, sp.branch_prob))
     base, last, cum = cum[ptr[:-1]], ptr[1:] - 1, cum[1:]
-    n_choices = len(space.choice_owner)
     # per state the offset of its resolved choice, -1 until resolved
-    offsets = np.where(np.diff(space.choice_ptr) >= 2, -1, 0)
+    offsets = np.where(np.diff(sp.choice_ptr) >= 2, -1, 0)
     for keys in batches:
         hit = np.zeros(len(keys), dtype=bool)
         truncated = np.zeros(len(keys), dtype=bool)
@@ -356,20 +343,20 @@ def _simulate(space: ExplicitStateSpace, resolver: Resolver | None,
                 break
             offset = offsets[state]
             if offset.min() < 0:  # a run at a target keeps -1 and stops
-                for s in np.unique(state[(offset < 0) & ~at]).tolist():
+                for s in _distinct(state[(offset < 0) & ~at]).tolist():
                     if resolver is None:
                         raise ValueError(f"state {s} has several choices "
                                          "but no resolver was supplied")
                     offsets[s] = resolver(s)
                 offset = offsets[state]
             row = first[state] + offset
-            # a pure self-loop under a memoryless resolver, or a state no
-            # rate leaves: the state never changes again, a definitive miss
+            # under a memoryless resolver such a run never moves again
             stop = at | stays[row]
-            race = np.flatnonzero((row >= n_choices) & ~stop)
+            rate = space.exit_rate[state]
+            race = np.flatnonzero((rate > 0) & ~stop)
             if race.size:
                 clock[race] -= np.log1p(-_uniforms(keys[race], 2 * t + 1)) \
-                    / space.exit_rate[state[race]]
+                    / rate[race]
                 if time_bound is not None:
                     stop |= clock > time_bound
             if stop.any():
@@ -434,10 +421,12 @@ def estimate(
         truncated += int(cut.sum())
     mean = hits / n
     if cfg.runs is not None:
-        return SmcEstimate(mean, *clopper_pearson(hits, n), n, truncated,
-                           "clopper-pearson")
-    return SmcEstimate(mean, max(0.0, mean - cfg.epsilon),
-                       min(1.0, mean + cfg.epsilon), n, truncated, "okamoto")
+        low, high = clopper_pearson(hits, n)
+        if truncated:  # counted as hits at the upper end
+            high = clopper_pearson(hits + truncated, n)[1]
+        return SmcEstimate(mean, low, high, n, truncated, "clopper-pearson")
+    return SmcEstimate(mean, max(0.0, mean - cfg.epsilon), min(
+        1.0, (hits + truncated) / n + cfg.epsilon), n, truncated, "okamoto")
 
 
 #: Confidence level of the interval of a fixed number of runs.
@@ -528,16 +517,16 @@ def reachable_decisions(space: ExplicitStateSpace, ids: Iterable[int],
     """Per scheduler id: its choice index at each decision state reachable
     from the initial state under that id's own choices.
 
-    One breadth-first search per id, over the arrays, for up to
+    One breadth-first search per id, over the closed rows, for up to
     :data:`MAX_BATCH` (id, state) pairs at once; the decision states each
     level of the search reaches are encoded (the whole state in ``global``
     mode, the owner's observed variables in ``distributed`` mode) and
     hashed with their ids by :func:`lss_choices`, all pairs of the level
     in one call per owner.  Two ids with equal tables make identical
-    choices on every path that can occur.  Raises
-    ValueError for an id outside [0, 2**32), whether or not it reaches a
-    decision, and :class:`NotGoodForDistribution` in ``distributed`` mode
-    for a model that is not good for distribution.
+    choices on every path that can occur.  Raises ValueError for an id
+    outside [0, 2**32), whether or not it reaches a decision, and
+    :class:`NotGoodForDistribution` in ``distributed`` mode for a model
+    that is not good for distribution.
     """
     if mode == "distributed":
         violations = check_good_for_distribution(space)
@@ -547,16 +536,13 @@ def reachable_decisions(space: ExplicitStateSpace, ids: Iterable[int],
     for sid in ids:
         if not 0 <= sid < 2 ** 32:
             raise ValueError(f"scheduler id {sid} outside [0, 2**32)")
-    n = space.n_states
-    first, ptr, _, target, _ = _rows(space)
-    counts = np.diff(space.choice_ptr)
+    n, sp = space.n_states, _closed(space)
+    first, counts = sp.choice_ptr[:-1], np.diff(sp.choice_ptr)
     # the variables each decision state's choice reads
     if mode == "global":
         views = [(np.ones(n, dtype=bool), list(range(space.n_variables)))]
     else:
-        owner = np.full(n, -1)
-        busy = counts > 0
-        owner[busy] = space.choice_owner[space.choice_ptr[:-1][busy]]
+        owner = sp.choice_owner[first]
         views = [(owner == c, list(space.observed_indices(c)))
                  for c in range(len(space.components))]
     per_batch = max(1, MAX_BATCH // n)
@@ -581,11 +567,10 @@ def reachable_decisions(space: ExplicitStateSpace, ids: Iterable[int],
                 row[decide] += picks
                 for i, s, pick in zip(i.tolist(), s.tolist(), picks.tolist()):
                     tables[i][s] = pick
-            width = ptr[row + 1] - ptr[row]
-            entries = np.repeat(ptr[row] - np.cumsum(width) + width, width) \
-                + np.arange(width.sum())
-            reached = np.repeat(who * n, width) + target[entries]
-            pairs = np.unique(reached[~seen[reached]])
+            width = sp.branch_ptr[row + 1] - sp.branch_ptr[row]
+            reached = (who * n).repeat(width) \
+                + sp.branch_target[_ranges(sp.branch_ptr, row)]
+            pairs = _distinct(reached[~seen[reached]])
             seen[pairs] = True
         yield from tables
 
@@ -619,10 +604,5 @@ def lss(
 
     pick = max if cfg.direction is Direction.MAX else min
     best_id, best = pick(table, key=lambda row: row[1].mean)
-    return LssResult(
-        best_id=best_id,
-        best=best,
-        table=tuple(table),
-        mode=cfg.mode,
-        distinct_behaviors=len(cache),
-    )
+    return LssResult(best_id=best_id, best=best, table=tuple(table),
+                     mode=cfg.mode, distinct_behaviors=len(cache))

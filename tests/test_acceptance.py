@@ -38,10 +38,10 @@ from qmv.core import (
     ExplicitStateSpace,
     Property,
     PropertyKind,
+    check_good_for_distribution,
     decision_states,
     target_mask,
 )
-from qmv.lang.explore import check_good_for_distribution
 from qmv.numeric import (
     describe_scheduler,
     ma_expected_time,

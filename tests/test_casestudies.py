@@ -17,9 +17,9 @@ from qmv.casestudies import (
     parse_contact_plan,
     sample_contact_plan,
 )
-from qmv.core import Direction, ModelClass
+from qmv.core import Direction, ModelClass, check_good_for_distribution
 from qmv.lang import parse_model, parse_properties
-from qmv.lang.explore import check_good_for_distribution, explore
+from qmv.lang.explore import explore
 from qmv.numeric import SolverConfig, ma_expected_time, reach_prob
 
 CFG = SolverConfig()

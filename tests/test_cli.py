@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, JSON reports, exit codes."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -270,6 +274,26 @@ class TestSimulate:
             "ci_method": "clopper-pearson", "runs": 200,
             "truncated_runs": 0, "scheduler_id": 12345}]
 
+    def test_truncated_runs_widen_the_interval_to_the_value(self, capsys,
+                                                            model_file):
+        # x reaches 100 with probability 1, after 200 steps on average: all
+        # 1000 runs stop at 150 steps, so only the interval's upper end,
+        # which counts them as hits, can hold the value
+        path = model_file("""
+            dtmc
+            module walk
+              x : [0..100] init 0;
+              [] x<100 -> 1/2:(x'=x+1) + 1/2:(x'=x);
+            endmodule
+        """)
+        code, rep, _ = run_json(capsys, [
+            "simulate", path, "Pmax=? [ F x=100 ]", "--runs", "1000",
+            "--max-steps", "150", "--json"])
+        assert code == 0
+        res = rep["properties"][0]
+        assert (res["mean"], res["ci_low"], res["ci_high"]) == (0.0, 0.0, 1.0)
+        assert res["truncated_runs"] == 1000
+
     def test_okamoto_sizing_via_eps_delta(self, capsys, model_file):
         code, rep, _ = run_json(capsys, [
             "simulate", model_file(COIN), 'Pmax=? [ F "heads" ]',
@@ -502,6 +526,50 @@ class TestGen:
         assert code == 0
         assert (tmp_path / f"{case}.gcm").read_text() == expected.model
         assert (tmp_path / f"{case}.props").read_text() == expected.props
+
+
+#: Runs the command line given as arguments, then names on stderr whether
+#: ``numpy.ma`` was imported.
+_NUMPY_MA_PROBE = """
+import sys
+from qmv.cli import main
+code = main(sys.argv[1:])
+print("numpy.ma" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+class TestImports:
+    """What a fresh interpreter loads; numpy's first ``np.unique`` call
+    imports ``numpy.ma``, 1.2 MB of resident memory."""
+
+    @staticmethod
+    def _python(*args):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src if not path else src + os.pathsep + path)
+        done = subprocess.run([sys.executable, *args], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stderr.splitlines()[-1]
+
+    def test_sampling_commands_leave_numpy_ma_unloaded(self, tmp_path):
+        gen_contact_mdp(parse_contact_plan(sample_contact_plan())) \
+            .write(tmp_path)
+        gen_bitcoin(BitcoinParams()).write(tmp_path)
+        contacts = [str(tmp_path / f"contacts.{x}") for x in ("gcm", "props")]
+        bitcoin = [str(tmp_path / f"bitcoin.{x}") for x in ("gcm", "props")]
+        for argv in (["lss", *contacts, "--schedulers", "5", "--runs", "50",
+                      "--mode", "distributed"],
+                     ["simulate", *bitcoin, "--prop-index", "1",
+                      "--scheduler-id", "7", "--runs", "100"]):
+            assert self._python("-c", _NUMPY_MA_PROBE, *argv) == "False"
+
+    def test_the_simulator_loads_no_front_end(self):
+        assert self._python("-c", "import sys, qmv.smc; print(sorted(m for m "
+                            "in sys.modules if m.startswith('qmv.lang')), "
+                            "file=sys.stderr)") == "[]"
 
 
 class TestExitCodes:

@@ -28,13 +28,13 @@ from qmv.core import (
     SpaceBuilder,
     VariableInfo,
     _normalise,
+    check_good_for_distribution,
     decision_states,
     scheduler_owner,
     target_mask,
     validate,
 )
 from qmv.lang import Binary, Name
-from qmv.lang.explore import check_good_for_distribution
 from qmv.numeric import _closed
 
 from conftest import direct_space, space_of

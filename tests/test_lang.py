@@ -16,6 +16,7 @@ from qmv.core import (
     ModelClass,
     PropertyKind,
     VariableInfo,
+    check_good_for_distribution,
     target_mask,
 )
 from qmv.lang import (
@@ -39,7 +40,6 @@ from qmv.lang.ast import PRECEDENCE
 from qmv.lang.explore import (
     DEFAULT_STATE_CAP,
     _Explorer,
-    check_good_for_distribution,
     explore,
 )
 from qmv.lang.lexer import KEYWORDS, tokenize

@@ -254,6 +254,31 @@ class TestEstimate:
         est = estimate(sp, None, _unbounded("goal"), SmcConfig(runs=10))
         assert est.mean == 1.0
 
+    def test_truncated_runs_count_as_hits_at_the_upper_end(self):
+        # each step succeeds or fails for good with probability 1/4, so the
+        # value is 1/2; after two steps 1/4 of the runs still retry, and
+        # without them the interval lies below 1/2
+        sp = space_of("""
+            dtmc
+            module g
+              x : [0..2] init 0;
+              [] x=0 -> 1/4:(x'=1) + 1/4:(x'=2) + 1/2:(x'=0);
+            endmodule
+            label "done" = x=1;
+        """)
+        prop = _unbounded("done")
+        est = estimate(sp, None, prop, SmcConfig(runs=400, max_steps=2))
+        hits = round(est.mean * 400)
+        assert 0 < est.truncated < 400 - hits
+        assert clopper_pearson(hits, 400)[1] < 0.5 < est.ci_high
+        assert est.ci_low == clopper_pearson(hits, 400)[0]
+        assert est.ci_high == clopper_pearson(hits + est.truncated, 400)[1]
+        est = estimate(sp, None, prop,
+                       SmcConfig(epsilon=0.05, delta=0.1, max_steps=2))
+        assert est.ci_low == pytest.approx(est.mean - 0.05)
+        assert est.ci_high == pytest.approx(
+            (est.mean * est.runs + est.truncated) / est.runs + 0.05)
+
     def test_rare_event_interval_is_not_degenerate(self):
         # a Wald interval around 0 hits in 50 runs is [0, 0], excluding 0.01
         sp = space_of("""
