@@ -185,6 +185,8 @@ def cmd_cdf(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.mode == "distributed" and args.scheduler_id is None:
+        raise ValueError("--mode distributed needs --scheduler-id")
     cfg = _smc_config(args)
 
     def analyse(space, prop):

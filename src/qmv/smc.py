@@ -584,11 +584,13 @@ def lss(
 ) -> LssResult:
     """Sample m scheduler ids and keep the best estimate.
 
-    direction=max keeps the maximum estimate (an underapproximation of the
-    true maximum, since only m schedulers are tried); min keeps the minimum
-    (an overapproximation of the true minimum).  ``distributed`` mode
-    requires the model to be good for distribution and hashes only the
-    owner's observed variables, ``global`` mode hashes the full state.
+    direction=max keeps the maximum estimate, min the minimum.  Each
+    sampled scheduler's true value is at most the true maximum (at least
+    the true minimum), but the best of m estimates is a selected value:
+    its interval is not a 1-delta interval for that scheduler, and its mean
+    can pass the optimum.  ``distributed`` mode requires the model to be
+    good for distribution and hashes only the owner's observed variables,
+    ``global`` mode hashes the full state.
     """
     ids = sample_scheduler_ids(cfg.sampler_seed, cfg.m)
     cache: dict[tuple, SmcEstimate] = {}

@@ -260,6 +260,16 @@ class TestSimulate:
         assert code == 0
         assert rep["properties"][0]["scheduler_id"] == 7
 
+    def test_distributed_mode_needs_a_scheduler_id(self, capsys, tmp_path):
+        # without an id no scheduler reads the mode, so on this DTMC the
+        # good-for-distribution check would never run
+        run(capsys, ["gen", "noc", "--out-dir", str(tmp_path)])
+        code, out, err = run(capsys, [
+            "simulate", str(tmp_path / "noc.gcm"), str(tmp_path / "noc.props"),
+            "--runs", "10", "--mode", "distributed"])
+        assert (code, out) == (1, "")
+        assert "--scheduler-id" in err
+
     def test_scheduler_id_estimate_is_pinned(self, capsys, tmp_path):
         run(capsys, ["gen", "bitcoin", "--CD", "3", "--out-dir",
                      str(tmp_path)])
@@ -480,6 +490,26 @@ def test_bundled_property_checks_under_default_flags(capsys, tmp_path, case,
     (entry,) = rep["properties"]
     assert entry["property"] == text
     assert math.isfinite(entry["value"])
+
+
+def test_noc_check_cdf_and_simulate_agree(capsys, tmp_path):
+    """The NoC case three ways: ``check`` equals ``cdf`` at the bound, and
+    lies in ``simulate``'s interval, which excludes the value +- 0.01."""
+    gcm, props = (str(p) for p in gen_noc(
+        NocParams(k_ind=3, events=4, horizon=4)).write(tmp_path))
+    _, check, _ = run_json(capsys, ["check", gcm, props, "--json"])
+    _, cdf, _ = run_json(capsys, ["cdf", gcm, props, "--horizon", "21",
+                                  "--json"])
+    _, sim, _ = run_json(capsys, ["simulate", gcm, props, "--runs", "40000",
+                                  "--seed", "0", "--json"])
+    assert check["model"]["states"] == 1138
+    value = check["properties"][0]["value"]
+    assert 0.49 < value < 0.5
+    assert cdf["properties"][0]["final"] == value
+    est = sim["properties"][0]
+    assert est["ci_low"] <= value <= est["ci_high"]
+    for planted in (value - 0.01, value + 0.01):
+        assert not est["ci_low"] <= planted <= est["ci_high"]
 
 
 class TestGen:

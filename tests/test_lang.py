@@ -353,6 +353,30 @@ class TestExpressionEvaluation:
         assert folded(np.zeros((2, 0), dtype=np.int64)).tolist() \
             == [Fraction(1, 4)] * 2
 
+    def test_a_conditional_may_choose_between_booleans(self):
+        sp = space_of("""
+            dtmc
+            module m
+              x : [0..3] init 0;
+              [] x<3 -> (x'=x+1);
+            endmodule
+            label "picked" = x<2 ? x=1 : x=3;
+        """)
+        assert sp.labels["picked"].tolist() == [False, True, False, True]
+
+    def test_the_unselected_branch_of_a_conditional_never_runs(self):
+        # 1/x would divide by zero at x=0, which takes the other branch
+        sp = space_of("""
+            dtmc
+            module m
+              x : [0..3] init 0;
+              [] x<3 -> (x>0 ? 1/x : 1):(x'=x+1) + 1:(x'=0);
+            endmodule
+        """)
+        assert [sp.choices[s][0].distribution.branches for s in range(3)] \
+            == [((0.5, 0), (0.5, 1)), ((0.5, 0), (0.5, 2)),
+                ((2 / 3, 0), (1 / 3, 3))]
+
     def test_values_beyond_int64_are_exact(self):
         # x * x exceeds 2**63 - 1 inside the declared bounds; int64 would
         # wrap it to a negative number
@@ -405,6 +429,23 @@ class TestExplore:
         """)
         with pytest.raises(ValueError, match="at least 1"):
             explore(model, state_cap=cap)
+
+    def test_unkeyed_constant_guards(self):
+        # neither guard reads x, the guard-index column: true is enabled
+        # in every state, and a guard that folds to false in none
+        sp = space_of("""
+            mdp
+            const int N = 2;
+            module m
+              x : [0..1] init 0;
+              [go] x=0 -> (x'=1);
+              [never] N<1 -> (x'=1);
+              [back] true -> (x'=0);
+            endmodule
+        """)
+        assert [[sp.actions[a] for a in sp.choice_action[
+            sp.choice_ptr[s]:sp.choice_ptr[s + 1]]] for s in range(2)] \
+            == [["go", "back"], ["back"]]
 
     def test_dtmc_deadlock_padded_with_self_loop(self):
         sp = space_of("""

@@ -1,4 +1,5 @@
-"""Smoke tests: each script in scripts/ runs on tiny inputs."""
+"""Scripts in scripts/: each runs on tiny inputs, and the README's
+case-study table is what scripts/case_studies.py prints."""
 import os
 import subprocess
 import sys
@@ -9,21 +10,30 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("script,args,stream,line", [
-    ("sweep_bitcoin.py", ["--max-depth", "2", "--strategy"], "stdout",
-     "  2      30        226.67     0.157"),
-    ("noc_cdf.py", ["--horizon", "2"], "stderr",
-     "352 states; P(reach 1 event(s) within 2 cycles) = 1.000000"),
-    ("run_contact_lss.py", ["--schedulers", "2", "--runs", "20"], "stdout",
-     "exact Pmax (policy iteration): 0.493000"),
-], ids=["sweep_bitcoin", "noc_cdf", "run_contact_lss"])
-def test_script_runs(script, args, stream, line):
+def _script(name, *args):
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=src if not path else src + os.pathsep + path)
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script),
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / name),
                            *args], capture_output=True, text=True, env=env,
                           timeout=120)
     assert done.returncode == 0, done.stderr
-    assert line in getattr(done, stream).splitlines()
+    return done.stdout
+
+
+@pytest.mark.parametrize("script,args,line", [
+    ("sweep_bitcoin.py", ["--max-depth", "2", "--strategy"],
+     "  2      30        226.67     0.157"),
+], ids=["sweep_bitcoin"])
+def test_script_runs(script, args, line):
+    assert line in _script(script, *args).splitlines()
+
+
+def test_readme_case_study_table_is_fresh():
+    readme = (ROOT / "README.md").read_text()
+    begin, end = "<!-- case-studies:begin -->\n", "<!-- case-studies:end -->"
+    block = readme.split(begin, 1)[1].split(end, 1)[0]
+    assert block == _script("case_studies.py"), (
+        "README's case-study table is stale: replace the block between the "
+        "case-studies markers with the output of scripts/case_studies.py")

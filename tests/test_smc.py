@@ -254,6 +254,20 @@ class TestEstimate:
         est = estimate(sp, None, _unbounded("goal"), SmcConfig(runs=10))
         assert est.mean == 1.0
 
+    def test_a_choice_without_a_resolver_is_an_error(self):
+        sp = space_of("""
+            mdp
+            module m
+              x : [0..2] init 0;
+              [a] x=0 -> (x'=1);
+              [b] x=0 -> (x'=2);
+            endmodule
+            label "goal" = x=1;
+        """)
+        with pytest.raises(ValueError, match="state 0 has several choices "
+                           "but no resolver was supplied"):
+            estimate(sp, None, _unbounded("goal"), SmcConfig(runs=10))
+
     def test_truncated_runs_count_as_hits_at_the_upper_end(self):
         # each step succeeds or fails for good with probability 1/4, so the
         # value is 1/2; after two steps 1/4 of the runs still retry, and
