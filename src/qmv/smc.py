@@ -1,10 +1,11 @@
 """Statistical model checking and lightweight scheduler sampling.
 
-Simulation advances all runs of an estimate in lockstep over the rows of
+Simulation advances runs in lockstep over the rows of
 :func:`qmv.numeric._closed` (every state's choices, else the embedded
-jump of its race, else a self-loop): each step picks every live run's row
-(a resolver maps a state index to a choice index), draws uniforms, picks
-successors on cumulative weights and drops the runs that finished.
+jump of its race, else a self-loop), the runs of all behaviours of an
+``lss`` call in one pass: each step picks every live run's row (its
+behaviour's resolver maps a state to a choice index), draws uniforms,
+picks successors on cumulative weights and drops the finished runs.
 Lightweight scheduler sampling (LSS) represents a scheduler as a 32-bit
 integer id: at a decision state the choice is
 ``fmix64(FNV-1a-64(id ++ encoded state)) mod k``, so a single integer
@@ -20,8 +21,8 @@ reach are encoded and hashed; ``qmv lss`` and ``qmv simulate
 Everything is reproducible: run ``r`` of an estimate is keyed by
 :func:`run_seed` of ``(master_seed, r)``, and its draw ``j`` is output
 ``j`` of SplitMix64 seeded with that key, computed from the counter
-alone.  Each run's outcome therefore depends only on its index, whichever
-runs share its batch.
+alone.  Each run's outcome therefore depends only on its index and
+behaviour, whichever runs share its batch.
 """
 from __future__ import annotations
 
@@ -71,20 +72,18 @@ def encode_state(
     contribute nothing.
     """
     row = space.valuations[state]
-    if projection == "all":
-        indices: Sequence[int] = range(space.n_variables)
-    else:
-        indices = sorted(projection)
+    indices = range(space.n_variables) if projection == "all" \
+        else sorted(projection)
     return b"".join(
         int(row[i]).to_bytes(8, "little", signed=True) for i in indices)
 
 
-def fmix64(h: int) -> int:
-    """The 64-bit finalizer of MurmurHash3: every input bit affects every
-    output bit."""
-    h ^= h >> 33
+def fmix64(h):
+    """The 64-bit finalizer of MurmurHash3, of an int or a uint64 array:
+    every input bit affects every output bit."""
+    h = h ^ (h >> 33)
     h = (h * 0xFF51AFD7ED558CCD) & _MASK64
-    h ^= h >> 33
+    h = h ^ (h >> 33)
     h = (h * 0xC4CEB9FE1A85EC53) & _MASK64
     return h ^ (h >> 33)
 
@@ -133,12 +132,7 @@ def lss_choices(ids: np.ndarray, rows: np.ndarray, k: np.ndarray) -> np.ndarray:
         else:
             for b in range(8):
                 h = (h ^ data[:, j, b]) * _PRIME
-    h ^= h >> 33
-    h *= np.uint64(0xFF51AFD7ED558CCD)
-    h ^= h >> 33
-    h *= np.uint64(0xC4CEB9FE1A85EC53)
-    h ^= h >> 33
-    return (h % np.asarray(k, dtype=np.uint64)).astype(np.int64)
+    return (fmix64(h) % np.asarray(k, dtype=np.uint64)).astype(np.int64)
 
 
 def run_seed(master_seed: int, run_index: int) -> int:
@@ -294,17 +288,18 @@ def _uniforms(keys: np.ndarray, draw: int) -> np.ndarray:
     return (_splitmix64(keys, draw) >> 11) * 2.0 ** -53
 
 
-def _simulate(space: ExplicitStateSpace, resolver: Resolver | None,
-              prop: Property, mask: np.ndarray, batches: Iterable[np.ndarray],
+def _simulate(space: ExplicitStateSpace, resolvers: Sequence[Resolver | None],
+              prop: Property, mask: np.ndarray, batches: Iterable[tuple],
               max_steps: int) -> Iterator[tuple[np.ndarray, ...]]:
-    """Per batch of run keys, the runs' hits, steps, model times at the
-    end and truncations; the runs of a batch advance in lockstep.
+    """Per batch of runs, given by behaviour indices and keys: those
+    indices and the runs' hits, steps, end times and truncations.
 
-    Each step gathers every live run's closed row (its resolved choice, or
-    its race's embedded jump), samples the sojourns in states with an exit
+    A batch advances in lockstep, whatever its runs' behaviours: each step
+    gathers every live run's closed row (its behaviour's choice, or its
+    race's embedded jump), samples the sojourns in states with an exit
     rate, picks each successor with the run's uniform on the cumulative
-    weights and drops the finished runs.
-    The resolver is asked once per decision state that some run enters.
+    weights and drops the finished runs.  ``resolvers[b]`` is asked once
+    per decision state that some run of behaviour ``b`` enters.
     """
     if prop.kind is PropertyKind.EXPECTED_TIME:
         raise ValueError("expected-time properties are not simulated; "
@@ -323,16 +318,20 @@ def _simulate(space: ExplicitStateSpace, resolver: Resolver | None,
                         minlength=len(ptr) - 1) == 0
     cum = np.cumsum(np.append(0.0, sp.branch_prob))
     base, last, cum = cum[ptr[:-1]], ptr[1:] - 1, cum[1:]
-    # per state the offset of its resolved choice, -1 until resolved
-    offsets = np.where(np.diff(sp.choice_ptr) >= 2, -1, 0)
-    for keys in batches:
-        hit = np.zeros(len(keys), dtype=bool)
-        truncated = np.zeros(len(keys), dtype=bool)
+    counts = np.diff(sp.choice_ptr)
+    decide = np.flatnonzero(counts >= 2)
+    # one row of choices per behaviour, -1 until resolved: column 0, always
+    # 0, serves every state with one row, and column j + 1 state decide[j]
+    column, width = np.cumsum(counts >= 2) * (counts >= 2), len(decide) + 1
+    choice = np.full(len(resolvers) * width, -1, dtype=np.int32)
+    choice[::width] = 0
+    for behavior, keys in batches:
+        hit, truncated = np.zeros((2, len(keys)), dtype=bool)
         steps = np.zeros(len(keys), dtype=np.int64)
-        elapsed = np.zeros(len(keys))
+        elapsed, clock = np.zeros((2, len(keys)))
         live = np.arange(len(keys))
         state = np.full(len(keys), space.initial)
-        clock = np.zeros(len(keys))
+        start = behavior * width  # per run its behaviour's row
         t = 0
         while live.size:
             at = mask[state]
@@ -341,14 +340,20 @@ def _simulate(space: ExplicitStateSpace, resolver: Resolver | None,
                 hit[live], steps[live], elapsed[live] = at, t, clock
                 truncated[live] = ~at & (not bounded)
                 break
-            offset = offsets[state]
+            cell = start + column[state]
+            offset = choice[cell]
             if offset.min() < 0:  # a run at a target keeps -1 and stops
-                for s in _distinct(state[(offset < 0) & ~at]).tolist():
-                    if resolver is None:
+                for c in _distinct(cell[(offset < 0) & ~at]).tolist():
+                    b, s = c // width, int(decide[c % width - 1])
+                    if resolvers[b] is None:
                         raise ValueError(f"state {s} has several choices "
                                          "but no resolver was supplied")
-                    offsets[s] = resolver(s)
-                offset = offsets[state]
+                    pick = resolvers[b](s)
+                    if not 0 <= pick < counts[s]:
+                        raise ValueError(f"resolver chose {pick} at state {s}"
+                                         f", which has {counts[s]} choices")
+                    choice[c] = pick
+                offset = choice[cell]
             row = first[state] + offset
             # under a memoryless resolver such a run never moves again
             stop = at | stays[row]
@@ -365,11 +370,12 @@ def _simulate(space: ExplicitStateSpace, resolver: Resolver | None,
                 elapsed[done] = clock[stop]
                 go = ~stop
                 live, keys, row, clock = live[go], keys[go], row[go], clock[go]
+                start = start[go]
             entry = np.searchsorted(cum, base[row] + _uniforms(keys, 2 * t),
                                     "right")
             state = target[np.minimum(entry, last[row])]
             t += 1
-        yield hit, steps, elapsed, truncated
+        yield behavior, hit, steps, elapsed, truncated
 
 
 def simulate_run(
@@ -380,20 +386,20 @@ def simulate_run(
     *,
     max_steps: int = SmcConfig.max_steps,
 ) -> RunOutcome:
-    """Simulate one path, keyed by ``seed`` in [0, 2**64).
+    """Simulate one path, keyed by ``seed`` in [0, 2**64): run ``r`` of
+    :func:`estimate` is ``simulate_run(..., run_seed(master_seed, r))``.
 
     Markovian states sample an Exp(exit_rate) sojourn and a successor by
     rate proportion; immediate states ask the resolver when there are two
     or more choices, then sample the branch.  The outcome is a hit when a
-    target state is entered within the property's bound (steps for
-    step-bounded, minutes for time-bounded, ``max_steps`` as a safety net
-    for unbounded properties — exceeding it records a truncated miss).
-    ``simulate_run(..., run_seed(master_seed, r))`` is run ``r`` of
-    :func:`estimate`.
+    target state is entered within the property's bound (steps, or minutes
+    if time-bounded); an unbounded run cut off at ``max_steps`` is a
+    truncated miss.
     """
-    (out,) = _simulate(space, resolver, prop, target_mask(space, prop.target),
-                       [np.array([seed], dtype=np.uint64)], max_steps)
-    return RunOutcome(*(x[0].item() for x in out))
+    (out,) = _simulate(space, [resolver], prop, target_mask(space, prop.target),
+                       [(np.zeros(1, int), np.full(1, seed, np.uint64))],
+                       max_steps)
+    return RunOutcome(*(x[0].item() for x in out[1:]))
 
 
 def estimate(
@@ -409,24 +415,33 @@ def estimate(
     Run ``r`` is keyed by ``run_seed(master_seed, r)``, so the result
     depends only on ``cfg``, not on how the runs are batched.
     """
-    n = cfg.n_runs()
-    batches = (_splitmix64(np.uint64(cfg.master_seed), np.arange(
-        lo, min(n, lo + MAX_BATCH), dtype=np.uint64))
-        for lo in range(0, n, MAX_BATCH))
-    hits = truncated = 0
-    for hit, _, _, cut in _simulate(
-            space, resolver, prop, target_mask(space, prop.target, constants),
-            batches, cfg.max_steps):
-        hits += int(hit.sum())
-        truncated += int(cut.sum())
-    mean = hits / n
-    if cfg.runs is not None:
-        low, high = clopper_pearson(hits, n)
-        if truncated:  # counted as hits at the upper end
-            high = clopper_pearson(hits + truncated, n)[1]
-        return SmcEstimate(mean, low, high, n, truncated, "clopper-pearson")
-    return SmcEstimate(mean, max(0.0, mean - cfg.epsilon), min(
-        1.0, (hits + truncated) / n + cfg.epsilon), n, truncated, "okamoto")
+    return next(_estimates(space, [resolver], prop, cfg, constants))
+
+
+def _estimates(space: ExplicitStateSpace, resolvers: Sequence[Resolver | None],
+               prop: Property, cfg: SmcConfig,
+               constants: dict | None) -> Iterator[SmcEstimate]:
+    """:func:`estimate` of each resolver in one pass: run ``r`` of behaviour
+    ``b`` is flat run ``b * n + r``, at most :data:`MAX_BATCH` a batch."""
+    n, m, seed = cfg.n_runs(), len(resolvers), np.uint64(cfg.master_seed)
+    runs = (np.divmod(np.arange(lo, min(n * m, lo + MAX_BATCH)), n)
+            for lo in range(0, n * m, MAX_BATCH))
+    hits, truncated = np.zeros((2, m), dtype=np.int64)
+    for b, hit, _, _, cut in _simulate(
+            space, resolvers, prop, target_mask(space, prop.target, constants),
+            ((b, _splitmix64(seed, r.astype(np.uint64))) for b, r in runs),
+            cfg.max_steps):
+        hits += np.bincount(b[hit], minlength=m)
+        truncated += np.bincount(b[cut], minlength=m)
+    for hit, cut in zip(hits.tolist(), truncated.tolist()):
+        if cfg.runs is None:
+            yield SmcEstimate(hit / n, max(0.0, hit / n - cfg.epsilon), min(
+                1.0, (hit + cut) / n + cfg.epsilon), n, cut, "okamoto")
+            continue
+        low, high = clopper_pearson(hit, n)
+        if cut:  # counted as hits at the upper end
+            high = clopper_pearson(hit + cut, n)[1]
+        yield SmcEstimate(hit / n, low, high, n, cut, "clopper-pearson")
 
 
 #: Confidence level of the interval of a fixed number of runs.
@@ -517,16 +532,15 @@ def reachable_decisions(space: ExplicitStateSpace, ids: Iterable[int],
     """Per scheduler id: its choice index at each decision state reachable
     from the initial state under that id's own choices.
 
-    One breadth-first search per id, over the closed rows, for up to
-    :data:`MAX_BATCH` (id, state) pairs at once; the decision states each
-    level of the search reaches are encoded (the whole state in ``global``
-    mode, the owner's observed variables in ``distributed`` mode) and
-    hashed with their ids by :func:`lss_choices`, all pairs of the level
-    in one call per owner.  Two ids with equal tables make identical
-    choices on every path that can occur.  Raises ValueError for an id
-    outside [0, 2**32), whether or not it reaches a decision, and
-    :class:`NotGoodForDistribution` in ``distributed`` mode for a model
-    that is not good for distribution.
+    One breadth-first search per id over the closed rows, for up to
+    :data:`MAX_BATCH` (id, state) pairs at once: each level's decision
+    states are encoded (the whole state in ``global`` mode, the owner's
+    observed variables in ``distributed`` mode) and hashed with their ids
+    by :func:`lss_choices`, in one call per owner.  Two ids with equal
+    tables make identical choices on every path that can occur.  Raises
+    ValueError for an id outside [0, 2**32), even one that decides
+    nothing, and :class:`NotGoodForDistribution` in ``distributed`` mode
+    for a model that is not good for distribution.
     """
     if mode == "distributed":
         violations = check_good_for_distribution(space)
@@ -584,27 +598,23 @@ def lss(
 ) -> LssResult:
     """Sample m scheduler ids and keep the best estimate.
 
+    Ids with equal :func:`reachable_decisions` tables share one estimate,
+    and the runs of all distinct tables advance in one lockstep pass.
     direction=max keeps the maximum estimate, min the minimum.  Each
     sampled scheduler's true value is at most the true maximum (at least
     the true minimum), but the best of m estimates is a selected value:
     its interval is not a 1-delta interval for that scheduler, and its mean
     can pass the optimum.  ``distributed`` mode requires the model to be
-    good for distribution and hashes only the owner's observed variables,
-    ``global`` mode hashes the full state.
+    good for distribution.
     """
     ids = sample_scheduler_ids(cfg.sampler_seed, cfg.m)
-    cache: dict[tuple, SmcEstimate] = {}
-    table: list[tuple[int, SmcEstimate]] = []
-    for sid, decisions in zip(ids, reachable_decisions(space, ids, cfg.mode)):
-        behavior = tuple(sorted(decisions.items()))
-        est = cache.get(behavior)
-        if est is None:
-            est = estimate(space, decisions.__getitem__, prop, cfg.inner,
-                           constants=constants)
-            cache[behavior] = est
-        table.append((sid, est))
-
+    behaviors = [tuple(sorted(decisions.items())) for decisions
+                 in reachable_decisions(space, ids, cfg.mode)]
+    distinct = dict.fromkeys(behaviors)  # in order of first use
+    ests = dict(zip(distinct, _estimates(space, [
+        dict(b).__getitem__ for b in distinct], prop, cfg.inner, constants)))
+    table = [(sid, ests[b]) for sid, b in zip(ids, behaviors)]
     pick = max if cfg.direction is Direction.MAX else min
     best_id, best = pick(table, key=lambda row: row[1].mean)
     return LssResult(best_id=best_id, best=best, table=tuple(table),
-                     mode=cfg.mode, distinct_behaviors=len(cache))
+                     mode=cfg.mode, distinct_behaviors=len(ests))

@@ -268,6 +268,24 @@ class TestEstimate:
                            "but no resolver was supplied"):
             estimate(sp, None, _unbounded("goal"), SmcConfig(runs=10))
 
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_a_choice_out_of_range_is_an_error(self, bad):
+        # state 0 has two choices, both to the sink 2; its neighbours' rows
+        # lead to the goal 3, so reading one of them would report hits
+        sp = direct_space(
+            ModelClass.MDP,
+            [[[(1, 2)], [(1, 2)]], [[(1, 3)]], [[(1, 2)]], [[(1, 3)]]],
+            labels={"goal": [3]})
+        prop = _unbounded("goal")
+        for good in (0, 1):
+            assert estimate(sp, lambda s: good, prop,
+                            SmcConfig(runs=10)).mean == 0.0
+        message = f"resolver chose {bad} at state 0, which has 2 choices"
+        with pytest.raises(ValueError, match=message):
+            estimate(sp, lambda s: bad, prop, SmcConfig(runs=10))
+        with pytest.raises(ValueError, match=message):
+            simulate_run(sp, lambda s: bad, prop, seed=0)
+
     def test_truncated_runs_count_as_hits_at_the_upper_end(self):
         # each step succeeds or fails for good with probability 1/4, so the
         # value is 1/2; after two steps 1/4 of the runs still retry, and
@@ -342,14 +360,19 @@ class TestLockstep:
         if case == "truncated":
             assert results[0].truncated > 0
 
-    def test_lss_does_not_depend_on_the_batch_size(self, monkeypatch):
-        sp = space_of(TestLss.MDP)
+    @pytest.mark.parametrize("case", ["mdp", "contacts"])
+    def test_lss_does_not_depend_on_the_batch_size(self, case, monkeypatch):
+        # all behaviours share one pass: with 100 runs each, a cap of 150
+        # puts two behaviours in a batch and splits one over two batches
+        sp, prop, constants = CASE_STUDIES[case]() if case == "contacts" \
+            else (space_of(TestLss.MDP), _unbounded("goal"), None)
         cfg = LssConfig(m=20, inner=SmcConfig(runs=100), sampler_seed=1)
         results = []
-        for cap in (1, 7, smc.MAX_BATCH):
+        for cap in (1, 7, 150, smc.MAX_BATCH):
             monkeypatch.setattr(smc, "MAX_BATCH", cap)
-            results.append(lss(sp, _unbounded("goal"), cfg))
-        assert results[0] == results[1] == results[2]
+            results.append(lss(sp, prop, cfg, constants=constants))
+        assert all(res == results[0] for res in results)
+        assert results[0].distinct_behaviors > 1
 
     @pytest.mark.parametrize("case", list(LOCKSTEP_CASES))
     def test_simulate_run_replays_run_r_of_estimate(self, case):
@@ -585,6 +608,27 @@ class TestSampledSchedulers:
         }
         digest = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
         assert digest == self.PINNED[case, mode]
+
+    @pytest.mark.parametrize("case,mode", list(PINNED))
+    def test_each_row_is_the_estimate_of_its_table(self, case, mode):
+        # lss simulates all behaviours in one pass; each row is still the
+        # estimate of its id's own table, and ids with equal tables share
+        # one estimate object
+        space, prop, constants = CASE_STUDIES[case]()
+        cfg = LssConfig(m=20, mode=mode, direction=prop.direction,
+                        inner=SmcConfig(runs=100, master_seed=7),
+                        sampler_seed=7)
+        res = lss(space, prop, cfg, constants=constants)
+        tables = smc.reachable_decisions(
+            space, [sid for sid, _ in res.table], mode)
+        shared: dict[tuple, SmcEstimate] = {}
+        for (_, est), table in zip(res.table, tables):
+            assert est == estimate(space, table.__getitem__, prop,
+                                   cfg.inner, constants=constants)
+            assert shared.setdefault(tuple(sorted(table.items())), est) \
+                is est
+        assert len({id(est) for _, est in res.table}) == len(shared) \
+            == res.distinct_behaviors
 
     def test_lss_hashes_only_reachable_decision_states(self, monkeypatch):
         space, prop, constants = CASE_STUDIES["contacts"]()
