@@ -16,8 +16,8 @@ Results go to stdout: the report as JSON with ``--json``, otherwise text
 rendered from it, one aligned ``key  value`` row per scalar field of the
 model and of each property entry (``cdf`` without ``--out`` prints its
 ``t,probability`` rows instead).  Diagnostics go to stderr.  Exit codes:
-0 success, 1 parse/parameter errors, 2 state cap exceeded, 3 solver
-failure, 4 model not good for distribution.  All commands are
+0 success, 1 usage, parse and parameter errors, 2 state cap exceeded,
+3 solver failure, 4 model not good for distribution.  All commands are
 deterministic given their flags; the only varying report fields live
 under the top-level ``timing`` key.
 """
@@ -131,13 +131,6 @@ def _run(args, analyse, *, seeds=None, text=_text) -> int:
     return code
 
 
-def _solver_config(args) -> numeric.SolverConfig:
-    return numeric.SolverConfig(
-        epsilon=args.epsilon,
-        time_bound_error=args.time_bound_error,
-    )
-
-
 def _smc_config(args) -> smc.SmcConfig:
     runs = args.runs
     if runs is None and args.eps is None and args.delta is None:
@@ -147,7 +140,8 @@ def _smc_config(args) -> smc.SmcConfig:
 
 
 def cmd_check(args) -> int:
-    cfg = _solver_config(args)
+    cfg = numeric.SolverConfig(epsilon=args.epsilon,
+                               time_bound_error=args.time_bound_error)
 
     def analyse(space, prop):
         result = numeric.check_property(space, prop, cfg)
@@ -161,8 +155,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_cdf(args) -> int:
-    cfg = _solver_config(args)  # validated, though no setting applies
-
     def analyse(space, prop):
         if prop.kind not in (PropertyKind.REACH_PROB,
                              PropertyKind.STEP_BOUNDED_REACH_PROB):
@@ -172,7 +164,7 @@ def cmd_cdf(args) -> int:
                   f"the CDF runs to --horizon {args.horizon}",
                   file=sys.stderr)
         result = numeric.step_bounded_cdf(space, prop.target, prop.direction,
-                                          args.horizon, cfg)
+                                          args.horizon)
         if args.out:
             Path(args.out).write_text("\n".join(_csv(result.values)) + "\n")
         return {"horizon": args.horizon, "monotone": result.monotone,
@@ -274,18 +266,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="abort exploration beyond this many states")
 
 
-def _add_solver(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epsilon", type=float,
-                   default=numeric.SolverConfig.epsilon,
-                   help="value iteration convergence threshold, used only "
-                        "for strongly connected components too large for a "
-                        "dense solve")
-    p.add_argument("--time-bound-error", type=float,
-                   default=numeric.SolverConfig.time_bound_error,
-                   help="requested bound width of MA time-bounded "
-                        "reachability")
-
-
 def _add_smc(p: argparse.ArgumentParser) -> None:
     p.add_argument("--runs", type=int, default=None,
                    help="fixed number of simulation runs")
@@ -302,8 +282,17 @@ def _add_smc(p: argparse.ArgumentParser) -> None:
                         "only the deciding component's variables")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a ValueError, so that it exits 1 like any
+    other bad parameter; argparse's own exit code 2 means an exceeded state
+    cap here.  Subcommand parsers take the same class."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qmv",
         description="quantitative verification of DTMCs, MDPs and Markov "
                     "automata")
@@ -313,16 +302,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="exact analysis of each property")
     _add_common(p)
-    _add_solver(p)
+    p.add_argument("--epsilon", type=float,
+                   default=numeric.SolverConfig.epsilon,
+                   help="value iteration convergence threshold, used only "
+                        "for strongly connected components too large for a "
+                        "dense solve")
+    p.add_argument("--time-bound-error", type=float,
+                   default=numeric.SolverConfig.time_bound_error,
+                   help="requested bound width of MA time-bounded "
+                        "reachability")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("cdf", help="reachability CDF over step horizons")
     _add_common(p)
-    _add_solver(p)
     p.add_argument("--horizon", type=int, required=True,
                    help="largest step bound t")
     p.add_argument("--out", default=None, help="write CSV rows t,probability")
-    p.set_defaults(func=cmd_cdf)
+    # no solver setting applies to a CDF; the defaults stay for callers that
+    # build a SolverConfig from any parsed command (perfbench/traced.py)
+    p.set_defaults(func=cmd_cdf, epsilon=numeric.SolverConfig.epsilon,
+                   time_bound_error=numeric.SolverConfig.time_bound_error)
 
     p = sub.add_parser("simulate", help="Monte Carlo estimation")
     _add_common(p)
@@ -395,10 +394,9 @@ _EXIT_CODES = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.echo = argv
     try:
+        args = build_parser().parse_args(argv)
+        args.echo = argv
         return args.func(args)
     except tuple(_EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)

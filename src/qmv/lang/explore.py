@@ -575,15 +575,14 @@ class _Explorer:
         for g in choices + races:
             hi = lo + len(g.rows) * len(g.succ)
             log = self.race_log if g.race else self.choice_log
-            self.actions[g.origin] = g.action
             log.setdefault(g.origin, []).append((
-                self.expanded + g.rows, g.owner, g.weights,
+                self.expanded + g.rows, g.action, g.owner, g.weights,
                 targets[lo:hi].reshape(len(g.succ), len(g.rows)).T))
             lo = hi
         if stuck is not None and stuck.size:  # deadlock: stay put forever
             stuck += self.expanded
             self.choice_log.setdefault(_DEADLOCK, []).append(
-                (stuck, 0, [1], stuck[:, None]))
+                (stuck, None, 0, [1], stuck[:, None]))
         self.expanded += len(F)
         return nxt
 
@@ -601,7 +600,6 @@ class _Explorer:
         # per origin, the groups of every level
         self.choice_log: dict[tuple, list] = {}
         self.race_log: dict[tuple, list] = {}
-        self.actions: dict[tuple, str | None] = {_DEADLOCK: None}
         levels = []
         while len(frontier):
             levels.append(frontier)
@@ -615,12 +613,9 @@ class _Explorer:
 
         builder = SpaceBuilder()
         builder.add_states(
-            len(valuations),
-            [(rows, self.actions[origin], owner, weights, targets)
-             for origin, (rows, owner, weights, targets)
-             in _joined(self.choice_log)],
+            len(valuations), _joined(self.choice_log),
             [(rows, weights, targets)
-             for _, (rows, _, weights, targets) in _joined(self.race_log)])
+             for rows, _, _, weights, targets in _joined(self.race_log)])
         space = builder.build(
             model.model_class, self.layout, valuations,
             components=tuple(p.name for p in model.processes),
@@ -632,21 +627,21 @@ class _Explorer:
 
 
 def _joined(log: dict[tuple, list]):
-    """(origin, (rows, owner, weights, targets)) per origin in origin order,
-    each the concatenation of the origin's groups over all levels."""
+    """A group (rows, action, owner, weights, targets) per origin in origin
+    order, each the concatenation of the origin's groups over all levels."""
     for origin in sorted(log):
         parts = log[origin]
         rows = np.concatenate([p[0] for p in parts])
-        owners = [p[1] for p in parts]
+        owners = [p[2] for p in parts]
         owner = owners[0] if all(isinstance(o, int) for o in owners) \
             else np.concatenate([np.broadcast_to(o, len(p[0]))
                                  for o, p in zip(owners, parts)])
         weights = [
-            np.concatenate([p[2][b] for p in parts])
+            np.concatenate([p[3][b] for p in parts])
             if isinstance(w, np.ndarray) else w
-            for b, w in enumerate(parts[0][2])]
-        yield origin, (rows, owner, weights,
-                       np.concatenate([p[3] for p in parts]))
+            for b, w in enumerate(parts[0][3])]
+        yield (rows, parts[0][1], owner, weights,
+               np.concatenate([p[4] for p in parts]))
 
 
 def explore(

@@ -19,6 +19,7 @@ TOKEN_RE = re.compile(
     | (?P<NAME>{IDENTIFIER_RE.pattern})
     | (?P<STRING>"[^"\n]*")
     | (?P<OP>->|<=|>=|!=|\.\.|[-+*/()\[\]:;,?'=<>&|!])
+    | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -43,21 +44,16 @@ class Token(NamedTuple):
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
     line, line_start = 1, 0
-    pos = 0
-    n = len(source)
-    while pos < n:
-        m = TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ModelSyntaxError(
-                f"unexpected character {source[pos]!r}",
-                line, pos - line_start + 1, source,
-            )
+    for m in TOKEN_RE.finditer(source):
         kind = m.lastgroup
         if kind == "nl":
             line += 1
             line_start = m.end()
+        elif kind == "bad":
+            raise ModelSyntaxError(f"unexpected character {m.group()!r}",
+                                   line, m.start() - line_start + 1, source)
         elif kind != "skip":
-            tokens.append(Token(kind, m.group(), line, pos - line_start + 1))
-        pos = m.end()
-    tokens.append(Token("EOF", "", line, pos - line_start + 1))
+            tokens.append(
+                Token(kind, m.group(), line, m.start() - line_start + 1))
+    tokens.append(Token("EOF", "", line, len(source) - line_start + 1))
     return tokens

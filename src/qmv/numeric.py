@@ -336,8 +336,6 @@ def _iterate(V: np.ndarray, rows: tuple, maximize: bool,
     more than ``cfg.epsilon``.  Updates ``V`` in
     place; returns the sweeps made and the last residual."""
     idx, prob, target, cost, row_starts, group_starts = rows
-    if not len(idx):
-        return 0, 0.0
     for iteration in range(1, MAX_ITERATIONS + 1):
         row_vals = np.add.reduceat(prob * V[target], row_starts) + cost
         opt = _optimum(row_vals, group_starts, maximize)
@@ -1026,7 +1024,7 @@ def check_property(
     if prop.kind is PropertyKind.REACH_PROB:
         return reach_prob(space, target, prop.direction, cfg)
     if prop.kind is PropertyKind.STEP_BOUNDED_REACH_PROB:
-        cdf = step_bounded_cdf(space, target, prop.direction, prop.bound, cfg)
+        cdf = step_bounded_cdf(space, target, prop.direction, prop.bound)
         return ValueResult(cdf.final, prop.bound, 0.0, None,
                            {"monotone": float(cdf.monotone)})
     if prop.kind is PropertyKind.TIME_BOUNDED_REACH_PROB:

@@ -106,6 +106,8 @@ class TestContactPlan:
             parse_contact_plan("{not json")
         with pytest.raises(ValueError):
             parse_contact_plan(json.dumps({"nodes": ["A"]}))
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            parse_contact_plan("[]")
 
     BASE = dict(nodes=("A", "B"), slots=3,
                 contacts=(Contact("A", "B", 1, 0.5),),
@@ -125,6 +127,9 @@ class TestContactPlan:
         dict(contacts=(Contact("A", "B", 1, 1.5),)),
         dict(contacts=(Contact("A", "B", 1, 0.5),
                        Contact("A", "B", 1, 0.7))),    # duplicate contact
+        dict(nodes=()),
+        dict(slots=-1, contacts=()),
+        dict(contacts=(Contact("A", "A", 1, 0.5),)),   # self-contact
     ])
     def test_plan_validation(self, patch):
         with pytest.raises(ValueError):
@@ -194,7 +199,9 @@ class TestNoc:
     def test_parameter_validation(self):
         for bad in [dict(pattern="nope"), dict(buffer=0), dict(burst_len=3),
                     dict(pattern="bursty"), dict(horizon=0), dict(k_res=0),
-                    dict(k_res=5), dict(events=-1)]:
+                    dict(k_res=5), dict(events=-1), dict(k_ind=0),
+                    dict(pattern="bursty", burst_len=0, burst_period=2),
+                    dict(pattern="bursty", burst_len=3, burst_period=2)]:
             with pytest.raises(ValueError):
                 NocParams(**bad)
 

@@ -11,7 +11,7 @@ import pytest
 from qmv.casestudies import (BitcoinParams, NocParams, gen_bitcoin,
                              gen_contact_mdp, gen_noc, parse_contact_plan,
                              sample_contact_plan)
-from qmv.cli import main
+from qmv.cli import build_parser, main
 
 from conftest import TRAP_MA
 
@@ -237,6 +237,18 @@ class TestCdf:
             assert code == 0 and err == note
             assert out == "0,0.0\n1,0.5\n2,0.75\n"
 
+    def test_solver_flags_are_only_parser_defaults(self, capsys):
+        # cdf takes no solver setting, but a parsed cdf command still
+        # carries check's defaults for callers that build a SolverConfig
+        args = build_parser().parse_args(["cdf", "m.gcm", "P", "--horizon",
+                                          "5"])
+        assert (args.epsilon, args.time_bound_error) == (1e-6, 1e-4)
+        with pytest.raises(SystemExit) as exc:
+            main(["cdf", "--help"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0 and "--horizon" in out
+        assert "--epsilon" not in out and "--time-bound-error" not in out
+
 
 class TestSimulate:
     def test_deterministic_estimate(self, capsys, model_file):
@@ -303,6 +315,11 @@ class TestSimulate:
         res = rep["properties"][0]
         assert (res["mean"], res["ci_low"], res["ci_high"]) == (0.0, 0.0, 1.0)
         assert res["truncated_runs"] == 1000
+
+    def test_default_run_count(self, capsys, model_file):
+        code, rep, _ = run_json(capsys, [
+            "simulate", model_file(COIN), 'Pmax=? [ F "heads" ]', "--json"])
+        assert code == 0 and rep["properties"][0]["runs"] == 10_000
 
     def test_okamoto_sizing_via_eps_delta(self, capsys, model_file):
         code, rep, _ = run_json(capsys, [
@@ -703,6 +720,10 @@ class TestExitCodes:
                 "--runs", "100", "--delta", "0.05"], "not both"),
         (COIN, ["lss", 'Pmax=? [ F "heads" ]', "--schedulers", "2",
                 "--eps", "0.05"], "(epsilon, delta) pair"),
+        (COIN, ["check", 'Pmax=? [ F "heads" ]', "--prop-index", "1"],
+         "--prop-index 1 out of range (have 1)"),
+        (TRAP_MA, ["cdf", 'Tmin=? [ F "goal" ]', "--horizon", "3"],
+         "cdf needs a reachability property"),
     ])
     def test_bad_parameter_is_an_error(self, capsys, model_file, model, argv,
                                        message):
@@ -710,6 +731,33 @@ class TestExitCodes:
                              [argv[0], model_file(model)] + argv[1:])
         assert code == 1 and not out
         assert err.startswith("error: ") and message in err
+
+    def test_empty_props_file(self, capsys, model_file):
+        props = model_file("// no property\n", name="empty.props")
+        code, out, err = run(capsys, ["check", model_file(COIN), props])
+        assert code == 1 and not out
+        assert err == f"error: no properties in {props}\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["check", "M", "P", "--bogus"], "qmv: unrecognized arguments: "
+         "--bogus"),
+        ([], "qmv: the following arguments are required: subcommand"),
+        (["cdf", "M", "P"], "qmv cdf: the following arguments are required: "
+         "--horizon"),
+        (["simulate", "M", "P", "--mode", "both"],
+         "qmv simulate: argument --mode: invalid choice: 'both'"),
+        (["simulate", "M", "P", "--runs", "1.5"],
+         "qmv simulate: argument --runs: invalid int value: '1.5'"),
+        (["cdf", "M", "P", "--horizon", "5", "--epsilon", "1e-3"],
+         "qmv: unrecognized arguments: --epsilon 1e-3"),
+        (["cdf", "M", "P", "--horizon", "5", "--time-bound-error", "1e-3"],
+         "qmv: unrecognized arguments: --time-bound-error 1e-3"),
+    ])
+    def test_usage_error_exits_1(self, capsys, argv, message):
+        # argparse would exit 2, which means an exceeded state cap
+        code, out, err = run(capsys, argv)
+        assert code == 1 and not out
+        assert err.startswith(f"error: {message}")
 
     def test_tiny_time_bound_error_exceeds_the_step_cap(self, capsys,
                                                       model_file):

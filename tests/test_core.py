@@ -277,6 +277,15 @@ class TestValidate:
         rules = {v.rule for v in validate(sp)}
         assert "initial" in rules
 
+    def test_variable_range_owner_and_label_shape(self):
+        sp = direct_space(ModelClass.MDP, [[[(1, 1)]], [[(1, 1)]]])
+        assert _rules(replace(sp, valuations=np.array([[0], [2]]))) \
+            == {"variable_bounds"}
+        assert _rules(replace(sp, layout=(replace(sp.layout[0], owner=1),))) \
+            == {"variable_owner"}
+        assert _rules(replace(sp, labels={"a": np.zeros(3, dtype=bool)})) \
+            == {"label"}
+
     def test_inconsistent_arrays_are_a_shape_violation(self):
         sp = direct_space(ModelClass.MDP, [[[(1, 1)]], [[(1, 1)]]])
         assert _rules(replace(sp, choice_ptr=[0, 1])) == {"shape"}

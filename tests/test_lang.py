@@ -47,6 +47,10 @@ from qmv.lang.lexer import KEYWORDS, tokenize
 from conftest import INTERLEAVED_MDP, space_of
 
 
+#: a one-module DTMC with a slot for more declarations and commands
+_M = "dtmc\nmodule m\n x : [0..1] init 0;\n{}\nendmodule\n"
+
+
 class TestLexer:
     def test_tokens_carry_positions(self):
         toks = tokenize("x' = 3;")
@@ -223,6 +227,103 @@ class TestParser:
         assert 0 in sp.layout[sp.variable_index("seen")].observers
         assert 0 not in sp.layout[sp.variable_index("hidden")].observers
 
+    @pytest.mark.parametrize("source,message,position", [
+        ("dtmc\nconst int rate = 1;", "'rate' is a reserved word", (2, 11)),
+        ("dtmc\nconst int c = min(1);", "min needs at least two arguments",
+         (2, 15)),
+        ("dtmc\nconst int c = 1 + module;",
+         "unexpected 'module' in an expression", (2, 19)),
+        ("dtmc\nconst int c = ;", "expected an expression, found ';'",
+         (2, 15)),
+        ("ctmc\n", "unknown model class 'ctmc'", (1, 1)),
+        ("dtmc\nconst double c = 1;", "unknown constant type 'double'",
+         (2, 7)),
+        ("dtmc\nx", "expected const, action, global, module or label, "
+         "found 'x'", (2, 1)),
+        ("dtmc\nmodule m\n 3;\nendmodule", "expected a variable "
+         "declaration, a command or endmodule, found '3'", (3, 2)),
+        ("mdp\nmodule m\n observes x;\n observes x;\n x : [0..1] init 0;"
+         "\nendmodule", "duplicate observes declaration", (4, 2)),
+        ('dtmc\nlabel "a b" = true;', "label name 'a b' is not an identifier",
+         (2, 7)),
+        (_M.format(" y : [0..x] init 0;"), "upper bound of y must be a "
+         "constant expression, but 'x' is a variable", (4, 10)),
+        (_M.format(" y : [0..1] init x;"), "initial value of y must be a "
+         "constant expression, but 'x' is a variable", (4, 18)),
+        ("dtmc\nmodule m\n x : [0..N] init 0;\nendmodule",
+         "undeclared name 'N'", (3, 10)),
+        ("dtmc\nmodule m\n x : [0..1] init z;\nendmodule",
+         "undeclared name 'z'", (3, 18)),
+        ("dtmc\nconst int c = 1;\nconst int c = 2;", "duplicate constant 'c'",
+         (3, 11)),
+        ("dtmc\nconst int a = b;\nconst int b = 1;", "constant a references "
+         "'b', which is not a previously declared constant", (2, 11)),
+        ("dtmc\nconst int c = 1/2;",
+         "constant c is declared int but has type real", (2, 11)),
+        ("dtmc\nconst real c = true;",
+         "constant c is declared real but is boolean", (2, 12)),
+        ("dtmc\nconst bool c = 1;",
+         "constant c is declared bool but has type int", (2, 12)),
+        ("dtmc\nconst int z = 0;\nconst real c = 1/z;", "division by zero",
+         (3, 12)),
+        ("dtmc\nmodule m\n b : bool init 1;\nendmodule",
+         "initial value of boolean b must be boolean", (3, 2)),
+        ("dtmc\nmodule m\n x : [0..1/2] init 0;\nendmodule",
+         "upper bound of x must be an integer", (3, 11)),
+        ("dtmc\nmodule m\n x : [1..0] init 0;\nendmodule",
+         "empty range [1..0] for x", (3, 2)),
+        (_M.replace("dtmc", "mdp").format(" rate(1) x=0 -> (x'=1);"),
+         "rate command in a mdp model", (4, 2)),
+        (_M.replace("dtmc", "ma").format(" rate(true) x=0 -> (x'=1);"),
+         "rate must be a number", (4, 7)),
+        (_M.format(" [] x=0 -> true:(x'=1);"), "branch weight must be a number",
+         (4, 12)),
+        (_M.format(" [] x=0 -> 0:(x'=1);"), "branch weight must be positive",
+         (4, 12)),
+        (_M.format(" [] x=0 -> -1/2:(x'=1);"),
+         "branch weight must be positive", (4, 14)),
+        (_M.format(" [] x=0 -> (y'=1);"),
+         "assignment to undeclared variable 'y'", (4, 13)),
+        (_M.format("endmodule\nmodule n\n [] x=0 -> (x'=1);"),
+         "module n cannot write 'x' (local to module m)", (6, 13)),
+        (_M.format(" [] x=0 -> (x'=1, x'=0);"),
+         "'x' assigned twice in one branch", (4, 19)),
+        (_M.format(" [] x=0 -> (x'=true);"),
+         "cannot assign a bool to integer 'x'", (4, 13)),
+        (_M.format(" b : bool init false;\n [] x=0 -> (b'=1);"),
+         "cannot assign a int to boolean 'b'", (5, 13)),
+        (_M.format("") + 'label "a" = x=0;\nlabel "a" = x=1;',
+         'duplicate label "a"', (7, 7)),
+        (_M.format("") + 'label "a" = x;', 'label "a" must be boolean',
+         (6, 7)),
+        # Expr.type, reached while folding literals
+        ("dtmc\nconst int c = -true;", "'-' needs a number", (2, 15)),
+        ("dtmc\nconst int c = 1 & 2;", "'&' needs boolean operands",
+         (2, 17)),
+        ("dtmc\nconst bool c = true = 1;",
+         "cannot compare a boolean with a number", (2, 21)),
+        ("dtmc\nconst int c = 1 ? 2 : 3;",
+         "condition of '?:' must be boolean", (2, 17)),
+        ("dtmc\nconst int c = true ? 1 : false;",
+         "branches of '?:' mix boolean and number", (2, 20)),
+        ("dtmc\nconst int c = min(true, false);",
+         "min needs numeric arguments", (2, 15)),
+        # properties
+        ("Qmax=? [ F x=1 ]", "unknown property head 'Qmax'", (1, 1)),
+        ("Pmax=? [ F<= x=1 ]", "expected a numeric bound after 'F<='",
+         (1, 14)),
+        ("Pmax=? [ F 1/0 = 1 ]", "division by zero", (1, 13)),
+    ])
+    def test_static_checks_name_the_fault_and_its_position(
+            self, source, message, position):
+        with pytest.raises(ModelSyntaxError) as err:
+            if "=?" in source:
+                parse_property(source, model_class=ModelClass.DTMC)
+            else:
+                parse_model(source)
+        assert message in err.value.message
+        assert (err.value.line, err.value.column) == position
+
 
 def _binop(t):
     (lt, lv), op, (rt, rv) = t
@@ -353,6 +454,16 @@ class TestExpressionEvaluation:
         assert folded(np.zeros((2, 0), dtype=np.int64)).tolist() \
             == [Fraction(1, 4)] * 2
 
+    @pytest.mark.parametrize("fn,pick", [("min", min), ("max", max)])
+    def test_min_and_max_over_reals_are_exact(self, fn, pick):
+        expr = parse_property(
+            f"Pmax=? [ F {fn}(z/2, 1/3, z - 5/4) = 0 ]").target.left
+        code = expr.compile((VariableInfo("z", -3, 3),), {})
+        assert code.kind == "real"
+        assert code(np.arange(-3, 4).reshape(-1, 1)).tolist() == [
+            pick(Fraction(z, 2), Fraction(1, 3), z - Fraction(5, 4))
+            for z in range(-3, 4)]
+
     def test_a_conditional_may_choose_between_booleans(self):
         sp = space_of("""
             dtmc
@@ -429,6 +540,27 @@ class TestExplore:
         """)
         with pytest.raises(ValueError, match="at least 1"):
             explore(model, state_cap=cap)
+
+    def test_a_model_without_modules_is_rejected(self):
+        with pytest.raises(ExplorationError, match="model has no modules"):
+            explore(parse_model("dtmc\nconst int c = 1;"))
+
+    def test_dtmc_nondeterminism_is_found_before_the_state_cap(self):
+        # the level {x=1, x=2} overflows a cap of 3 at x=2's successor;
+        # x=1, an earlier row, has two choices and is the error reported
+        model = parse_model("""
+            dtmc
+            module m
+              x : [0..3] init 0;
+              [] x=0 -> 1/2:(x'=1) + 1/2:(x'=2);
+              [] x=1 -> (x'=0);
+              [] x=1 -> (x'=1);
+              [] x=2 -> (x'=3);
+            endmodule
+        """)
+        with pytest.raises(ExplorationError, match="dtmc state {'x': 1} "
+                           "enables 2 choices"):
+            explore(model, state_cap=3)
 
     def test_unkeyed_constant_guards(self):
         # neither guard reads x, the guard-index column: true is enabled

@@ -437,6 +437,15 @@ class TestMarkovAutomata:
             ma_expected_time(coin_dtmc, coin_dtmc.labels["heads"],
                              Direction.MIN, CFG)
 
+    def test_step_and_time_bounds_need_their_model_class(self):
+        ma, mdp = space_of(TRAP_MA), space_of(TWO_CHOICE_MDP)
+        with pytest.raises(SolverError, match="needs a DTMC or MDP"):
+            step_bounded_cdf(ma, ma.labels["goal"], Direction.MAX, 3)
+        with pytest.raises(SolverError, match="defined for MA models"):
+            ma_time_bounded(mdp, mdp.labels["goal"], Direction.MAX, 1.0, CFG)
+        with pytest.raises(SolverError, match="must be nonnegative"):
+            ma_time_bounded(ma, ma.labels["goal"], Direction.MAX, -1.0, CFG)
+
     def test_time_bounded_matches_exponential_cdf(self):
         sp = space_of("""
             ma

@@ -144,6 +144,12 @@ class TestSmcConfig:
         with pytest.raises(ValueError):
             SmcConfig(runs=100, delta=0.05)
 
+    def test_rejects_no_steps_and_no_schedulers(self):
+        with pytest.raises(ValueError, match="max_steps must be positive"):
+            SmcConfig(runs=10, max_steps=0)
+        with pytest.raises(ValueError, match="m must be at least 1"):
+            LssConfig(m=0)
+
 
 class TestSmcEstimate:
     def test_interval_must_bracket_mean(self):
@@ -267,6 +273,14 @@ class TestEstimate:
         with pytest.raises(ValueError, match="state 0 has several choices "
                            "but no resolver was supplied"):
             estimate(sp, None, _unbounded("goal"), SmcConfig(runs=10))
+
+    def test_a_step_bound_does_not_apply_to_an_ma(self):
+        sp = space_of(TRAP_MA)
+        prop = Property(PropertyKind.STEP_BOUNDED_REACH_PROB, Direction.MAX,
+                        "goal", 3)
+        with pytest.raises(ValueError,
+                           match="properties do not apply to ma models"):
+            estimate(sp, lambda s: 1, prop, SmcConfig(runs=10))
 
     @pytest.mark.parametrize("bad", [2, -1])
     def test_a_choice_out_of_range_is_an_error(self, bad):
