@@ -139,10 +139,10 @@ class Name(Expr):
 
     def _vec(self, scope):
         if self.name in scope.columns:
-            j, var = scope.columns[self.name]
-            if var.is_bool:
+            j, is_bool, lo, hi = scope.columns[self.name]
+            if is_bool:
                 return _Code("bool", lambda V: V[:, j] != 0)
-            return _Code("int", lambda V: V[:, j], lo=var.lo, hi=var.hi)
+            return _Code("int", lambda V: V[:, j], lo=lo, hi=hi)
         try:
             return _constant(scope.consts[self.name])
         except KeyError:
@@ -295,13 +295,15 @@ _ONE_ROW = np.zeros((1, 0), dtype=np.int64)
 
 @dataclass(frozen=True)
 class _Scope:
-    columns: Mapping[str, tuple[int, VariableInfo]]
+    #: each variable's (column, is_bool, lo, hi)
+    columns: Mapping[str, tuple[int, bool, int, int]]
     consts: Mapping[str, Value]
 
     @staticmethod
     def of(layout: Sequence[VariableInfo], consts: Mapping[str, Value]):
         """Column ``j`` holds ``layout[j]``."""
-        return _Scope({v.name: (j, v) for j, v in enumerate(layout)}, consts)
+        return _Scope({v.name: (j, v.is_bool, v.lo, v.hi)
+                       for j, v in enumerate(layout)}, consts)
 
 
 class _Code(NamedTuple):
@@ -597,14 +599,16 @@ class SymbolicModel:
     actions: tuple[str, ...]
     processes: tuple[ProcessDef, ...]
     labels: tuple[LabelDecl, ...]
+    #: resolved once by ``parse_model``: each constant's value, the
+    #: variables (globals first, then each process's locals) and the
+    #: initial valuation; not part of the model's identity
+    consts: dict = field(default_factory=dict, compare=False, repr=False)
+    layout: tuple = field(default=(), compare=False, repr=False)
+    initial: tuple = field(default=(), compare=False, repr=False)
 
     def constant_values(self) -> dict[str, Value]:
-        """Evaluate constants in declaration order; reals become Fractions."""
-        env: dict[str, Value] = {}
-        for c in self.constants:
-            value = c.expr.constant(env)
-            env[c.name] = Fraction(value) if c.type == "real" else value
-        return env
+        """The constants' values, a copy the caller may change."""
+        return dict(self.consts)
 
     def label_map(self) -> dict[str, Expr]:
         return {l.name: l.expr for l in self.labels}

@@ -1,9 +1,11 @@
 """Explicit-state exploration of symbolic models.
 
-Guards, weights, rates and assignments are compiled once each with
-:meth:`qmv.lang.ast.Expr.compile`, into their value when they fold to a
-constant, else into functions of a valuation matrix (constants inlined),
-and the reachable state space is built breadth-first from the initial
+The explorer reads the variable layout, the constants' values and the
+initial valuation that :func:`qmv.lang.parse_model` resolved.  Guards,
+weights, rates and assignments are compiled once each against one scope
+(the layout's columns, with the constants inlined), into their value when
+they fold to a constant, else into functions of a valuation matrix, and
+the reachable state space is built breadth-first from the initial
 valuation, one BFS level at a time: the frontier is an int64 matrix with
 one row per state, and every command runs once over all the frontier
 rows that enable it.  The choices of all levels reach the arrays of a
@@ -43,9 +45,10 @@ raise in assignment order; a level that fails is bisected for its first
 failing row, which is then expanded alone on the same path.
 
 A value is proven in range, once per assignment before the search, when
-the range of its compiled code over the declared ranges, narrowed by the
-guard's top-level comparisons of a variable with a constant, lies inside
-the variable's range: ``x < N -> (x'=x+1)`` is never checked.
+the range of its code lies inside the variable's range.  The code is
+compiled over a copy of the scope whose columns the guard's top-level
+comparisons of a variable with a constant narrow: ``x < N -> (x'=x+1)``
+is never checked.
 """
 from __future__ import annotations
 
@@ -60,12 +63,11 @@ from qmv.core import (
     ExplicitStateSpace,
     ModelClass,
     SpaceBuilder,
-    VariableInfo,
     state_dict,
     target_mask,
 )
 from qmv.lang import ast
-from qmv.lang.ast import _exact
+from qmv.lang.ast import _exact, _Scope
 from qmv.lang.errors import EvalError, ExplorationError, ExplorationLimit
 
 DEFAULT_STATE_CAP = 10_000_000
@@ -151,41 +153,8 @@ class _Explorer:
         self.model = model
         self.state_cap = state_cap
         self.name = name
-        self.consts = model.constant_values()
-
-        # variable layout: globals first, then locals in process order
-        decls: list[tuple[ast.VarDecl, int | None]] = [
-            (v, None) for v in model.globals_]
-        for pi, p in enumerate(model.processes):
-            decls += [(v, pi) for v in p.variables]
-        self.cols = {v.name: i for i, (v, _) in enumerate(decls)}
-
-        # the names each process reads
-        reads = [
-            {n for cmd in p.commands
-             for e in (cmd.guard, cmd.rate, *(
-                 x for br in cmd.branches
-                 for x in (br.weight, *(a.expr for a in br.assignments))))
-             if e is not None for n in e.names()}
-            for p in model.processes]
-
-        # a variable is observed by the processes that declare it in their
-        # observes list; without one, by its owner and, for a global, by
-        # every process that reads it
-        self.layout = tuple(
-            VariableInfo(
-                v.name,
-                0 if v.is_bool else int(v.lo.constant(self.consts)),
-                1 if v.is_bool else int(v.hi.constant(self.consts)),
-                v.is_bool, owner,
-                frozenset(
-                    pi for pi, p in enumerate(model.processes)
-                    if (v.name in p.observes if p.observes is not None
-                        else owner == pi
-                        or owner is None and v.name in reads[pi])))
-            for v, owner in decls)
-        self.initial_vals = tuple(
-            int(v.init.constant(self.consts)) for v, _ in decls)
+        self.layout = model.layout
+        self.scope = _Scope.of(self.layout, model.consts)
 
         # compiled commands, their guard index and the action
         # synchronization table
@@ -216,10 +185,10 @@ class _Explorer:
             self.radix = np.array(stride, dtype=np.int64)
         self.index: dict[object, int] = {}
 
-    def _c(self, e: ast.Expr, layout: tuple[VariableInfo, ...]):
+    def _c(self, e: ast.Expr, scope: _Scope):
         """``e``'s value when it folds to a constant, else its code over
-        ``layout``."""
-        code = e.compile(layout, self.consts)
+        ``scope``."""
+        code = e._vec(scope)
         return code.value if code.run is None else code.run
 
     def _comparisons(self, guard: ast.Expr) -> list:
@@ -227,6 +196,7 @@ class _Explorer:
         value) when the conjunct is ``x op c`` or ``c op x`` for a variable
         ``x`` and a comparison other than ``!=``, with ``c`` folding to a
         constant, written as ``x op value``; else None."""
+        columns = self.scope.columns
         found = []
         for test in _conjuncts(guard):
             found.append(None)
@@ -234,43 +204,41 @@ class _Explorer:
                 continue
             for var, c, op in ((test.left, test.right, test.op),
                                (test.right, test.left, _FLIPPED[test.op])):
-                if isinstance(var, ast.Name) and var.name in self.cols:
-                    code = c.compile(self.layout, self.consts)
+                if isinstance(var, ast.Name) and var.name in columns:
+                    code = c._vec(self.scope)
                     if code.run is None:
-                        found[-1] = self.cols[var.name], op, code.value
+                        found[-1] = columns[var.name][0], op, code.value
         return found
 
-    def _narrowed(self, comparisons: list) -> tuple[VariableInfo, ...]:
-        """The layout with the bounds of each int variable narrowed by a
+    def _narrowed(self, comparisons: list) -> _Scope:
+        """The scope with the bounds of each int variable narrowed by a
         guard's ``comparisons`` with an int constant: a command's weights,
         rates and assignments run only where its guard holds."""
-        lo = [v.lo for v in self.layout]
-        hi = [v.hi for v in self.layout]
+        columns = dict(self.scope.columns)
         for j, op, k in filter(None, comparisons):
-            if isinstance(k, bool) or not isinstance(k, int) \
-                    or self.layout[j].is_bool:
+            var = self.layout[j]
+            if isinstance(k, bool) or not isinstance(k, int) or var.is_bool:
                 continue
+            _, _, lo, hi = columns[var.name]
             if op in ("=", ">=", ">"):
-                lo[j] = max(lo[j], k + (op == ">"))
+                lo = max(lo, k + (op == ">"))
             if op in ("=", "<=", "<"):
-                hi[j] = min(hi[j], k - (op == "<"))
-        if any(a > b for a, b in zip(lo, hi)):
-            return self.layout  # the guard never holds
-        return tuple(
-            v if (a, b) == (v.lo, v.hi)
-            else VariableInfo(v.name, a, b, v.is_bool, v.owner, v.observers)
-            for v, a, b in zip(self.layout, lo, hi))
+                hi = min(hi, k - (op == "<"))
+            if lo > hi:
+                return self.scope  # the guard never holds
+            columns[var.name] = (j, False, lo, hi)
+        if columns == self.scope.columns:
+            return self.scope
+        return _Scope(columns, self.scope.consts)
 
-    def _assignment(self, a: ast.Assignment,
-                    layout: tuple[VariableInfo, ...]) -> tuple:
+    def _assignment(self, a: ast.Assignment, scope: _Scope) -> tuple:
         """(column, value, proven) of ``a`` with its value compiled over
-        ``layout``: ``proven`` when the value provably lies in the
+        ``scope``: ``proven`` when the value provably lies in the
         variable's declared range."""
-        col = self.cols[a.var]
-        code = a.expr.compile(layout, self.consts)
-        var = self.layout[col]
+        col, is_bool, lo, hi = self.scope.columns[a.var]
+        code = a.expr._vec(scope)
         return (col, code.value if code.run is None else code.run,
-                var.is_bool or var.lo <= code.lo and code.hi <= var.hi)
+                is_bool or lo <= code.lo and code.hi <= hi)
 
     def _compile(self, process: ast.ProcessDef):
         """The compiled commands of ``process`` and its guard index: (key
@@ -290,15 +258,15 @@ class _Explorer:
         for ci, (cmd, tests, key) in enumerate(
                 zip(process.commands, comparisons, keys)):
             keyed = key is not None and key[0] == col
-            layout = self._narrowed(tests)
+            scope = self._narrowed(tests)
             cmds.append(_Cmd(
                 ci, cmd.action,
                 # the key test holds on every row a keyed command runs on
                 self._c(_after_leftmost(cmd.guard) if keyed else cmd.guard,
-                        self.layout),
-                None if cmd.rate is None else self._c(cmd.rate, layout),
-                [(self._c(br.weight, layout),
-                  [self._assignment(a, layout) for a in br.assignments])
+                        self.scope),
+                None if cmd.rate is None else self._c(cmd.rate, scope),
+                [(self._c(br.weight, scope),
+                  [self._assignment(a, scope) for a in br.assignments])
                  for br in cmd.branches],
                 cmd.pos[0]))
             if keyed:
@@ -593,7 +561,7 @@ class _Explorer:
 
     def run(self) -> ExplicitStateSpace:
         model = self.model
-        frontier = np.array([self.initial_vals], dtype=np.int64).reshape(
+        frontier = np.array([model.initial], dtype=np.int64).reshape(
             1, len(self.layout))
         self.index[self._keys(frontier).tolist()[0]] = 0
         self.expanded = 0
@@ -621,7 +589,7 @@ class _Explorer:
             components=tuple(p.name for p in model.processes),
             name=self.name)
         space.labels.update(
-            (decl.name, target_mask(space, decl.expr, self.consts))
+            (decl.name, target_mask(space, decl.expr, model.consts))
             for decl in model.labels)
         return space
 

@@ -4,8 +4,10 @@
 and rejects ill-formed models with positioned errors: unknown names, type
 mismatches, out-of-range initial values, writes to foreign locals, rates
 outside MA models, undeclared command tags in a model that declares
-actions.  ``parse_property`` handles the query syntax
-(``Pmax=? [ F pred ]`` and friends).
+actions.  It is the one place that resolves the declarations: the model
+carries its constants' values, its variable layout (with owners and
+observers) and its initial valuation.  ``parse_property`` handles the
+query syntax (``Pmax=? [ F pred ]`` and friends).
 
 Binary operators are parsed by one precedence-climbing loop over
 :data:`qmv.lang.ast.PRECEDENCE`, the table the pretty-printer reads too.
@@ -15,9 +17,10 @@ equal ASTs.
 """
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
-from qmv.core import Direction, ModelClass, Property, PropertyKind
+from qmv.core import Direction, ModelClass, Property, PropertyKind, VariableInfo
 from qmv.lang import ast
 from qmv.lang.errors import EvalError, ExprTypeError, ModelSyntaxError
 from qmv.lang.lexer import IDENTIFIER_RE, KEYWORDS, Token, tokenize
@@ -91,11 +94,9 @@ def _ident(ts: _Tokens, what: str = "a name") -> Token:
 def _literal(value: ast.Value, pos: ast.Pos) -> ast.Expr:
     if isinstance(value, bool):
         return ast.BoolLit(value, pos=pos)
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return ast.IntLit(int(value), pos=pos)
+    if isinstance(value, Fraction) and value.denominator != 1:
         return ast.RealLit(value, pos=pos)
-    return ast.IntLit(value, pos=pos)
+    return ast.IntLit(int(value), pos=pos)
 
 
 def _is_literal(e: ast.Expr) -> bool:
@@ -225,8 +226,7 @@ def parse_model(source: str) -> ast.SymbolicModel:
     model = ast.SymbolicModel(
         model_class, tuple(constants), tuple(globals_), tuple(actions),
         tuple(processes), tuple(labels))
-    _analyze(ts, model)
-    return model
+    return _analyze(ts, model)
 
 
 def _parse_const(ts: _Tokens) -> ast.ConstDecl:
@@ -371,7 +371,9 @@ def _check_const_names(ts: _Tokens, expr: ast.Expr, const_types: dict,
         raise ts.error_at(f"undeclared name {n!r}", expr)
 
 
-def _analyze(ts: _Tokens, model: ast.SymbolicModel) -> None:
+def _analyze(ts: _Tokens, model: ast.SymbolicModel) -> ast.SymbolicModel:
+    """Check ``model`` and return it with its declarations resolved: the
+    constants' values, the variable layout and the initial valuation."""
     # constants: declared before use, well-typed, evaluable
     const_types: dict[str, str] = {}
     cenv: dict[str, ast.Value] = {}
@@ -418,6 +420,7 @@ def _analyze(ts: _Tokens, model: ast.SymbolicModel) -> None:
         seen.add(v.name)
         var_types[v.name] = "bool" if v.is_bool else "int"
         var_owner[v.name] = owner
+    ranges = []
     for v, owner in decls:
         parts = [(v.init, f"initial value of {v.name}")]
         if not v.is_bool:
@@ -429,6 +432,7 @@ def _analyze(ts: _Tokens, model: ast.SymbolicModel) -> None:
             if _type_of(ts, v.init, const_types) != "bool":
                 raise ts.error_at(
                     f"initial value of boolean {v.name} must be boolean", v)
+            ranges.append((0, 1, int(v.init.constant(cenv))))
             continue
         for expr, what in parts:
             if _type_of(ts, expr, const_types) != "int":
@@ -439,6 +443,7 @@ def _analyze(ts: _Tokens, model: ast.SymbolicModel) -> None:
         if not lo <= init <= hi:
             raise ts.error_at(
                 f"initial value {init} of {v.name} outside [{lo}..{hi}]", v)
+        ranges.append((lo, hi, init))
 
     types = {**const_types, **var_types}
 
@@ -492,12 +497,11 @@ def _analyze(ts: _Tokens, model: ast.SymbolicModel) -> None:
                     assigned.add(a.var)
                     rt = _type_of(ts, a.expr, types)
                     vt = var_types[a.var]
-                    if vt == "bool" and rt != "bool":
+                    if rt != vt:
+                        kind = "boolean" if vt == "bool" else "integer"
                         raise ts.error_at(
-                            f"cannot assign a {rt} to boolean {a.var!r}", a)
-                    if vt == "int" and rt != "int":
-                        raise ts.error_at(
-                            f"cannot assign a {rt} to integer {a.var!r}", a)
+                            f"cannot assign {'an' if rt == 'int' else 'a'} "
+                            f"{rt} to {kind} {a.var!r}", a)
 
     # labels: unique boolean predicates
     label_names: set[str] = set()
@@ -507,6 +511,26 @@ def _analyze(ts: _Tokens, model: ast.SymbolicModel) -> None:
         label_names.add(l.name)
         if _type_of(ts, l.expr, types) != "bool":
             raise ts.error_at(f'label "{l.name}" must be boolean', l)
+
+    # a variable is observed by the processes that declare it in their
+    # observes list; without one, by its owner and, for a global, by
+    # every process that reads it
+    procs = model.processes
+    reads = [
+        {n for cmd in p.commands
+         for e in (cmd.guard, cmd.rate, *(
+             x for br in cmd.branches
+             for x in (br.weight, *(a.expr for a in br.assignments))))
+         if e is not None for n in e.names()}
+        if p.observes is None and model.globals_ else () for p in procs]
+    layout = tuple(
+        VariableInfo(v.name, lo, hi, v.is_bool, owner, frozenset(
+            pi for pi, p in enumerate(procs)
+            if (v.name in p.observes if p.observes is not None
+                else owner == pi or owner is None and v.name in reads[pi])))
+        for (v, owner), (lo, hi, _) in zip(decls, ranges))
+    return replace(model, consts=cenv, layout=layout,
+                   initial=tuple(init for _, _, init in ranges))
 
 
 # --------------------------------------------------------------------------

@@ -600,13 +600,16 @@ def lss(
 
     Ids with equal :func:`reachable_decisions` tables share one estimate,
     and the runs of all distinct tables advance in one lockstep pass.
-    direction=max keeps the maximum estimate, min the minimum.  Each
-    sampled scheduler's true value is at most the true maximum (at least
-    the true minimum), but the best of m estimates is a selected value:
-    its interval is not a 1-delta interval for that scheduler, and its mean
-    can pass the optimum.  ``distributed`` mode requires the model to be
-    good for distribution.
+    ``cfg.direction``, which must be ``prop.direction``, keeps the maximum
+    estimate or the minimum.  Each sampled scheduler's true value is at
+    most the true maximum (at least the true minimum), but the best of m
+    estimates is a selected value: its interval is not a 1-delta interval
+    for that scheduler, and its mean can pass the optimum.  ``distributed``
+    mode requires the model to be good for distribution.
     """
+    if cfg.direction is not prop.direction:
+        raise ValueError(f"lss would optimise {cfg.direction.value} for a "
+                         f"{prop.direction.value} property")
     ids = sample_scheduler_ids(cfg.sampler_seed, cfg.m)
     behaviors = [tuple(sorted(decisions.items())) for decisions
                  in reachable_decisions(space, ids, cfg.mode)]

@@ -1,6 +1,7 @@
 """Generated case studies: mining race MA, contact-plan MDP, on-chip DTMC."""
 import dataclasses
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,13 @@ from qmv.casestudies import (
     parse_contact_plan,
     sample_contact_plan,
 )
-from qmv.core import Direction, ModelClass, check_good_for_distribution
+from qmv.core import (
+    _FLOAT_ARRAYS,
+    _INT_ARRAYS,
+    Direction,
+    ModelClass,
+    check_good_for_distribution,
+)
 from qmv.lang import parse_model, parse_properties
 from qmv.lang.explore import explore
 from qmv.numeric import SolverConfig, ma_expected_time, reach_prob
@@ -76,6 +83,15 @@ class TestBitcoin:
             sp = explored(gen_bitcoin(params))
             res = ma_expected_time(sp, sp.labels["goal"], Direction.MIN, CFG)
             assert res.value == pytest.approx(12 / M, rel=1e-4)
+
+    def test_fraction_hash_rate_is_exact(self):
+        # a Fraction M is written as a division, a float as a decimal; the
+        # parser reads both as the exact rational 1/5
+        exact = explored(gen_bitcoin(BitcoinParams(M=Fraction(1, 5))))
+        decimal = explored(gen_bitcoin(BitcoinParams(M=0.2)))
+        for name in ("valuations", *_INT_ARRAYS, *_FLOAT_ARRAYS):
+            assert np.array_equal(getattr(exact, name),
+                                  getattr(decimal, name)), name
 
     def test_write_emits_model_and_props(self, tmp_path):
         case = gen_bitcoin(BitcoinParams(CD=1))

@@ -9,6 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmv.casestudies import (
+    BitcoinParams,
+    NocParams,
+    gen_bitcoin,
+    gen_contact_mdp,
+    gen_noc,
+    parse_contact_plan,
+    sample_contact_plan,
+)
 from qmv.core import (
     _FLOAT_ARRAYS,
     _INT_ARRAYS,
@@ -90,6 +99,10 @@ class TestParser:
             endmodule
         """)
         assert sp.choices[0][0].distribution.branches == ((0.25, 1), (0.75, 2))
+
+    def test_integral_decimal_is_an_int_literal(self):
+        model = parse_model("dtmc\nmodule m\n x : [0..3] init 2.0;\nendmodule")
+        assert model.processes[0].variables[0].init == IntLit(2)
 
     def test_constant_expressions_in_bounds(self):
         sp = space_of("""
@@ -291,7 +304,7 @@ class TestParser:
         (_M.format(" [] x=0 -> (x'=true);"),
          "cannot assign a bool to integer 'x'", (4, 13)),
         (_M.format(" b : bool init false;\n [] x=0 -> (b'=1);"),
-         "cannot assign a int to boolean 'b'", (5, 13)),
+         "cannot assign an int to boolean 'b'", (5, 13)),
         (_M.format("") + 'label "a" = x=0;\nlabel "a" = x=1;',
          'duplicate label "a"', (7, 7)),
         (_M.format("") + 'label "a" = x;', 'label "a" must be boolean',
@@ -506,6 +519,75 @@ class TestExpressionEvaluation:
         with pytest.raises(ExplorationError,
                            match=r"y := 9223372037000250000 outside"):
             space_of(model.replace("VALUE", "x * x"))
+
+
+#: a global read by a process without an observes list, one observed by
+#: name, and one that no process reads
+_OBSERVERS = """
+    mdp
+    const int N = 2;
+    const real P = 1/4;
+    global g : [0..N] init N;
+    global h : bool init true;
+    global unread : [0..1] init 1;
+    module a
+      x : [0..N] init 1;
+      [] x<N & g>0 -> P:(x'=x+1) + 1-P:(g'=g-1);
+    endmodule
+    module b
+      observes y, h;
+      y : bool init false;
+      [] !y -> (y'=true, h'=false);
+    endmodule
+    module c
+      z : [-1..1] init -1;
+      [] z<1 -> (z'=z+1);
+    endmodule
+"""
+
+
+#: the bundled case studies and the observers model
+_RESOLVED = {
+    "bitcoin": gen_bitcoin(BitcoinParams()).model,
+    "contacts": gen_contact_mdp(
+        parse_contact_plan(sample_contact_plan())).model,
+    "noc": gen_noc(NocParams()).model,
+    "observers": _OBSERVERS,
+}
+
+
+class TestResolvedDeclarations:
+    """``parse_model`` resolves the constants, the layout and the initial
+    valuation once; the explorer reads them as they are."""
+
+    @pytest.mark.parametrize("case", list(_RESOLVED))
+    def test_explorer_reads_the_parsed_layout(self, case):
+        model = parse_model(_RESOLVED[case])
+        sp = explore(model)
+        assert model.layout == sp.layout
+        assert model.initial == tuple(sp.valuations[sp.initial].tolist())
+
+    @pytest.mark.parametrize("case", list(_RESOLVED))
+    def test_constant_values_is_a_copy(self, case):
+        model = parse_model(_RESOLVED[case])
+        before = dict(model.consts)
+        values = model.constant_values()
+        assert values == before
+        values.clear()
+        values["N"] = 99
+        assert model.constant_values() == before == model.consts
+
+    def test_observers_and_values(self):
+        model = parse_model(_OBSERVERS)
+        assert model.consts == {"N": 2, "P": Fraction(1, 4)}
+        assert model.layout == (
+            VariableInfo("g", 0, 2, False, None, frozenset({0})),
+            VariableInfo("h", 0, 1, True, None, frozenset({1})),
+            VariableInfo("unread", 0, 1, False, None, frozenset()),
+            VariableInfo("x", 0, 2, False, 0, frozenset({0})),
+            VariableInfo("y", 0, 1, True, 1, frozenset({1})),
+            VariableInfo("z", -1, 1, False, 2, frozenset({2})))
+        assert model.initial == (2, 1, 1, 1, 0, -1)
 
 
 class TestExplore:

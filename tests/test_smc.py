@@ -540,6 +540,13 @@ class TestLss:
                   self._cfg(Direction.MIN))
         assert res.best.mean == pytest.approx(0.1, abs=0.05)
 
+    def test_direction_must_match_the_property(self):
+        # optimising max for a Pmin property reported 0.9 where Pmin is 0.1
+        sp = space_of(self.MDP)
+        with pytest.raises(ValueError, match="optimise max for a min"):
+            lss(sp, _unbounded("goal", Direction.MIN),
+                LssConfig(m=20, inner=SmcConfig(runs=800), sampler_seed=1))
+
     def test_behaviour_deduplication(self):
         # one binary decision: at most two distinct behaviours despite m=20
         sp = space_of(self.MDP)
