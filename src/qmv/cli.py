@@ -214,7 +214,8 @@ def cmd_lss(args) -> int:
                  "best_id": result.best_id, "mean": best.mean,
                  "ci_low": best.ci_low, "ci_high": best.ci_high,
                  "ci_method": best.ci_method,
-                 "runs_per_scheduler": best.runs}
+                 "runs_per_scheduler": best.runs,
+                 "selection_mean": dict(result.table)[result.best_id].mean}
         if args.table:
             entry["table"] = [
                 {"id": sid, "mean": est.mean, "ci_low": est.ci_low,

@@ -17,7 +17,11 @@ except that an int whose declared bounds could leave int64 is computed on
 exact Python ints; reals are exact Fractions in object arrays.  ``&``,
 ``|`` and ``?:`` run their right side or branches only on the rows that
 select them, so a division by zero raises exactly where it would one state
-at a time.  :meth:`Expr.constant` is the same code on one row.
+at a time.  A node whose arguments are all constant folds by applying the
+same operator function to their Python values (int, bool or Fraction,
+exact beyond int64), not to arrays; a fold that raises leaves code that
+raises wherever it runs.  :meth:`Expr.constant` is that folded value, or
+the code run on one row.
 """
 from __future__ import annotations
 
@@ -66,7 +70,7 @@ class Expr:
 
     def constant(self, consts: Mapping[str, Value]) -> Value:
         """Value of an expression that folds to a constant."""
-        code = self.compile((), consts)
+        code = self._vec(_Scope({}, consts))
         # a constant that does not fold raises where it runs
         return code.value if code.run is None \
             else code.run(_ONE_ROW).tolist()[0]
@@ -171,7 +175,7 @@ class Unary(Expr):
         x = self.operand._vec(scope)
         if self.op == "!":
             return _node("bool", np.logical_not, (x,))
-        return _arith(np.negative, x.kind, -x.hi, -x.lo, (x,))
+        return _arith(operator.neg, x.kind, -x.hi, -x.lo, (x,))
 
     def children(self):
         return (self.operand,)
@@ -345,25 +349,29 @@ class _Code(NamedTuple):
 
 def _constant(value: Value) -> _Code:
     if isinstance(value, bool):
-        return _Code("bool", value=value)
+        return _Code("bool", None, value)
     if isinstance(value, int):
-        return _Code("int", value=value, lo=value, hi=value)
-    return _Code("real", value=value)
+        return _Code("int", None, value, value, value)
+    return _Code("real", None, value)
 
 
 def _node(kind: str, op: Callable, args: tuple[_Code, ...], lo: int = 0,
           hi: int = 0, raises: bool = False) -> _Code:
     """The code applying the elementwise ``op`` to the values of ``args``.
-    With constant arguments it is folded into a constant, unless folding
-    raises: then it raises wherever it runs."""
+    With constant arguments it is folded into a constant, by ``op`` on
+    their Python values, unless folding raises: then it raises wherever it
+    runs."""
     raises = raises or any(a.raises for a in args)
-    if all(a.run is None for a in args):
+    values = [a.value for a in args if a.run is None]
+    if len(values) == len(args):
         try:
-            return _Code(kind, None, op(*(
-                np.full(1, a.value, dtype=a.dtype) for a in args)).tolist()[0],
-                lo, hi, raises)
+            value = op(*values)
         except EvalError:
             pass
+        else:
+            if isinstance(value, (np.ndarray, np.generic)):
+                value = value.item()
+            return _Code(kind, None, value, lo, hi, raises)
     if len(args) == 1:
         (a,) = args
         run = lambda V: op(a.get(V))  # noqa: E731
@@ -394,7 +402,9 @@ def _arith(fn: Callable, kind: str, lo: int, hi: int,
         if not exact:
             return fn(*values)
         result = fn(*map(_exact, values))
-        return result if out is object else result.astype(np.int64)
+        if out is object or not isinstance(result, np.ndarray):
+            return result
+        return result.astype(np.int64)
     return _node(kind, op, args, lo, hi)
 
 
@@ -405,22 +415,26 @@ def _compare(fn: Callable, a: _Code, b: _Code) -> _Code:
         fn(_exact(x), _exact(y)), dtype=bool), (a, b))
 
 
-_QUOTIENT = np.frompyfunc(lambda x, y: Fraction(x) / Fraction(y), 2, 1)
+_QUOTIENT = np.frompyfunc(Fraction, 2, 1)
 
 
 def _divide(x, y):
-    if np.any(y == 0):
+    if np.count_nonzero(y == 0):
         raise EvalError("division by zero")
     return _QUOTIENT(_exact(x), _exact(y))
 
 
 def _extreme(better: Callable) -> Callable:
-    """min or max of any number of arguments, keeping the first of equal
-    values as Python's min and max do."""
+    """min or max of any number of arguments, arrays or Python numbers,
+    keeping the first of equal values as Python's min and max do."""
     def fn(*values):
         acc = values[0]
         for v in values[1:]:
-            acc = np.where(better(v, acc), v, acc)
+            pick = better(v, acc)
+            if isinstance(pick, np.ndarray):
+                acc = np.where(pick, v, acc)
+            elif pick:
+                acc = v
         return acc
     return fn
 
@@ -465,10 +479,12 @@ def _cond(c: _Code, t: _Code, o: _Code) -> _Code:
         kind = "real" if "real" in (t.kind, o.kind) else "int"
     code = _Code(kind, lo=min(t.lo, o.lo), hi=max(t.hi, o.hi))
     dtype = code.dtype
-    wide = _exact if dtype is object else (lambda x: x)
     if not (t.raises or o.raises):
-        return _node(kind, lambda cv, tv, ov: np.where(cv, wide(tv), wide(ov)),
-                     (c, t, o), code.lo, code.hi)
+        # each branch in the result's dtype: numpy would put two Python
+        # ints beyond int64 into uint64 or float64
+        return _node(kind, lambda cv, tv, ov: np.where(
+            cv, np.asarray(tv, dtype), np.asarray(ov, dtype)),
+            (c, t, o), code.lo, code.hi)
 
     def run(V):
         cv = c.run(V)

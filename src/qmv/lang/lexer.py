@@ -1,8 +1,12 @@
-"""Tokenizer for the guarded-command language and property strings."""
+"""Tokenizer for the guarded-command language and property strings.
+
+:func:`tokenize` scans one source line at a time.  Each match of
+:data:`TOKEN_RE` skips the blanks and the comment in front of a token, so
+only tokens reach Python, and they come out as four parallel lists.
+"""
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 from qmv.lang.errors import ModelSyntaxError
 
@@ -10,16 +14,20 @@ from qmv.lang.errors import ModelSyntaxError
 #: and contact-plan node names.
 IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
+#: One token and the blanks and comment before it; at the end of a line,
+#: only those (no group matches)
 TOKEN_RE = re.compile(
     rf"""
-      (?P<skip>[ \t\r]+|//[^\n]*)
-    | (?P<nl>\n)
-    | (?P<DECIMAL>\d+\.\d+)
+    (?:[ \t\r]+|//.*)*
+    (?:
+      (?P<DECIMAL>\d+\.\d+)
     | (?P<INT>\d+)
     | (?P<NAME>{IDENTIFIER_RE.pattern})
-    | (?P<STRING>"[^"\n]*")
+    | (?P<STRING>"[^"]*")
     | (?P<OP>->|<=|>=|!=|\.\.|[-+*/()\[\]:;,?'=<>&|!])
     | (?P<bad>.)
+    | $
+    )
     """,
     re.VERBOSE,
 )
@@ -32,28 +40,25 @@ KEYWORDS = frozenset({
 })
 
 
-class Token(NamedTuple):
-    #: NAME, INT, DECIMAL, STRING, OP (the name of the group of TOKEN_RE
-    #: that matched it) or EOF
-    type: str
-    text: str
-    line: int
-    column: int
-
-
-def tokenize(source: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, line_start = 1, 0
-    for m in TOKEN_RE.finditer(source):
-        kind = m.lastgroup
-        if kind == "nl":
-            line += 1
-            line_start = m.end()
-        elif kind == "bad":
-            raise ModelSyntaxError(f"unexpected character {m.group()!r}",
-                                   line, m.start() - line_start + 1, source)
-        elif kind != "skip":
-            tokens.append(
-                Token(kind, m.group(), line, m.start() - line_start + 1))
-    tokens.append(Token("EOF", "", line, len(source) - line_start + 1))
-    return tokens
+def tokenize(source: str) -> tuple[list[str], list[str], list[int],
+                                   list[int]]:
+    """Each token's kind (NAME, INT, DECIMAL, STRING or OP, the name of the
+    group of :data:`TOKEN_RE` that matched it, and a final EOF), text, line
+    and column, as four parallel lists."""
+    kinds, texts, lines, columns = [], [], [], []
+    for line, text in enumerate(source.split("\n"), 1):
+        for m in TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            if kind is None:
+                continue
+            if kind == "bad":
+                raise ModelSyntaxError(f"unexpected character {m[kind]!r}",
+                                       line, m.start(kind) + 1, source)
+            kinds.append(kind)
+            texts.append(m[kind])
+            lines.append(line)
+            columns.append(m.start(kind) + 1)
+    for out, eof in zip((kinds, texts, lines, columns),
+                        ("EOF", "", line, len(text) + 1)):
+        out.append(eof)
+    return kinds, texts, lines, columns

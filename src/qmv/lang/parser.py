@@ -9,86 +9,85 @@ carries its constants' values, its variable layout (with owners and
 observers) and its initial valuation.  ``parse_property`` handles the
 query syntax (``Pmax=? [ F pred ]`` and friends).
 
-Binary operators are parsed by one precedence-climbing loop over
-:data:`qmv.lang.ast.PRECEDENCE`, the table the pretty-printer reads too.
-Literal-only subexpressions are folded during parsing, so ``1/12`` becomes a
-single rational literal and pretty-printed models re-parse to structurally
-equal ASTs.
+The descent keeps one index into the lexer's parallel token lists and
+reads the next token's text and kind there; every syntax error is built by
+``_Tokens.expect`` or ``_Tokens.error``.  Binary operators are parsed by
+one precedence-climbing loop over :data:`qmv.lang.ast.PRECEDENCE`, the
+table the pretty-printer reads too.  Literal-only subexpressions are folded
+during parsing by :meth:`~qmv.lang.ast.Expr.constant`, so ``1/12`` becomes
+a single rational literal and pretty-printed models re-parse to
+structurally equal ASTs.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import replace
 from fractions import Fraction
 
 from qmv.core import Direction, ModelClass, Property, PropertyKind, VariableInfo
 from qmv.lang import ast
 from qmv.lang.errors import EvalError, ExprTypeError, ModelSyntaxError
-from qmv.lang.lexer import IDENTIFIER_RE, KEYWORDS, Token, tokenize
+from qmv.lang.lexer import IDENTIFIER_RE, KEYWORDS, tokenize
 
 
 class _Tokens:
-    """Token cursor with single-token lookahead helpers."""
+    """The token lists of one source and the index ``i`` of the next token;
+    the parser reads ``texts[i]`` and ``kinds[i]`` directly."""
+
+    __slots__ = ("source", "kinds", "texts", "lines", "columns", "i")
 
     def __init__(self, source: str):
         self.source = source
-        self.tokens = tokenize(source)
+        self.kinds, self.texts, self.lines, self.columns = tokenize(source)
         self.i = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+    def pos(self, i: int) -> ast.Pos:
+        return self.lines[i], self.columns[i]
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.i]
-        if tok.type != "EOF":
-            self.i += 1
-        return tok
+    def accept(self, text: str) -> bool:
+        """Step past the next token if it is ``text``."""
+        found = self.texts[self.i] == text
+        self.i += found
+        return found
 
-    def check(self, text: str | None = None, type_: str | None = None,
-              ahead: int = 0) -> bool:
-        tok = self.peek(ahead)
-        if type_ is not None and tok.type != type_:
-            return False
-        if text is not None and tok.text != text:
-            return False
-        return True
+    def expect(self, text: str | None = None, kind: str | None = None,
+               what: str | None = None) -> int:
+        """Step past the next token, which must be ``text`` (or of
+        ``kind``); return its index."""
+        i = self.i
+        if (self.texts[i] == text if kind is None else self.kinds[i] == kind):
+            self.i = i + 1
+            return i
+        want = what or (f"'{text}'" if text is not None else kind)
+        raise self.error(f"expected {want}, found {self.found(i)}", i)
 
-    def accept(self, text: str | None = None,
-               type_: str | None = None) -> Token | None:
-        if self.check(text, type_):
-            return self.advance()
-        return None
+    def found(self, i: int) -> str:
+        return "end of input" if self.kinds[i] == "EOF" else repr(self.texts[i])
 
-    def expect(self, text: str | None = None, type_: str | None = None,
-               what: str | None = None) -> Token:
-        if self.check(text, type_):
-            return self.advance()
-        tok = self.peek()
-        want = what or (f"'{text}'" if text is not None else str(type_))
-        found = "end of input" if tok.type == "EOF" else repr(tok.text)
-        raise self.error(f"expected {want}, found {found}", tok)
-
-    def error(self, message: str, tok: Token | None = None) -> ModelSyntaxError:
-        tok = tok or self.peek()
-        return ModelSyntaxError(message, tok.line, tok.column, self.source)
+    def error(self, message: str, i: int | None = None) -> ModelSyntaxError:
+        """An error at token ``i``, by default the next one."""
+        return ModelSyntaxError(
+            message, *self.pos(self.i if i is None else i), self.source)
 
     def error_at(self, message: str, node) -> ModelSyntaxError:
         line, column = getattr(node, "pos", (0, 0))
         return ModelSyntaxError(message, line, column, self.source)
 
 
-def _tpos(tok: Token) -> ast.Pos:
-    return (tok.line, tok.column)
-
-
-def _ident(ts: _Tokens, what: str = "a name") -> Token:
-    tok = ts.expect(type_="NAME", what=what)
-    if tok.text in KEYWORDS:
-        raise ts.error(f"{tok.text!r} is a reserved word", tok)
-    return tok
+def _ident(ts: _Tokens, what: str = "a name") -> int:
+    i = ts.expect(kind="NAME", what=what)
+    if ts.texts[i] in KEYWORDS:
+        raise ts.error(f"{ts.texts[i]!r} is a reserved word", i)
+    return i
 
 
 # --------------------------------------------------------------------------
 # expressions
+
+#: the binary operators of ``ast.PRECEDENCE``; no other token has their text
+_BINARY = {op: prec for op, prec in ast.PRECEDENCE.items()
+           if op not in ("?:", "unary")}
+_LITERALS = (ast.IntLit, ast.RealLit, ast.BoolLit)
 
 
 def _literal(value: ast.Value, pos: ast.Pos) -> ast.Expr:
@@ -99,87 +98,78 @@ def _literal(value: ast.Value, pos: ast.Pos) -> ast.Expr:
     return ast.IntLit(int(value), pos=pos)
 
 
-def _is_literal(e: ast.Expr) -> bool:
-    return isinstance(e, (ast.IntLit, ast.RealLit, ast.BoolLit))
-
-
 def _fold(node: ast.Expr, ts: _Tokens) -> ast.Expr:
-    kids = node.children()
-    if kids and all(_is_literal(k) for k in kids):
+    if all(type(k) in _LITERALS for k in node.children()):
         _type_of(ts, node, {})
-        try:
-            return _literal(node.constant({}), node.pos)
-        except EvalError as exc:
-            raise ts.error_at(str(exc), node) from None
+        return _literal(_value(ts, node, {}, node), node.pos)
     return node
 
 
 def _parse_expr(ts: _Tokens) -> ast.Expr:
     cond = _parse_binary(ts, ast.PRECEDENCE["?:"] + 1)
-    tok = ts.accept("?")
-    if tok is None:
+    i = ts.i
+    if ts.texts[i] != "?":
         return cond
+    ts.i = i + 1
     then = _parse_expr(ts)
     ts.expect(":")
     other = _parse_expr(ts)
-    return _fold(ast.Cond(cond, then, other, pos=_tpos(tok)), ts)
+    return _fold(ast.Cond(cond, then, other, pos=ts.pos(i)), ts)
 
 
 def _parse_binary(ts: _Tokens, min_prec: int) -> ast.Expr:
     """Precedence climbing over the binary operators of ``PRECEDENCE``
     that bind at least as tightly as ``min_prec``; all left-associative."""
     left = _parse_unary(ts)
+    texts = ts.texts
     while True:
-        tok = ts.peek()
-        prec = ast.PRECEDENCE.get(tok.text) if tok.type == "OP" else None
+        i = ts.i
+        prec = _BINARY.get(texts[i])
         if prec is None or prec < min_prec:
             return left
-        ts.advance()
+        ts.i = i + 1
         right = _parse_binary(ts, prec + 1)
-        left = _fold(ast.Binary(tok.text, left, right, pos=_tpos(tok)), ts)
+        left = _fold(ast.Binary(texts[i], left, right, pos=ts.pos(i)), ts)
 
 
 def _parse_unary(ts: _Tokens) -> ast.Expr:
-    tok = ts.accept("-") or ts.accept("!")
-    if tok is not None:
-        operand = _parse_unary(ts)
-        return _fold(ast.Unary(tok.text, operand, pos=_tpos(tok)), ts)
-    return _parse_atom(ts)
-
-
-def _parse_atom(ts: _Tokens) -> ast.Expr:
-    tok = ts.peek()
-    if tok.type == "INT":
-        ts.advance()
-        return ast.IntLit(int(tok.text), pos=_tpos(tok))
-    if tok.type == "DECIMAL":
-        ts.advance()
-        return _literal(Fraction(tok.text), _tpos(tok))
-    if tok.text == "(":
-        ts.advance()
+    """A prefix operator applied to a unary expression, or an atom."""
+    i = ts.i
+    kind, text = ts.kinds[i], ts.texts[i]
+    if kind == "INT":
+        ts.i = i + 1
+        return ast.IntLit(int(text), pos=ts.pos(i))
+    if kind == "DECIMAL":
+        ts.i = i + 1
+        return _literal(Fraction(text), ts.pos(i))
+    if text == "(":
+        ts.i = i + 1
         e = _parse_expr(ts)
         ts.expect(")")
         return e
-    if tok.type == "NAME":
-        if tok.text in ("true", "false"):
-            ts.advance()
-            return ast.BoolLit(tok.text == "true", pos=_tpos(tok))
-        if tok.text in ("min", "max"):
-            ts.advance()
-            ts.expect("(")
-            args = [_parse_expr(ts)]
-            while ts.accept(","):
-                args.append(_parse_expr(ts))
-            ts.expect(")")
-            if len(args) < 2:
-                raise ts.error(f"{tok.text} needs at least two arguments", tok)
-            return _fold(ast.Call(tok.text, tuple(args), pos=_tpos(tok)), ts)
-        if tok.text in KEYWORDS:
-            raise ts.error(f"unexpected {tok.text!r} in an expression", tok)
-        ts.advance()
-        return ast.Name(tok.text, pos=_tpos(tok))
-    found = "end of input" if tok.type == "EOF" else repr(tok.text)
-    raise ts.error(f"expected an expression, found {found}", tok)
+    if text == "-" or text == "!":
+        ts.i = i + 1
+        operand = _parse_unary(ts)
+        return _fold(ast.Unary(text, operand, pos=ts.pos(i)), ts)
+    if kind != "NAME":
+        raise ts.error(f"expected an expression, found {ts.found(i)}", i)
+    if text in KEYWORDS:
+        if text == "true" or text == "false":
+            ts.i = i + 1
+            return ast.BoolLit(text == "true", pos=ts.pos(i))
+        if text != "min" and text != "max":
+            raise ts.error(f"unexpected {text!r} in an expression", i)
+        ts.i = i + 1
+        ts.expect("(")
+        args = [_parse_expr(ts)]
+        while ts.accept(","):
+            args.append(_parse_expr(ts))
+        ts.expect(")")
+        if len(args) < 2:
+            raise ts.error(f"{text} needs at least two arguments", i)
+        return _fold(ast.Call(text, tuple(args), pos=ts.pos(i)), ts)
+    ts.i = i + 1
+    return ast.Name(text, pos=ts.pos(i))
 
 
 # --------------------------------------------------------------------------
@@ -189,40 +179,40 @@ def _parse_atom(ts: _Tokens) -> ast.Expr:
 def parse_model(source: str) -> ast.SymbolicModel:
     """Parse and statically check a complete model."""
     ts = _Tokens(source)
-    tok = ts.expect(type_="NAME", what="a model class (dtmc, mdp or ma)")
+    i = ts.expect(kind="NAME", what="a model class (dtmc, mdp or ma)")
     try:
-        model_class = ModelClass(tok.text)
+        model_class = ModelClass(ts.texts[i])
     except ValueError:
-        raise ts.error(f"unknown model class {tok.text!r}", tok) from None
+        raise ts.error(f"unknown model class {ts.texts[i]!r}", i) from None
 
     constants: list[ast.ConstDecl] = []
     globals_: list[ast.VarDecl] = []
     actions: list[str] = []
     processes: list[ast.ProcessDef] = []
     labels: list[ast.LabelDecl] = []
-    while not ts.check(type_="EOF"):
+    while ts.kinds[ts.i] != "EOF":
         if ts.accept("const"):
             constants.append(_parse_const(ts))
         elif ts.accept("action"):
             while True:
-                atok = _ident(ts, "an action name")
-                if atok.text in actions:
+                a = _ident(ts, "an action name")
+                if ts.texts[a] in actions:
                     raise ts.error(
-                        f"duplicate action declaration {atok.text!r}", atok)
-                actions.append(atok.text)
+                        f"duplicate action declaration {ts.texts[a]!r}", a)
+                actions.append(ts.texts[a])
                 if not ts.accept(","):
                     break
             ts.expect(";")
         elif ts.accept("global"):
             globals_.append(_parse_vardecl(ts))
-        elif ts.check("module"):
+        elif ts.texts[ts.i] == "module":
             processes.append(_parse_process(ts))
         elif ts.accept("label"):
             labels.append(_parse_label(ts))
         else:
             raise ts.error(
                 "expected const, action, global, module or label, found "
-                + repr(ts.peek().text))
+                + repr(ts.texts[ts.i]))
     model = ast.SymbolicModel(
         model_class, tuple(constants), tuple(globals_), tuple(actions),
         tuple(processes), tuple(labels))
@@ -230,18 +220,18 @@ def parse_model(source: str) -> ast.SymbolicModel:
 
 
 def _parse_const(ts: _Tokens) -> ast.ConstDecl:
-    ttok = ts.expect(type_="NAME", what="a constant type (int, real or bool)")
-    if ttok.text not in ("int", "real", "bool"):
-        raise ts.error(f"unknown constant type {ttok.text!r}", ttok)
-    ntok = _ident(ts, "a constant name")
+    t = ts.expect(kind="NAME", what="a constant type (int, real or bool)")
+    if ts.texts[t] not in ("int", "real", "bool"):
+        raise ts.error(f"unknown constant type {ts.texts[t]!r}", t)
+    n = _ident(ts, "a constant name")
     ts.expect("=")
     expr = _parse_expr(ts)
     ts.expect(";")
-    return ast.ConstDecl(ntok.text, ttok.text, expr, pos=_tpos(ntok))
+    return ast.ConstDecl(ts.texts[n], ts.texts[t], expr, pos=ts.pos(n))
 
 
 def _parse_vardecl(ts: _Tokens) -> ast.VarDecl:
-    ntok = _ident(ts, "a variable name")
+    n = _ident(ts, "a variable name")
     ts.expect(":")
     if ts.accept("bool"):
         is_bool, lo, hi = True, None, None
@@ -255,45 +245,47 @@ def _parse_vardecl(ts: _Tokens) -> ast.VarDecl:
     ts.expect("init")
     init = _parse_expr(ts)
     ts.expect(";")
-    return ast.VarDecl(ntok.text, is_bool, lo, hi, init, pos=_tpos(ntok))
+    return ast.VarDecl(ts.texts[n], is_bool, lo, hi, init, pos=ts.pos(n))
 
 
 def _parse_process(ts: _Tokens) -> ast.ProcessDef:
-    mtok = ts.expect("module")
-    ntok = _ident(ts, "a module name")
+    m = ts.expect("module")
+    n = _ident(ts, "a module name")
     variables: list[ast.VarDecl] = []
     observes: tuple[str, ...] | None = None
     commands: list[ast.Command] = []
     while not ts.accept("endmodule"):
-        if ts.check("observes"):
-            otok = ts.advance()
+        i = ts.i
+        text = ts.texts[i]
+        if text == "observes":
+            ts.i = i + 1
             if observes is not None:
-                raise ts.error("duplicate observes declaration", otok)
-            names = [_ident(ts, "a variable name").text]
+                raise ts.error("duplicate observes declaration", i)
+            names = [ts.texts[_ident(ts, "a variable name")]]
             while ts.accept(","):
-                names.append(_ident(ts, "a variable name").text)
+                names.append(ts.texts[_ident(ts, "a variable name")])
             ts.expect(";")
             observes = tuple(names)
-        elif ts.check("[") or ts.check("rate"):
+        elif text == "[" or text == "rate":
             commands.append(_parse_command(ts))
-        elif ts.check(type_="NAME") and not ts.check("endmodule"):
+        elif ts.kinds[i] == "NAME":
             variables.append(_parse_vardecl(ts))
         else:
             raise ts.error(
                 "expected a variable declaration, a command or endmodule, "
-                f"found {ts.peek().text!r}")
+                f"found {text!r}")
     return ast.ProcessDef(
-        ntok.text, tuple(variables), observes, tuple(commands),
-        pos=_tpos(mtok))
+        ts.texts[n], tuple(variables), observes, tuple(commands),
+        pos=ts.pos(m))
 
 
 def _parse_command(ts: _Tokens) -> ast.Command:
-    head = ts.peek()
+    head = ts.i
     action: str | None = None
     rate: ast.Expr | None = None
     if ts.accept("["):
-        if not ts.check("]"):
-            action = _ident(ts, "an action name").text
+        if ts.texts[ts.i] != "]":
+            action = ts.texts[_ident(ts, "an action name")]
         ts.expect("]")
     else:
         ts.expect("rate")
@@ -306,45 +298,43 @@ def _parse_command(ts: _Tokens) -> ast.Command:
     while ts.accept("+"):
         branches.append(_parse_branch(ts))
     ts.expect(";")
-    return ast.Command(action, rate, guard, tuple(branches), pos=_tpos(head))
+    return ast.Command(action, rate, guard, tuple(branches), pos=ts.pos(head))
 
 
 def _parse_branch(ts: _Tokens) -> ast.Branch:
-    tok = ts.peek()
+    i, kinds, texts = ts.i, ts.kinds, ts.texts
     # a bare update "(x' = e, ...)" is sugar for weight 1
-    bare = ts.check("(") and (
-        ts.check(")", ahead=1)
-        or (ts.check(type_="NAME", ahead=1) and ts.check("'", ahead=2)))
-    if bare:
-        weight: ast.Expr = ast.IntLit(1, pos=_tpos(tok))
+    if texts[i] == "(" and (texts[i + 1] == ")" or kinds[i + 1] == "NAME"
+                            and texts[i + 2] == "'"):
+        weight: ast.Expr = ast.IntLit(1, pos=ts.pos(i))
     else:
         weight = _parse_expr(ts)
         ts.expect(":")
     ts.expect("(")
     assignments: list[ast.Assignment] = []
-    if not ts.check(")"):
+    if texts[ts.i] != ")":
         while True:
-            vtok = _ident(ts, "a variable name")
+            v = _ident(ts, "a variable name")
             ts.expect("'")
             ts.expect("=")
-            expr = _parse_expr(ts)
             assignments.append(
-                ast.Assignment(vtok.text, expr, pos=_tpos(vtok)))
-            if not ts.accept(","):
+                ast.Assignment(texts[v], _parse_expr(ts), pos=ts.pos(v)))
+            if texts[ts.i] != ",":
                 break
+            ts.i += 1
     ts.expect(")")
     return ast.Branch(weight, tuple(assignments))
 
 
 def _parse_label(ts: _Tokens) -> ast.LabelDecl:
-    tok = ts.expect(type_="STRING", what="a quoted label name")
-    name = tok.text[1:-1]
+    i = ts.expect(kind="STRING", what="a quoted label name")
+    name = ts.texts[i][1:-1]
     if not IDENTIFIER_RE.fullmatch(name):
-        raise ts.error(f"label name {name!r} is not an identifier", tok)
+        raise ts.error(f"label name {name!r} is not an identifier", i)
     ts.expect("=")
     expr = _parse_expr(ts)
     ts.expect(";")
-    return ast.LabelDecl(name, expr, pos=_tpos(tok))
+    return ast.LabelDecl(name, expr, pos=ts.pos(i))
 
 
 # --------------------------------------------------------------------------
@@ -357,6 +347,15 @@ def _type_of(ts: _Tokens, e: ast.Expr, types: dict[str, str]) -> str:
         return e.type(types)
     except ExprTypeError as exc:
         raise ts.error_at(str(exc), exc.node) from None
+
+
+def _value(ts: _Tokens, e: ast.Expr, consts: dict, at) -> ast.Value:
+    """``e.constant(consts)``, with an evaluation error positioned at
+    ``at``."""
+    try:
+        return e.constant(consts)
+    except EvalError as exc:
+        raise ts.error_at(str(exc), at) from None
 
 
 def _check_const_names(ts: _Tokens, expr: ast.Expr, const_types: dict,
@@ -395,10 +394,7 @@ def _analyze(ts: _Tokens, model: ast.SymbolicModel) -> ast.SymbolicModel:
         if c.type == "bool" and t != "bool":
             raise ts.error_at(
                 f"constant {c.name} is declared bool but has type {t}", c)
-        try:
-            v = c.expr.constant(cenv)
-        except EvalError as exc:
-            raise ts.error_at(str(exc), c) from None
+        v = _value(ts, c.expr, cenv, c)
         cenv[c.name] = Fraction(v) if c.type == "real" else v
         const_types[c.name] = c.type
 
@@ -432,12 +428,12 @@ def _analyze(ts: _Tokens, model: ast.SymbolicModel) -> ast.SymbolicModel:
             if _type_of(ts, v.init, const_types) != "bool":
                 raise ts.error_at(
                     f"initial value of boolean {v.name} must be boolean", v)
-            ranges.append((0, 1, int(v.init.constant(cenv))))
+            ranges.append((0, 1, int(_value(ts, v.init, cenv, v))))
             continue
         for expr, what in parts:
             if _type_of(ts, expr, const_types) != "int":
                 raise ts.error_at(f"{what} must be an integer", expr)
-        lo, hi, init = (e.constant(cenv) for e in (v.lo, v.hi, v.init))
+        lo, hi, init = (_value(ts, e, cenv, v) for e in (v.lo, v.hi, v.init))
         if lo > hi:
             raise ts.error_at(f"empty range [{lo}..{hi}] for {v.name}", v)
         if not lo <= init <= hi:
@@ -467,17 +463,18 @@ def _analyze(ts: _Tokens, model: ast.SymbolicModel) -> ast.SymbolicModel:
                 raise ts.error_at("rate must be a number", cmd.rate)
             if model.actions and cmd.action not in (None, *model.actions):
                 # positioned at the tag, the token after the command's '['
-                at = [(t.line, t.column) for t in ts.tokens].index(cmd.pos)
+                line, column = cmd.pos
+                at = ts.columns.index(column, bisect_left(ts.lines, line))
                 raise ts.error(
                     f"undeclared action {cmd.action!r} (declared: "
-                    f"{', '.join(model.actions)})", ts.tokens[at + 1])
+                    f"{', '.join(model.actions)})", at + 1)
             if _type_of(ts, cmd.guard, types) != "bool":
                 raise ts.error_at("guard must be boolean", cmd.guard)
             for br in cmd.branches:
                 if _type_of(ts, br.weight, types) == "bool":
                     raise ts.error_at("branch weight must be a number",
                                       br.weight)
-                if _is_literal(br.weight) and br.weight.value <= 0:
+                if isinstance(br.weight, _LITERALS) and br.weight.value <= 0:
                     raise ts.error_at("branch weight must be positive",
                                       br.weight)
                 assigned: set[str] = set()
@@ -560,56 +557,53 @@ def parse_property(
     is given, label references are checked against it.
     """
     ts = _Tokens(text)
-    head = ts.expect(type_="NAME", what="Pmax, Pmin, Tmin or Tmax")
-    if head.text not in _HEADS:
+    h = ts.expect(kind="NAME", what="Pmax, Pmin, Tmin or Tmax")
+    head = ts.texts[h]
+    if head not in _HEADS:
         raise ts.error(
-            f"unknown property head {head.text!r} (want Pmax, Pmin, Tmin "
-            "or Tmax)", head)
-    direction = _HEADS[head.text]
-    is_prob = head.text.startswith("P")
+            f"unknown property head {head!r} (want Pmax, Pmin, Tmin "
+            "or Tmax)", h)
+    direction = _HEADS[head]
+    is_prob = head.startswith("P")
     ts.expect("=")
     ts.expect("?")
     ts.expect("[")
-    ftok = ts.expect(type_="NAME", what="F")
-    if ftok.text != "F":
-        raise ts.error("only reachability (F) properties are supported", ftok)
+    f = ts.expect(kind="NAME", what="F")
+    if ts.texts[f] != "F":
+        raise ts.error("only reachability (F) properties are supported", f)
 
     bound: int | float | None = None
-    if ts.check("<="):
-        letok = ts.advance()
+    if ts.accept("<="):
         if not is_prob:
-            raise ts.error(
-                "expected-time properties take no bound", letok)
-        btok = ts.accept(type_="INT") or ts.accept(type_="DECIMAL")
-        if btok is None:
+            raise ts.error("expected-time properties take no bound", ts.i - 1)
+        b = ts.i
+        if ts.kinds[b] not in ("INT", "DECIMAL"):
             raise ts.error("expected a numeric bound after 'F<='")
+        ts.i = b + 1
         if model_class is None:
             raise ValueError(
                 "bounded properties need the model class to interpret the "
                 "bound (steps vs. minutes)")
         if model_class is ModelClass.MA:
-            bound = float(Fraction(btok.text))
+            bound = float(Fraction(ts.texts[b]))
         else:
-            if btok.type != "INT":
-                raise ts.error("step bounds must be integers", btok)
-            bound = int(btok.text)
+            if ts.kinds[b] != "INT":
+                raise ts.error("step bounds must be integers", b)
+            bound = int(ts.texts[b])
 
     target: object
-    stok = ts.accept(type_="STRING")
-    if stok is not None:
-        name = stok.text[1:-1]
-        if labels is not None and name not in labels:
-            raise ts.error(f'unknown label "{name}"', stok)
-        target = name
+    if ts.kinds[ts.i] == "STRING":
+        target = ts.texts[ts.i][1:-1]
+        if labels is not None and target not in labels:
+            raise ts.error(f'unknown label "{target}"')
+        ts.i += 1
     else:
-        expr = _parse_expr(ts)
-        if isinstance(expr, ast.Name) and labels and expr.name in labels:
-            target = expr.name
-        else:
-            target = expr
+        target = _parse_expr(ts)
+        if isinstance(target, ast.Name) and labels and target.name in labels:
+            target = target.name
     ts.expect("]")
-    if not ts.check(type_="EOF"):
-        raise ts.error(f"unexpected {ts.peek().text!r} after the property")
+    if ts.kinds[ts.i] != "EOF":
+        raise ts.error(f"unexpected {ts.texts[ts.i]!r} after the property")
 
     if not is_prob:
         kind = PropertyKind.EXPECTED_TIME
@@ -622,8 +616,8 @@ def parse_property(
     prop = Property(kind, direction, target, bound, text=" ".join(text.split()))
     if model_class is not None and not prop.compatible_with(model_class):
         raise ts.error(
-            f"{head.text} properties do not apply to {model_class.value} "
-            "models", head)
+            f"{head} properties do not apply to {model_class.value} "
+            "models", h)
     return prop
 
 

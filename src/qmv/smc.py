@@ -241,7 +241,8 @@ class RunOutcome:
 
 @dataclass(frozen=True)
 class LssResult:
-    """Best sampled scheduler id with its estimate and the whole table."""
+    """Best sampled scheduler id, its estimate on fresh runs, and the
+    whole table of selecting estimates."""
 
     best_id: int
     best: SmcEstimate
@@ -419,17 +420,19 @@ def estimate(
 
 
 def _estimates(space: ExplicitStateSpace, resolvers: Sequence[Resolver | None],
-               prop: Property, cfg: SmcConfig,
-               constants: dict | None) -> Iterator[SmcEstimate]:
-    """:func:`estimate` of each resolver in one pass: run ``r`` of behaviour
-    ``b`` is flat run ``b * n + r``, at most :data:`MAX_BATCH` a batch."""
+               prop: Property, cfg: SmcConfig, constants: dict | None,
+               offset: int = 0) -> Iterator[SmcEstimate]:
+    """:func:`estimate` of each resolver in one pass, from the run indices
+    ``offset`` to ``offset + n - 1``: run ``offset + r`` of behaviour ``b``
+    is flat run ``b * n + r``, at most :data:`MAX_BATCH` a batch."""
     n, m, seed = cfg.n_runs(), len(resolvers), np.uint64(cfg.master_seed)
     runs = (np.divmod(np.arange(lo, min(n * m, lo + MAX_BATCH)), n)
             for lo in range(0, n * m, MAX_BATCH))
     hits, truncated = np.zeros((2, m), dtype=np.int64)
     for b, hit, _, _, cut in _simulate(
             space, resolvers, prop, target_mask(space, prop.target, constants),
-            ((b, _splitmix64(seed, r.astype(np.uint64))) for b, r in runs),
+            ((b, _splitmix64(seed, (r + offset).astype(np.uint64)))
+             for b, r in runs),
             cfg.max_steps):
         hits += np.bincount(b[hit], minlength=m)
         truncated += np.bincount(b[cut], minlength=m)
@@ -596,16 +599,20 @@ def lss(
     *,
     constants: dict | None = None,
 ) -> LssResult:
-    """Sample m scheduler ids and keep the best estimate.
+    """Sample m scheduler ids, pick the best estimate, and estimate the
+    winner again on fresh runs.
 
     Ids with equal :func:`reachable_decisions` tables share one estimate,
     and the runs of all distinct tables advance in one lockstep pass.
-    ``cfg.direction``, which must be ``prop.direction``, keeps the maximum
-    estimate or the minimum.  Each sampled scheduler's true value is at
-    most the true maximum (at least the true minimum), but the best of m
-    estimates is a selected value: its interval is not a 1-delta interval
-    for that scheduler, and its mean can pass the optimum.  ``distributed``
-    mode requires the model to be good for distribution.
+    ``cfg.direction``, which must be ``prop.direction``, picks the maximum
+    estimate or the minimum.  The best of m estimates is a selected value:
+    its interval is not a 1-delta interval for that scheduler, and its mean
+    can pass the optimum.  So ``best`` is a second estimate of the winning
+    behaviour, from the run indices n to 2n-1 under the same master seed,
+    which the selection never saw: its interval is a 1-delta interval for
+    the winner's value, and that value is at most the true maximum (at
+    least the true minimum).  ``table`` keeps the selecting estimates.
+    ``distributed`` mode requires the model to be good for distribution.
     """
     if cfg.direction is not prop.direction:
         raise ValueError(f"lss would optimise {cfg.direction.value} for a "
@@ -618,6 +625,8 @@ def lss(
         dict(b).__getitem__ for b in distinct], prop, cfg.inner, constants)))
     table = [(sid, ests[b]) for sid, b in zip(ids, behaviors)]
     pick = max if cfg.direction is Direction.MAX else min
-    best_id, best = pick(table, key=lambda row: row[1].mean)
-    return LssResult(best_id=best_id, best=best, table=tuple(table),
+    won = pick(range(len(table)), key=lambda i: table[i][1].mean)
+    (best,) = _estimates(space, [dict(behaviors[won]).__getitem__], prop,
+                         cfg.inner, constants, offset=cfg.inner.n_runs())
+    return LssResult(best_id=ids[won], best=best, table=tuple(table),
                      mode=cfg.mode, distinct_behaviors=len(ests))

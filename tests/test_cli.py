@@ -458,11 +458,12 @@ class TestText:
             "schedulers          4",
             "distinct_behaviors  2",
             "best_id             1097127993",
-            "mean                0.9",
-            "ci_low              0.8237774022597588",
-            "ci_high             0.9509953107786913",
+            "mean                0.95",
+            "ci_low              0.8871650888943106",
+            "ci_high             0.983568120818054",
             "ci_method           clopper-pearson",
             "runs_per_scheduler  100",
+            "selection_mean      0.9",
             "",
             "2675342405  0.07",
             "1097127993  0.9",

@@ -1,12 +1,14 @@
 """Language front end: lexing, parsing, semantic checks, exploration."""
+import hashlib
+import json
 import operator
 import re
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qmv.casestudies import (
@@ -35,6 +37,7 @@ from qmv.lang import (
     Cond,
     EvalError,
     ExplorationError,
+    Expr,
     ExplorationLimit,
     IntLit,
     ModelSyntaxError,
@@ -62,9 +65,11 @@ _M = "dtmc\nmodule m\n x : [0..1] init 0;\n{}\nendmodule\n"
 
 class TestLexer:
     def test_tokens_carry_positions(self):
-        toks = tokenize("x' = 3;")
-        assert [t.text for t in toks[:-1]] == ["x", "'", "=", "3", ";"]
-        assert toks[0].line == 1 and toks[0].column == 1
+        kinds, texts, lines, columns = tokenize("x' = 3;\n  y")
+        assert texts == ["x", "'", "=", "3", ";", "y", ""]
+        assert kinds == ["NAME", "OP", "OP", "INT", "OP", "NAME", "EOF"]
+        assert list(zip(lines, columns)) == [
+            (1, 1), (1, 2), (1, 4), (1, 6), (1, 7), (2, 3), (2, 4)]
 
     def test_keywords_are_recognised(self):
         assert {"module", "endmodule", "const", "init", "label"} <= KEYWORDS
@@ -75,8 +80,8 @@ class TestLexer:
         assert err.value.line == 1
 
     def test_comments_are_skipped(self):
-        toks = tokenize("a // rest of line\nb")
-        assert [t.text for t in toks[:-1]] == ["a", "b"]
+        _, texts, lines, _ = tokenize("a // rest of line\nb")
+        assert texts[:-1] == ["a", "b"] and lines == [1, 2, 2]
 
 
 class TestParser:
@@ -279,6 +284,13 @@ class TestParser:
          "constant c is declared bool but has type int", (2, 12)),
         ("dtmc\nconst int z = 0;\nconst real c = 1/z;", "division by zero",
          (3, 12)),
+        # a failing initial value or bound, at its declaration
+        ("dtmc\nconst int Z = 0;\nmodule m\n x : [0..1] init "
+         "(1/Z > 0 ? 1 : 0);\nendmodule", "division by zero", (4, 2)),
+        ("dtmc\nconst int Z = 0;\nmodule m\n b : bool init 1/Z > 0;"
+         "\nendmodule", "division by zero", (4, 2)),
+        ("dtmc\nconst int Z = 0;\nmodule m\n x : [0..(1/Z > 0 ? 1 : 0)] "
+         "init 0;\nendmodule", "division by zero", (4, 2)),
         ("dtmc\nmodule m\n b : bool init 1;\nendmodule",
          "initial value of boolean b must be boolean", (3, 2)),
         ("dtmc\nmodule m\n x : [0..1/2] init 0;\nendmodule",
@@ -404,6 +416,91 @@ _asts = st.recursive(
 )
 
 
+#: an MA model that uses every operator, literal kind and declaration,
+#: with constant subexpressions that fold, beyond int64 too
+_ALL_OPERATORS = """
+ma
+
+const int N = 3;
+const real p = 1/4;
+const bool on = true & !false;
+const int big = 9223372036854775807 + 1;
+const real q = max(0.5, min(1/3, p)) * 2 - 1.25;
+
+action go, stop;
+
+global g : [0..N] init N - 1;
+
+module a
+  x : [-N..N] init -(N - 2);
+  b : bool init on | false;
+  observes g, x;
+  [go] x < N & (b | g != 0) -> p:(x'=x+1) + (1-p):(x'=max(x-1, -N), b'=!b);
+  [stop] x >= 0 & !(x = 2) -> (g'=x > 1 ? 1 : 0);
+  rate(2 * N / 3) x <= 0 -> (x'=min(x + 1, N));
+endmodule
+
+module c
+  y : [0..2] init big - 9223372036854775808;
+  [] y > 0 -> 0.5:(y'=0) + 1/2:(y'=y - 1);
+  rate(q + 1) y = 0 & g / 2 > 1/3 -> (y'=2);
+endmodule
+
+label "done" = x = N & y * 2 >= 1;
+label "odd" = (x = 1 | x = -1) ? true : false;
+"""
+
+
+def _nodes(node):
+    """(type name, position) of every AST node under ``node``, depth first
+    in field order; nodes without a position give None."""
+    if isinstance(node, tuple):
+        for item in node:
+            yield from _nodes(item)
+    elif is_dataclass(node):
+        yield type(node).__name__, getattr(node, "pos", None)
+        for f in fields(node):
+            if f.compare:
+                yield from _nodes(getattr(node, f.name))
+
+
+class TestPositions:
+    # SHA-256 of the (type name, position) sequence of every node of each
+    # model and of its properties' targets; any change to where the parser
+    # places a node, or to what it folds, shows here
+    PINNED = {
+        "bitcoin":
+            "7aadc68baf841c6e9d796627594ed0028a07e6339c2fd3f73ab5ff9e4de41764",
+        "contacts":
+            "86e9dc9901a6c46250597de9f4085a7455d37db2625ad2cd272095796cc48cb0",
+        "noc":
+            "fbd4196fc8ac615c7afa238e271f4960e5073622bcbdb06a31d1db11d4367217",
+        "all-operators":
+            "28bba7cdff3eac5c88d441a7e05f8aac35073b69e6cec36be1c28a4482f1cbaf",
+    }
+    SOURCES = {
+        "bitcoin": lambda: gen_bitcoin(BitcoinParams()),
+        "contacts": lambda: gen_contact_mdp(
+            parse_contact_plan(sample_contact_plan())),
+        "noc": lambda: gen_noc(NocParams()),
+    }
+
+    @pytest.mark.parametrize("name", list(PINNED))
+    def test_every_node_keeps_its_position(self, name):
+        if name == "all-operators":
+            model, props = parse_model(_ALL_OPERATORS), ""
+        else:
+            case = self.SOURCES[name]()
+            model, props = parse_model(case.model), case.props
+        targets = tuple(
+            p.target for p in parse_properties(
+                props, model_class=model.model_class,
+                labels=model.label_map()))
+        walk = [[kind, pos] for kind, pos in _nodes((model, targets))]
+        digest = hashlib.sha256(json.dumps(walk).encode()).hexdigest()
+        assert digest == self.PINNED[name]
+
+
 class TestPrettyPrinter:
     @given(_asts)
     @settings(max_examples=300, deadline=None)
@@ -427,7 +524,88 @@ class TestPrettyPrinter:
         assert e.pretty() == text
 
 
+_int_lits = st.one_of(
+    st.integers(-9, 9),
+    st.sampled_from([2**62, 2**63 - 1, -2**63, 2**63, 2**70, -2**70]),
+).map(IntLit)
+
+
+def _typed_constants(depth):
+    """Strategies of well-typed literal-only int, numeric and bool
+    expressions at most ``depth`` operators deep, with ints beyond int64
+    and divisions that may divide by zero."""
+    ints = _int_lits
+    nums = ints | st.fractions(-3, 3, max_denominator=7).filter(
+        lambda q: q.denominator != 1).map(RealLit)
+    bools = st.booleans().map(BoolLit)
+    if depth == 0:
+        return ints, nums, bools
+    i, n, b = _typed_constants(depth - 1)
+
+    def extreme(kids):
+        return st.builds(Call, st.sampled_from(["min", "max"]),
+                         st.lists(kids, min_size=2, max_size=3).map(tuple))
+    return (
+        st.one_of(ints, st.builds(Unary, st.just("-"), i),
+                  st.builds(Binary, st.sampled_from("+-*"), i, i),
+                  st.builds(Cond, b, i, i), extreme(i)),
+        st.one_of(nums, st.builds(Unary, st.just("-"), n),
+                  st.builds(Binary, st.sampled_from("+-*/"), n, n),
+                  st.builds(Cond, b, n, n), extreme(n)),
+        st.one_of(bools, st.builds(Unary, st.just("!"), b),
+                  st.builds(Binary, st.sampled_from(["&", "|", "=", "!="]),
+                            b, b),
+                  st.builds(Binary, st.sampled_from(
+                      ["=", "!=", "<", "<=", ">", ">="]), n, n),
+                  st.builds(Cond, b, b, b)))
+
+
+def _walk(e):
+    yield e
+    for kid in e.children():
+        yield from _walk(kid)
+
+
+def _pinned(e, lit):
+    """``e`` with the node ``lit`` replaced by the name ``v``."""
+    if e is lit:
+        return Name("v")
+    return replace(e, **{
+        f.name: tuple(_pinned(x, lit) for x in value)
+        if isinstance(value, tuple) else _pinned(value, lit)
+        for f in fields(e) if f.compare
+        for value in [getattr(e, f.name)]
+        if isinstance(value, (tuple, Expr))})
+
+
+def _outcome(evaluate):
+    """The type and value of ``evaluate()``, or the evaluation error."""
+    try:
+        value = evaluate()
+    except EvalError as exc:
+        return EvalError, str(exc)
+    return type(value), value
+
+
 class TestExpressionEvaluation:
+    @given(st.one_of(_typed_constants(3)[1:]), st.integers(0, 100))
+    @settings(max_examples=300, deadline=None)
+    def test_constants_fold_to_their_row_code(self, e, k):
+        # Expr.constant folds on Python scalars; with one literal read
+        # through a variable pinned to its value, the rest runs as row code
+        # on a one-row matrix.  Both give the same value of the same type,
+        # or both fail to divide
+        lits = [n for n in _walk(e) if isinstance(n, BoolLit)
+                or isinstance(n, IntLit) and -2**63 <= n.value < 2**63]
+        assume(lits)
+        lit = lits[k % len(lits)]
+        value = int(lit.value)
+        code = _pinned(e, lit).compile(
+            (VariableInfo("v", value, value, isinstance(lit, BoolLit)),), {})
+        row = np.array([[value]], dtype=np.int64)
+        assert _outcome(lambda: code(row).tolist()[0]) \
+            == _outcome(lambda: e.constant({}))
+
     @given(_exprs)
     @settings(max_examples=60, deadline=None)
     def test_integer_expressions_evaluate_like_python(self, tv):
