@@ -19,7 +19,9 @@ model and of each property entry (``cdf`` without ``--out`` prints its
 0 success, 1 usage, parse and parameter errors, 2 state cap exceeded,
 3 solver failure, 4 model not good for distribution.  All commands are
 deterministic given their flags; the only varying report fields live
-under the top-level ``timing`` key.
+under the top-level ``timing`` key.  Each subcommand imports only the
+modules it calls: ``check`` and ``cdf`` load neither :mod:`qmv.smc` nor
+:mod:`qmv.casestudies`.
 """
 from __future__ import annotations
 
@@ -31,8 +33,9 @@ import time
 from pathlib import Path
 
 import qmv
-from qmv import casestudies, numeric, smc
-from qmv.core import PropertyKind, decision_states, target_mask
+from qmv import numeric
+from qmv.core import (DEFAULT_MAX_STEPS, NotGoodForDistribution,
+                      PropertyKind, decision_states, target_mask)
 from qmv.lang import parse_model, parse_properties, parse_property
 from qmv.lang.errors import ExplorationLimit, ModelError
 from qmv.lang.explore import DEFAULT_STATE_CAP, explore
@@ -131,12 +134,13 @@ def _run(args, analyse, *, seeds=None, text=_text) -> int:
     return code
 
 
-def _smc_config(args) -> smc.SmcConfig:
+def _smc_config(args):
+    from qmv.smc import SmcConfig
     runs = args.runs
     if runs is None and args.eps is None and args.delta is None:
         runs = 10_000
-    return smc.SmcConfig(runs=runs, epsilon=args.eps, delta=args.delta,
-                         master_seed=args.seed, max_steps=args.max_steps)
+    return SmcConfig(runs=runs, epsilon=args.eps, delta=args.delta,
+                     master_seed=args.seed, max_steps=args.max_steps)
 
 
 def cmd_check(args) -> int:
@@ -177,6 +181,7 @@ def cmd_cdf(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from qmv import smc
     if args.mode == "distributed" and args.scheduler_id is None:
         raise ValueError("--mode distributed needs --scheduler-id")
     cfg = _smc_config(args)
@@ -202,6 +207,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_lss(args) -> int:
+    from qmv import smc
     inner = _smc_config(args)
 
     def analyse(space, prop):
@@ -233,19 +239,19 @@ def cmd_lss(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.case == "bitcoin":
-        params = casestudies.BitcoinParams(
-            M=args.M, CD=args.CD, DB=args.DB,
-            **({"goal": args.goal} if args.goal else {}))
-        case = casestudies.gen_bitcoin(params)
-    elif args.case == "contacts":
+    """The parser leaves out every flag the user did not give, so the
+    generator's own parameter defaults apply."""
+    from qmv import casestudies
+    if args.case == "contacts":
         plan = casestudies.parse_contact_plan(Path(args.plan).read_bytes())
         case = casestudies.gen_contact_mdp(plan)
     else:
-        params = casestudies.NocParams(**{
-            f.name: getattr(args, f.name)
-            for f in dataclasses.fields(casestudies.NocParams)})
-        case = casestudies.gen_noc(params)
+        params, gen = {
+            "bitcoin": (casestudies.BitcoinParams, casestudies.gen_bitcoin),
+            "noc": (casestudies.NocParams, casestudies.gen_noc)}[args.case]
+        case = gen(params(**{f.name: getattr(args, f.name)
+                             for f in dataclasses.fields(params)
+                             if hasattr(args, f.name)}))
     gcm, props = case.write(args.out_dir)
     print(gcm)
     print(props)
@@ -275,7 +281,7 @@ def _add_smc(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=float, default=None,
                    help="statistical confidence parameter (with --eps)")
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--max-steps", type=int, default=smc.SmcConfig.max_steps,
+    p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS,
                    help="per-run step cap")
     p.add_argument("--mode", choices=("global", "distributed"),
                    default="global",
@@ -343,15 +349,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a case-study model")
     gsub = p.add_subparsers(dest="case", required=True)
 
-    bitcoin = casestudies.BitcoinParams
-    g = gsub.add_parser("bitcoin", help="blockchain trust attack (MA)")
-    g.add_argument("--M", type=float, default=bitcoin.M,
-                   help="attacker's hash-rate fraction")
-    g.add_argument("--CD", type=int, default=bitcoin.CD,
-                   help="confirmation depth")
-    g.add_argument("--DB", type=int, default=bitcoin.DB,
-                   help="give-up distance (default: CD)")
-    g.add_argument("--goal", default=None, help="success predicate")
+    g = gsub.add_parser("bitcoin", help="blockchain trust attack (MA)",
+                        argument_default=argparse.SUPPRESS)
+    g.add_argument("--M", type=float, help="attacker's hash-rate fraction")
+    g.add_argument("--CD", type=int, help="confirmation depth")
+    g.add_argument("--DB", type=int, help="give-up distance (default: CD)")
+    g.add_argument("--goal", help="success predicate")
     g.add_argument("--out-dir", default=".")
     g.set_defaults(func=cmd_gen)
 
@@ -360,19 +363,18 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out-dir", default=".")
     g.set_defaults(func=cmd_gen)
 
-    noc = casestudies.NocParams
-    g = gsub.add_parser("noc", help="network-on-chip noise (DTMC)")
-    g.add_argument("--pattern", choices=("every-other", "bursty"),
-                   default=noc.pattern)
-    g.add_argument("--burst-len", type=int, default=noc.burst_len)
-    g.add_argument("--burst-period", type=int, default=noc.burst_period)
-    g.add_argument("--buffer", type=int, default=noc.buffer)
-    g.add_argument("--k-res", type=int, default=noc.k_res,
+    g = gsub.add_parser("noc", help="network-on-chip noise (DTMC)",
+                        argument_default=argparse.SUPPRESS)
+    g.add_argument("--pattern", choices=("every-other", "bursty"))
+    g.add_argument("--burst-len", type=int)
+    g.add_argument("--burst-period", type=int)
+    g.add_argument("--buffer", type=int)
+    g.add_argument("--k-res", type=int,
                    help="simultaneous transmitters for a resistive event")
-    g.add_argument("--k-ind", type=int, default=noc.k_ind,
+    g.add_argument("--k-ind", type=int,
                    help="transmitter-count change for an inductive event")
-    g.add_argument("--events", type=int, default=noc.events)
-    g.add_argument("--horizon", type=int, default=noc.horizon,
+    g.add_argument("--events", type=int)
+    g.add_argument("--horizon", type=int,
                    help="cycles in the bundled property")
     g.add_argument("--out-dir", default=".")
     g.set_defaults(func=cmd_gen)
@@ -384,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 #: ModelError and a NotGoodForDistribution a ValueError.
 _EXIT_CODES = {
     ExplorationLimit: 2,
-    smc.NotGoodForDistribution: 4,
+    NotGoodForDistribution: 4,
     numeric.SolverError: 3,
     ModelError: 1,
     ValueError: 1,

@@ -21,6 +21,8 @@ import numpy as np
 
 #: Tolerance for "this distribution sums to one".
 SUM_TOLERANCE = 1e-9
+#: The default per-run step cap of a simulation.
+DEFAULT_MAX_STEPS = 100_000
 
 
 class ModelClass(enum.Enum):
@@ -673,6 +675,18 @@ def _repeats(group: np.ndarray, key: np.ndarray) -> np.ndarray:
 def decision_states(space: ExplicitStateSpace) -> list[int]:
     """States with two or more immediate choices (real decisions)."""
     return np.flatnonzero(np.diff(space.choice_ptr) >= 2).tolist()
+
+
+class NotGoodForDistribution(ValueError):
+    """Distributed-mode sampling on a model with shared decisions."""
+
+    def __init__(self, states: list[int]):
+        preview = states[:20]
+        super().__init__(
+            "model is not good for distribution: states "
+            f"{preview}{'...' if len(states) > len(preview) else ''} have "
+            "choices owned by more than one component")
+        self.states = states
 
 
 def check_good_for_distribution(space: ExplicitStateSpace) -> list[int]:

@@ -35,8 +35,10 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from qmv.core import (
+    DEFAULT_MAX_STEPS,
     Direction,
     ExplicitStateSpace,
+    NotGoodForDistribution,
     Property,
     PropertyKind,
     check_good_for_distribution,
@@ -155,7 +157,7 @@ class SmcConfig:
     epsilon: float | None = None
     delta: float | None = None
     master_seed: int = 0
-    max_steps: int = 100_000
+    max_steps: int = DEFAULT_MAX_STEPS
 
     def __post_init__(self):
         if not 0 <= self.master_seed < 2 ** 64:
@@ -249,18 +251,6 @@ class LssResult:
     table: tuple[tuple[int, SmcEstimate], ...]
     mode: str
     distinct_behaviors: int
-
-
-class NotGoodForDistribution(ValueError):
-    """Distributed-mode sampling on a model with shared decisions."""
-
-    def __init__(self, states: list[int]):
-        preview = states[:20]
-        super().__init__(
-            "model is not good for distribution: states "
-            f"{preview}{'...' if len(states) > len(preview) else ''} have "
-            "choices owned by more than one component")
-        self.states = states
 
 
 # --------------------------------------------------------------------------
@@ -385,7 +375,7 @@ def simulate_run(
     prop: Property,
     seed: int,
     *,
-    max_steps: int = SmcConfig.max_steps,
+    max_steps: int = DEFAULT_MAX_STEPS,
 ) -> RunOutcome:
     """Simulate one path, keyed by ``seed`` in [0, 2**64): run ``r`` of
     :func:`estimate` is ``simulate_run(..., run_seed(master_seed, r))``.

@@ -12,6 +12,7 @@ from qmv.casestudies import (BitcoinParams, NocParams, gen_bitcoin,
                              gen_contact_mdp, gen_noc, parse_contact_plan,
                              sample_contact_plan)
 from qmv.cli import build_parser, main
+from qmv.smc import SmcConfig
 
 from conftest import TRAP_MA
 
@@ -248,6 +249,17 @@ class TestCdf:
         out = capsys.readouterr().out
         assert exc.value.code == 0 and "--horizon" in out
         assert "--epsilon" not in out and "--time-bound-error" not in out
+        # the parser takes its --max-steps default from core, not smc, and
+        # perfbench/traced.py builds an SmcConfig from the parsed value
+        for argv in (["simulate", "m.gcm", "P"],
+                     ["lss", "m.gcm", "P", "--schedulers", "2"]):
+            args = build_parser().parse_args(argv)
+            assert args.max_steps == SmcConfig(runs=1).max_steps
+        # gen's flags have no parser defaults; the generators' apply
+        for case in ("bitcoin", "noc"):
+            with pytest.raises(SystemExit) as exc:
+                main(["gen", case, "--help"])
+            assert exc.value.code == 0
 
 
 class TestSimulate:
@@ -587,6 +599,18 @@ sys.exit(code)
 """
 
 
+#: Runs the command line given as arguments, then names on stderr the
+#: ``qmv`` modules that were imported, as a JSON list.
+_QMV_MODULES_PROBE = """
+import json, sys
+from qmv.cli import main
+code = main(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("qmv."))),
+      file=sys.stderr)
+sys.exit(code)
+"""
+
+
 class TestImports:
     """What a fresh interpreter loads; numpy's first ``np.unique`` call
     imports ``numpy.ma``, 1.2 MB of resident memory."""
@@ -613,6 +637,21 @@ class TestImports:
                      ["simulate", *bitcoin, "--prop-index", "1",
                       "--scheduler-id", "7", "--runs", "100"]):
             assert self._python("-c", _NUMPY_MA_PROBE, *argv) == "False"
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "coin.gcm", 'Pmax=? [ F "heads" ]'],
+        ["cdf", "coin.gcm", 'Pmax=? [ F "heads" ]', "--horizon", "3"],
+        ["simulate", "coin.gcm", 'Pmax=? [ F "heads" ]', "--runs", "10"],
+        ["lss", "two.gcm", 'Pmax=? [ F "goal" ]', "--schedulers", "2",
+         "--runs", "10"],
+    ], ids=lambda argv: argv[0])
+    def test_each_subcommand_loads_only_what_it_calls(self, tmp_path, argv):
+        (tmp_path / "coin.gcm").write_text(COIN)
+        (tmp_path / "two.gcm").write_text(TWO_CHOICE)
+        argv = [argv[0], str(tmp_path / argv[1]), *argv[2:]]
+        loaded = json.loads(self._python("-c", _QMV_MODULES_PROBE, *argv))
+        assert "qmv.numeric" in loaded and "qmv.casestudies" not in loaded
+        assert ("qmv.smc" in loaded) == (argv[0] in ("simulate", "lss"))
 
     def test_the_simulator_loads_no_front_end(self):
         assert self._python("-c", "import sys, qmv.smc; print(sorted(m for m "
