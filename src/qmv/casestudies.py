@@ -23,6 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from qmv.lang.lexer import IDENTIFIER_RE, KEYWORDS
+from qmv.lang.parser import parse_expression
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,9 @@ class BitcoinParams:
             raise ValueError(f"CD must be at least 1, got {self.CD}")
         if self.DB is not None and self.DB < 1:
             raise ValueError(f"DB must be at least 1, got {self.DB}")
+        # a malformed goal fails here, positioned in the goal, and not at
+        # the next parse of the generated model
+        parse_expression(self.goal)
 
 
 def gen_bitcoin(p: BitcoinParams) -> GeneratedCase:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -129,7 +129,8 @@ class ExplicitStateSpace:
     Build spaces with :class:`SpaceBuilder`; :func:`validate` checks the
     structural rules.  The space is frozen and its arrays are read-only;
     :attr:`choices` and :attr:`markovian` are lazy object views of the same
-    data.
+    data, and :attr:`closed` and :attr:`in_branches` the cached views that
+    the analyses search.
     """
 
     model_class: ModelClass
@@ -190,6 +191,54 @@ class ExplicitStateSpace:
         return np.repeat(np.arange(self.n_states), np.diff(self.rate_ptr))
 
     @cached_property
+    def closed(self) -> ExplicitStateSpace:
+        """This space with one choice row added to every state that has
+        none (the space itself where every state has one).
+
+        The added row is the embedded jump distribution (each rate over the
+        exit rate) of a Markovian state, and a self-loop of an absorbing
+        state, so every state has a row and per-state reductions stay total.
+        States that have choices keep their rows, so a row's offset within
+        its state is still the choice index there.  The rates stay in place,
+        unread.  The solvers of :mod:`qmv.numeric`, the simulator and the
+        scheduler search of :mod:`qmv.smc` read these rows.
+        """
+        counts = np.diff(self.choice_ptr)
+        idle = counts == 0
+        if not idle.any():
+            return self
+        absorbing = np.flatnonzero(idle & (np.diff(self.rate_ptr) == 0))
+        # merge old and new rows by state, stably; no state has both
+        rows = np.argsort(np.concatenate(
+            [self.choice_state, np.flatnonzero(idle)]), kind="stable")
+        branches = np.argsort(np.concatenate(
+            [self.branch_source, self.rate_state, absorbing]), kind="stable")
+        row_len = np.concatenate([np.diff(self.branch_ptr),
+                                  np.maximum(np.diff(self.rate_ptr)[idle], 1)])
+        added = np.zeros(idle.sum(), dtype=np.int64)
+        return replace(
+            self,
+            actions=self.actions + (None,),
+            choice_ptr=np.concatenate([[0], np.cumsum(np.maximum(counts, 1))]),
+            choice_owner=np.concatenate([self.choice_owner, added])[rows],
+            choice_action=np.concatenate(
+                [self.choice_action, added + len(self.actions)])[rows],
+            branch_ptr=np.concatenate([[0], np.cumsum(row_len[rows])]),
+            branch_prob=np.concatenate(
+                [self.branch_prob, self.rate / self.exit_rate[self.rate_state],
+                 np.ones(len(absorbing))])[branches],
+            branch_target=np.concatenate(
+                [self.branch_target, self.rate_target, absorbing])[branches])
+
+    @cached_property
+    def in_branches(self) -> tuple:
+        """The in-branch order of this space's choice rows (see
+        :func:`in_branches`); the graph searches of :mod:`qmv.numeric` read
+        that of :attr:`closed`."""
+        return in_branches(self.branch_target, self.branch_choice,
+                           self.choice_state, self.n_states)
+
+    @cached_property
     def choices(self) -> tuple[tuple[Choice, ...], ...]:
         """Per state: its choices as objects (a view)."""
         prob = self.branch_prob.tolist()
@@ -235,6 +284,18 @@ class ExplicitStateSpace:
 
     def transition_count(self) -> int:
         return len(self.branch_prob) + len(self.rate)
+
+
+def in_branches(targets: np.ndarray, branch_row: np.ndarray,
+                row_state: np.ndarray, n: int) -> tuple:
+    """The in-branch order ``(ptr, row, row_state)`` of ``n`` states whose
+    branches have the ``targets`` and lie in the rows ``branch_row``: the
+    branches into state ``s`` are ``ptr[s]:ptr[s + 1]``, ``row[k]`` is the
+    row of branch ``k`` there, and ``row_state[r]`` the state of row ``r``.
+    """
+    order = np.argsort(targets, kind="stable")
+    return (np.searchsorted(targets[order], np.arange(n + 1)),
+            branch_row[order], row_state)
 
 
 def state_dict(layout: Iterable[VariableInfo],

@@ -117,6 +117,16 @@ def _parse_expr(ts: _Tokens) -> ast.Expr:
     return _fold(ast.Cond(cond, then, other, pos=ts.pos(i)), ts)
 
 
+def parse_expression(text: str) -> ast.Expr:
+    """Parse one expression, such as a label's predicate, on its own; a
+    syntax error is positioned within ``text``."""
+    ts = _Tokens(text)
+    expr = _parse_expr(ts)
+    if ts.kinds[ts.i] != "EOF":
+        raise ts.error(f"unexpected {ts.found(ts.i)} after the expression")
+    return expr
+
+
 def _parse_binary(ts: _Tokens, min_prec: int) -> ast.Expr:
     """Precedence climbing over the binary operators of ``PRECEDENCE``
     that bind at least as tightly as ``min_prec``; all left-associative."""

@@ -7,9 +7,11 @@ uniformization, and deterministic scheduler extraction.
 
 Unbounded reachability and expected time are solved by :func:`_solve`.
 Graph analysis first pins the states whose value is 0, 1 or infinite.
-:func:`_plan` splits the remaining states into strongly connected
-components (iterative Tarjan) and packs their rows in topological order,
-with one search for the initial policies of all cyclic ones;
+:func:`_plan` trims the remaining states that lie on no cycle by one
+:func:`_peel`, whose rounds are their topological levels, splits only the
+rest into strongly connected components (iterative Tarjan, :func:`_sccs`)
+and packs the rows of all in topological order, with one search for the
+initial policies of all cyclic components;
 :func:`_resolve` solves them in that order: all single-state components of
 one level by one exact Bellman update, every larger one by policy iteration
 with a dense ``numpy.linalg.solve`` per round.  Only a component above
@@ -31,24 +33,26 @@ oversize component (:func:`_iterate`).  It stops at an absolute residual
 early on slowly mixing models), and :data:`MAX_ITERATIONS` sweeps without
 reaching it are a :class:`SolverError`.
 
-Graph precomputation runs three searches over one in-branch order per
-analysis (:func:`_in_branches`), each looking at every branch once:
+Graph precomputation runs three searches, each looking at every branch
+once, over an in-branch order (:func:`qmv.core.in_branches`):
 :func:`_backward_bfs`; :func:`_peel`, the one greatest fixpoint (Pmin's
 zero set, Tmax's finite set, zero-time traps, Prob1E, topological levels);
 and :func:`_progress` (initial policies, the scheduler's progress rule).
+Pmax's zero set is the first backward search of Prob1E, made once.
 
 Every analysis reads the row-grouped arrays of the state space directly:
 per-row values are one ``reduceat`` over the branches, per-state optima one
-over the rows.  Analyses that need a row in every state (Markov automata,
-absorbing states) add the missing embedded-jump and self-loop rows with
-:func:`_closed`.  States are processed in index-ascending order, so every
-analysis is deterministic.
+over the rows.  Analyses read the space's cached closed view
+(:attr:`qmv.core.ExplicitStateSpace.closed`, which adds the embedded-jump
+and self-loop rows that Markov automata and absorbing states lack) and its
+cached in-branch order, both built once per space.  States are processed
+in index-ascending order, so every analysis is deterministic.
 """
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,6 +62,7 @@ from qmv.core import (
     ModelClass,
     PropertyKind,
     ValueResult,
+    in_branches,
     target_mask,
 )
 
@@ -139,45 +144,6 @@ class DecisionRow:
 _FAR = np.iinfo(np.int64).max
 
 
-def _closed(space: ExplicitStateSpace) -> ExplicitStateSpace:
-    """``space`` with one choice row added to every state that has none.
-
-    The added row is the embedded jump distribution (each rate over the
-    exit rate) of a Markovian state, and a self-loop of an absorbing state,
-    so every state has a row and per-state reductions stay total.  States
-    that have choices keep their rows, so a row's offset within its state
-    is still the choice index there.  The rates stay in place, unread.
-    Besides the solvers here, :mod:`qmv.smc`'s simulator and its
-    scheduler search (``reachable_decisions``) read these rows.
-    """
-    counts = np.diff(space.choice_ptr)
-    idle = counts == 0
-    if not idle.any():
-        return space
-    absorbing = np.flatnonzero(idle & (np.diff(space.rate_ptr) == 0))
-    # merge old and new rows by state, stably; no state has both
-    rows = np.argsort(np.concatenate(
-        [space.choice_state, np.flatnonzero(idle)]), kind="stable")
-    branches = np.argsort(np.concatenate(
-        [space.branch_source, space.rate_state, absorbing]), kind="stable")
-    row_len = np.concatenate([np.diff(space.branch_ptr),
-                              np.maximum(np.diff(space.rate_ptr)[idle], 1)])
-    added = np.zeros(idle.sum(), dtype=np.int64)
-    return replace(
-        space,
-        actions=space.actions + (None,),
-        choice_ptr=np.concatenate([[0], np.cumsum(np.maximum(counts, 1))]),
-        choice_owner=np.concatenate([space.choice_owner, added])[rows],
-        choice_action=np.concatenate(
-            [space.choice_action, added + len(space.actions)])[rows],
-        branch_ptr=np.concatenate([[0], np.cumsum(row_len[rows])]),
-        branch_prob=np.concatenate(
-            [space.branch_prob, space.rate / space.exit_rate[space.rate_state],
-             np.ones(len(absorbing))])[branches],
-        branch_target=np.concatenate(
-            [space.branch_target, space.rate_target, absorbing])[branches])
-
-
 def _row_values(sp: ExplicitStateSpace, V: np.ndarray,
                 cost: np.ndarray | float = 0.0) -> np.ndarray:
     contrib = sp.branch_prob * V[sp.branch_target]
@@ -220,18 +186,6 @@ def _ranges(ptr: np.ndarray, items: np.ndarray) -> np.ndarray:
 
 # --------------------------------------------------------------------------
 # graph precomputations
-
-
-def _in_branches(targets: np.ndarray, branch_row: np.ndarray,
-                 row_state: np.ndarray, n: int) -> tuple:
-    """The in-branch order ``(ptr, row, row_state)`` of ``n`` states whose
-    branches have the ``targets`` and lie in the rows ``branch_row``: the
-    branches into state ``s`` are ``ptr[s]:ptr[s + 1]``, ``row[k]`` is the
-    row of branch ``k`` there, and ``row_state[r]`` the state of row ``r``.
-    """
-    order = np.argsort(targets, kind="stable")
-    return (np.searchsorted(targets[order], np.arange(n + 1)),
-            branch_row[order], row_state)
 
 
 def _backward_bfs(g: tuple, seeds: np.ndarray,
@@ -307,22 +261,24 @@ def _progress(g: tuple, group_starts: np.ndarray, seeds: np.ndarray,
 
 
 def _exists_almost_sure(sp: ExplicitStateSpace, g: tuple,
-                        target: np.ndarray) -> np.ndarray:
+                        target: np.ndarray, reach: np.ndarray) -> np.ndarray:
     """States where some scheduler reaches ``target`` with probability 1:
     the greatest set from which ``target`` is reachable backwards along
     rows that stay in the set.
 
-    Between backward searches, :func:`_peel` removes the non-target states
-    left without a row that stays in the set: on a chain, in one pass what
+    ``reach`` marks the states from which ``target`` is reachable at all,
+    the first backward search, which callers have made already.  Between
+    backward searches, :func:`_peel` removes the non-target states left
+    without a row that stays in the set: on a chain, in one pass what
     would otherwise take one backward search per state."""
     u = np.ones(sp.n_states, dtype=bool)
-    while True:
+    v = reach
+    while not np.array_equal(u, v):
+        u = _peel(g, v, target) == _FAR
         stay = np.logical_and.reduceat(u[sp.branch_target],
                                        sp.branch_ptr[:-1])
         v = u & (_backward_bfs(g, target, stay) < _FAR)
-        if np.array_equal(u, v):
-            return u
-        u = _peel(g, v, target) == _FAR
+    return u
 
 
 # --------------------------------------------------------------------------
@@ -450,7 +406,12 @@ def _plan(sp: ExplicitStateSpace, free: np.ndarray, finite: np.ndarray,
 
     A free state uses only rows that leave it and whose successors are all
     ``finite``.  The free states are split into strongly connected
-    components and grouped by topological level, lowest first: per level
+    components: one :func:`_peel` over the graph among them, each edge a
+    row, trims the states on no cycle, and its rounds are their levels
+    (the longest path to a state without successors); Tarjan and Kahn's
+    algorithm then split and level only the rest, which no trimmed state
+    leads into, at levels above the trimmed ones.  Blocks are grouped by
+    topological level, lowest first: per level
     one ``"level"`` block of its single-state components, then one
     ``"dense"`` block per larger component (``"large"`` above
     :data:`MAX_DENSE_SCC` states).  A block ``(kind, states, rows,
@@ -471,21 +432,35 @@ def _plan(sp: ExplicitStateSpace, free: np.ndarray, finite: np.ndarray,
     local = np.full(sp.n_states, m)
     local[states] = np.arange(m)
 
-    # the graph among free states, self-loops aside
+    # the graph among free states, self-loops aside, each edge a row of its
+    # own (sorted by source)
     edge = (usable[sp.branch_choice] & free[sp.branch_target]
             & (sp.branch_target != sp.branch_source))
     src = local[sp.branch_source[edge]]
     dst = local[sp.branch_target[edge]]
-    comp = np.array(_sccs(np.searchsorted(src, np.arange(m + 1)).tolist(),
-                          dst.tolist()), dtype=np.int64)
-    sizes = np.bincount(comp)
-    # Kahn's algorithm: a component's peel round is the length of its
-    # longest path to one without successors
-    cs, cd = comp[src], comp[dst]
+    # trim: a state peeled in round r lies on no cycle, and r is the length
+    # of its longest path to a state without successors
+    level = _peel(in_branches(dst, np.arange(len(dst)), src, m),
+                  np.ones(m, dtype=bool))
+    rest = level == _FAR
+    # no peeled state leads into the rest: Tarjan and Kahn's algorithm over
+    # its components place them at levels above the peeled ones
+    pos = np.cumsum(rest) - 1
+    inner = rest[src] & rest[dst]
+    rs, rd = pos[src[inner]], pos[dst[inner]]
+    rptr = np.searchsorted(rs, np.arange(rest.sum() + 1))
+    rcomp = np.array(_sccs(rptr.tolist(), rd.tolist()), dtype=np.int64)
+    cs, cd = rcomp[rs], rcomp[rd]
     cross = cs != cd
-    level = _peel(_in_branches(cd[cross], np.arange(cross.sum()), cs[cross],
-                               len(sizes)),
-                  np.ones(len(sizes), dtype=bool))[comp]
+    k = rcomp.max(initial=-1) + 1
+    rlevel = _peel(in_branches(cd[cross], np.arange(cross.sum()), cs[cross],
+                               k), np.ones(k, dtype=bool))
+    peeled = m - len(rcomp)
+    comp = np.empty(m, dtype=np.int64)
+    comp[~rest] = np.arange(peeled)
+    comp[rest] = peeled + rcomp
+    level[rest] = level[~rest].max(initial=-1) + 1 + rlevel[rcomp]
+    sizes = np.bincount(comp)
     cyclic = sizes[comp] > 1
     # by level; in each, the single states first, then one component after
     # the other
@@ -531,7 +506,7 @@ def _plan(sp: ExplicitStateSpace, free: np.ndarray, finite: np.ndarray,
         searched = dense[branch_state]
         node = np.where(outside, m, local[target])[searched]
         choice = _progress(
-            _in_branches(node, branch_row[searched], row_state, m + 1),
+            in_branches(node, branch_row[searched], row_state, m + 1),
             group_ptr[:-1], np.arange(m + 1) == m)[dense]
         if (choice == _FAR).any():
             raise SolverError("a strongly connected block has no way out")
@@ -618,7 +593,7 @@ def _extract_scheduler(
 ) -> dict[int, int]:
     """Deterministic memoryless scheduler attaining ``V``.
 
-    ``sp`` is ``_closed(space)`` and ``g`` its in-branch order.  Ties break
+    ``sp`` is ``space.closed`` and ``g`` its in-branch order.  Ties break
     to the lowest choice index;
     where ``progress`` is set (maximizing reachability, minimizing time),
     the choice must also make progress toward the target through
@@ -666,13 +641,13 @@ def reach_prob(
     over all states with at least one choice.
     """
     mask = target_mask(space, target)
-    sp = _closed(space)
-    g = _in_branches(sp.branch_target, sp.branch_choice, sp.choice_state,
-                     sp.n_states)
+    sp = space.closed
+    g = sp.in_branches
     maximize = direction is Direction.MAX
     if maximize:
-        zero = _backward_bfs(g, mask) == _FAR
-        one = _exists_almost_sure(sp, g, mask)
+        reach = _backward_bfs(g, mask) < _FAR
+        zero = ~reach
+        one = _exists_almost_sure(sp, g, mask, reach)
     else:
         # some scheduler avoids the target forever; every scheduler reaches
         # it almost surely from where that set is unreachable
@@ -730,12 +705,11 @@ def step_bounded_cdf(
         raise SolverError(
             f"horizon {t_max} exceeds MAX_HORIZON ({MAX_HORIZON})")
     mask = target_mask(space, target)
-    sp = _closed(space)
+    sp = space.closed
     n = sp.n_states
 
     if space.model_class is ModelClass.DTMC:
-        g = _in_branches(sp.branch_target, sp.branch_choice, sp.choice_state,
-                         n)
+        g = sp.in_branches
         # index arrays: cheaper per step than boolean masks
         hit = np.flatnonzero(mask)
         drop = np.flatnonzero(mask | (_backward_bfs(g, mask) == _FAR))
@@ -787,9 +761,8 @@ def ma_expected_time(
     if space.model_class is not ModelClass.MA:
         raise SolverError("expected time is defined for MA models only")
     mask = target_mask(space, target)
-    sp = _closed(space)
-    g = _in_branches(sp.branch_target, sp.branch_choice, sp.choice_state,
-                     sp.n_states)
+    sp = space.closed
+    g = sp.in_branches
     has_choice = np.diff(space.choice_ptr) > 0
     # an embedded jump row costs the mean sojourn 1/E of its state
     rate = space.exit_rate[sp.choice_state]
@@ -800,7 +773,8 @@ def ma_expected_time(
         finite = _backward_bfs(g, _peel(g, ~mask) == _FAR,
                                allowed=~mask) == _FAR
     else:
-        finite = _exists_almost_sure(sp, g, mask)
+        finite = _exists_almost_sure(sp, g, mask,
+                                     _backward_bfs(g, mask) < _FAR)
         # non-target states that can cycle forever through immediate choices
         trap = (_peel(g, has_choice & ~mask) == _FAR) & finite
         if trap.any():
@@ -882,9 +856,8 @@ def ma_time_bounded(
     maximize = direction is Direction.MAX
     width = cfg.time_bound_error
 
-    sp = _closed(space)
-    g = _in_branches(sp.branch_target, sp.branch_choice, sp.choice_state,
-                     sp.n_states)
+    sp = space.closed
+    g = sp.in_branches
     immediate = (np.diff(space.choice_ptr) > 0) & ~mask
     if maximize:
         stuck = immediate & (_backward_bfs(g, ~immediate) == _FAR)

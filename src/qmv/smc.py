@@ -1,11 +1,12 @@
 """Statistical model checking and lightweight scheduler sampling.
 
-Simulation advances runs in lockstep over the rows of
-:func:`qmv.numeric._closed` (every state's choices, else the embedded
-jump of its race, else a self-loop), the runs of all behaviours of an
-``lss`` call in one pass: each step picks every live run's row (its
-behaviour's resolver maps a state to a choice index), draws uniforms,
-picks successors on cumulative weights and drops the finished runs.
+Simulation advances runs in lockstep over the rows of a space's cached
+closed view, :attr:`qmv.core.ExplicitStateSpace.closed` (every state's
+choices, else the embedded jump of its race, else a self-loop), the runs
+of all behaviours of an ``lss`` call in one pass: each step picks every
+live run's row (its behaviour's resolver maps a state to a choice index),
+draws uniforms, picks successors on cumulative weights and drops the
+finished runs.
 Lightweight scheduler sampling (LSS) represents a scheduler as a 32-bit
 integer id: at a decision state the choice is
 ``fmix64(FNV-1a-64(id ++ encoded state)) mod k``, so a single integer
@@ -44,7 +45,7 @@ from qmv.core import (
     check_good_for_distribution,
     target_mask,
 )
-from qmv.numeric import _closed, _distinct, _ranges
+from qmv.numeric import _distinct, _ranges
 
 FNV_OFFSET = 14695981039346656037
 FNV_PRIME = 1099511628211
@@ -302,7 +303,7 @@ def _simulate(space: ExplicitStateSpace, resolvers: Sequence[Resolver | None],
         if prop.kind is PropertyKind.STEP_BOUNDED_REACH_PROB else None
     time_bound = prop.bound \
         if prop.kind is PropertyKind.TIME_BOUNDED_REACH_PROB else None
-    sp = _closed(space)
+    sp = space.closed
     first, ptr, target = sp.choice_ptr[:-1], sp.branch_ptr, sp.branch_target
     # per row whether every branch returns to its own state
     stays = np.bincount(sp.branch_choice[target != sp.branch_source],
@@ -543,7 +544,7 @@ def reachable_decisions(space: ExplicitStateSpace, ids: Iterable[int],
     for sid in ids:
         if not 0 <= sid < 2 ** 32:
             raise ValueError(f"scheduler id {sid} outside [0, 2**32)")
-    n, sp = space.n_states, _closed(space)
+    n, sp = space.n_states, space.closed
     first, counts = sp.choice_ptr[:-1], np.diff(sp.choice_ptr)
     # the variables each decision state's choice reads
     if mode == "global":

@@ -555,6 +555,17 @@ class TestGen:
         assert code == 0
         assert rep["properties"][0]["value"] > 0
 
+    @pytest.mark.parametrize("goal, column", [("m_len >=", 9), ("", 1),
+                                              ("m_len > 0 )", 11)])
+    def test_malformed_bitcoin_goal_fails_at_gen(self, capsys, tmp_path,
+                                                 goal, column):
+        code, out, err = run(capsys, [
+            "gen", "bitcoin", "--goal", goal, "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert out == ""
+        assert f"(line 1, column {column})" in err
+        assert not (tmp_path / "bitcoin.gcm").exists()
+
     def test_contacts_from_plan_file(self, capsys, tmp_path):
         from qmv.casestudies import sample_contact_plan
         plan = tmp_path / "plan.json"

@@ -35,7 +35,6 @@ from qmv.core import (
     validate,
 )
 from qmv.lang import Binary, Name
-from qmv.numeric import _closed
 
 from conftest import direct_space, space_of
 
@@ -167,11 +166,15 @@ class TestMarkovianTransitions:
     def test_jump_distribution_normalises_rates(self):
         sp = direct_space(ModelClass.MA, [[], []],
                           markovian={0: [(1, 0), (3, 1)]})
-        closed = _closed(sp)
+        closed = sp.closed
         assert closed.choices[0][0].distribution.branches == (
             (0.25, 0), (0.75, 1))
         # the absorbing state gets a self-loop
         assert closed.choices[1][0].distribution.branches == ((1.0, 1),)
+        # built once per space, and a space with a row everywhere is its
+        # own closed view
+        assert sp.closed is closed and closed.closed is closed
+        assert sp.closed.in_branches is closed.in_branches
 
     def test_rejects_nonpositive_rate(self):
         for rate in (0.0, -2.0, math.inf, math.nan):

@@ -257,7 +257,7 @@ DEAD_END = """
 def _reference_cdf(space, mask, direction, t_max):
     """The CDF iterated up to ``t_max`` without stopping: the forward loop
     over ``np.add.at`` for a DTMC, every backward sweep for an MDP."""
-    sp = numeric._closed(space)
+    sp = space.closed
     if space.model_class is ModelClass.DTMC:
         pi = np.zeros(space.n_states)
         pi[space.initial] = 1.0
@@ -558,11 +558,11 @@ def _prob1e_oracle(space, target) -> set[int]:
 
 
 def _prob1e(space, target) -> set[int]:
-    sp = numeric._closed(space)
-    g = numeric._in_branches(sp.branch_target, sp.branch_choice,
-                             sp.choice_state, sp.n_states)
+    sp = space.closed
+    g = sp.in_branches
+    reach = numeric._backward_bfs(g, target) < numeric._FAR
     return set(np.flatnonzero(
-        numeric._exists_almost_sure(sp, g, target)).tolist())
+        numeric._exists_almost_sure(sp, g, target, reach)).tolist())
 
 
 #: An end component {0, 1, 2} that a scheduler can leave only towards the
@@ -737,9 +737,7 @@ def _reach_oracle(space, seeds, allowed) -> set[int]:
 
 
 def _peeled(space, keep) -> set[int]:
-    sp = numeric._closed(space)
-    g = numeric._in_branches(sp.branch_target, sp.branch_choice,
-                             sp.choice_state, sp.n_states)
+    g = space.closed.in_branches
     return set(np.flatnonzero(numeric._peel(g, keep) == numeric._FAR)
                .tolist())
 
@@ -819,6 +817,123 @@ class TestPeel:
                                CFG)
         assert res.value == pytest.approx(n / 1.8, rel=1e-12)
         assert res.info["pinned_inf"] == 0
+
+
+# --------------------------------------------------------------------------
+# graph layer: strongly connected components and the solve order
+
+
+def _mutual_reach_sccs(n: int, succs: list[set[int]]) -> set[frozenset]:
+    """The textbook strongly connected components: states that reach each
+    other, by one search per state."""
+    reach = []
+    for s in range(n):
+        seen, todo = {s}, [s]
+        while todo:
+            for t in succs[todo.pop()] - seen:
+                seen.add(t)
+                todo.append(t)
+        reach.append(seen)
+    return {frozenset(t for t in reach[s] if s in reach[t])
+            for s in range(n)}
+
+
+def _graph_case(seed: int) -> list[list[list[tuple[float, int]]]]:
+    """Rows of a random MDP whose random part leads into a two-state cycle
+    above a long acyclic tail, and into a second tail that ends in a
+    two-state cycle.  Every row also leads to the goal, the last state, so
+    that every cyclic block has a way out."""
+    rng = np.random.default_rng(seed)
+    n_rand = int(rng.integers(2, 12))
+    a, b = int(rng.integers(5, 40)), int(rng.integers(5, 40))
+    head = n_rand                 # the upper cycle, then its tail of a
+    second = head + 2 + a         # a tail of b, then the lower cycle
+    goal = second + b + 2
+    into = list(range(head + 1)) + [second]
+    edges = [[list(rng.choice(into, size=int(rng.integers(1, 4))))
+              for _ in range(int(rng.integers(1, 4)))]
+             for _ in range(n_rand)]
+    edges += [[[head + 1]], [[head], [head + 2]]]
+    edges += [[[t + 1]] for t in range(head + 2, second - 1)] + [[[]]]
+    edges += [[[t + 1]] for t in range(second, goal - 2)]
+    edges += [[[goal - 1]], [[goal - 2], [goal - 2, goal - 1]]]
+    if seed % 2:
+        # edges from the tails back up, which close larger cycles
+        for t in rng.choice(np.arange(head + 2, goal - 2), size=3):
+            edges[t].append([int(rng.integers(0, goal))])
+    choices = [[[(1, int(t)) for t in row] + [(1, goal)] for row in rows]
+               for rows in edges]
+    return choices + [[[(1, goal)]]]
+
+
+class TestGraphLayer:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_sccs_against_mutual_reachability(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 30))
+        succs = [set(rng.choice(n, size=int(rng.integers(0, 4))).tolist())
+                 for _ in range(n)]
+        # a two-state cycle above a tail of the last states, one below it
+        if n >= 6:
+            succs[0] |= {1}
+            succs[1] |= {0, 2}
+            for t in range(2, n - 2):
+                succs[t] |= {t + 1}
+            succs[n - 2] |= {n - 1}
+            succs[n - 1] |= {n - 2}
+        ptr = np.cumsum([0] + [len(x) for x in succs]).tolist()
+        comp = numeric._sccs(ptr, [t for x in succs for t in sorted(x)])
+        found = {}
+        for s, c in enumerate(comp):
+            found.setdefault(c, set()).add(s)
+        assert {frozenset(x) for x in found.values()} \
+            == _mutual_reach_sccs(n, succs)
+        # numbered as they complete: no edge leads to a higher number
+        assert all(comp[t] <= comp[s] for s in range(n) for t in succs[s])
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_plan_blocks_against_mutual_reachability(self, seed):
+        space = direct_space(ModelClass.MDP, _graph_case(seed))
+        n = space.n_states
+        free = np.arange(n) < n - 1
+        plan, info = numeric._plan(space.closed, free, np.ones(n, bool), 0.0)
+        # the graph that _plan splits: the branches among free states,
+        # self-loops aside
+        succs = [set().union(*({t for _, t in c.distribution.branches
+                                if t != s and free[t]} for c in cs))
+                 for s, cs in enumerate(space.choices[:-1])]
+        want = _mutual_reach_sccs(n - 1, succs)
+        blocks = []
+        for kind, at, rows, branches in plan.blocks:
+            states = plan.states[at].tolist()
+            if kind == "level":
+                blocks += [frozenset([s]) for s in states]
+            else:
+                blocks.append(frozenset(states))
+        assert set(blocks) == want and len(blocks) == len(want)
+        assert info == {"sccs": len(want),
+                        "largest_scc": max(len(c) for c in want)}
+        # every branch stays in its block or leads to one solved earlier
+        solved = set(np.flatnonzero(~free).tolist())
+        for kind, at, rows, branches in plan.blocks:
+            block = set(plan.states[at].tolist())
+            assert set(plan.target[branches].tolist()) <= solved | block
+            solved |= block
+        assert solved == set(range(n))
+
+    def test_an_acyclic_model_reaches_no_tarjan(self, monkeypatch):
+        # the trim peels every free state of an acyclic model
+        def tarjan(ptr, succ):
+            assert ptr == [0] and succ == []
+            return []
+
+        space = space_of(gen_contact_mdp(parse_contact_plan(
+            sample_contact_plan())).model)
+        want = reach_prob(space, space.labels["delivered"], Direction.MAX)
+        monkeypatch.setattr(numeric, "_sccs", tarjan)
+        got = reach_prob(space, space.labels["delivered"], Direction.MAX)
+        assert got.value == want.value
+        assert got.info == want.info and got.info["sccs"] > 10
 
 
 # --------------------------------------------------------------------------
@@ -1076,7 +1191,7 @@ class TestTimeBoundedBracket:
 
     def test_a_second_resolve_starts_from_the_kept_policy(self):
         space = _pinned_space("immediate_cycle")
-        sp = numeric._closed(space)
+        sp = space.closed
         plan, _ = numeric._plan(sp, np.diff(space.choice_ptr) > 0,
                                 np.ones(space.n_states, dtype=bool), 0.0)
         dense = [kind for kind, *_ in plan.blocks].count("dense")
