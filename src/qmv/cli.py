@@ -34,7 +34,7 @@ from pathlib import Path
 
 import qmv
 from qmv import numeric
-from qmv.core import (DEFAULT_MAX_STEPS, NotGoodForDistribution,
+from qmv.core import (DEFAULT_MAX_STEPS, ModelClass, NotGoodForDistribution,
                       PropertyKind, decision_states, target_mask)
 from qmv.lang import parse_model, parse_properties, parse_property
 from qmv.lang.errors import ExplorationLimit, ModelError
@@ -163,6 +163,9 @@ def cmd_cdf(args) -> int:
         if prop.kind not in (PropertyKind.REACH_PROB,
                              PropertyKind.STEP_BOUNDED_REACH_PROB):
             raise ValueError("cdf needs a reachability property")
+        if space.model_class is ModelClass.MA:
+            raise ValueError("cdf needs a DTMC or MDP (MA models take time "
+                             "bounds)")
         if prop.bound not in (None, args.horizon):
             print(f"warning: {prop.text}: step bound {prop.bound} ignored; "
                   f"the CDF runs to --horizon {args.horizon}",

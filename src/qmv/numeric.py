@@ -33,12 +33,16 @@ oversize component (:func:`_iterate`).  It stops at an absolute residual
 early on slowly mixing models), and :data:`MAX_ITERATIONS` sweeps without
 reaching it are a :class:`SolverError`.
 
+Every analysis pins states by two rules (Baier & Katoen, 2008),
+:func:`_prob0` (probability 0 under every or under some scheduler) and
+:func:`_prob1` (probability 1 under some, Prob1E, or under every, Prob1A).
 Graph precomputation runs three searches, each looking at every branch
 once, over an in-branch order (:func:`qmv.core.in_branches`):
-:func:`_backward_bfs`; :func:`_peel`, the one greatest fixpoint (Pmin's
-zero set, Tmax's finite set, zero-time traps, Prob1E, topological levels);
-and :func:`_progress` (initial policies, the scheduler's progress rule).
-Pmax's zero set is the first backward search of Prob1E, made once.
+:func:`_backward_bfs`; :func:`_peel`, the one greatest fixpoint (also
+topological levels); and :func:`_progress` (initial policies, the
+scheduler's progress rule).  Both unbounded analyses end in
+:func:`_solve`, whose one Bellman pass after the solve gives both the
+residual and the scheduler.
 
 Every analysis reads the row-grouped arrays of the state space directly:
 per-row values are one ``reduceat`` over the branches, per-state optima one
@@ -279,6 +283,28 @@ def _exists_almost_sure(sp: ExplicitStateSpace, g: tuple,
                                        sp.branch_ptr[:-1])
         v = u & (_backward_bfs(g, target, stay) < _FAR)
     return u
+
+
+def _prob0(g: tuple, target: np.ndarray, maximize: bool) -> np.ndarray:
+    """States that reach ``target`` with probability 0 under every scheduler
+    (``maximize``: no path leads there, one backward search) or under some
+    scheduler (a row that avoids it forever, one :func:`_peel`).  No target
+    state is among them."""
+    if maximize:
+        return _backward_bfs(g, target) == _FAR
+    return _peel(g, ~target) == _FAR
+
+
+def _prob1(sp: ExplicitStateSpace, target: np.ndarray, maximize: bool,
+           zero: np.ndarray) -> np.ndarray:
+    """States from which some scheduler (``maximize``, Prob1E: by
+    :func:`_exists_almost_sure` from outside ``zero``) or every scheduler
+    (Prob1A: no path that avoids ``target`` leads into ``zero``) reaches
+    ``target`` almost surely, given ``zero``, :func:`_prob0` of the same
+    arguments.  Every target state is among them."""
+    if maximize:
+        return _exists_almost_sure(sp, sp.in_branches, target, ~zero)
+    return _backward_bfs(sp.in_branches, zero, allowed=~target) == _FAR
 
 
 # --------------------------------------------------------------------------
@@ -562,48 +588,34 @@ def _resolve(V: np.ndarray, plan: _Plan, maximize: bool,
     return iterations, exact
 
 
-def _solve(V: np.ndarray, sp: ExplicitStateSpace, free: np.ndarray,
-           maximize: bool, cost: np.ndarray | float,
-           cfg: SolverConfig) -> tuple[int, float, dict[str, float]]:
+def _solve(space: ExplicitStateSpace, V: np.ndarray, free: np.ndarray,
+           target: np.ndarray, maximize: bool, cost: np.ndarray | float,
+           cfg: SolverConfig, info: dict[str, float], *, progress: bool,
+           stay_zero: np.ndarray | None = None) -> ValueResult:
     """Optimal values of the ``free`` states, written into ``V``, given the
-    values of all other states: :func:`_plan` and one :func:`_resolve`.
-    Returns the policy rounds plus value iteration sweeps made, the largest
-    Bellman residual over the free states, and block statistics
-    (``exact``, ``sccs``, ``largest_scc``)."""
-    if not free.any():
-        return 0, 0.0, {"exact": 1.0, "sccs": 0.0, "largest_scc": 0.0}
-    plan, info = _plan(sp, free, np.isfinite(V), cost)
-    iterations, exact = _resolve(V, plan, maximize, cfg)
-    opt = _optimum(_row_values(sp, V, cost), sp.choice_ptr[:-1], maximize)
-    residual = float(np.max(np.abs(opt[free] - V[free])))
-    return iterations, residual, {"exact": float(exact), **info}
+    values of all other states, as a :class:`ValueResult` with a
+    deterministic memoryless scheduler over every state of ``space`` with
+    a choice: :func:`_plan`, one :func:`_resolve`, then one Bellman pass
+    over ``V`` for the ``residual`` (the largest |Bellman(V) - V| over the
+    free states) and the scheduler.
 
-
-def _extract_scheduler(
-    space: ExplicitStateSpace,
-    sp: ExplicitStateSpace,
-    g: tuple,
-    V: np.ndarray,
-    maximize: bool,
-    target: np.ndarray,
-    *,
-    cost=0.0,
-    progress: bool,
-    stay_zero: np.ndarray | None = None,
-) -> dict[int, int]:
-    """Deterministic memoryless scheduler attaining ``V``.
-
-    ``sp`` is ``space.closed`` and ``g`` its in-branch order.  Ties break
-    to the lowest choice index;
-    where ``progress`` is set (maximizing reachability, minimizing time),
-    the choice must also make progress toward the target through
-    value-optimal rows, which keeps the induced chain from idling in
-    value-preserving cycles.  ``stay_zero`` marks states whose scheduler
-    must remain inside that set (minimal-probability extraction).
+    Ties break to the lowest choice index; where ``progress`` is set
+    (maximizing reachability, minimizing time), the choice must also make
+    progress toward ``target`` through value-optimal rows, which keeps the
+    induced chain from idling in value-preserving cycles.  A state of
+    ``stay_zero`` (Pmin's zero set) takes its first choice that stays in
+    that set.  ``info`` leads the result's info, then ``exact``, ``sccs``
+    and ``largest_scc``.
     """
+    sp = space.closed
+    plan, blocks = _plan(sp, free, np.isfinite(V), cost)
+    iterations, exact = _resolve(V, plan, maximize, cfg)
+    del plan  # freed before the Bellman pass: held, it raises peak memory
     starts = sp.choice_ptr[:-1]
     row_vals = _row_values(sp, V, cost)
-    opt = _optimum(row_vals, starts, maximize)[sp.choice_state]
+    opt = _optimum(row_vals, starts, maximize)
+    residual = float(np.max(np.abs(opt[free] - V[free]), initial=0.0))
+    opt = opt[sp.choice_state]
     with np.errstate(invalid="ignore"):
         # inf-valued rows of inf-valued states give NaN gaps, which compare
         # False and are correctly excluded
@@ -613,14 +625,16 @@ def _extract_scheduler(
     choice = np.where(~target & (first < _FAR), first, starts)
     # where no state has two rows (a DTMC) no search can change the choice
     if progress and (np.diff(sp.choice_ptr) > 1).any():
-        first = _progress(g, starts, target, candidate)
+        first = _progress(sp.in_branches, starts, target, candidate)
         choice = np.where(~target & (first < _FAR), first, choice)
     if stay_zero is not None:
         # a choice that stays in the zero set, which every zero state has
         choice = np.where(stay_zero, _first(np.logical_and.reduceat(
             stay_zero[sp.branch_target], sp.branch_ptr[:-1]), starts), choice)
     states = np.flatnonzero(np.diff(space.choice_ptr) > 0)
-    return dict(zip(states.tolist(), (choice - starts)[states].tolist()))
+    scheduler = dict(zip(states.tolist(), (choice - starts)[states].tolist()))
+    return ValueResult(float(V[space.initial]), iterations, residual,
+                       scheduler, {**info, "exact": float(exact), **blocks})
 
 
 # --------------------------------------------------------------------------
@@ -641,34 +655,18 @@ def reach_prob(
     over all states with at least one choice.
     """
     mask = target_mask(space, target)
-    sp = space.closed
-    g = sp.in_branches
     maximize = direction is Direction.MAX
-    if maximize:
-        reach = _backward_bfs(g, mask) < _FAR
-        zero = ~reach
-        one = _exists_almost_sure(sp, g, mask, reach)
-    else:
-        # some scheduler avoids the target forever; every scheduler reaches
-        # it almost surely from where that set is unreachable
-        zero = _peel(g, ~mask) == _FAR
-        one = _backward_bfs(g, zero, allowed=~mask) == _FAR
-    zero &= ~mask
-    one |= mask
-
-    V = np.zeros(space.n_states, dtype=np.float64)
-    V[one] = 1.0
-    free = ~(one | zero)
-    iterations, residual, info = _solve(V, sp, free, maximize, 0.0, cfg)
+    zero = _prob0(space.closed.in_branches, mask, maximize)
+    one = _prob1(space.closed, mask, maximize, zero)
+    V = one.astype(np.float64)
+    result = _solve(space, V, ~(one | zero), mask, maximize, 0.0, cfg,
+                    {"pinned_zero": float(zero.sum()),
+                     "pinned_one": float(one.sum())},
+                    progress=maximize, stay_zero=None if maximize else zero)
     if V.min() < -1e-9 or V.max() > 1 + 1e-9:
         raise SolverError(f"probabilities left [0,1]: min {V.min()}, "
                           f"max {V.max()}")
-    scheduler = _extract_scheduler(
-        space, sp, g, V, maximize, mask,
-        progress=maximize, stay_zero=zero if not maximize else None)
-    return ValueResult(float(V[space.initial]), iterations, residual,
-                       scheduler, {"pinned_zero": float(zero.sum()),
-                                   "pinned_one": float(one.sum()), **info})
+    return result
 
 
 def step_bounded_cdf(
@@ -709,10 +707,9 @@ def step_bounded_cdf(
     n = sp.n_states
 
     if space.model_class is ModelClass.DTMC:
-        g = sp.in_branches
         # index arrays: cheaper per step than boolean masks
         hit = np.flatnonzero(mask)
-        drop = np.flatnonzero(mask | (_backward_bfs(g, mask) == _FAR))
+        drop = np.flatnonzero(mask | _prob0(sp.in_branches, mask, True))
         pi = np.zeros(n, dtype=np.float64)
         pi[space.initial] = 1.0
         acc = float(pi[hit].sum())
@@ -762,38 +759,28 @@ def ma_expected_time(
         raise SolverError("expected time is defined for MA models only")
     mask = target_mask(space, target)
     sp = space.closed
-    g = sp.in_branches
-    has_choice = np.diff(space.choice_ptr) > 0
     # an embedded jump row costs the mean sojourn 1/E of its state
     rate = space.exit_rate[sp.choice_state]
     cost = np.divide(1.0, rate, out=np.zeros_like(rate), where=rate > 0)
     maximize = direction is Direction.MAX
-    if maximize:
-        # every scheduler reaches the target almost surely
-        finite = _backward_bfs(g, _peel(g, ~mask) == _FAR,
-                               allowed=~mask) == _FAR
-    else:
-        finite = _exists_almost_sure(sp, g, mask,
-                                     _backward_bfs(g, mask) < _FAR)
-        # non-target states that can cycle forever through immediate choices
-        trap = (_peel(g, has_choice & ~mask) == _FAR) & finite
+    # finite where the target is reached almost surely: Tmin's finite set
+    # is Pmax's one set, Tmax's is Pmin's
+    finite = _prob1(sp, mask, not maximize,
+                    _prob0(sp.in_branches, mask, not maximize))
+    if not maximize:
+        # states that can cycle forever through immediate choices, avoiding
+        # Markovian and target states
+        trap = _prob0(sp.in_branches,
+                      mask | (np.diff(space.choice_ptr) == 0), False) & finite
         if trap.any():
             raise SolverError(
                 "minimum expected time is ill-defined: zero-time cycle "
                 f"through states {np.flatnonzero(trap).tolist()[:10]}")
-
-    V = np.zeros(space.n_states, dtype=np.float64)
-    V[~finite] = math.inf
-    V[mask] = 0.0
-    free = finite & ~mask
-    iterations, residual, info = _solve(V, sp, free, maximize, cost, cfg)
-    scheduler = _extract_scheduler(
-        space, sp, g, V, maximize, mask, cost=cost,
-        progress=not maximize)
-    return ValueResult(float(V[space.initial]), iterations, residual,
-                       scheduler, {"pinned_inf": float((~finite).sum()),
-                                   "target_states": float(mask.sum()),
-                                   **info})
+    return _solve(space, np.where(finite, 0.0, math.inf), finite & ~mask,
+                  mask, maximize, cost, cfg,
+                  {"pinned_inf": float((~finite).sum()),
+                   "target_states": float(mask.sum())},
+                  progress=not maximize)
 
 
 def _poisson(mean: float, tail: float) -> tuple[np.ndarray, np.ndarray]:
@@ -857,12 +844,10 @@ def ma_time_bounded(
     width = cfg.time_bound_error
 
     sp = space.closed
-    g = sp.in_branches
     immediate = (np.diff(space.choice_ptr) > 0) & ~mask
-    if maximize:
-        stuck = immediate & (_backward_bfs(g, ~immediate) == _FAR)
-    else:
-        stuck = _peel(g, immediate) == _FAR
+    # immediate states that never leave the immediate states, under every
+    # scheduler (Pmax) or under some (Pmin)
+    stuck = _prob0(sp.in_branches, ~immediate, maximize)
     plan, _ = _plan(sp, immediate & ~stuck, np.ones(sp.n_states, bool), 0.0)
     rate = space.exit_rate  # 0 in states with choices
     # states whose values no subinterval changes: 1 on the target, 0 else

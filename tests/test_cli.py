@@ -775,6 +775,8 @@ class TestExitCodes:
          "--prop-index 1 out of range (have 1)"),
         (TRAP_MA, ["cdf", 'Tmin=? [ F "goal" ]', "--horizon", "3"],
          "cdf needs a reachability property"),
+        (TRAP_MA, ["cdf", 'Pmax=? [ F "goal" ]', "--horizon", "3"],
+         "cdf needs a DTMC or MDP"),
     ])
     def test_bad_parameter_is_an_error(self, capsys, model_file, model, argv,
                                        message):

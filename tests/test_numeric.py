@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import math
+from random import Random
 
 import numpy as np
 import pytest
@@ -817,6 +818,107 @@ class TestPeel:
                                CFG)
         assert res.value == pytest.approx(n / 1.8, rel=1e-12)
         assert res.info["pinned_inf"] == 0
+
+
+# --------------------------------------------------------------------------
+# the named pinning rules: Prob0 and Prob1 under every or some scheduler
+
+
+def _random_ma(seed: int):
+    """A seeded MA of 2-12 states, each immediate (1-3 rows of 1-2
+    branches), Markovian (1-3 rates) or absorbing, with 1-4 goal states."""
+    rng = Random(seed)
+    n = rng.randint(2, 12)
+    choices, markovian = [], {}
+    for s in range(n):
+        kind = rng.random()
+        if kind < 0.4:
+            choices.append([[(rng.randint(1, 3), rng.randrange(n))
+                             for _ in range(rng.randint(1, 2))]
+                            for _ in range(rng.randint(1, 3))])
+            continue
+        choices.append([])
+        if kind < 0.9:
+            markovian[s] = [(rng.choice([0.5, 1, 2]), rng.randrange(n))
+                            for _ in range(rng.randint(1, 3))]
+    goal = rng.sample(range(n), k=rng.randint(1, max(1, n // 3)))
+    return direct_space(ModelClass.MA, choices, markovian=markovian,
+                        labels={"goal": goal}, initial=rng.randrange(n))
+
+
+def _pin_cases():
+    for seed in range(8):
+        space = random_layered_mdp(seed)
+        goal = space.labels["goal"]
+        extra = np.random.default_rng(seed).random(space.n_states) < 0.3
+        yield f"layered{seed}", space, goal
+        yield f"layered{seed}+", space, goal | extra
+    space = direct_space(ModelClass.MDP, END_COMPONENT, labels={"goal": [3]})
+    yield "end_component", space, space.labels["goal"]
+    for seed in range(40):
+        space = _random_ma(seed)
+        yield f"ma{seed}", space, space.labels["goal"]
+
+
+def _states(mask) -> set[int]:
+    return set(np.flatnonzero(mask).tolist())
+
+
+class TestPinRules:
+    @pytest.mark.parametrize("case", list(_pin_cases()),
+                             ids=lambda case: case[0])
+    def test_against_the_fixpoint_oracles(self, case):
+        _, space, target = case
+        sp, n = space.closed, space.n_states
+        goal = _states(target)
+        pins = {}
+        for maximize in (True, False):
+            zero = numeric._prob0(sp.in_branches, target, maximize)
+            one = numeric._prob1(sp, target, maximize, zero)
+            assert not (zero & target).any() and one[target].all()
+            pins[maximize] = _states(zero), _states(one)
+        # Pmax = 0: no path leads to the target
+        assert pins[True][0] == set(range(n)) - _reach_oracle(
+            space, goal, np.ones(n, dtype=bool))
+        # Pmin = 0: some scheduler avoids the target forever
+        zero_min = _stay_oracle(space, ~target)
+        assert pins[False][0] == zero_min
+        # Pmax = 1 (Prob1E): some scheduler reaches the target surely
+        assert pins[True][1] == _prob1e_oracle(space, target)
+        # Pmin = 1 (Prob1A): no path that avoids the target leads to a
+        # state where some scheduler avoids it forever
+        assert pins[False][1] == set(range(n)) - _reach_oracle(
+            space, zero_min, ~target)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_against_policy_enumeration(self, seed):
+        space = random_layered_mdp(seed)
+        target = space.labels["goal"]
+        for maximize in (True, False):
+            best = _dense_reach(space, target, maximize)
+            zero = numeric._prob0(space.closed.in_branches, target, maximize)
+            one = numeric._prob1(space.closed, target, maximize, zero)
+            assert _states(zero) == _states(np.abs(best) < 1e-12)
+            assert _states(one) == _states(np.abs(best - 1) < 1e-12)
+
+    def test_expected_time_pins_the_complement_of_a_one_set(self):
+        # Tmax is finite where Pmin is 1, Tmin where Pmax is 1
+        compared = {Direction.MAX: 0, Direction.MIN: 0}
+        for seed in range(40):
+            space = _random_ma(seed)
+            goal = space.labels["goal"]
+            for time, prob in ((Direction.MAX, Direction.MIN),
+                               (Direction.MIN, Direction.MAX)):
+                try:
+                    res = ma_expected_time(space, goal, time, CFG)
+                except SolverError as e:
+                    assert time is Direction.MIN and "zero-time" in str(e)
+                    continue
+                one = reach_prob(space, goal, prob, CFG).info["pinned_one"]
+                assert res.info["pinned_inf"] == space.n_states - one
+                compared[time] += 1
+        # both directions are compared on most models, not vacuously
+        assert min(compared.values()) >= 20
 
 
 # --------------------------------------------------------------------------
