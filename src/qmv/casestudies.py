@@ -48,8 +48,7 @@ def _decimal(x) -> str:
     """Render a probability/fraction so the model parser recovers it
     exactly (parsers read decimal literals as exact fractions)."""
     if isinstance(x, Fraction):
-        return f"({x.numerator}/{x.denominator})" if x.denominator != 1 \
-            else str(x.numerator)
+        return f"({x.numerator}/{x.denominator})"
     return repr(float(x))
 
 
@@ -387,7 +386,6 @@ class NocParams:
 #: XY routing sends flits horizontally first, so the two-hop (diagonal)
 #: routes pass through the horizontal neighbour's transit queue.
 _HORIZONTAL = {0: 1, 1: 0, 2: 3, 3: 2}
-_VERTICAL = {0: 2, 1: 3, 2: 0, 3: 1}
 
 
 def gen_noc(p: NocParams) -> GeneratedCase:

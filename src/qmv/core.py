@@ -565,9 +565,9 @@ class ValueResult:
     """Result of a numerical analysis.
 
     ``value`` is a probability or an expected time in minutes; +infinity is
-    the distinguished "cannot reach" expected-time value.  ``scheduler`` maps
-    state index to chosen choice index for every state with at least one
-    choice (optimising analyses only).  ``info`` carries analysis metadata
+    the distinguished "cannot reach" expected-time value.  ``scheduler`` is
+    an int64 array with the chosen choice index of each state, -1 at states
+    without choices (unbounded analyses only).  ``info`` carries metadata
     such as pinned-state counts, block statistics and the ``lower`` and
     ``upper`` ends of a time-bounded bracket.
     """
@@ -575,7 +575,7 @@ class ValueResult:
     value: float
     iterations: int
     residual: float
-    scheduler: dict[int, int] | None = None
+    scheduler: np.ndarray | None = None
     info: dict[str, float] = field(default_factory=dict)
 
 

@@ -3,7 +3,7 @@
 Reachability probabilities and MA expected time (exact, by graph
 precomputation and policy iteration per strongly connected component),
 whole step-bounded CDFs, MA time-bounded reachability bracketed by
-uniformization, and deterministic scheduler extraction.
+uniformization, and deterministic schedulers as int arrays over states.
 
 Unbounded reachability and expected time are solved by :func:`_solve`.
 Graph analysis first pins the states whose value is 0, 1 or infinite.
@@ -24,8 +24,9 @@ MA time-bounded reachability (:func:`ma_time_bounded`) uniformizes the MA
 and brackets the time-dependent optimum from both sides, with a scheduler
 that counts jumps and one that knows their number in advance; it plans the
 immediate states once and resolves them exactly after every jump, each
-cyclic block from its last policy.  Its ``value`` is the bracket's
-midpoint and its ``residual`` the bracket's width.
+cyclic block from its last policy (a block above :data:`MAX_DENSE_SCC` is
+refused).  Its ``value`` is the bracket's midpoint and its ``residual``
+the bracket's width.
 
 Value iteration is plain Jacobi iteration over the packed rows of an
 oversize component (:func:`_iterate`).  It stops at an absolute residual
@@ -594,8 +595,8 @@ def _solve(space: ExplicitStateSpace, V: np.ndarray, free: np.ndarray,
            stay_zero: np.ndarray | None = None) -> ValueResult:
     """Optimal values of the ``free`` states, written into ``V``, given the
     values of all other states, as a :class:`ValueResult` with a
-    deterministic memoryless scheduler over every state of ``space`` with
-    a choice: :func:`_plan`, one :func:`_resolve`, then one Bellman pass
+    deterministic memoryless scheduler, one choice index per state (-1 where
+    it has none): :func:`_plan`, one :func:`_resolve`, then one Bellman pass
     over ``V`` for the ``residual`` (the largest |Bellman(V) - V| over the
     free states) and the scheduler.
 
@@ -631,8 +632,7 @@ def _solve(space: ExplicitStateSpace, V: np.ndarray, free: np.ndarray,
         # a choice that stays in the zero set, which every zero state has
         choice = np.where(stay_zero, _first(np.logical_and.reduceat(
             stay_zero[sp.branch_target], sp.branch_ptr[:-1]), starts), choice)
-    states = np.flatnonzero(np.diff(space.choice_ptr) > 0)
-    scheduler = dict(zip(states.tolist(), (choice - starts)[states].tolist()))
+    scheduler = np.where(np.diff(space.choice_ptr) > 0, choice - starts, -1)
     return ValueResult(float(V[space.initial]), iterations, residual,
                        scheduler, {**info, "exact": float(exact), **blocks})
 
@@ -651,8 +651,8 @@ def reach_prob(
 
     Works on all three model classes; for MA the timing is irrelevant and
     Markovian states contribute their embedded jump distribution.  Returns
-    the value at the initial state and a deterministic memoryless scheduler
-    over all states with at least one choice.
+    the value at the initial state and a deterministic memoryless scheduler,
+    one choice index per state (-1 where it has none).
     """
     mask = target_mask(space, target)
     maximize = direction is Direction.MAX
@@ -825,11 +825,12 @@ def ma_time_bounded(
     (achievable, so a lower bound of Pmax and an upper bound of Pmin), and
     one that knows N (an upper bound of Pmax, a lower bound of Pmin).
     Immediate states are solved exactly after every jump (:func:`_plan`
-    once, :func:`_resolve` per sweep); those that can stay in zero time
-    forever (Pmin) or cannot leave the immediate states (Pmax) keep the
-    value 0.  Truncations go to the safe side.  n doubles until the bracket
-    at the initial state is narrow enough; more than
-    :data:`MAX_POISSON_TERMS` Poisson terms are a :class:`SolverError`.
+    once, :func:`_resolve` per sweep; a cycle of more than
+    :data:`MAX_DENSE_SCC` of them is a :class:`SolverError`); those that
+    can stay in zero time forever (Pmin) or cannot leave the immediate
+    states (Pmax) keep the value 0.  Truncations go to the safe side.  n
+    doubles until the bracket at the initial state is narrow enough; more
+    than :data:`MAX_POISSON_TERMS` Poisson terms are a :class:`SolverError`.
 
     ``value`` is the bracket's midpoint and ``residual`` its width;
     ``iterations`` counts Poisson sweeps (jumps) over all rounds, and
@@ -849,6 +850,10 @@ def ma_time_bounded(
     # scheduler (Pmax) or under some (Pmin)
     stuck = _prob0(sp.in_branches, ~immediate, maximize)
     plan, _ = _plan(sp, immediate & ~stuck, np.ones(sp.n_states, bool), 0.0)
+    if any(kind == "large" for kind, *_ in plan.blocks):
+        raise SolverError("time-bounded reachability cannot solve a cycle of "
+                          f"more than MAX_DENSE_SCC ({MAX_DENSE_SCC}) "
+                          "immediate states exactly")
     rate = space.exit_rate  # 0 in states with choices
     # states whose values no subinterval changes: 1 on the target, 0 else
     fixed = mask | stuck | ((rate == 0) & ~immediate)
@@ -947,23 +952,17 @@ def ma_time_bounded(
 
 
 def describe_scheduler(
-    space: ExplicitStateSpace, scheduler: dict[int, int]
+    space: ExplicitStateSpace, scheduler: np.ndarray
 ) -> list[DecisionRow]:
     """Tabulate the scheduler's decisions at genuine decision states."""
-    counts = np.diff(space.choice_ptr)
-    rows = []
-    for s in sorted(scheduler):
-        if counts[s] < 2:
-            continue
-        c = int(space.choice_ptr[s]) + scheduler[s]
-        rows.append(DecisionRow(
-            state=s,
-            values=space.state_values(s),
-            choice=scheduler[s],
-            action=space.actions[space.choice_action[c]],
-            owner=int(space.choice_owner[c]),
-        ))
-    return rows
+    states = np.flatnonzero(np.diff(space.choice_ptr) > 1)
+    choice = scheduler[states]
+    c = space.choice_ptr[states] + choice
+    return [DecisionRow(state=s, values=space.state_values(s), choice=k,
+                        action=space.actions[a], owner=o)
+            for s, k, a, o in zip(states.tolist(), choice.tolist(),
+                                  space.choice_action[c].tolist(),
+                                  space.choice_owner[c].tolist())]
 
 
 def check_property(

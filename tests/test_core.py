@@ -115,6 +115,13 @@ class TestDistribution:
                 with pytest.raises(error):
                     builder.add_state([(None, 0, [(bad, 0), (1, 1)])])
 
+    def test_a_zero_in_an_array_weight_is_rejected(self):
+        # state 1's first branch weighs 0 in the per-row weight array
+        with pytest.raises(ValueError, match="^non-positive weight 0$"):
+            SpaceBuilder().add_states(2, [([0, 1], None, 0,
+                                           [np.array([1, 0]), 1],
+                                           [[0, 1], [1, 0]])])
+
     def test_duplicate_targets_merge_after_a_distinct_pattern(self):
         assert [d.branches for d in _written(
             [(1, 2), (1, 0), (2, 1)], [(1, 2), (1, 0), (2, 2)])] == [

@@ -109,6 +109,10 @@ class TestParser:
         model = parse_model("dtmc\nmodule m\n x : [0..3] init 2.0;\nendmodule")
         assert model.processes[0].variables[0].init == IntLit(2)
 
+    def test_an_integral_real_literal_is_refused(self):
+        with pytest.raises(ValueError, match="integral RealLit"):
+            RealLit(Fraction(2))
+
     def test_constant_expressions_in_bounds(self):
         sp = space_of("""
             dtmc
@@ -153,6 +157,9 @@ class TestParser:
             endmodule
         """)
         assert sp.choices[0][0].distribution.branches == ((1.0, 1),)
+
+    def test_an_error_without_a_position_is_its_message(self):
+        assert str(ModelSyntaxError("m")) == "m"
 
     def test_undeclared_variable_reports_position(self):
         with pytest.raises(ModelSyntaxError) as err:
@@ -644,6 +651,11 @@ class TestExpressionEvaluation:
         assert folded.run is None and folded.value == Fraction(1, 4)
         assert folded(np.zeros((2, 0), dtype=np.int64)).tolist() \
             == [Fraction(1, 4)] * 2
+
+    def test_a_name_neither_in_the_layout_nor_constant_fails_to_compile(self):
+        expr = Binary("+", Name("y"), IntLit(1))
+        with pytest.raises(EvalError, match="^undefined name 'y'$"):
+            expr.compile((VariableInfo("z", -3, 3),), {})
 
     @pytest.mark.parametrize("fn,pick", [("min", min), ("max", max)])
     def test_min_and_max_over_reals_are_exact(self, fn, pick):

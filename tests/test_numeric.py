@@ -138,6 +138,28 @@ class TestReachProb:
         with pytest.raises(SolverError, match="no convergence after 3 "):
             reach_prob(sp, sp.labels["done"], Direction.MAX, CFG)
 
+    @pytest.mark.parametrize("model, target, analysis", [
+        ("bitcoin3", '"goal"', "Pmax"), ("bitcoin3", '"goal"', "Tmin"),
+        ("small_ma", '"goal"', "Pmin"), ("small_ma", "x = 4 | x = 6", "Tmax")])
+    def test_the_scheduler_is_an_int_array_over_the_states(self, model,
+                                                           target, analysis):
+        space = _pinned_space(model)
+        scheduler = _analyse(space, target, analysis).scheduler
+        counts = np.diff(space.choice_ptr)
+        assert scheduler.dtype == np.int64
+        assert scheduler.shape == (space.n_states,)
+        assert ((scheduler == -1) == (counts == 0)).all()
+        assert (scheduler < counts).all()
+        assert (counts == 0).any() and (counts > 1).any()
+
+    def test_policy_rounds_past_the_cap_are_a_solver_error(self, monkeypatch):
+        # bitcoin CD=3 Tmax improves its initial policy once: two rounds
+        space = _pinned_space("bitcoin3")
+        monkeypatch.setattr(numeric, "MAX_ITERATIONS", 1)
+        with pytest.raises(SolverError,
+                           match="^no convergence after 1 policy rounds$"):
+            ma_expected_time(space, space.labels["goal"], Direction.MAX, CFG)
+
     def test_oversize_block_falls_back_to_value_iteration(self, monkeypatch):
         sp = space_of(TWO_STATE_CYCLE)
         exact = reach_prob(sp, sp.labels["done"], Direction.MAX, CFG)
@@ -1150,7 +1172,8 @@ def _result_digest(result) -> str:
     else:
         fields = (result.value, result.iterations, result.residual,
                   sorted(result.info.items()),
-                  sorted((result.scheduler or {}).items()))
+                  [(s, c) for s, c in enumerate([] if result.scheduler is None
+                   else result.scheduler.tolist()) if c >= 0])
     return hashlib.sha256(repr(fields).encode()).hexdigest()
 
 
@@ -1342,3 +1365,52 @@ class TestTimeBoundedBracket:
         assert mn.value == pytest.approx(0.0, abs=1e-6)
         assert mx.value == pytest.approx(1 - math.exp(-10), abs=1e-6)
         assert mx.info["lower"] <= 1 - math.exp(-10) <= mx.info["upper"]
+
+
+#: 0 races into 1; at 1, one choice goes round through 2 and leaks to 3 with
+#: probability 1/10000, the other goes to the goal 4 or to 3; 3 races into
+#: the goal.  The immediate states 1 and 2 form one cycle.
+LEAKY_CYCLE_MA = """
+    ma
+    module m
+      x : [0..4] init 0;
+      rate(1) x=0 -> (x'=1);
+      [] x=1 -> 9999/10000:(x'=2) + 1/10000:(x'=3);
+      [go] x=1 -> 1/2:(x'=4) + 1/2:(x'=3);
+      [] x=2 -> (x'=1);
+      rate(2) x=3 -> (x'=4);
+    endmodule
+    label "goal" = x=4;
+"""
+
+
+class TestTimeBoundedOversizeCycle:
+    """A cycle of immediate states above :data:`MAX_DENSE_SCC` would be
+    solved by value iteration after every jump, whose absolute stop voids
+    the bracket: ``ma_time_bounded`` refuses it."""
+
+    def test_is_a_solver_error(self, monkeypatch):
+        # by value iteration, Pmin's lower end came out at 0.39558, above
+        # its upper end 0.39326
+        space = space_of(LEAKY_CYCLE_MA)
+        monkeypatch.setattr(numeric, "MAX_DENSE_SCC", 1)
+        with pytest.raises(SolverError, match=r"MAX_DENSE_SCC \(1\)"):
+            ma_time_bounded(space, space.labels["goal"], Direction.MIN, 1.0,
+                            CFG)
+
+    def test_the_unbounded_analyses_keep_the_fallback(self, monkeypatch):
+        space = space_of(LEAKY_CYCLE_MA)
+        monkeypatch.setattr(numeric, "MAX_DENSE_SCC", 1)
+        # Tmin takes go at 1: one minute to reach 1, then half a minute on
+        # the half of the runs that go by 3
+        res = ma_expected_time(space, space.labels["goal"], Direction.MIN,
+                               CFG)
+        assert res.info["exact"] == 0.0
+        assert res.value == pytest.approx(1.25, abs=1e-5)
+
+    def test_a_dense_cycle_is_bracketed(self):
+        space = space_of(LEAKY_CYCLE_MA)
+        res = ma_time_bounded(space, space.labels["goal"], Direction.MIN, 1.0,
+                              CFG)
+        assert res.info["lower"] == pytest.approx(0.39957619, abs=1e-8)
+        assert res.info["upper"] == pytest.approx(0.39957640, abs=1e-8)

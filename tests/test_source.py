@@ -2,8 +2,11 @@
 
 ``space.choices``/``space.markovian`` (object views of the arrays) and the
 one-pair references ``lss_decide``, ``encode_state``, ``fnv1a64`` and
-``simulate_run`` exist for tests and tools, which keeps them independent
-of the array code the analyses read.  The package must not read them.
+``simulate_run`` exist for tests and tools.  The views, ``encode_state``
+and ``fnv1a64`` are written independently of the array code the analyses
+read, and ``lss_decide`` shares only ``fmix64`` with it; ``simulate_run``
+is one run of that code (``_simulate``), keyed as ``estimate`` keys its
+runs.  The package must not read them.
 """
 import ast
 from pathlib import Path
