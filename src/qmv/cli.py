@@ -153,6 +153,11 @@ def cmd_check(args) -> int:
                  "residual": result.residual}
         if result.info:
             entry["info"] = result.info
+        if result.info.get("exact") == 0.0:
+            print(f"warning: {prop.text}: a cycle of more than "
+                  f"MAX_DENSE_SCC ({numeric.MAX_DENSE_SCC}) states was "
+                  "solved by value iteration; the value is not exact, and "
+                  "the residual is not an error bound", file=sys.stderr)
         return entry
 
     return _run(args, analyse)

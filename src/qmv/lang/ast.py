@@ -216,7 +216,7 @@ class Binary(Expr):
         if op == "/":
             return _node("real", _divide, (a, b), raises=True)
         if op in _COMPARE:
-            return _compare(_COMPARE[op], a, b)
+            return _arith(_COMPARE[op], "bool", 0, 0, (a, b))
         if "real" in (a.kind, b.kind):
             return _arith(_ARITH[op], "real", 0, 0, (a, b))
         if op == "+":
@@ -392,27 +392,19 @@ def _exact(x):
 
 def _arith(fn: Callable, kind: str, lo: int, hi: int,
            args: tuple[_Code, ...]) -> _Code:
-    """``fn`` on int64 where the result and every argument fit in it, else
-    on exact Python numbers (narrowed back to int64 when the result
-    fits)."""
+    """``fn`` as it is where the result and every argument fit in int64
+    (or bool), else on exact Python numbers, the result narrowed back to
+    its own dtype (int64, or bool for a comparison) when it has one."""
     out = _Code(kind, lo=lo, hi=hi).dtype
-    exact = out is object or any(a.dtype is object for a in args)
+    if out is not object and all(a.dtype is not object for a in args):
+        return _node(kind, fn, args, lo, hi)
 
     def op(*values):
-        if not exact:
-            return fn(*values)
         result = fn(*map(_exact, values))
         if out is object or not isinstance(result, np.ndarray):
             return result
-        return result.astype(np.int64)
+        return result.astype(out)
     return _node(kind, op, args, lo, hi)
-
-
-def _compare(fn: Callable, a: _Code, b: _Code) -> _Code:
-    if object not in (a.dtype, b.dtype):
-        return _node("bool", fn, (a, b))
-    return _node("bool", lambda x, y: np.asarray(
-        fn(_exact(x), _exact(y)), dtype=bool), (a, b))
 
 
 _QUOTIENT = np.frompyfunc(Fraction, 2, 1)

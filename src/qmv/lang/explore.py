@@ -3,13 +3,14 @@
 The explorer reads the variable layout, the constants' values and the
 initial valuation that :func:`qmv.lang.parse_model` resolved.  Guards,
 weights, rates and assignments are compiled once each against one scope
-(the layout's columns, with the constants inlined), into their value when
-they fold to a constant, else into functions of a valuation matrix, and
-the reachable state space is built breadth-first from the initial
-valuation, one BFS level at a time: the frontier is an int64 matrix with
-one row per state, and every command runs once over all the frontier
-rows that enable it.  The choices of all levels reach the arrays of a
-:class:`qmv.core.SpaceBuilder` in one batch at the end.
+(the layout's columns, with the constants inlined), into the evaluator's
+code (:meth:`qmv.lang.ast.Expr.compile`), which the explorer runs as it
+is: ``get`` gives a constant's value or the values on the rows of a
+valuation matrix.  The reachable state space is built breadth-first from
+the initial valuation, one BFS level at a time: the frontier is an int64
+matrix with one row per state, and every command runs once over all the
+frontier rows that enable it.  The choices of all levels reach the arrays
+of a :class:`qmv.core.SpaceBuilder` in one batch at the end.
 
 A state pays only for the commands it can enable.  Each process indexes
 its commands by one key variable, the ``x`` that leads the most guards as
@@ -67,7 +68,7 @@ from qmv.core import (
     target_mask,
 )
 from qmv.lang import ast
-from qmv.lang.ast import _exact, _Scope
+from qmv.lang.ast import _Code, _exact, _Scope
 from qmv.lang.errors import EvalError, ExplorationError, ExplorationLimit
 
 DEFAULT_STATE_CAP = 10_000_000
@@ -75,13 +76,13 @@ DEFAULT_STATE_CAP = 10_000_000
 
 @dataclass
 class _Cmd:
-    """Compiled command: its guard, rate, weights and assignment values
-    are constants or functions of a valuation matrix."""
+    """Compiled command: the code of its guard, rate, weights and
+    assignment values."""
 
     index: int
     action: str | None
-    guard: object
-    rate: object | None
+    guard: _Code
+    rate: _Code | None
     #: [(weight, [(column, value, proven), ...])]: ``proven`` when the
     #: value provably lies in its variable's range wherever the guard holds
     branches: list
@@ -90,13 +91,14 @@ class _Cmd:
     def __post_init__(self):
         # the branch weights and race entries when they are positive
         # constants, computed once
-        weights = [w for w, _ in self.branches]
-        self.weights = weights if not any(
-            callable(w) or w <= 0 for w in weights) else None
+        weights = [w.value for w, _ in self.branches]
+        self.weights = weights if all(
+            w.run is None and w.value > 0 for w, _ in self.branches) else None
         rate = self.rate
-        self.races = [Fraction(rate) * w / sum(weights) for w in weights] \
+        self.races = [Fraction(rate.value) * w / sum(weights)
+                      for w in weights] \
             if self.weights is not None and rate is not None \
-            and not callable(rate) and rate > 0 else None
+            and rate.run is None and rate.value > 0 else None
 
 
 @dataclass
@@ -185,12 +187,6 @@ class _Explorer:
             self.radix = np.array(stride, dtype=np.int64)
         self.index: dict[object, int] = {}
 
-    def _c(self, e: ast.Expr, scope: _Scope):
-        """``e``'s value when it folds to a constant, else its code over
-        ``scope``."""
-        code = e._vec(scope)
-        return code.value if code.run is None else code.run
-
     def _comparisons(self, guard: ast.Expr) -> list:
         """Per top-level conjunct of ``guard``, in order: (column, op,
         value) when the conjunct is ``x op c`` or ``c op x`` for a variable
@@ -237,8 +233,7 @@ class _Explorer:
         variable's declared range."""
         col, is_bool, lo, hi = self.scope.columns[a.var]
         code = a.expr._vec(scope)
-        return (col, code.value if code.run is None else code.run,
-                is_bool or lo <= code.lo and code.hi <= hi)
+        return col, code, is_bool or lo <= code.lo and code.hi <= hi
 
     def _compile(self, process: ast.ProcessDef):
         """The compiled commands of ``process`` and its guard index: (key
@@ -262,10 +257,10 @@ class _Explorer:
             cmds.append(_Cmd(
                 ci, cmd.action,
                 # the key test holds on every row a keyed command runs on
-                self._c(_after_leftmost(cmd.guard) if keyed else cmd.guard,
-                        self.scope),
-                None if cmd.rate is None else self._c(cmd.rate, scope),
-                [(self._c(br.weight, scope),
+                (_after_leftmost(cmd.guard) if keyed
+                 else cmd.guard)._vec(self.scope),
+                None if cmd.rate is None else cmd.rate._vec(scope),
+                [(br.weight._vec(scope),
                   [self._assignment(a, scope) for a in br.assignments])
                  for br in cmd.branches],
                 cmd.pos[0]))
@@ -303,10 +298,10 @@ class _Explorer:
             cands.sort(key=lambda t: t[0].index)
         enabled = []
         for cmd, rows in cands:
-            if callable(cmd.guard):
-                mask = cmd.guard(F if rows is None else F[rows])
+            if cmd.guard.run is not None:
+                mask = cmd.guard.run(F if rows is None else F[rows])
                 rows = mask.nonzero()[0] if rows is None else rows[mask]
-            elif not cmd.guard:
+            elif not cmd.guard.value:
                 continue
             elif rows is None:
                 rows = np.arange(len(F))
@@ -320,7 +315,7 @@ class _Explorer:
             return cmd.weights
         out = []
         for weight, _ in cmd.branches:
-            w = weight(sub) if callable(weight) else weight
+            w = weight.get(sub)
             self._positive(w, sub, cmd.line, "branch weight")
             out.append(w)
         return out
@@ -345,7 +340,7 @@ class _Explorer:
     def _race(self, cmd: _Cmd, sub: np.ndarray) -> list:
         """A rate command's exact race entries on the rows ``sub``: branch
         ``i`` races at ``rate * w_i / sum(w)``."""
-        rate = cmd.rate(sub) if callable(cmd.rate) else cmd.rate
+        rate = cmd.rate.get(sub)
         self._positive(rate, sub, cmd.line, "rate")
         weights = [_exact(w) for w in self._weights(cmd, sub)]
         rate = _FRACTION(_exact(rate))
@@ -366,7 +361,7 @@ class _Explorer:
                     f"line {line}: conflicting synchronized writes to "
                     f"{self.layout[col].name!r} on action {action!r} in "
                     f"state {self._where(sub[0])}")
-            v = value(sub) if callable(value) else value
+            v = value.get(sub)
             if not proven:
                 var = self.layout[col]
                 self._fail_where(

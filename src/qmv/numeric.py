@@ -194,12 +194,11 @@ def _ranges(ptr: np.ndarray, items: np.ndarray) -> np.ndarray:
 
 
 def _backward_bfs(g: tuple, seeds: np.ndarray,
-                  rows: np.ndarray | None = None,
-                  allowed: np.ndarray | None = None) -> np.ndarray:
+                  rows: np.ndarray | None = None) -> np.ndarray:
     """Breadth-first distances from ``seeds``, backwards along the branches
-    of ``rows`` (default: all), entering only ``allowed`` states; ``_FAR``
-    where unreached.  Level by level, so the distances do not depend on the
-    branch order."""
+    of ``rows`` (default: all), so entering only states with a row among
+    them; ``_FAR`` where unreached.  Level by level, so the distances do
+    not depend on the branch order."""
     ptr, row, row_state = g
     preds = row_state[row]
     if rows is not None:
@@ -214,8 +213,6 @@ def _backward_bfs(g: tuple, seeds: np.ndarray,
         level += 1
         nxt = preds[_ranges(ptr, frontier)]
         fresh = dist[nxt] == _FAR
-        if allowed is not None:
-            fresh &= allowed[nxt]
         frontier = _distinct(nxt[fresh])
         dist[frontier] = level
     return dist
@@ -305,7 +302,8 @@ def _prob1(sp: ExplicitStateSpace, target: np.ndarray, maximize: bool,
     arguments.  Every target state is among them."""
     if maximize:
         return _exists_almost_sure(sp, sp.in_branches, target, ~zero)
-    return _backward_bfs(sp.in_branches, zero, allowed=~target) == _FAR
+    return _backward_bfs(sp.in_branches, zero,
+                         ~target[sp.choice_state]) == _FAR
 
 
 # --------------------------------------------------------------------------

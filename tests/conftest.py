@@ -3,6 +3,7 @@ a counter-unfolding transform, scheduler freezing, reachability under a
 scheduler and a random layered-MDP generator."""
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import replace
 from random import Random
 
@@ -114,8 +115,12 @@ def unfold_with_counter(space: ExplicitStateSpace, t_max: int):
 
 
 def induced_chain(space: ExplicitStateSpace,
-                  scheduler: dict[int, int]) -> ExplicitStateSpace:
-    """Freeze a scheduler: keep only the chosen choice in every state."""
+                  scheduler: np.ndarray | Mapping[int, int]
+                  ) -> ExplicitStateSpace:
+    """Freeze a scheduler: keep only the chosen choice in every state.
+    ``scheduler[s]`` is the choice index of state ``s`` (an int array over
+    the states, as in ``ValueResult.scheduler``, or a mapping), read at the
+    states that have choices."""
     has_choice = np.diff(space.choice_ptr) > 0
     states = np.flatnonzero(has_choice)
     keep = np.zeros(len(space.choice_owner), dtype=bool)
@@ -135,10 +140,11 @@ def induced_chain(space: ExplicitStateSpace,
 
 
 def reachable_under(
-    space: ExplicitStateSpace, scheduler: dict[int, int]
+    space: ExplicitStateSpace, scheduler: np.ndarray | Mapping[int, int]
 ) -> np.ndarray:
     """States reachable from the initial state when following ``scheduler``
-    (a choice index for every state that has choices)."""
+    (indexed by state: a choice index for every state that has choices, as
+    in :func:`induced_chain`)."""
     seen = np.zeros(space.n_states, dtype=bool)
     seen[space.initial] = True
     stack = [space.initial]

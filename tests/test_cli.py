@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from qmv import numeric
 from qmv.casestudies import (BitcoinParams, NocParams, gen_bitcoin,
                              gen_contact_mdp, gen_noc, parse_contact_plan,
                              sample_contact_plan)
@@ -52,6 +53,18 @@ module m
   [safe] x=0 -> 1/10:(x'=2) + 9/10:(x'=1);
 endmodule
 label "goal" = x=2;
+"""
+
+#: a two-state cycle that leaks to a sink: its value is neither 0 nor 1,
+#: so the cycle stays free for the solver
+LEAKY_CYCLE = """
+dtmc
+module m
+  x : [0..3] init 0;
+  [] x=0 -> 1/4:(x'=1) + 1/2:(x'=2) + 1/4:(x'=3);
+  [] x=1 -> (x'=0);
+endmodule
+label "done" = x=2;
 """
 
 INTERLEAVED = """
@@ -102,6 +115,24 @@ class TestCheck:
             "check", model_file(COIN), 'Pmax=? [ F "heads" ]', "--json"])
         json.loads(out)  # stdout is machine-readable as a whole
         assert err == ""  # stderr is reserved for errors
+
+    def test_an_inexact_value_is_named_on_stderr(self, capsys, model_file,
+                                                 monkeypatch):
+        argv = ["check", model_file(LEAKY_CYCLE), 'Pmax=? [ F "done" ]']
+        code, out, err = run(capsys, argv)
+        assert code == 0 and err == ""  # exact: no warning
+        assert ["value", "0.6666666666666666"] in map(str.split,
+                                                      out.splitlines())
+        monkeypatch.setattr(numeric, "MAX_DENSE_SCC", 1)
+        code, out, err = run(capsys, argv)
+        assert code == 0 and "warning" not in out
+        assert err == (
+            'warning: Pmax=? [ F "done" ]: a cycle of more than '
+            "MAX_DENSE_SCC (1) states was solved by value iteration; the "
+            "value is not exact, and the residual is not an error bound\n")
+        code, rep, json_err = run_json(capsys, argv + ["--json"])
+        assert rep["properties"][0]["info"]["exact"] == 0.0
+        assert json_err == err
 
     def test_reports_are_stable_up_to_timing(self, capsys, model_file):
         argv = ["check", model_file(COIN), 'Pmax=? [ F "heads" ]', "--json"]

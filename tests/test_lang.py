@@ -1360,8 +1360,8 @@ class TestGuardIndex:
         for cmd in explorer.cmds[0]:
             # a guard that is only its key test holds on all its rows and
             # runs on none
-            if callable(cmd.guard):
-                cmd.guard = counted(cmd.guard)
+            if cmd.guard.run is not None:
+                cmd.guard = cmd.guard._replace(run=counted(cmd.guard.run))
         space = explorer.run()
         assert space.n_states == n + 2
         largest_bucket, unindexed = 2, 2

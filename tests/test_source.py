@@ -7,6 +7,10 @@ and ``fnv1a64`` are written independently of the array code the analyses
 read, and ``lss_decide`` shares only ``fmix64`` with it; ``simulate_run``
 is one run of that code (``_simulate``), keyed as ``estimate`` keys its
 runs.  The package must not read them.
+
+The front end compiles an expression into one ``_Code``, whose ``run`` and
+``value`` tell a constant from code, so no module under ``lang`` asks
+whether something is ``callable``.
 """
 import ast
 from pathlib import Path
@@ -52,12 +56,25 @@ def reference_uses(name: str, tree: ast.AST) -> list[str]:
     return used
 
 
+def callable_calls(name: str, tree: ast.AST) -> list[str]:
+    """Calls of ``callable`` in a module under ``lang``."""
+    if not name.startswith("lang/"):
+        return []
+    return [f"{name}:{node.lineno} callable" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "callable"]
+
+
 def test_the_package_reads_no_object_view():
     assert _hits(view_reads) == []
 
 
 def test_the_package_uses_no_one_pair_reference():
     assert _hits(reference_uses) == []
+
+
+def test_the_front_end_calls_no_callable():
+    assert _hits(callable_calls) == []
 
 
 def test_the_rules_catch_a_planted_read():
@@ -68,3 +85,8 @@ def test_the_rules_catch_a_planted_read():
     assert view_reads("core.py", planted) == []
     assert reference_uses("numeric.py", planted) \
         == ["numeric.py:3 simulate_run"]
+    planted = ast.parse("def f(code, V):\n"
+                        "    return code(V) if callable(code) else code\n")
+    assert callable_calls("lang/explore.py", planted) \
+        == ["lang/explore.py:2 callable"]
+    assert callable_calls("numeric.py", planted) == []
