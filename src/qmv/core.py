@@ -313,7 +313,10 @@ class SpaceBuilder:
     them by their sum, through :func:`_normalise`: exactly when all are
     ints or Fractions (weights 1 and 9 give exactly 0.1 and 0.9).  A batch
     brings its choices in groups that share their weights, and a group is
-    normalised once per duplicate-target pattern.  Normalised numbers are
+    normalised once per duplicate-target pattern.  The numpy work is per
+    batch: the groups of one branch count are stacked to find their
+    duplicate targets at once, and owners and actions are repeated over
+    the group sizes.  Normalised numbers are
     kept per tuple of weights, their types and the pattern, so ``1``,
     ``1.0`` and ``Fraction(1)`` never share an entry.  Duplicate targets of a
     choice or race are merged and entries sorted by target; the exit rate
@@ -367,36 +370,25 @@ class SpaceBuilder:
         chunks = self._chunks
         choices = [g for g in choices if len(g[0])]
         rows = [np.asarray(g[0], dtype=np.int64) for g in choices]
+        sizes = np.array([len(r) for r in rows], dtype=np.int64)
         crow = np.concatenate(rows) if rows else _NONE
         corder = np.argsort(crow, kind="stable")
         cid = np.empty(len(crow), dtype=np.int64)
         cid[corder] = np.arange(len(crow))
-        bounds = np.cumsum([0] + [len(r) for r in rows])
-
-        entries: list[tuple[np.ndarray, np.ndarray, object]] = []
-        for (_, _, _, weights, targets), r, lo in zip(choices, rows, bounds):
-            ids = cid[lo:lo + len(r)]
-            targets = np.asarray(targets, dtype=np.int64).reshape(len(r), -1)
-            for sel, merged, probs in self._normalised(weights, targets):
-                entries += [(ids[sel], t, p) for t, p in zip(merged.T, probs)]
         # actions are numbered in the order of their first choice
-        for g in sorted(range(len(choices)), key=lambda g: cid[bounds[g]]):
+        for g in np.argsort(cid[np.cumsum(sizes) - sizes]).tolist():
             self._actions.setdefault(choices[g][1], len(self._actions))
-        if entries:
-            ent = np.concatenate([ids for ids, _, _ in entries])
-            target = np.concatenate([t for _, t, _ in entries])
-            prob = np.concatenate([np.broadcast_to(p, len(ids))
-                                   for ids, _, p in entries])
+        if choices:
+            ent, target, prob = self._branches(choices, sizes, cid)
             order = np.lexsort((target, ent))
             chunks["branch_prob"].append(prob[order])
             chunks["branch_target"].append(target[order])
             chunks["branch_ptr"].append(np.bincount(ent, minlength=len(crow)))
-            chunks["choice_owner"].append(np.concatenate([
-                np.broadcast_to(np.asarray(g[2], dtype=np.int64), len(r))
-                for g, r in zip(choices, rows)])[corder])
-            chunks["choice_action"].append(np.concatenate([
-                np.full(len(r), self._actions[g[1]])
-                for g, r in zip(choices, rows)])[corder])
+            chunks["choice_owner"].append(
+                _per_row([g[2] for g in choices], sizes)[corder])
+            chunks["choice_action"].append(np.repeat(np.array(
+                [self._actions[g[1]] for g in choices], dtype=np.int64),
+                sizes)[corder])
         n_choices = np.bincount(crow, minlength=count)
         chunks["choice_ptr"].append(n_choices)
         self._add_races(count, races, n_choices > 0)
@@ -405,6 +397,8 @@ class SpaceBuilder:
         """Merged, sorted rates and the exit rates of :meth:`add_states`."""
         row, target, value = [], [], []
         for rows, rates, targets in races:
+            if not len(rows):
+                continue
             rows = np.asarray(rows, dtype=np.int64)
             targets = np.asarray(targets, dtype=np.int64).reshape(len(rows), -1)
             for t, rate in zip(targets.T, rates):
@@ -441,31 +435,75 @@ class SpaceBuilder:
         self._chunks["rate_ptr"].append(n_rates)
         self._chunks["exit_rate"].append(exit_rate)
 
-    def _normalised(self, weights: list, targets: np.ndarray):
-        """Per duplicate-target pattern of ``targets``: the rows it covers,
-        the merged targets and their probabilities (numbers, or arrays over
-        those rows)."""
-        n, b = targets.shape
-        label = np.argmax(targets[:, :, None] == targets[:, None, :], axis=2) \
-            if b > 1 else np.zeros((n, b), dtype=np.int64)
-        if b < 2 or (label == np.arange(b)).all():
-            patterns = [(slice(None), tuple(range(b)))]
-        else:
-            distinct, inverse = np.unique(label, axis=0, return_inverse=True)
-            inverse = inverse.reshape(-1)
-            patterns = [(np.flatnonzero(inverse == i), tuple(p))
-                        for i, p in enumerate(distinct.tolist())]
-        for sel, pattern in patterns:
-            ws = [w[sel] if isinstance(w, np.ndarray) else w for w in weights]
-            if any(isinstance(w, np.ndarray) for w in ws):
-                labels, probs = _normalise(zip(ws, pattern))
+    def _branches(self, choices: list, sizes: np.ndarray, cid: np.ndarray):
+        """(choice, target, probability) of every merged branch of the
+        groups ``choices`` of ``sizes`` rows each, whose rows are the
+        choices ``cid`` in group order.
+
+        The groups of one branch count are stacked, and their duplicate
+        targets found at once: a row's pattern labels each branch with the
+        first branch of its target.  The weights are normalised once per
+        group and pattern."""
+        targets = [np.asarray(g[4], dtype=np.int64).reshape(n, -1)
+                   for g, n in zip(choices, sizes.tolist())]
+        widths = [t.shape[1] for t in targets]
+        width_of_row = np.repeat(widths, sizes)
+        by_width: dict[int, list[int]] = {}
+        for g, b in enumerate(widths):
+            by_width.setdefault(b, []).append(g)
+        ent, target, prob = [], [], []
+        for b, gs in by_width.items():
+            T = np.concatenate([targets[g] for g in gs])
+            n = len(T)
+            label = np.argmax(T[:, :, None] == T[:, None, :], axis=2) \
+                if b > 1 else np.zeros((n, b), dtype=np.int64)
+            keep = label == np.arange(b)
+            group = np.repeat(np.arange(len(gs)), sizes[gs])
+            if keep.all():
+                patterns, pairs, pair = [tuple(range(b))], range(len(gs)), group
             else:
-                key = (tuple(ws), tuple(map(type, ws)), pattern)
+                distinct, pattern = np.unique(label, axis=0,
+                                              return_inverse=True)
+                patterns = [tuple(p) for p in distinct.tolist()]
+                pairs, pair = np.unique(
+                    group * len(patterns) + pattern.reshape(-1),
+                    return_inverse=True)
+                pairs = pairs.tolist()
+            # per pair, each branch's probability (0 where merged away)
+            dense = []
+            per_row = []  # the pairs whose weights are per-row arrays
+            for k, gp in enumerate(pairs):
+                g, p = divmod(gp, len(patterns))
+                weights = choices[gs[g]][3]
+                if any(isinstance(w, np.ndarray) for w in weights):
+                    per_row.append((k, g, p))
+                    dense.append((0.0,) * b)
+                    continue
+                key = (tuple(weights), tuple(map(type, weights)), patterns[p])
                 found = self._probs.get(key)
                 if found is None:
-                    found = self._probs[key] = _normalise(zip(ws, pattern))
-                labels, probs = found
-            yield sel, targets[sel][:, labels], probs
+                    found = [0.0] * b
+                    for j, q in zip(*_normalise(zip(weights, patterns[p]))):
+                        found[j] = q
+                    self._probs[key] = found
+                dense.append(found)
+            P = np.array(dense, dtype=np.float64).reshape(-1, b)[pair]
+            starts = (np.cumsum(sizes[gs]) - sizes[gs]).tolist()
+            for k, g, p in per_row:
+                # the group's rows are contiguous; the pair's are among them
+                lo = starts[g]
+                local = np.flatnonzero(pair[lo:lo + len(targets[gs[g]])] == k)
+                labels, probs = _normalise(zip(
+                    [w[local] if isinstance(w, np.ndarray) else w
+                     for w in choices[gs[g]][3]], patterns[p]))
+                for j, q in zip(labels, probs):
+                    P[lo + local, j] = q
+            ids = cid[width_of_row == b]
+            ent.append(np.broadcast_to(ids[:, None], (n, b))[keep])
+            target.append(T[keep])
+            prob.append(P[keep])
+        return (np.concatenate(ent), np.concatenate(target),
+                np.concatenate(prob))
 
     def build(self, model_class: ModelClass, layout: tuple[VariableInfo, ...],
               valuations: np.ndarray, components: tuple[str, ...],
@@ -486,6 +524,19 @@ class SpaceBuilder:
 
 _NONE = np.zeros(0, dtype=np.int64)
 _ROW0 = np.zeros(1, dtype=np.int64)
+
+
+def _per_row(values: list, sizes: np.ndarray) -> np.ndarray:
+    """One int64 per row of groups of ``sizes`` rows, from one int per
+    group or one array of a value per row."""
+    scalar = [isinstance(v, (int, np.integer)) for v in values]
+    out = np.repeat(np.array([v if s else 0 for v, s in zip(values, scalar)],
+                             dtype=np.int64), sizes)
+    ends = np.cumsum(sizes)
+    for g, s in enumerate(scalar):
+        if not s:
+            out[ends[g] - sizes[g]:ends[g]] = values[g]
+    return out
 
 
 def _row(targets: list[int]) -> np.ndarray:

@@ -100,7 +100,7 @@ class IntLit(Expr):
         return "int"
 
     def _vec(self, scope):
-        return _constant(self.value)
+        return _Code("int", None, self.value, self.value, self.value)
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ class RealLit(Expr):
         return "real"
 
     def _vec(self, scope):
-        return _constant(self.value)
+        return _Code("real", None, self.value)
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ class BoolLit(Expr):
         return "bool"
 
     def _vec(self, scope):
-        return _constant(self.value)
+        return _Code("bool", None, self.value)
 
 
 @dataclass(frozen=True)
@@ -336,15 +336,20 @@ class _Code(NamedTuple):
 
     @property
     def dtype(self):
-        if self.kind == "bool":
-            return bool
-        if self.kind == "int" and _I64_MIN <= self.lo <= self.hi <= _I64_MAX:
-            return np.int64
-        return object
+        return _dtype(self.kind, self.lo, self.hi)
 
     def get(self, V):
         """The values on the rows of ``V``; a constant gives its scalar."""
         return self.value if self.run is None else self.run(V)
+
+
+def _dtype(kind: str, lo: int, hi: int):
+    """The dtype of the values of code of ``kind`` and range [lo, hi]."""
+    if kind == "bool":
+        return bool
+    if kind == "int" and _I64_MIN <= lo <= hi <= _I64_MAX:
+        return np.int64
+    return object
 
 
 def _constant(value: Value) -> _Code:
@@ -395,7 +400,7 @@ def _arith(fn: Callable, kind: str, lo: int, hi: int,
     """``fn`` as it is where the result and every argument fit in int64
     (or bool), else on exact Python numbers, the result narrowed back to
     its own dtype (int64, or bool for a comparison) when it has one."""
-    out = _Code(kind, lo=lo, hi=hi).dtype
+    out = _dtype(kind, lo, hi)
     if out is not object and all(a.dtype is not object for a in args):
         return _node(kind, fn, args, lo, hi)
 
@@ -469,14 +474,14 @@ def _cond(c: _Code, t: _Code, o: _Code) -> _Code:
         kind = "bool"
     else:
         kind = "real" if "real" in (t.kind, o.kind) else "int"
-    code = _Code(kind, lo=min(t.lo, o.lo), hi=max(t.hi, o.hi))
-    dtype = code.dtype
+    lo, hi = min(t.lo, o.lo), max(t.hi, o.hi)
+    dtype = _dtype(kind, lo, hi)
     if not (t.raises or o.raises):
         # each branch in the result's dtype: numpy would put two Python
         # ints beyond int64 into uint64 or float64
         return _node(kind, lambda cv, tv, ov: np.where(
             cv, np.asarray(tv, dtype), np.asarray(ov, dtype)),
-            (c, t, o), code.lo, code.hi)
+            (c, t, o), lo, hi)
 
     def run(V):
         cv = c.run(V)
@@ -484,7 +489,7 @@ def _cond(c: _Code, t: _Code, o: _Code) -> _Code:
         _subset(t, V, np.flatnonzero(cv), out)
         _subset(o, V, np.flatnonzero(~cv), out)
         return out
-    return code._replace(run=run, raises=True)
+    return _Code(kind, run, None, lo, hi, True)
 
 
 #: Operator precedence, tighter binds higher; every binary operator is

@@ -2,15 +2,20 @@
 
 The explorer reads the variable layout, the constants' values and the
 initial valuation that :func:`qmv.lang.parse_model` resolved.  Guards,
-weights, rates and assignments are compiled once each against one scope
-(the layout's columns, with the constants inlined), into the evaluator's
-code (:meth:`qmv.lang.ast.Expr.compile`), which the explorer runs as it
-is: ``get`` gives a constant's value or the values on the rows of a
-valuation matrix.  The reachable state space is built breadth-first from
+weights, rates and assignments are compiled against one scope (the
+layout's columns, with the constants inlined), into the evaluator's code
+(:meth:`qmv.lang.ast.Expr.compile`), which the explorer runs as it is:
+``get`` gives a constant's value or the values on the rows of a
+valuation matrix.  Code is kept per model, keyed by the expression and
+the ranges its names have in the scope it is compiled over, so an update
+or weight that many commands repeat is compiled once; the ranges are
+part of the key because the range proof below reads them.  The
+reachable state space is built breadth-first from
 the initial valuation, one BFS level at a time: the frontier is an int64
 matrix with one row per state, and every command runs once over all the
 frontier rows that enable it.  The choices of all levels reach the arrays
-of a :class:`qmv.core.SpaceBuilder` in one batch at the end.
+of a :class:`qmv.core.SpaceBuilder` in one batch at the end, one group
+per command or command combination.
 
 A state pays only for the commands it can enable.  Each process indexes
 its commands by one key variable, the ``x`` that leads the most guards as
@@ -128,6 +133,10 @@ _FRACTION = np.frompyfunc(Fraction, 1, 1)
 #: each comparison with its sides swapped
 _FLIPPED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
+_TRUE = ast.BoolLit(True)
+#: the nodes that compile faster than a lookup of their code
+_LEAVES = frozenset({ast.IntLit, ast.RealLit, ast.BoolLit, ast.Name})
+
 
 def _conjuncts(guard: ast.Expr):
     if isinstance(guard, ast.Binary) and guard.op == "&":
@@ -140,7 +149,7 @@ def _conjuncts(guard: ast.Expr):
 def _after_leftmost(guard: ast.Expr) -> ast.Expr:
     """``guard`` without the leftmost conjunct of its ``&`` chain."""
     if not (isinstance(guard, ast.Binary) and guard.op == "&"):
-        return ast.BoolLit(True)
+        return _TRUE
     if not (isinstance(guard.left, ast.Binary) and guard.left.op == "&"):
         return guard.right
     return ast.Binary("&", _after_leftmost(guard.left), guard.right)
@@ -157,6 +166,9 @@ class _Explorer:
         self.name = name
         self.layout = model.layout
         self.scope = _Scope.of(self.layout, model.consts)
+        #: per expression, the names it reads and its compiled code per
+        #: ranges of those names
+        self.codes: dict[ast.Expr, tuple] = {}
 
         # compiled commands, their guard index and the action
         # synchronization table
@@ -201,7 +213,7 @@ class _Explorer:
             for var, c, op in ((test.left, test.right, test.op),
                                (test.right, test.left, _FLIPPED[test.op])):
                 if isinstance(var, ast.Name) and var.name in columns:
-                    code = c._vec(self.scope)
+                    code = self._code(c, self.scope)
                     if code.run is None:
                         found[-1] = columns[var.name][0], op, code.value
         return found
@@ -227,12 +239,30 @@ class _Explorer:
             return self.scope
         return _Scope(columns, self.scope.consts)
 
+    def _code(self, e: ast.Expr, scope: _Scope) -> _Code:
+        """``e`` compiled over ``scope``, once per model for each equal
+        expression and ranges of the names it reads: the code depends on
+        nothing else, and a contact plan repeats its few updates, weights
+        and guard tails over many commands."""
+        if type(e) in _LEAVES:
+            return e._vec(scope)
+        found = self.codes.get(e)
+        if found is None:
+            found = self.codes[e] = tuple(dict.fromkeys(e.names())), {}
+        names, codes = found
+        columns = scope.columns
+        key = tuple([columns.get(n) for n in names])
+        code = codes.get(key)
+        if code is None:
+            code = codes[key] = e._vec(scope)
+        return code
+
     def _assignment(self, a: ast.Assignment, scope: _Scope) -> tuple:
         """(column, value, proven) of ``a`` with its value compiled over
         ``scope``: ``proven`` when the value provably lies in the
         variable's declared range."""
         col, is_bool, lo, hi = self.scope.columns[a.var]
-        code = a.expr._vec(scope)
+        code = self._code(a.expr, scope)
         return col, code, is_bool or lo <= code.lo and code.hi <= hi
 
     def _compile(self, process: ast.ProcessDef):
@@ -257,10 +287,10 @@ class _Explorer:
             cmds.append(_Cmd(
                 ci, cmd.action,
                 # the key test holds on every row a keyed command runs on
-                (_after_leftmost(cmd.guard) if keyed
-                 else cmd.guard)._vec(self.scope),
-                None if cmd.rate is None else cmd.rate._vec(scope),
-                [(br.weight._vec(scope),
+                self._code(_after_leftmost(cmd.guard) if keyed
+                           else cmd.guard, self.scope),
+                None if cmd.rate is None else self._code(cmd.rate, scope),
+                [(self._code(br.weight, scope),
                   [self._assignment(a, scope) for a in br.assignments])
                  for br in cmd.branches],
                 cmd.pos[0]))
@@ -594,6 +624,9 @@ def _joined(log: dict[tuple, list]):
     order, each the concatenation of the origin's groups over all levels."""
     for origin in sorted(log):
         parts = log[origin]
+        if len(parts) == 1:
+            yield parts[0]
+            continue
         rows = np.concatenate([p[0] for p in parts])
         owners = [p[2] for p in parts]
         owner = owners[0] if all(isinstance(o, int) for o in owners) \

@@ -14,17 +14,17 @@ from qmv.lang.errors import ModelSyntaxError
 #: and contact-plan node names.
 IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-#: One token and the blanks and comment before it; at the end of a line,
-#: only those (no group matches)
+#: One token and the blanks and comment before it (at the end of a line,
+#: only those); the frequent kinds first, DECIMAL before INT, bad last
 TOKEN_RE = re.compile(
     rf"""
-    (?:[ \t\r]+|//.*)*
+    [ \t\r]*(?://.*)?
     (?:
-      (?P<DECIMAL>\d+\.\d+)
-    | (?P<INT>\d+)
+      (?P<OP>->|<=|>=|!=|\.\.|[-+*/()\[\]:;,?'=<>&|!])
     | (?P<NAME>{IDENTIFIER_RE.pattern})
+    | (?P<DECIMAL>\d+\.\d+)
+    | (?P<INT>\d+)
     | (?P<STRING>"[^"]*")
-    | (?P<OP>->|<=|>=|!=|\.\.|[-+*/()\[\]:;,?'=<>&|!])
     | (?P<bad>.)
     | $
     )

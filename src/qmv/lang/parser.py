@@ -87,7 +87,7 @@ def _ident(ts: _Tokens, what: str = "a name") -> int:
 #: the binary operators of ``ast.PRECEDENCE``; no other token has their text
 _BINARY = {op: prec for op, prec in ast.PRECEDENCE.items()
            if op not in ("?:", "unary")}
-_LITERALS = (ast.IntLit, ast.RealLit, ast.BoolLit)
+_LITERALS = frozenset({ast.IntLit, ast.RealLit, ast.BoolLit})
 
 
 def _literal(value: ast.Value, pos: ast.Pos) -> ast.Expr:
@@ -99,10 +99,9 @@ def _literal(value: ast.Value, pos: ast.Pos) -> ast.Expr:
 
 
 def _fold(node: ast.Expr, ts: _Tokens) -> ast.Expr:
-    if all(type(k) in _LITERALS for k in node.children()):
-        _type_of(ts, node, {})
-        return _literal(_value(ts, node, {}, node), node.pos)
-    return node
+    """``node``, whose children the caller found all literals, folded."""
+    _type_of(ts, node, {})
+    return _literal(_value(ts, node, {}, node), node.pos)
 
 
 def _parse_expr(ts: _Tokens) -> ast.Expr:
@@ -114,7 +113,9 @@ def _parse_expr(ts: _Tokens) -> ast.Expr:
     then = _parse_expr(ts)
     ts.expect(":")
     other = _parse_expr(ts)
-    return _fold(ast.Cond(cond, then, other, pos=ts.pos(i)), ts)
+    node = ast.Cond(cond, then, other, pos=ts.pos(i))
+    return _fold(node, ts) if {type(cond), type(then), type(other)} \
+        <= _LITERALS else node
 
 
 def parse_expression(text: str) -> ast.Expr:
@@ -139,7 +140,9 @@ def _parse_binary(ts: _Tokens, min_prec: int) -> ast.Expr:
             return left
         ts.i = i + 1
         right = _parse_binary(ts, prec + 1)
-        left = _fold(ast.Binary(texts[i], left, right, pos=ts.pos(i)), ts)
+        node = ast.Binary(texts[i], left, right, pos=ts.pos(i))
+        left = _fold(node, ts) if type(left) in _LITERALS \
+            and type(right) in _LITERALS else node
 
 
 def _parse_unary(ts: _Tokens) -> ast.Expr:
@@ -151,7 +154,9 @@ def _parse_unary(ts: _Tokens) -> ast.Expr:
         return ast.IntLit(int(text), pos=ts.pos(i))
     if kind == "DECIMAL":
         ts.i = i + 1
-        return _literal(Fraction(text), ts.pos(i))
+        whole, _, digits = text.partition(".")
+        return _literal(Fraction(int(whole + digits), 10 ** len(digits)),
+                        ts.pos(i))
     if text == "(":
         ts.i = i + 1
         e = _parse_expr(ts)
@@ -160,7 +165,8 @@ def _parse_unary(ts: _Tokens) -> ast.Expr:
     if text == "-" or text == "!":
         ts.i = i + 1
         operand = _parse_unary(ts)
-        return _fold(ast.Unary(text, operand, pos=ts.pos(i)), ts)
+        node = ast.Unary(text, operand, pos=ts.pos(i))
+        return _fold(node, ts) if type(operand) in _LITERALS else node
     if kind != "NAME":
         raise ts.error(f"expected an expression, found {ts.found(i)}", i)
     if text in KEYWORDS:
@@ -177,7 +183,8 @@ def _parse_unary(ts: _Tokens) -> ast.Expr:
         ts.expect(")")
         if len(args) < 2:
             raise ts.error(f"{text} needs at least two arguments", i)
-        return _fold(ast.Call(text, tuple(args), pos=ts.pos(i)), ts)
+        node = ast.Call(text, tuple(args), pos=ts.pos(i))
+        return _fold(node, ts) if set(map(type, args)) <= _LITERALS else node
     ts.i = i + 1
     return ast.Name(text, pos=ts.pos(i))
 
@@ -368,18 +375,6 @@ def _value(ts: _Tokens, e: ast.Expr, consts: dict, at) -> ast.Value:
         raise ts.error_at(str(exc), at) from None
 
 
-def _check_const_names(ts: _Tokens, expr: ast.Expr, const_types: dict,
-                       var_types: dict, what: str) -> None:
-    for n in expr.names():
-        if n in const_types:
-            continue
-        if n in var_types:
-            raise ts.error_at(
-                f"{what} must be a constant expression, but {n!r} is a "
-                "variable", expr)
-        raise ts.error_at(f"undeclared name {n!r}", expr)
-
-
 def _analyze(ts: _Tokens, model: ast.SymbolicModel) -> ast.SymbolicModel:
     """Check ``model`` and return it with its declarations resolved: the
     constants' values, the variable layout and the initial valuation."""
@@ -433,7 +428,13 @@ def _analyze(ts: _Tokens, model: ast.SymbolicModel) -> ast.SymbolicModel:
             parts += [(v.lo, f"lower bound of {v.name}"),
                       (v.hi, f"upper bound of {v.name}")]
         for expr, what in parts:
-            _check_const_names(ts, expr, const_types, var_types, what)
+            for n in expr.names():
+                if n in var_types:
+                    raise ts.error_at(
+                        f"{what} must be a constant expression, but {n!r} "
+                        "is a variable", expr)
+                if n not in const_types:
+                    raise ts.error_at(f"undeclared name {n!r}", expr)
         if v.is_bool:
             if _type_of(ts, v.init, const_types) != "bool":
                 raise ts.error_at(
@@ -484,7 +485,7 @@ def _analyze(ts: _Tokens, model: ast.SymbolicModel) -> ast.SymbolicModel:
                 if _type_of(ts, br.weight, types) == "bool":
                     raise ts.error_at("branch weight must be a number",
                                       br.weight)
-                if isinstance(br.weight, _LITERALS) and br.weight.value <= 0:
+                if type(br.weight) in _LITERALS and br.weight.value <= 0:
                     raise ts.error_at("branch weight must be positive",
                                       br.weight)
                 assigned: set[str] = set()
@@ -543,13 +544,6 @@ def _analyze(ts: _Tokens, model: ast.SymbolicModel) -> ast.SymbolicModel:
 # --------------------------------------------------------------------------
 # properties
 
-_HEADS = {
-    "Pmax": Direction.MAX,
-    "Pmin": Direction.MIN,
-    "Tmax": Direction.MAX,
-    "Tmin": Direction.MIN,
-}
-
 
 def parse_property(
     text: str,
@@ -569,11 +563,11 @@ def parse_property(
     ts = _Tokens(text)
     h = ts.expect(kind="NAME", what="Pmax, Pmin, Tmin or Tmax")
     head = ts.texts[h]
-    if head not in _HEADS:
+    if head not in ("Pmax", "Pmin", "Tmin", "Tmax"):
         raise ts.error(
             f"unknown property head {head!r} (want Pmax, Pmin, Tmin "
             "or Tmax)", h)
-    direction = _HEADS[head]
+    direction = Direction(head[1:])
     is_prob = head.startswith("P")
     ts.expect("=")
     ts.expect("?")
@@ -637,12 +631,16 @@ def parse_properties(
     model_class: ModelClass | None = None,
     labels: dict | None = None,
 ) -> list[Property]:
-    """Parse a property file: one property per line, // comments allowed."""
+    """Parse a property file: one property per line, // comments allowed;
+    a syntax error is positioned within the file."""
     props: list[Property] = []
-    for line in text.splitlines():
-        stripped = line.split("//", 1)[0].strip()
-        if stripped:
-            props.append(
-                parse_property(stripped, model_class=model_class,
-                               labels=labels))
+    for number, line in enumerate(text.splitlines(), 1):
+        line = line.split("//", 1)[0].rstrip()
+        try:
+            if line:
+                props.append(parse_property(line, model_class=model_class,
+                                            labels=labels))
+        except ModelSyntaxError as exc:
+            raise ModelSyntaxError(exc.message, number, exc.column,
+                                   text) from None
     return props

@@ -27,6 +27,8 @@ from qmv.core import (
     PropertyKind,
     SpaceBuilder,
     VariableInfo,
+    _FLOAT_ARRAYS,
+    _INT_ARRAYS,
     _normalise,
     check_good_for_distribution,
     decision_states,
@@ -132,6 +134,80 @@ class TestDistribution:
             [(1, 2), (3, 0)], [(1, 0), (3, 2)], [(3, 0), (1, 2)])] == [
             ((0.75, 0), (0.25, 2)), ((0.25, 0), (0.75, 2)),
             ((0.75, 0), (0.25, 2))]
+
+    @staticmethod
+    def _groups(rng: Random, count: int, races: bool) -> list[tuple]:
+        """Seeded groups (rows, action, owner, weights, targets), or
+        (rows, rates, targets) for ``races``, over ``count`` states; some
+        are empty, and targets often repeat within a row."""
+        groups = []
+        for _ in range(rng.randint(1, 6)):
+            rows = sorted(rng.sample(range(count), rng.randint(0, count)))
+            n, b = len(rows), rng.randint(1, 4)
+            # a float beside a per-row array has no exact sum
+            last = "array" if rng.random() < 0.4 else "float"
+            weights = []
+            for _ in range(b):
+                kind = rng.choice(["int", "fraction", last])
+                if kind == "int":
+                    weights.append(rng.randint(1, 4))
+                elif kind == "fraction":
+                    weights.append(Fraction(rng.randint(1, 9),
+                                            rng.randint(1, 9)))
+                elif kind == "float":
+                    weights.append(rng.choice([0.5, 1.0, 2.25]))
+                elif rng.random() < 0.5:  # one exact weight per row
+                    weights.append(np.array([rng.randint(1, 5) for _ in rows]))
+                else:
+                    weights.append(np.array(
+                        [rng.choice([2, Fraction(rng.randint(1, 9), 7)])
+                         for _ in rows], dtype=object))
+            targets = np.array([[rng.randrange(min(count, 3))
+                                 for _ in range(b)] for _ in rows],
+                               dtype=np.int64).reshape(n, b)
+            if races:
+                groups.append((rows, weights, targets))
+                continue
+            owner = np.array([rng.randint(0, 2) for _ in rows]) \
+                if rng.random() < 0.3 else rng.randint(0, 2)
+            groups.append((rows, rng.choice([None, "a", "b"]), owner,
+                           weights, targets))
+        return groups
+
+    @staticmethod
+    def _one_row(group: tuple) -> list[tuple]:
+        """``group`` as one group per row, in row order."""
+        *head, weights, targets = group
+        rows = head[0]
+        return [(rows[i:i + 1], *(
+            x[i:i + 1] if isinstance(x, np.ndarray) else x for x in head[1:]),
+            [w[i:i + 1] if isinstance(w, np.ndarray) else w for w in weights],
+            targets[i:i + 1]) for i in range(len(rows))]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_many_row_and_one_row_groups_give_the_same_arrays(self, seed):
+        rng = Random(seed)
+        count = rng.randint(1, 8)
+        choices = self._groups(rng, count, races=False)
+        races = self._groups(rng, count, races=True)
+        spaces = []
+        for split in (False, True):
+            builder = SpaceBuilder()
+            if split:
+                builder.add_states(
+                    count, [g for c in choices for g in self._one_row(c)],
+                    [g for r in races for g in self._one_row(r)])
+            else:
+                builder.add_states(count, choices, races)
+            spaces.append(builder.build(
+                ModelClass.MA, (), np.zeros((count, 0), dtype=np.int64),
+                components=("p", "q", "r")))
+        grouped, single = spaces
+        assert grouped.actions == single.actions
+        for name in _INT_ARRAYS + _FLOAT_ARRAYS:
+            a, b = getattr(grouped, name), getattr(single, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert validate(grouped) == []
 
     def test_direct_constructor_validates(self):
         # arrays given directly are not checked on construction, but by

@@ -5,6 +5,7 @@ import operator
 import re
 from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
+from random import Random
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 
 from qmv.casestudies import (
     BitcoinParams,
+    Contact,
+    ContactPlan,
     NocParams,
     gen_bitcoin,
     gen_contact_mdp,
@@ -471,6 +474,31 @@ def _nodes(node):
                 yield from _nodes(getattr(node, f.name))
 
 
+def _leaves(node):
+    """[type name, position, {field: repr}] of every AST node under
+    ``node``, depth first in field order, with the repr (and so the type)
+    of each compared field that holds no node; a plain value gives its
+    repr."""
+    if isinstance(node, tuple) and any(is_dataclass(x) for x in node):
+        for item in node:
+            yield from _leaves(item)
+    elif is_dataclass(node):
+        kids, own = [], {}
+        for f in fields(node):
+            if f.compare:
+                value = getattr(node, f.name)
+                if is_dataclass(value) or isinstance(value, tuple) and any(
+                        is_dataclass(x) for x in value):
+                    kids.append(value)
+                else:
+                    own[f.name] = repr(value)
+        yield [type(node).__name__, getattr(node, "pos", None), own]
+        for kid in kids:
+            yield from _leaves(kid)
+    else:
+        yield repr(node)
+
+
 class TestPositions:
     # SHA-256 of the (type name, position) sequence of every node of each
     # model and of its properties' targets; any change to where the parser
@@ -506,6 +534,47 @@ class TestPositions:
         walk = [[kind, pos] for kind, pos in _nodes((model, targets))]
         digest = hashlib.sha256(json.dumps(walk).encode()).hexdigest()
         assert digest == self.PINNED[name]
+
+    # SHA-256 of every node's type, position and compared leaf fields (an
+    # operator, a name, a literal's value and type): a faster descent or
+    # literal builder that moves a position or changes a value shows here
+    PINNED_FIELDS = {
+        "bitcoin":
+            "012b8d5a20471d4048d3dd59ff79ebffd4820fd31ad47cfaaffea475dfcf7bf5",
+        "contacts":
+            "182d31bab906b149556b3cb9563d6520af7b7ddeace80795a414dad9f4af5447",
+        "noc":
+            "2d62522eda8ab7488e60e7ac02d2827b16da5adb93e6ffcaa99576fd12a19b31",
+        "seeded-contacts":
+            "4ba8be9085e8100cf2bddb4becffd6e94812c4fbc35dd45acc27bddb888aa8fd",
+    }
+
+    @staticmethod
+    def _seeded_contacts():
+        rng = Random(33)
+        names = tuple(f"N{i}" for i in range(1, 7))
+        contacts = []
+        for slot in range(1, 21):
+            pairs: set[tuple[str, str]] = set()
+            while len(pairs) < 2:
+                pairs.add(tuple(rng.sample(names, 2)))
+            contacts += [Contact(a, b, slot, rng.randint(1, 9) / 10)
+                         for a, b in sorted(pairs)]
+        return gen_contact_mdp(
+            ContactPlan(names, 20, tuple(contacts), "N1", "N6", copies=3))
+
+    @pytest.mark.parametrize("name", list(PINNED_FIELDS))
+    def test_every_node_keeps_its_fields_and_position(self, name):
+        case = self._seeded_contacts() if name == "seeded-contacts" \
+            else self.SOURCES[name]()
+        model = parse_model(case.model)
+        targets = tuple(
+            p.target for p in parse_properties(
+                case.props, model_class=model.model_class,
+                labels=model.label_map()))
+        walk = list(_leaves((model, targets)))
+        digest = hashlib.sha256(json.dumps(walk).encode()).hexdigest()
+        assert digest == self.PINNED_FIELDS[name]
 
 
 class TestPrettyPrinter:
@@ -1108,6 +1177,42 @@ class TestRangeProof:
     def test_assignment_flags(self, guard, update, proven):
         assert self._proven(guard, update) == [proven]
 
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_a_shared_update_keeps_each_commands_range(self, first):
+        # one expression, y+1, under two ranges of y: code compiled once
+        # per model must still be compiled per range of the names it reads
+        commands = ["[] y<3 -> (y'=y+1);", "[] true -> (y'=y+1);"]
+        proven = [True, False]
+        if first:
+            commands.reverse()
+            proven.reverse()
+        model = parse_model("mdp\nmodule m\n  y : [0..3] init 0;\n  "
+                            + "\n  ".join(commands) + "\nendmodule\n")
+        cmds = _Explorer(model, DEFAULT_STATE_CAP, "").cmds[0]
+        flags = [proven for cmd in cmds for _, part in cmd.branches
+                 for _, _, proven in part]
+        assert flags == proven
+        with pytest.raises(ExplorationError,
+                           match=r"^line [45]: assignment y := 4 outside "
+                                 r"\[0\.\.3\] in state \{'y': 3\}$"):
+            explore(model)
+
+    def test_equal_updates_under_equal_read_ranges_share_code(self):
+        # z's range differs between the commands, but x+1 does not read z
+        cmds = _Explorer(parse_model("""
+            mdp
+            module m
+              x : [0..3] init 0;
+              z : [0..1] init 0;
+              [] x<3 & z=0 -> (x'=x+1);
+              [] x<3 & z=1 -> (x'=x+1, z'=z-1);
+              [] x<2 -> (x'=x+1);
+            endmodule
+        """), DEFAULT_STATE_CAP, "").cmds[0]
+        codes = [cmd.branches[0][1][0][1] for cmd in cmds]
+        assert codes[0] is codes[1] and codes[2] is not codes[0]
+        assert (codes[0].lo, codes[0].hi, codes[2].hi) == (1, 3, 2)
+
     @given(st.lists(_tests, min_size=1, max_size=3),
            st.none() | _tests, _sums, _sums)
     @settings(max_examples=200, deadline=None)
@@ -1457,3 +1562,16 @@ class TestProperties:
         assert [p.kind for p in props] == [
             PropertyKind.REACH_PROB, PropertyKind.EXPECTED_TIME]
         assert props[0].text == 'Pmax=? [ F "goal" ]'
+
+    @pytest.mark.parametrize("line, column", [
+        ("   Pmax=? [ F c_N8 >= @ ]", 23),   # the lexer's error
+        ("\tPmin=? [ F c_N8 >= ]", 21),      # the descent's, at the ']'
+        ("  Pmax=? [ F x ] y // z", 18),      # after the property
+    ])
+    def test_a_syntax_error_points_into_the_file(self, line, column):
+        text = f'Pmax=? [ F "goal" ]\n// the third line fails\n{line}\n'
+        with pytest.raises(ModelSyntaxError) as err:
+            parse_properties(text, model_class=ModelClass.MDP)
+        assert (err.value.line, err.value.column) == (3, column)
+        # the caret sits under the file's own line
+        assert str(err.value).endswith(f"\n  {line}\n  {' ' * (column - 1)}^")
